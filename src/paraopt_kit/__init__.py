@@ -27,8 +27,7 @@ from paraopt_kit.core import (
     NewtonConfig,
     SolveLog,
     matching_residual,
-    apply_A,
-    apply_A_tilde,
+    apply_jacobian,
     paraopt_solve,
 )
 from paraopt_kit.preconditioner import (
@@ -70,8 +69,7 @@ __all__ = [
     "NewtonConfig",
     "SolveLog",
     "matching_residual",
-    "apply_A",
-    "apply_A_tilde",
+    "apply_jacobian",
     "paraopt_solve",
     "PreconditionerPlan",
     "build_plan",

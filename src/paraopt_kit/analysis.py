@@ -18,8 +18,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from paraopt_kit.numerics import eigenvalues_general
-from paraopt_kit.problem import ObjectiveKind
-from paraopt_kit.propagators import Discretization
+from paraopt_kit.problem import Discretization, ObjectiveKind
 
 
 @dataclass(frozen=True)
@@ -40,13 +39,6 @@ def _require_valid(pp: PhiPsi, sigma: float, where: str) -> PhiPsi:
         raise ValueError(f"{where}: coefficients ({pp.phi}, {pp.psi}) leave "
                          f"the admissible range at sigma={sigma}")
     return pp
-
-
-def _sinhc(x: float) -> float:
-    if abs(x) < 1e-6:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0
-    return np.sinh(x) / x
 
 
 def _sinhc_scaled(s: float) -> float:
@@ -72,14 +64,8 @@ def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPs
     return _require_valid(PhiPsi(phi, psi), sigma, "tracking IE")
 
 
-def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
-    """Coefficients of the exact sub-interval solver for tracking:
-    with s = sqrt(sigma_hat^2 + gamma_hat^2),
-    phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
-    if DT <= 0 or gamma <= 0:
-        raise ValueError("need DT > 0, gamma > 0")
-    sh = DT * sigma
-    gh = DT / np.sqrt(gamma)
+def _tracking_exact(sh: float, gh: float) -> PhiPsi:
+    """Unchecked exact tracking coefficients in hatted variables."""
     s = np.hypot(sh, gh)
     if s == 0.0:
         return PhiPsi(1.0, 0.0)
@@ -88,8 +74,17 @@ def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     a = (1.0 + np.exp(-2.0 * s)) / 2.0
     b = _sinhc_scaled(s)
     den = a + sh * b
-    return _require_valid(PhiPsi(np.exp(-s) / den, gh * b / den), sigma,
-                          "tracking exact")
+    return PhiPsi(np.exp(-s) / den, gh * b / den)
+
+
+def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
+    """Coefficients of the exact sub-interval solver for tracking:
+    with s = sqrt(sigma_hat^2 + gamma_hat^2),
+    phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
+    if DT <= 0 or gamma <= 0:
+        raise ValueError("need DT > 0, gamma > 0")
+    return _require_valid(_tracking_exact(DT * sigma, DT / np.sqrt(gamma)),
+                          sigma, "tracking exact")
 
 
 def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
@@ -114,15 +109,18 @@ def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
     return _require_valid(PhiPsi(phi, psi), sigma, "terminal-cost IE")
 
 
+def _tc_exact(sh: float, gh: float) -> PhiPsi:
+    """Unchecked exact terminal-cost coefficients in hatted variables."""
+    # sinhc(sh)*exp(-sh) computed in scaled form to avoid overflow
+    return PhiPsi(np.exp(-sh), gh * _sinhc_scaled(sh))
+
+
 def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for terminal cost:
     phi = exp(-sigma_hat), psi = gamma_hat*sinhc(sigma_hat)*exp(-sigma_hat)."""
     if DT <= 0 or gamma <= 0:
         raise ValueError("need DT > 0, gamma > 0")
-    sh = DT * sigma
-    gh = DT / gamma
-    # sinhc(sh)*exp(-sh) computed in scaled form to avoid overflow
-    return _require_valid(PhiPsi(np.exp(-sh), gh * _sinhc_scaled(sh)), sigma,
+    return _require_valid(_tc_exact(DT * sigma, DT / gamma), sigma,
                           "terminal-cost exact")
 
 

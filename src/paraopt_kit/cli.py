@@ -42,6 +42,7 @@ from paraopt_kit.preconditioner import (
     build_plan,
 )
 from paraopt_kit.problem import (
+    Discretization,
     LinearControlProblem,
     ObjectiveKind,
     TimeDecomposition,
@@ -51,7 +52,6 @@ from paraopt_kit.problem import (
     make_scalar_problem,
 )
 from paraopt_kit.propagators import (
-    Discretization,
     build_exact_propagator,
     build_implicit_euler_propagator,
 )
@@ -89,7 +89,6 @@ class RunConfig:
     alpha_imag: float = 0.0
     small_system_method: str = "explicit_direct"
     output: str = "out"
-    seed: int = 0
 
     def validate(self) -> None:
         if self.problem not in ("scalar", "heat", "advection_diffusion"):
@@ -181,8 +180,11 @@ def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
 def solve_case(cfg: RunConfig):
     """Run one configured solve; returns (trajectory, log, summary dict)."""
     cfg.validate()
-    problem = build_problem(cfg)
-    decomp = make_decomposition(problem, cfg.L, cfg.J_fine, cfg.J_coarse)
+    try:
+        problem = build_problem(cfg)
+        decomp = make_decomposition(problem, cfg.L, cfg.J_fine, cfg.J_coarse)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     fine, coarse = build_propagators(cfg, problem, decomp)
     plan = build_preconditioner(cfg, coarse, decomp)
     newton = NewtonConfig(
@@ -193,7 +195,7 @@ def solve_case(cfg: RunConfig):
     traj, log = paraopt_solve(problem, decomp, fine, coarse, newton)
     summary = {
         "converged": bool(log.converged),
-        "aborted": bool(log.aborted),
+        "aborted": log.aborted,
         "outer_iterations": len(log.records) - 1,
         "total_inner_iterations": int(sum(r.inner_iters for r in log.records)),
         "final_residual": float(log.records[-1].residual),
@@ -296,7 +298,7 @@ _SOLVE_FLAGS = [  # (flag, field, type)
     ("--precond-method", "precond_method", str),
     ("--alpha-real", "alpha_real", float), ("--alpha-imag", "alpha_imag", float),
     ("--small-system-method", "small_system_method", str),
-    ("--output", "output", str), ("--seed", "seed", int),
+    ("--output", "output", str),
 ]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator, propagate
+from paraopt_kit.propagators import AffinePropagator
 
 
 @dataclass
@@ -71,61 +71,50 @@ class SolveLog:
                 for r in self.records]
 
 
+def _apply_maps(prop: AffinePropagator, objective: ObjectiveKind,
+                y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear part of the matching conditions on all L_hat blocks at once;
+    y and lam are (L_hat, M) stacks, returned as the (state, adjoint) rows."""
+    out_y = y + lam @ prop.Psi_P.T
+    out_y[1:] -= y[:-1] @ prop.Phi_P.T
+    out_l = lam - y @ prop.Psi_Q.T
+    if objective is ObjectiveKind.TERMINAL_COST:
+        out_l[-1] = lam[-1] - y[-1]
+    out_l[:-1] -= lam[1:] @ prop.Phi_Q.T
+    return out_y, out_l
+
+
 def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
                       decomp: TimeDecomposition, x: PairedTrajectory) -> np.ndarray:
-    """Stacked continuity defects of state and adjoint at interval boundaries."""
+    """Stacked continuity defects of state and adjoint at interval boundaries,
+    evaluated as A x - b."""
     Lh, M = decomp.L_hat, problem.M
     if x.y.shape != (Lh, M):
         raise ValueError("trajectory shape does not match the decomposition")
-    r = np.zeros(2 * Lh * M)
-    zero = np.zeros(M)
-    for l in range(1, Lh + 1):
-        y_prev = problem.y_init if l == 1 else x.y[l - 2]
-        p_val, _ = propagate(fine, l, y_prev, x.lam_hat[l - 1])
-        r[(l - 1) * M:l * M] = x.y[l - 1] - p_val
-    for l in range(1, Lh):
-        _, q_val = propagate(fine, l + 1, x.y[l - 1], x.lam_hat[l])
-        r[(Lh + l - 1) * M:(Lh + l) * M] = x.lam_hat[l - 1] - q_val
+    # b collects the offsets of P on intervals 1..Lhat and of Q on intervals
+    # 2..Lhat+1, the known y_init entering the first interval, and the
+    # terminal condition (zero adjoint for tracking, y - y_target otherwise)
+    b_y = fine.b_P[:Lh].copy()
+    b_y[0] += fine.Phi_P @ problem.y_init
+    b_l = np.empty((Lh, M))
+    b_l[:-1] = fine.b_Q[1:Lh]
     if problem.objective is ObjectiveKind.TRACKING:
-        # terminal adjoint is zero; last interval index is L = Lhat + 1
-        _, q_val = propagate(fine, Lh + 1, x.y[Lh - 1], zero)
-        r[-M:] = x.lam_hat[Lh - 1] - q_val
+        b_l[-1] = fine.b_Q[Lh]
     else:
-        r[-M:] = x.lam_hat[Lh - 1] - (x.y[Lh - 1] - problem.y_target)
-    return r
+        b_l[-1] = -problem.y_target
+    out_y, out_l = _apply_maps(fine, problem.objective, x.y, x.lam_hat)
+    return np.concatenate([(out_y - b_y).ravel(), (out_l - b_l).ravel()])
 
 
 def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                    decomp: TimeDecomposition, v: np.ndarray) -> np.ndarray:
     """Matrix-free product with the matching-condition Jacobian built from
     the given propagator (offsets do not enter a Jacobian of an affine map)."""
-    Lh = decomp.L_hat
-    M = prop.M
-    y = v[:Lh * M].reshape(Lh, M)
-    lam = v[Lh * M:].reshape(Lh, M)
-    out_y = np.empty_like(y)
-    out_l = np.empty_like(lam)
-    for l in range(Lh):
-        out_y[l] = y[l] + lam[l] @ prop.Psi_P.T
-        if l > 0:
-            out_y[l] -= y[l - 1] @ prop.Phi_P.T
-    for l in range(Lh - 1):
-        out_l[l] = lam[l] - y[l] @ prop.Psi_Q.T - lam[l + 1] @ prop.Phi_Q.T
-    if objective is ObjectiveKind.TRACKING:
-        out_l[Lh - 1] = lam[Lh - 1] - y[Lh - 1] @ prop.Psi_Q.T
-    else:
-        out_l[Lh - 1] = lam[Lh - 1] - y[Lh - 1]
+    half = decomp.L_hat * prop.M
+    out_y, out_l = _apply_maps(prop, objective,
+                               v[:half].reshape(decomp.L_hat, prop.M),
+                               v[half:].reshape(decomp.L_hat, prop.M))
     return np.concatenate([out_y.ravel(), out_l.ravel()])
-
-
-def apply_A(fine: AffinePropagator, decomp: TimeDecomposition,
-            v: np.ndarray) -> np.ndarray:
-    return apply_jacobian(fine, fine.objective, decomp, v)
-
-
-def apply_A_tilde(coarse: AffinePropagator, decomp: TimeDecomposition,
-                  v: np.ndarray) -> np.ndarray:
-    return apply_jacobian(coarse, coarse.objective, decomp, v)
 
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
@@ -164,7 +153,7 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     log = SolveLog()
 
     def op(v):
-        return apply_A_tilde(coarse, decomp, v)
+        return apply_jacobian(coarse, coarse.objective, decomp, v)
 
     precond = None
     if cfg.preconditioner is not None:

@@ -1,4 +1,4 @@
-"""Dense linear algebra, FFT, and GMRES kernels shared by all solver layers.
+"""GMRES and the dense eigenvalue kernel shared by the solver layers.
 
 Matrices are plain numpy arrays (real or complex). All norms are Euclidean
 and reductions happen in a fixed sequential order, so repeated runs on the
@@ -38,7 +38,7 @@ class GmresReport:
 
 
 def gmres(
-    apply_A: Callable[[np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     x0: Optional[np.ndarray] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
@@ -72,7 +72,7 @@ def gmres(
     complex_mode = np.iscomplexobj(b) or np.iscomplexobj(x)
 
     while True:
-        r = b - apply_A(x)
+        r = b - matvec(x)
         _check_finite(r, "gmres operator output")
         complex_mode = complex_mode or np.iscomplexobj(r)
         beta = np.linalg.norm(r)
@@ -99,7 +99,7 @@ def gmres(
             if j + 2 > V.shape[1]:
                 extra = min(V.shape[1], m + 1 - V.shape[1])
                 V = np.hstack([V, np.zeros((n, extra), dtype=V.dtype)])
-            w = apply_A(precond(V[:, j]))
+            w = matvec(precond(V[:, j]))
             _check_finite(w, "gmres operator output")
             if np.iscomplexobj(w) and not complex_mode:
                 complex_mode = True
@@ -114,7 +114,10 @@ def gmres(
                 H[i, j] = np.vdot(V[:, i], w)
                 w -= H[i, j] * V[:, i]
             H[j + 1, j] = np.linalg.norm(w)
-            if abs(H[j + 1, j]) > 1e-14 * beta:
+            # lucky breakdown: the Krylov space is invariant, so this step
+            # is the last one of the cycle (Saad, Iterative Methods, 6.5)
+            breakdown = abs(H[j + 1, j]) <= 1e-14 * beta
+            if not breakdown:
                 V[:, j + 1] = w / H[j + 1, j]
             # apply accumulated Givens rotations, then form a new one
             for i in range(j):
@@ -135,14 +138,14 @@ def gmres(
             total_iters += 1
             rel = abs(g[j + 1]) / norm_b
             history.append(min(rel, history[-1]))
-            if rel <= tol:
+            if rel <= tol or breakdown:
                 break
 
         if j_done > 0:
             y = scipy.linalg.solve_triangular(H[:j_done, :j_done], g[:j_done])
             x = x + precond(V[:, :j_done] @ y)
 
-        r = b - apply_A(x)
+        r = b - matvec(x)
         rel = np.linalg.norm(r) / norm_b
         if rel <= tol:
             return x, GmresReport(total_iters, rel, True, history)
@@ -156,37 +159,9 @@ def _check_finite(v: np.ndarray, what: str) -> None:
         raise FloatingPointError(f"non-finite values in {what}")
 
 
-def fft_forward(v: np.ndarray) -> np.ndarray:
-    """Unitary transform with the positive-exponent convention
-    F = {exp(2*pi*i*j*k/n)/sqrt(n)}; supports any length >= 1."""
-    return np.fft.ifft(np.asarray(v, dtype=complex), norm="ortho")
-
-
-def fft_inverse(v: np.ndarray) -> np.ndarray:
-    """Inverse (= conjugate transpose) of :func:`fft_forward`."""
-    return np.fft.fft(np.asarray(v, dtype=complex), norm="ortho")
-
-
-def eigenvalues_symmetric(K: np.ndarray, sym_rtol: float = 1e-12) -> np.ndarray:
-    """Real ascending spectrum of a symmetric matrix.
-
-    Raises if the symmetry defect exceeds ``sym_rtol * ||K||``.
-    """
-    K = np.asarray(K, dtype=float)
-    nrm = np.linalg.norm(K)
-    if nrm > 0 and np.linalg.norm(K - K.T) > sym_rtol * nrm:
-        raise ValueError("matrix is not symmetric to within tolerance")
-    return scipy.linalg.eigvalsh(K)
-
-
 def eigenvalues_general(A: np.ndarray) -> np.ndarray:
     """Full complex spectrum of a square matrix."""
     A = np.asarray(A)
     if A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     return scipy.linalg.eigvals(A)
-
-
-def dense_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Direct solve A X = B; raises on singular A."""
-    return scipy.linalg.solve(np.asarray(A), np.asarray(B))

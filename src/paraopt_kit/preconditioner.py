@@ -9,8 +9,6 @@ to FFTs plus L_hat independent 2M x 2M solves.
 from __future__ import annotations
 
 import enum
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -18,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from paraopt_kit.numerics import GmresConfig, gmres
-from paraopt_kit.problem import ObjectiveKind, TimeDecomposition
+from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import AffinePropagator, black_box_view
 
 
@@ -33,27 +31,6 @@ class SmallSystemMethod(enum.Enum):
 
 
 IMAG_RESIDUE_RTOL = 1e-9
-
-
-def worker_count() -> int:
-    """Worker cap for the independent block solves (PARAOPT_THREADS)."""
-    try:
-        return max(1, int(os.environ.get("PARAOPT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_blocks(fn, n: int, out: np.ndarray) -> None:
-    """Run fn(l) for l = 0..n-1, writing out[l]; concurrency-safe because
-    every call owns a disjoint slice, so scheduling cannot change results."""
-    workers = worker_count()
-    if workers <= 1 or n <= 1:
-        for l in range(n):
-            out[l] = fn(l)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for l, res in enumerate(pool.map(fn, range(n))):
-            out[l] = res
 
 
 def alpha_circulant_eigenvalues(L_hat: int, alpha: complex) -> np.ndarray:
@@ -87,55 +64,18 @@ def _bwd(blocks: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return scale[:, None] * np.fft.fft(blocks, axis=0, norm="ortho")
 
 
-@dataclass
-class _ZFormBlocks:
-    """Transformed direct solves for a one-step implicit-Euler coarse
-    propagator: row-scaling H_l by Z = I + DT*K (and Z^T) yields
-    [[Z + d_l I, gh I], [-gh I, Z^T + conj(d_l) I]]."""
-
-    Z: np.ndarray
-    gh: float
-    factorizations: list
-
-    @classmethod
-    def build(cls, coarse: AffinePropagator, gh: float, d: np.ndarray) -> "_ZFormBlocks":
-        M = coarse.M
-        Z = np.eye(M) + coarse.DT * coarse.K
-        facts = []
-        for dl in d:
-            H = np.zeros((2 * M, 2 * M), dtype=complex)
-            H[:M, :M] = Z + dl * np.eye(M)
-            H[:M, M:] = gh * np.eye(M)
-            H[M:, :M] = -gh * np.eye(M)
-            H[M:, M:] = Z.T + np.conj(dl) * np.eye(M)
-            facts.append(scipy.linalg.lu_factor(H))
-        return cls(Z=Z, gh=gh, factorizations=facts)
-
-    def solve(self, l: int, rhs: np.ndarray) -> np.ndarray:
-        M = self.Z.shape[0]
-        t = np.empty_like(rhs, dtype=complex)
-        t[:M] = self.Z @ rhs[:M]
-        t[M:] = self.Z.T @ rhs[M:]
-        return scipy.linalg.lu_solve(self.factorizations[l], t)
-
-
 def assemble_H_block(coarse: AffinePropagator, d_l: complex) -> np.ndarray:
+    """The 2M x 2M frequency block [[I + d_l Phi_P, Psi_P],
+    [-Psi_Q, I + conj(d_l) Phi_Q]], written into one Fortran-ordered array
+    so that LAPACK can factorize it in place."""
     M = coarse.M
-    H = np.zeros((2 * M, 2 * M), dtype=complex)
-    H[:M, :M] = np.eye(M) + d_l * coarse.Phi_P
+    H = np.empty((2 * M, 2 * M), dtype=complex, order="F")
+    np.multiply(d_l, coarse.Phi_P, out=H[:M, :M])
     H[:M, M:] = coarse.Psi_P
-    H[M:, :M] = -coarse.Psi_Q
-    H[M:, M:] = np.eye(M) + np.conj(d_l) * coarse.Phi_Q
+    np.negative(coarse.Psi_Q, out=H[M:, :M])
+    np.multiply(np.conj(d_l), coarse.Phi_Q, out=H[M:, M:])
+    H[np.diag_indices(2 * M)] += 1.0
     return H
-
-
-def solve_block_explicit(factorization, rhs: np.ndarray) -> np.ndarray:
-    """Direct solve of one 2M x 2M block system from a prepared
-    factorization (either an LU pair or a (_ZFormBlocks, l) handle)."""
-    if isinstance(factorization, tuple) and isinstance(factorization[0], _ZFormBlocks):
-        zform, l = factorization
-        return zform.solve(l, rhs)
-    return scipy.linalg.lu_solve(factorization, rhs)
 
 
 def solve_block_blackbox(view, d_l: complex, rhs: np.ndarray,
@@ -177,7 +117,6 @@ class PreconditionerPlan:
     L_hat: int
     gamma_diag: np.ndarray = field(repr=False)
     _lu_blocks: Optional[list] = field(default=None, repr=False)
-    _zform: Optional[_ZFormBlocks] = field(default=None, repr=False)
     _tri_lu_P: Optional[list] = field(default=None, repr=False)
     _tri_lu_Q: Optional[list] = field(default=None, repr=False)
     _bbox_view: Optional[object] = field(default=None, repr=False)
@@ -190,9 +129,7 @@ class PreconditionerPlan:
     def _solve_block(self, l: int, rhs: np.ndarray) -> np.ndarray:
         if self.small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
             return solve_block_blackbox(self._bbox_view, self.d[l], rhs)
-        if self._zform is not None:
-            return solve_block_explicit((self._zform, l), rhs)
-        return solve_block_explicit(self._lu_blocks[l], rhs)
+        return scipy.linalg.lu_solve(self._lu_blocks[l], rhs)
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
@@ -217,39 +154,20 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                               gamma_diag=_gamma_diag(Lh, alpha))
 
     if method is InversionMethod.TRIANGULAR:
-        M = coarse.M
-        plan._tri_lu_P = [None] * Lh
-        plan._tri_lu_Q = [None] * Lh
-
-        def fac(l):
-            plan._tri_lu_P[l] = scipy.linalg.lu_factor(
-                np.eye(M) + d[l] * coarse.Phi_P)
-            plan._tri_lu_Q[l] = scipy.linalg.lu_factor(
-                np.eye(M) + np.conj(d[l]) * coarse.Phi_Q)
-            return 0
-
-        _map_blocks(fac, Lh, np.zeros(Lh))
+        I = np.eye(coarse.M)
+        plan._tri_lu_P = [scipy.linalg.lu_factor(I + dl * coarse.Phi_P)
+                          for dl in d]
+        plan._tri_lu_Q = [scipy.linalg.lu_factor(I + np.conj(dl) * coarse.Phi_Q)
+                          for dl in d]
         return plan
 
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         plan._bbox_view = black_box_view(coarse)
         return plan
 
-    is_one_step_tracking = (coarse.J == 1
-                            and coarse.objective is ObjectiveKind.TRACKING)
-    if is_one_step_tracking:
-        # Psi_P = gh * (I + DT*K)^{-1} = gh * Phi_P for a one-step propagator
-        gh = np.linalg.norm(coarse.Psi_P) / np.linalg.norm(coarse.Phi_P)
-        plan._zform = _ZFormBlocks.build(coarse, gh, d)
-        return plan
-
-    plan._lu_blocks = [None] * Lh
-
-    def fac(l):
-        plan._lu_blocks[l] = scipy.linalg.lu_factor(assemble_H_block(coarse, d[l]))
-        return 0
-
-    _map_blocks(fac, Lh, np.zeros(Lh))
+    plan._lu_blocks = [scipy.linalg.lu_factor(assemble_H_block(coarse, dl),
+                                              overwrite_a=True)
+                       for dl in d]
     return plan
 
 
@@ -282,25 +200,12 @@ def apply_inverse_general(plan: PreconditionerPlan, v: np.ndarray) -> np.ndarray
     input_real = not np.iscomplexobj(v)
     vb, wb = _split(v, Lh, M)
     g = plan.gamma_diag
-    r1 = _fwd(vb, g)
-    s1 = _fwd(wb, g)
-
-    r2 = np.empty_like(r1)
-    s2 = np.empty_like(s1)
-
-    def solve(l):
-        sol = plan._solve_block(l, np.concatenate([r1[l], s1[l]]))
-        return sol
-
-    out = np.empty((Lh, 2 * M), dtype=complex)
-    _map_blocks(solve, Lh, out)
-    r2[:] = out[:, :M]
-    s2[:] = out[:, M:]
-
+    rhs = np.concatenate([_fwd(vb, g), _fwd(wb, g)], axis=1)
+    sol = np.empty_like(rhs)
+    for l in range(Lh):
+        sol[l] = plan._solve_block(l, rhs[l])
     ginv = 1.0 / g
-    x = _bwd(r2, ginv)
-    z = _bwd(s2, ginv)
-    return _realize(x, z, input_real)
+    return _realize(_bwd(sol[:, :M], ginv), _bwd(sol[:, M:], ginv), input_real)
 
 
 def apply_inverse_triangular(plan: PreconditionerPlan, v: np.ndarray) -> np.ndarray:
@@ -317,22 +222,15 @@ def apply_inverse_triangular(plan: PreconditionerPlan, v: np.ndarray) -> np.ndar
     # phase 1: bottom-right block
     s1 = _fwd(wb, 1.0 / np.conj(g))
     s2 = np.empty_like(s1)
-
-    def solve_q(l):
-        return scipy.linalg.lu_solve(plan._tri_lu_Q[l], s1[l])
-
-    _map_blocks(solve_q, Lh, s2)
+    for l in range(Lh):
+        s2[l] = scipy.linalg.lu_solve(plan._tri_lu_Q[l], s1[l])
     z = _bwd(s2, np.conj(g))
 
     # phase 2: top-left block on the corrected right-hand side
-    r1 = vb - z @ plan.coarse.Psi_P.T
-    r2 = _fwd(r1, g)
+    r2 = _fwd(vb - z @ plan.coarse.Psi_P.T, g)
     r3 = np.empty_like(r2)
-
-    def solve_p(l):
-        return scipy.linalg.lu_solve(plan._tri_lu_P[l], r2[l])
-
-    _map_blocks(solve_p, Lh, r3)
+    for l in range(Lh):
+        r3[l] = scipy.linalg.lu_solve(plan._tri_lu_P[l], r2[l])
     x = _bwd(r3, 1.0 / g)
     return _realize(x, z, input_real)
 

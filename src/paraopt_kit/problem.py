@@ -14,6 +14,11 @@ class ObjectiveKind(enum.Enum):
     TERMINAL_COST = "terminal_cost"
 
 
+class Discretization(enum.Enum):
+    FOTD = "fotd"  # first optimize, then discretize
+    FDTO = "fdto"  # first discretize, then optimize
+
+
 @dataclass(frozen=True)
 class LinearControlProblem:
     """Linear-dynamics control problem y' = -K y + u on [0, T].

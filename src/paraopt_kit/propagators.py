@@ -4,13 +4,13 @@ Each propagator maps interval boundary data (y at the left end, rescaled
 adjoint at the right end) to (y at the right end, adjoint at the left end).
 Implicit-Euler propagators are built by assembling the coupled J-step system
 on one sub-interval, factorizing it once, and extracting the affine form;
-exact propagators come from the eigendecomposition of K and the 2x2
-matrix-exponential closed form per eigenvalue.
+exact propagators come from the eigendecomposition of K, with the (phi, psi)
+coefficients of each eigenvalue taken from the overflow-safe closed forms of
+the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,12 +18,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from paraopt_kit.problem import LinearControlProblem, ObjectiveKind
-
-
-class Discretization(enum.Enum):
-    FOTD = "fotd"  # first optimize, then discretize
-    FDTO = "fdto"  # first discretize, then optimize
+from paraopt_kit.analysis import _tc_exact, _tracking_exact
+from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveKind
 
 
 @dataclass(frozen=True)
@@ -189,36 +185,6 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                             b_P=b_P, b_Q=b_Q, objective=obj, DT=DT, K=K, J=J)
 
 
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x)/x with a series fallback near zero."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    small = np.abs(x) < 1e-6
-    xl = x[~small]
-    out[~small] = np.sinh(xl) / xl
-    xs = x[small]
-    out[small] = 1.0 + xs**2 / 6.0 + xs**4 / 120.0 + xs**6 / 5040.0
-    return out
-
-
-def exact_phi_psi_tracking(sigma_hat, gamma_hat):
-    """Eigen-coefficients of the exact tracking propagator (2x2 expm form)."""
-    s = np.sqrt(np.asarray(sigma_hat, dtype=float) ** 2 + gamma_hat ** 2)
-    bs = _sinhc(s)
-    d = np.cosh(s) + sigma_hat * bs
-    phi = 1.0 / d
-    psi = gamma_hat * bs / d
-    return phi, psi
-
-
-def exact_phi_psi_terminal(sigma_hat, gamma_hat):
-    """Eigen-coefficients of the exact terminal-cost propagator."""
-    sigma_hat = np.asarray(sigma_hat, dtype=float)
-    phi = np.exp(-sigma_hat)
-    psi = gamma_hat * _sinhc(sigma_hat) * phi
-    return phi, psi
-
-
 def build_exact_propagator(problem: LinearControlProblem, DT: float,
                            offset_steps: int = 10_000) -> AffinePropagator:
     """Exact-in-time propagator pair, built through the eigendecomposition
@@ -238,28 +204,24 @@ def build_exact_propagator(problem: LinearControlProblem, DT: float,
         raise ValueError("DT must divide the horizon T")
 
     w, Q = np.linalg.eigh(K)
-    if problem.objective is ObjectiveKind.TRACKING:
-        gh = DT / np.sqrt(problem.gamma)
-        phi, psi = exact_phi_psi_tracking(DT * w, gh)
-        Phi = (Q * phi) @ Q.T
-        Psi = (Q * psi) @ Q.T
-        Phi_P, Phi_Q, Psi_P, Psi_Q = Phi, Phi, Psi, Psi
-    else:
-        gh = DT / problem.gamma
-        phi, psi = exact_phi_psi_terminal(DT * w, gh)
-        Phi = (Q * phi) @ Q.T
-        Phi_P, Phi_Q = Phi, Phi
-        Psi_P = (Q * psi) @ Q.T
-        Psi_Q = np.zeros((M, M))
+    tracking = problem.objective is ObjectiveKind.TRACKING
+    gh = DT / np.sqrt(problem.gamma) if tracking else DT / problem.gamma
+    closed_form = _tracking_exact if tracking else _tc_exact
+    # unchecked forms: a propagator exists for every eigenvalue, also outside
+    # the range the analysis bounds assume (phi = 1 at a vanishing one)
+    pairs = [closed_form(DT * sigma, gh) for sigma in w]
+    Phi = (Q * np.array([pp.phi for pp in pairs])) @ Q.T
+    Psi = (Q * np.array([pp.psi for pp in pairs])) @ Q.T
+    Psi_Q = Psi if tracking else np.zeros((M, M))
 
     b_P = np.zeros((L, M))
     b_Q = np.zeros((L, M))
-    if problem.objective is ObjectiveKind.TRACKING:
+    if tracking:
         ref = build_implicit_euler_propagator(problem, DT, offset_steps,
                                               Discretization.FOTD)
         b_P, b_Q = ref.b_P, ref.b_Q
 
-    return AffinePropagator(Phi_P=Phi_P, Psi_P=Psi_P, Phi_Q=Phi_Q, Psi_Q=Psi_Q,
+    return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,
                             b_P=b_P, b_Q=b_Q, objective=problem.objective,
                             DT=DT, K=K, J=0)
 

@@ -106,6 +106,30 @@ class TestCoefficientCatalog:
             assert pp.psi == pytest.approx(bf[1], abs=1e-10)
 
 
+class TestExactClosedForms:
+    """The exact-solver entries of the catalog against their definitions;
+    DT = 1 makes the hatted and plain variables coincide."""
+
+    def test_terminal_closed_forms(self):
+        sh, gh = 1.3, 0.8
+        pp = phi_psi_tc_exact(sh, 1.0 / gh, 1.0)
+        assert pp.phi == pytest.approx(np.exp(-sh))
+        assert pp.psi == pytest.approx(gh * np.sinh(sh) / sh * np.exp(-sh))
+
+    def test_tracking_closed_form_against_matrix_exponential(self):
+        import scipy.linalg
+        sh, gh = 0.9, 0.6
+        # the state/adjoint pair evolves by the 2x2 generator
+        # [[-sh, -gh], [-gh, sh]] over a unit hatted interval
+        E = scipy.linalg.expm(np.array([[-sh, -gh], [-gh, sh]]))
+        # boundary-value rearrangement of the flow map gives (phi, psi)
+        phi_ref = E[0, 0] - E[0, 1] * E[1, 0] / E[1, 1]
+        psi_ref = -E[0, 1] / E[1, 1]
+        pp = phi_psi_tracking_exact(sh, 1.0 / gh ** 2, 1.0)
+        assert pp.phi == pytest.approx(phi_ref, abs=1e-12)
+        assert pp.psi == pytest.approx(psi_ref, abs=1e-12)
+
+
 class TestTrackingBound:
     def test_hand_value(self):
         got = rho_bound_tracking(PhiPsi(0.5, 0.1), PhiPsi(0.6, 0.3))

@@ -129,6 +129,35 @@ class TestSolveCommand:
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["config"]["output"] == out
 
+    @pytest.mark.parametrize("flag,value", [("--L", "1"), ("--n", "1"),
+                                            ("--j-fine", "0")])
+    def test_invalid_size_is_config_error(self, tmp_path, flag, value):
+        rc = main(["solve", "--problem", "heat", flag, value,
+                   "--output", str(tmp_path / "run")])
+        assert rc == 2
+
+    def test_abort_reason_is_recorded(self, monkeypatch):
+        from paraopt_kit import core
+
+        def failing_gmres(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(core, "gmres", failing_gmres)
+        cfg = RunConfig(problem="scalar", L=5, J_fine=8,
+                        precond_enabled=False)
+        _, log, summary = solve_case(cfg)
+        assert not log.converged
+        assert summary["aborted"] == "inner solver failure: injected"
+
+    def test_exact_fine_terminal_cost_heat_converges(self, tmp_path):
+        # sigma_hat reaches about 1700 here, past the cosh/sinh overflow
+        out = str(tmp_path / "run")
+        rc = main(["solve", "--fine", "exact", "--objective", "terminal_cost",
+                   "--n", "16", "--L", "3", "--no-precond", "--output", out])
+        assert rc == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["converged"] is True and summary["aborted"] is None
+
     def test_preconditioned_scalar_solve(self, tmp_path):
         out = str(tmp_path / "run")
         rc = main(["solve", "--problem", "scalar", "--objective", "tracking",

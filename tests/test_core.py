@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraopt_kit.core import (
     NewtonConfig,
     PairedTrajectory,
-    apply_A,
-    apply_A_tilde,
+    apply_jacobian,
     assemble_jacobian,
     assemble_system,
     matching_residual,
@@ -18,7 +19,7 @@ from paraopt_kit.problem import (
     make_decomposition,
     make_scalar_problem,
 )
-from paraopt_kit.propagators import build_implicit_euler_propagator
+from paraopt_kit.propagators import build_implicit_euler_propagator, propagate
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -67,17 +68,65 @@ class TestMatchingResidual:
             matching_residual(fine, p, d, bad)
 
 
+def loop_residual(fine, problem, decomp, x):
+    """Reference: the matching conditions evaluated one interval at a time."""
+    Lh, M = decomp.L_hat, problem.M
+    r = np.zeros(2 * Lh * M)
+    for l in range(1, Lh + 1):
+        y_prev = problem.y_init if l == 1 else x.y[l - 2]
+        r[(l - 1) * M:l * M] = x.y[l - 1] - propagate(
+            fine, l, y_prev, x.lam_hat[l - 1])[0]
+    for l in range(1, Lh):
+        r[(Lh + l - 1) * M:(Lh + l) * M] = x.lam_hat[l - 1] - propagate(
+            fine, l + 1, x.y[l - 1], x.lam_hat[l])[1]
+    if problem.objective is TR:
+        r[-M:] = x.lam_hat[-1] - propagate(fine, Lh + 1, x.y[-1], np.zeros(M))[1]
+    else:
+        r[-M:] = x.lam_hat[-1] - (x.y[-1] - problem.y_target)
+    return r
+
+
 class TestJacobianAction:
-    @pytest.mark.parametrize("setup", [tracking_setup, terminal_setup])
-    def test_apply_A_matches_assembled(self, setup):
-        p, d, fine, coarse = setup()
-        A = assemble_jacobian(fine, p.objective, d)
-        At = assemble_jacobian(coarse, p.objective, d)
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(2 * d.L_hat * p.M)
-        np.testing.assert_allclose(apply_A(fine, d, v), A @ v, atol=1e-12)
-        np.testing.assert_allclose(apply_A_tilde(coarse, d, v), At @ v,
-                                   atol=1e-12)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), M=st.integers(1, 4),
+           L=st.integers(2, 6), objective=st.sampled_from([TR, TC]),
+           skew=st.sampled_from([0.0, 1.0]))
+    def test_stacked_maps_match_dense_oracles(self, seed, M, L, objective,
+                                              skew):
+        rng = np.random.default_rng(seed)
+        B, C = rng.standard_normal((2, M, M))
+        # SPD K, or SPD plus a skew part: symmetric K gives symmetric maps,
+        # which would hide a transposed one
+        K = B @ B.T + 0.1 * np.eye(M) + skew * (C - C.T)
+        p = LinearControlProblem(
+            K=K, gamma=10.0 ** rng.uniform(-2, 1), T=2.0,
+            y_init=rng.standard_normal(M), objective=objective,
+            y_target=rng.standard_normal(M),
+            y_d=lambda t: np.cos(t + np.arange(M)))
+        d = make_decomposition(p, L=L, J_fine=int(rng.integers(1, 5)),
+                               J_coarse=1)
+        fine = build_implicit_euler_propagator(p, d.DT, d.J_fine)
+        n = 2 * d.L_hat * M
+        v = rng.standard_normal(n)
+        x = PairedTrajectory.from_vector(v, d.L_hat, M)
+
+        A, b = assemble_system(fine, p, d)
+        tol = 1e-12 * (1.0 + np.linalg.norm(A) + np.linalg.norm(b))
+        ref = loop_residual(fine, p, d, x)
+        np.testing.assert_allclose(matching_residual(fine, p, d, x), ref,
+                                   atol=tol)
+        np.testing.assert_allclose(A @ v - b, ref, atol=tol)
+        # the Jacobian is the linear part of the loop reference
+        zero = PairedTrajectory.zeros(d.L_hat, M)
+        r0 = loop_residual(fine, p, d, zero)
+        e = np.eye(n)
+        A_loop = np.column_stack([
+            loop_residual(fine, p, d,
+                          PairedTrajectory.from_vector(e[:, j], d.L_hat, M))
+            - r0 for j in range(n)])
+        np.testing.assert_allclose(A, A_loop, atol=tol)
+        np.testing.assert_allclose(apply_jacobian(fine, objective, d, v),
+                                   A @ v, atol=tol)
 
     def test_terminal_corner_is_identity_coupling(self):
         p, d, fine, _ = terminal_setup()

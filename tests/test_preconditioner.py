@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,17 +130,6 @@ class TestApplyInverse:
         lhs = plan.apply_inverse(a * u + b * v)
         rhs = a * plan.apply_inverse(u) + b * plan.apply_inverse(v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-11 * np.linalg.norm(rhs))
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        p, d, coarse = tracking_setup(L=9, M=3)
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(2 * d.L_hat * p.M)
-        results = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("PARAOPT_THREADS", workers)
-            plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
-            results.append(plan.apply_inverse(v))
-        assert np.array_equal(results[0], results[1])
 
 
 class TestBlockSolvers:

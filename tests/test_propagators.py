@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
+    make_heat_problem,
     make_scalar_problem,
 )
 from paraopt_kit.propagators import (
@@ -13,8 +14,6 @@ from paraopt_kit.propagators import (
     black_box_view,
     build_exact_propagator,
     build_implicit_euler_propagator,
-    exact_phi_psi_terminal,
-    exact_phi_psi_tracking,
     extract_phi_psi_scalar,
     propagate,
 )
@@ -85,24 +84,26 @@ class TestExactBuild:
                         + abs(ie.Psi_P[0, 0] - exact.Psi_P[0, 0]))
         assert errs[1] == pytest.approx(errs[0] / 2, rel=0.1)
 
-    def test_terminal_closed_forms(self):
-        sh, gh = 1.3, 0.8
-        phi, psi = exact_phi_psi_terminal(sh, gh)
-        assert phi == pytest.approx(np.exp(-sh))
-        assert psi == pytest.approx(gh * np.sinh(sh) / sh * np.exp(-sh))
+    @pytest.mark.parametrize("case", ["heat_terminal_cost", "scalar_tracking"])
+    def test_large_sigma_hat_stays_finite(self, case):
+        if case == "heat_terminal_cost":
+            # n = 16, L = 3: sigma_hat reaches about 1700
+            prop = build_exact_propagator(
+                make_heat_problem(16, 0.05, 2.0, TC), 2.0 / 3.0)
+        else:
+            # sigma_hat = 800, past the overflow of cosh and sinh
+            prop = build_exact_propagator(
+                make_scalar_problem(800.0, 1.0, 2.0, TR), 1.0)
+        for block in (prop.Phi_P, prop.Psi_P, prop.Phi_Q, prop.Psi_Q):
+            assert np.all(np.isfinite(block))
+        assert np.linalg.norm(prop.Psi_P) > 0.0
 
-    def test_tracking_closed_form_against_matrix_exponential(self):
-        import scipy.linalg
-        sh, gh = 0.9, 0.6
-        # the state/adjoint pair evolves by the 2x2 generator
-        # [[-sh, -gh], [-gh, sh]] over a unit hatted interval
-        E = scipy.linalg.expm(np.array([[-sh, -gh], [-gh, sh]]))
-        # boundary-value rearrangement of the flow map gives (phi, psi)
-        phi_ref = E[0, 0] - E[0, 1] * E[1, 0] / E[1, 1]
-        psi_ref = -E[0, 1] / E[1, 1]
-        phi, psi = exact_phi_psi_tracking(sh, gh)
-        assert phi == pytest.approx(phi_ref, abs=1e-12)
-        assert psi == pytest.approx(psi_ref, abs=1e-12)
+    @pytest.mark.parametrize("objective", [TR, TC])
+    def test_vanishing_eigenvalue_builds(self, objective):
+        p = make_scalar_problem(1e-20, 1.0, 1.0, objective)
+        prop = build_exact_propagator(p, 0.5, offset_steps=100)
+        assert prop.Phi_P[0, 0] <= 1.0
+        assert np.isfinite(prop.Psi_P[0, 0]) and prop.Psi_P[0, 0] > 0.0
 
 
 class TestPropagate:
