@@ -9,11 +9,9 @@ from paraopt_kit.problem import (
     ObjectiveKind,
     LinearControlProblem,
     TimeDecomposition,
-    HattedScalings,
     make_heat_problem,
     make_advection_diffusion_problem,
     make_scalar_problem,
-    hatted,
 )
 from paraopt_kit.propagators import (
     AffinePropagator,
@@ -55,11 +53,9 @@ __all__ = [
     "ObjectiveKind",
     "LinearControlProblem",
     "TimeDecomposition",
-    "HattedScalings",
     "make_heat_problem",
     "make_advection_diffusion_problem",
     "make_scalar_problem",
-    "hatted",
     "AffinePropagator",
     "build_implicit_euler_propagator",
     "build_exact_propagator",

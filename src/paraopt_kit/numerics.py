@@ -1,8 +1,9 @@
 """GMRES and the dense eigenvalue kernel shared by the solver layers.
 
-Matrices are plain numpy arrays (real or complex). All norms are Euclidean
-and reductions happen in a fixed sequential order, so repeated runs on the
-same data are bitwise reproducible.
+GMRES is full (unrestarted) and always starts from x = 0, the only start
+the Newton steps need. Matrices are plain numpy arrays (real or complex).
+All norms are Euclidean and reductions happen in a fixed sequential order,
+so repeated runs on the same data are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -18,15 +19,12 @@ import scipy.linalg
 class GmresConfig:
     rel_tolerance: float = 1e-8
     max_iterations: int = 1000
-    restart: Optional[int] = None  # None = full (unrestarted) GMRES
 
     def __post_init__(self):
         if not 0.0 < self.rel_tolerance < 1.0:
             raise ValueError(f"rel_tolerance must be in (0, 1), got {self.rel_tolerance}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.restart is not None and self.restart < 1:
-            raise ValueError("restart must be >= 1 when given")
 
 
 @dataclass
@@ -40,85 +38,68 @@ class GmresReport:
 def gmres(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    x0: Optional[np.ndarray] = None,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     cfg: GmresConfig = GmresConfig(),
 ) -> tuple[np.ndarray, GmresReport]:
-    """Solve A x = b with (optionally right-preconditioned) GMRES.
+    """Solve A x = b with full (unrestarted) GMRES from x = 0, optionally
+    right-preconditioned.
 
     With right preconditioning the reported residuals are true residuals of
     the unpreconditioned system, so iteration counts with and without a
     preconditioner are directly comparable. Supports real and complex data.
+    Convergence is judged on the true residual b - A x of the final iterate;
+    if that misses the tolerance while iterations remain (after a lucky
+    breakdown, or when the recurrence residual drifted from it), a new
+    Arnoldi process starts from the current iterate.
 
     Returns (x, report); non-convergence is reported via report.converged,
-    a NaN produced by the operator raises.
+    a NaN in b or produced by the operator raises.
     """
     b = np.asarray(b)
     n = b.shape[0]
-    if x0 is None:
-        x0 = np.zeros_like(b)
-    x = np.array(x0, copy=True)
     if precond is None:
         precond = lambda v: v
+    _check_finite(b, "gmres right-hand side")
 
     norm_b = np.linalg.norm(b)
     if norm_b == 0.0:
         return np.zeros_like(b), GmresReport(0, 0.0, True, [0.0])
 
-    cycle = cfg.restart if cfg.restart is not None else cfg.max_iterations
     tol = cfg.rel_tolerance
-    history: list[float] = []
+    history: list[float] = [1.0]
     total_iters = 0
-    complex_mode = np.iscomplexobj(b) or np.iscomplexobj(x)
+    x = np.zeros_like(b)
+    r = b  # b - A 0
 
     while True:
-        r = b - matvec(x)
-        _check_finite(r, "gmres operator output")
-        complex_mode = complex_mode or np.iscomplexobj(r)
         beta = np.linalg.norm(r)
-        if not history:
-            history.append(beta / norm_b)
-        if beta / norm_b <= tol:
-            return x, GmresReport(total_iters, beta / norm_b, True, history)
-        if total_iters >= cfg.max_iterations:
-            return x, GmresReport(total_iters, beta / norm_b, False, history)
-
-        m = min(cycle, cfg.max_iterations - total_iters, n)
-        dtype = complex if complex_mode else float
-        # the Krylov basis grows on demand to avoid large upfront allocation
-        V = np.zeros((n, min(m + 1, 65)), dtype=dtype)
+        m = min(cfg.max_iterations - total_iters, n)
+        dtype = complex if np.iscomplexobj(r) else float
+        # Krylov basis: one contiguous vector per Arnoldi step
+        V = [r / beta]
         H = np.zeros((m + 1, m), dtype=dtype)
         cs = np.zeros(m, dtype=dtype)
         sn = np.zeros(m, dtype=dtype)
         g = np.zeros(m + 1, dtype=dtype)
-        V[:, 0] = r / beta
         g[0] = beta
 
-        j_done = 0
         for j in range(m):
-            if j + 2 > V.shape[1]:
-                extra = min(V.shape[1], m + 1 - V.shape[1])
-                V = np.hstack([V, np.zeros((n, extra), dtype=V.dtype)])
-            w = matvec(precond(V[:, j]))
+            w = matvec(precond(V[j]))
             _check_finite(w, "gmres operator output")
-            if np.iscomplexobj(w) and not complex_mode:
-                complex_mode = True
-                V = V.astype(complex)
-                H = H.astype(complex)
-                cs = cs.astype(complex)
-                sn = sn.astype(complex)
-                g = g.astype(complex)
-            w = w.astype(V.dtype, copy=True)
+            if np.iscomplexobj(w) and not np.iscomplexobj(V[0]):
+                V = [v.astype(complex) for v in V]
+                H, cs, sn, g = (a.astype(complex) for a in (H, cs, sn, g))
+            w = w.astype(V[0].dtype, copy=True)
             # modified Gram-Schmidt
-            for i in range(j + 1):
-                H[i, j] = np.vdot(V[:, i], w)
-                w -= H[i, j] * V[:, i]
+            for i, v in enumerate(V):
+                H[i, j] = np.vdot(v, w)
+                w -= H[i, j] * v
             H[j + 1, j] = np.linalg.norm(w)
             # lucky breakdown: the Krylov space is invariant, so this step
             # is the last one of the cycle (Saad, Iterative Methods, 6.5)
             breakdown = abs(H[j + 1, j]) <= 1e-14 * beta
             if not breakdown:
-                V[:, j + 1] = w / H[j + 1, j]
+                V.append(w / H[j + 1, j])
             # apply accumulated Givens rotations, then form a new one
             for i in range(j):
                 t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
@@ -134,24 +115,21 @@ def gmres(
             H[j + 1, j] = 0.0
             g[j + 1] = -np.conj(sn[j]) * g[j]
             g[j] = cs[j] * g[j]
-            j_done = j + 1
             total_iters += 1
             rel = abs(g[j + 1]) / norm_b
             history.append(min(rel, history[-1]))
             if rel <= tol or breakdown:
                 break
 
-        if j_done > 0:
-            y = scipy.linalg.solve_triangular(H[:j_done, :j_done], g[:j_done])
-            x = x + precond(V[:, :j_done] @ y)
+        k = j + 1
+        y = scipy.linalg.solve_triangular(H[:k, :k], g[:k])
+        x = x + precond(sum(yi * v for yi, v in zip(y, V)))
 
         r = b - matvec(x)
+        _check_finite(r, "gmres operator output")
         rel = np.linalg.norm(r) / norm_b
-        if rel <= tol:
-            return x, GmresReport(total_iters, rel, True, history)
-        if total_iters >= cfg.max_iterations:
-            return x, GmresReport(total_iters, rel, False, history)
-        # otherwise restart from the current iterate
+        if rel <= tol or total_iters >= cfg.max_iterations:
+            return x, GmresReport(total_iters, rel, rel <= tol, history)
 
 
 def _check_finite(v: np.ndarray, what: str) -> None:

@@ -3,14 +3,16 @@
 P(alpha) replaces the lower-shift coupling matrix B of the coarse Jacobian
 by the alpha-circulant C(alpha) (and drops the terminal corner term), which
 diagonalizes in a scaled Fourier basis. Applying P(alpha)^{-1} then reduces
-to FFTs plus L_hat independent 2M x 2M solves.
+to FFTs in time plus independent per-frequency solves: L_hat 2M x 2M solves
+for the general method, two rounds of L_hat M x M solves for the triangular
+one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -53,15 +55,17 @@ def _gamma_diag(L_hat: int, alpha: complex) -> np.ndarray:
     return root ** np.arange(L_hat)
 
 
-def _fwd(blocks: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """(F diag(scale) kron I) applied to (L_hat, M) block stacks; F uses the
-    positive-exponent unitary convention."""
-    return np.fft.ifft(scale[:, None] * blocks, axis=0, norm="ortho")
-
-
-def _bwd(blocks: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """(diag(scale) F^* kron I) applied to (L_hat, M) block stacks."""
-    return scale[:, None] * np.fft.fft(blocks, axis=0, norm="ortho")
+def _diagonal_solve(blocks: np.ndarray, scale: np.ndarray,
+                    solve: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Solve with (diag(scale)^{-1} F^* kron I) blockdiag_l(H_l)
+    (F diag(scale) kron I) on an (L_hat, m) block stack: scale, FFT along
+    time, one solve(l, rhs_l) = H_l^{-1} rhs_l per frequency, inverse FFT,
+    unscale. F uses the positive-exponent unitary convention."""
+    rhs = np.fft.ifft(scale[:, None] * blocks, axis=0, norm="ortho")
+    sol = np.empty_like(rhs)
+    for l in range(len(rhs)):
+        sol[l] = solve(l, rhs[l])
+    return np.fft.fft(sol, axis=0, norm="ortho") / scale[:, None]
 
 
 def assemble_H_block(coarse: AffinePropagator, d_l: complex) -> np.ndarray:
@@ -106,30 +110,42 @@ def solve_block_blackbox(view, d_l: complex, rhs: np.ndarray,
 @dataclass
 class PreconditionerPlan:
     """Prepared data for applying P(alpha)^{-1}: the circulant eigenvalues,
-    the Fourier/weight diagonals, and per-block solvers (factorized once and
-    reused across all outer Newton iterations)."""
+    the Fourier weight diagonal Gamma, and the per-frequency block solves
+    (factorized once and reused across all outer Newton iterations): H_l
+    for the general method; I + d_l Phi_P and I + conj(d_l) Phi_Q for the
+    triangular one."""
 
     alpha: complex
     method: InversionMethod
-    small_system_method: SmallSystemMethod
     d: np.ndarray
     coarse: AffinePropagator
     L_hat: int
     gamma_diag: np.ndarray = field(repr=False)
-    _lu_blocks: Optional[list] = field(default=None, repr=False)
-    _tri_lu_P: Optional[list] = field(default=None, repr=False)
-    _tri_lu_Q: Optional[list] = field(default=None, repr=False)
-    _bbox_view: Optional[object] = field(default=None, repr=False)
+    _solves: tuple = field(repr=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
+        """P(alpha)^{-1} v. General method (|alpha| = 1): one diagonalized
+        solve of the whole [v | w] stack. Triangular method (Psi_Q_tilde =
+        0, any alpha != 0): the bottom-right block first, then the top-left
+        block on the corrected right-hand side."""
+        M = self.coarse.M
+        input_real = not np.iscomplexobj(v)
+        vb, wb = np.asarray(v).reshape(2, self.L_hat, M)
+        g = self.gamma_diag
         if self.method is InversionMethod.GENERAL:
-            return apply_inverse_general(self, v)
-        return apply_inverse_triangular(self, v)
+            u = _diagonal_solve(np.concatenate([vb, wb], axis=1), g,
+                                self._solves[0])
+            return _realize(u[:, :M], u[:, M:], input_real)
+        solve_P, solve_Q = self._solves
+        z = _diagonal_solve(wb, 1.0 / np.conj(g), solve_Q)
+        x = _diagonal_solve(vb - z @ self.coarse.Psi_P.T, g, solve_P)
+        return _realize(x, z, input_real)
 
-    def _solve_block(self, l: int, rhs: np.ndarray) -> np.ndarray:
-        if self.small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
-            return solve_block_blackbox(self._bbox_view, self.d[l], rhs)
-        return scipy.linalg.lu_solve(self._lu_blocks[l], rhs)
+
+def _lu_solves(blocks) -> Callable[[int, np.ndarray], np.ndarray]:
+    """Factorize each frequency block once; solve(l, rhs) reuses factor l."""
+    lus = [scipy.linalg.lu_factor(H, overwrite_a=True) for H in blocks]
+    return lambda l, rhs: scipy.linalg.lu_solve(lus[l], rhs)
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
@@ -145,36 +161,27 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     psi_q_norm = np.linalg.norm(coarse.Psi_Q)
     if method is InversionMethod.TRIANGULAR and psi_q_norm != 0.0:
         raise ValueError("the triangular method requires Psi_Q_tilde = 0")
+    if (method is InversionMethod.TRIANGULAR
+            and small_system_method is not SmallSystemMethod.EXPLICIT_DIRECT):
+        raise ValueError("the triangular method solves its M x M blocks "
+                         "directly; the black-box small-system method "
+                         "applies to the general method only")
 
     Lh = decomp.L_hat
     d = alpha_circulant_eigenvalues(Lh, alpha)
-    plan = PreconditionerPlan(alpha=complex(alpha), method=method,
-                              small_system_method=small_system_method,
-                              d=d, coarse=coarse, L_hat=Lh,
-                              gamma_diag=_gamma_diag(Lh, alpha))
-
     if method is InversionMethod.TRIANGULAR:
         I = np.eye(coarse.M)
-        plan._tri_lu_P = [scipy.linalg.lu_factor(I + dl * coarse.Phi_P)
-                          for dl in d]
-        plan._tri_lu_Q = [scipy.linalg.lu_factor(I + np.conj(dl) * coarse.Phi_Q)
-                          for dl in d]
-        return plan
-
-    if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
-        plan._bbox_view = black_box_view(coarse)
-        return plan
-
-    plan._lu_blocks = [scipy.linalg.lu_factor(assemble_H_block(coarse, dl),
-                                              overwrite_a=True)
-                       for dl in d]
-    return plan
-
-
-def _split(v: np.ndarray, Lh: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    half = Lh * M
-    return (v[:half].reshape(Lh, M).astype(complex),
-            v[half:].reshape(Lh, M).astype(complex))
+        solves = (_lu_solves(I + dl * coarse.Phi_P for dl in d),
+                  _lu_solves(I + np.conj(dl) * coarse.Phi_Q for dl in d))
+    elif small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
+        view = black_box_view(coarse)
+        solves = (lambda l, rhs: solve_block_blackbox(view, d[l], rhs),)
+    else:
+        solves = (_lu_solves(assemble_H_block(coarse, dl) for dl in d),)
+    return PreconditionerPlan(alpha=complex(alpha), method=method, d=d,
+                              coarse=coarse, L_hat=Lh,
+                              gamma_diag=_gamma_diag(Lh, alpha),
+                              _solves=solves)
 
 
 def _realize(x: np.ndarray, z: np.ndarray, input_real: bool) -> np.ndarray:
@@ -188,51 +195,6 @@ def _realize(x: np.ndarray, z: np.ndarray, input_real: bool) -> np.ndarray:
             f"imaginary residue {residue / nrm:.3e} exceeds threshold; "
             "check |alpha| and the block assembly")
     return out.real
-
-
-def apply_inverse_general(plan: PreconditionerPlan, v: np.ndarray) -> np.ndarray:
-    """P(alpha)^{-1} v via simultaneous diagonalization (needs |alpha| = 1):
-    forward F*Gamma transforms, L_hat independent H_l solves, inverse
-    Gamma^{-1}*F^* transforms."""
-    if plan.method is not InversionMethod.GENERAL:
-        raise ValueError("plan was not built for the general method")
-    Lh, M = plan.L_hat, plan.coarse.M
-    input_real = not np.iscomplexobj(v)
-    vb, wb = _split(v, Lh, M)
-    g = plan.gamma_diag
-    rhs = np.concatenate([_fwd(vb, g), _fwd(wb, g)], axis=1)
-    sol = np.empty_like(rhs)
-    for l in range(Lh):
-        sol[l] = plan._solve_block(l, rhs[l])
-    ginv = 1.0 / g
-    return _realize(_bwd(sol[:, :M], ginv), _bwd(sol[:, M:], ginv), input_real)
-
-
-def apply_inverse_triangular(plan: PreconditionerPlan, v: np.ndarray) -> np.ndarray:
-    """P(alpha)^{-1} v for block-triangular P (Psi_Q_tilde = 0): invert the
-    bottom-right block first, then the top-left block on the corrected
-    right-hand side. Any alpha != 0 is admissible."""
-    if plan.method is not InversionMethod.TRIANGULAR:
-        raise ValueError("plan was not built for the triangular method")
-    Lh, M = plan.L_hat, plan.coarse.M
-    input_real = not np.iscomplexobj(v)
-    vb, wb = _split(v, Lh, M)
-    g = plan.gamma_diag
-
-    # phase 1: bottom-right block
-    s1 = _fwd(wb, 1.0 / np.conj(g))
-    s2 = np.empty_like(s1)
-    for l in range(Lh):
-        s2[l] = scipy.linalg.lu_solve(plan._tri_lu_Q[l], s1[l])
-    z = _bwd(s2, np.conj(g))
-
-    # phase 2: top-left block on the corrected right-hand side
-    r2 = _fwd(vb - z @ plan.coarse.Psi_P.T, g)
-    r3 = np.empty_like(r2)
-    for l in range(Lh):
-        r3[l] = scipy.linalg.lu_solve(plan._tri_lu_P[l], r2[l])
-    x = _bwd(r3, 1.0 / g)
-    return _realize(x, z, input_real)
 
 
 def assemble_P_alpha(coarse: AffinePropagator, decomp: TimeDecomposition,

@@ -86,28 +86,6 @@ def make_decomposition(problem: LinearControlProblem, L: int, J_fine: int,
                              J_fine=J_fine, J_coarse=J_coarse)
 
 
-@dataclass(frozen=True)
-class HattedScalings:
-    gamma_hat: float
-    tau: float
-
-    def sigma_hat(self, sigma: float) -> float:
-        return self.tau * sigma
-
-
-def hatted(problem: LinearControlProblem, tau: float) -> HattedScalings:
-    """Objective-dependent rescalings for time step tau:
-    sigma_hat = tau*sigma always; gamma_hat = tau/sqrt(gamma) for tracking
-    and tau/gamma for terminal cost."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    if problem.objective is ObjectiveKind.TRACKING:
-        gh = tau / np.sqrt(problem.gamma)
-    else:
-        gh = tau / problem.gamma
-    return HattedScalings(gamma_hat=gh, tau=tau)
-
-
 def _grid_1d(n: int) -> np.ndarray:
     # cell-vertex placement with periodic wrap: x_i = i/n, i = 0..n-1
     return np.arange(n) / n

@@ -39,9 +39,6 @@ class AffinePropagator:
     b_P: np.ndarray  # (L, M)
     b_Q: np.ndarray  # (L, M)
     objective: ObjectiveKind
-    DT: float
-    K: np.ndarray
-    J: int = 0  # 0 marks an exact propagator
 
     @property
     def M(self) -> int:
@@ -164,7 +161,13 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     if abs(L * DT - problem.T) > 1e-10 * problem.T:
         raise ValueError("DT must divide the horizon T")
 
-    lu, R_y0, R_lam, gh = _coupled_system(K, problem.gamma, tau, J, obj, variant)
+    try:
+        lu, R_y0, R_lam, gh = _coupled_system(K, problem.gamma, tau, J, obj,
+                                              variant)
+    except RuntimeError as exc:  # splu: "Factor is exactly singular"
+        raise ValueError(
+            f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
+            f"({exc})") from exc
     Phi_P, Psi_P, Phi_Q, Psi_Q, yJ, lam0 = _extract_maps(lu, R_y0, R_lam, M, J)
 
     b_P = np.zeros((L, M))
@@ -182,7 +185,7 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
         b_Q = sol[lam0, :].T.copy()
 
     return AffinePropagator(Phi_P=Phi_P, Psi_P=Psi_P, Phi_Q=Phi_Q, Psi_Q=Psi_Q,
-                            b_P=b_P, b_Q=b_Q, objective=obj, DT=DT, K=K, J=J)
+                            b_P=b_P, b_Q=b_Q, objective=obj)
 
 
 def build_exact_propagator(problem: LinearControlProblem, DT: float,
@@ -222,8 +225,7 @@ def build_exact_propagator(problem: LinearControlProblem, DT: float,
         b_P, b_Q = ref.b_P, ref.b_Q
 
     return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,
-                            b_P=b_P, b_Q=b_Q, objective=problem.objective,
-                            DT=DT, K=K, J=0)
+                            b_P=b_P, b_Q=b_Q, objective=problem.objective)
 
 
 def propagate(prop: AffinePropagator, l: int, y_prev: np.ndarray,

@@ -8,6 +8,7 @@ from paraopt_kit.cli import (
     ConfigError,
     ExperimentId,
     RunConfig,
+    _heat_run_config,
     fit_geometric_rate,
     main,
     solve_case,
@@ -136,6 +137,22 @@ class TestSolveCommand:
                    "--output", str(tmp_path / "run")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        # 1 + sigma*tau = 0: the implicit-Euler step matrix is singular
+        ["--problem", "scalar", "--sigma", "-2.5", "--T", "2", "--L", "5",
+         "--j-fine", "1", "--j-coarse", "1", "--no-precond"],
+        # the triangular method has no black-box block solve
+        ["--objective", "terminal_cost", "--precond-method", "triangular",
+         "--small-system-method", "black_box_iterative", "--n", "4",
+         "--L", "4"],
+    ])
+    def test_unsupported_setup_is_config_error(self, tmp_path, capsys, args):
+        rc = main(["solve", *args, "--output", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+
     def test_abort_reason_is_recorded(self, monkeypatch):
         from paraopt_kit import core
 
@@ -166,6 +183,18 @@ class TestSolveCommand:
                    "--precond-method", "general", "--alpha-real", "-1",
                    "--output", out])
         assert rc == 0
+
+
+@pytest.mark.parametrize("L_hat,precond,counts", [
+    (10, True, (6, 24)), (10, False, (6, 115)),
+    (100, True, (10, 36)), (100, False, (10, 391)),
+])
+def test_heat_tracking_iteration_counts(L_hat, precond, counts):
+    # the paper's heat tracking runs (n=8): exact (outer, total inner) counts
+    _, _, summary = solve_case(_heat_run_config("heat", "tracking", L_hat,
+                                                precond))
+    assert (summary["outer_iterations"],
+            summary["total_inner_iterations"]) == counts
 
 
 class TestExperimentCommand:

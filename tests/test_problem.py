@@ -4,7 +4,6 @@ import pytest
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
-    hatted,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -59,19 +58,6 @@ class TestDecomposition:
             make_decomposition(p, L=4, J_fine=1, J_coarse=2)
         with pytest.raises(ValueError):
             make_decomposition(p, L=1, J_fine=1, J_coarse=1)
-
-
-class TestHattedScalings:
-    def test_tracking_uses_sqrt_gamma(self):
-        p = make_scalar_problem(2.0, 0.25, 1.0, ObjectiveKind.TRACKING)
-        h = hatted(p, tau=0.5)
-        assert h.gamma_hat == pytest.approx(0.5 / 0.5)
-        assert h.sigma_hat(2.0) == pytest.approx(1.0)
-
-    def test_terminal_uses_gamma(self):
-        p = make_scalar_problem(2.0, 0.25, 1.0, ObjectiveKind.TERMINAL_COST)
-        h = hatted(p, tau=0.5)
-        assert h.gamma_hat == pytest.approx(2.0)
 
 
 class TestHeatProblem:
