@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
-from paraopt_kit.numerics import eigenvalues_general
 from paraopt_kit.problem import Discretization, ObjectiveKind
 
 
@@ -223,7 +223,7 @@ def assemble_S_sigma(spec: SsigmaSpec) -> np.ndarray:
 
 def exact_rho(spec: SsigmaSpec) -> float:
     """Spectral radius of the decoupled iteration matrix (dense oracle)."""
-    return float(np.max(np.abs(eigenvalues_general(assemble_S_sigma(spec)))))
+    return float(np.max(np.abs(scipy.linalg.eigvals(assemble_S_sigma(spec)))))
 
 
 class PropagatorKind(enum.Enum):

@@ -91,6 +91,10 @@ class RunConfig:
     output: str = "out"
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not np.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
         if self.problem not in ("scalar", "heat", "advection_diffusion"):
             raise ConfigError(f"unknown problem kind '{self.problem}'")
         if self.objective not in ("tracking", "terminal_cost"):
@@ -103,6 +107,10 @@ class RunConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigError(f"{name} must be in (0, 1), got {v}")
+        for name in ("max_outer", "max_inner"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ConfigError(f"{name} must be >= 1, got {v}")
         if self.precond_method not in ("general", "triangular"):
             raise ConfigError(f"unknown preconditioner method '{self.precond_method}'")
         if self.small_system_method not in ("explicit_direct",

@@ -1,4 +1,5 @@
-"""GMRES and the dense eigenvalue kernel shared by the solver layers.
+"""GMRES, the inner solver of the Newton steps and of the black-box block
+solves.
 
 GMRES is full (unrestarted) and always starts from x = 0, the only start
 the Newton steps need. Matrices are plain numpy arrays (real or complex).
@@ -135,11 +136,3 @@ def gmres(
 def _check_finite(v: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(v)):
         raise FloatingPointError(f"non-finite values in {what}")
-
-
-def eigenvalues_general(A: np.ndarray) -> np.ndarray:
-    """Full complex spectrum of a square matrix."""
-    A = np.asarray(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
-    return scipy.linalg.eigvals(A)

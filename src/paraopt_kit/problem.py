@@ -40,14 +40,17 @@ class LinearControlProblem:
         K = np.asarray(self.K, dtype=float)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "y_init", np.asarray(self.y_init, dtype=float))
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        # written so that NaN fails the test too
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError(f"T must be positive and finite, got {self.T}")
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K must be square")
         if self.y_init.shape != (K.shape[0],):
             raise ValueError("y_init size must match K")
+        if not (np.all(np.isfinite(K)) and np.all(np.isfinite(self.y_init))):
+            raise ValueError("K and y_init must be finite")
         if self.objective is ObjectiveKind.TERMINAL_COST and self.y_target is None:
             raise ValueError("terminal-cost problems need y_target")
         if self.objective is ObjectiveKind.TRACKING and self.y_d is None:

@@ -2,11 +2,14 @@
 
 Each propagator maps interval boundary data (y at the left end, rescaled
 adjoint at the right end) to (y at the right end, adjoint at the left end).
-Implicit-Euler propagators are built by assembling the coupled J-step system
-on one sub-interval, factorizing it once, and extracting the affine form;
-exact propagators come from the eigendecomposition of K, with the (phi, psi)
-coefficients of each eigenvalue taken from the overflow-safe closed forms of
-the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
+Implicit-Euler propagators are built by composing J one-step maps, each
+composition eliminating the interface unknowns with one M x M solve, so a
+build costs O(J M^3) for any K and carries the offsets of all sub-intervals
+as columns. Exact propagators come from the eigendecomposition of K, with
+the (phi, psi) coefficients of each eigenvalue taken from the overflow-safe
+closed forms of the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
+The dense coupled J-step system survives only as the brute-force oracle
+behind :func:`extract_phi_psi_scalar`.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from paraopt_kit.analysis import _tc_exact, _tracking_exact
 from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveKind
+
+# implicit-Euler steps per sub-interval behind the exact tracking offsets
+OFFSET_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -49,95 +53,29 @@ class AffinePropagator:
         return self.b_P.shape[0]
 
 
-def _coupled_system(K: np.ndarray, gamma: float, tau: float, J: int,
-                    objective: ObjectiveKind, variant: Discretization):
-    """Assemble the 2MJ x 2MJ coupled implicit-Euler system on one
-    sub-interval, together with the boundary-data injection operators.
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Maps of segment a followed by segment b.
 
-    Unknowns are (y_1..y_J, lam_0..lam_{J-1}); boundary data are y_0 and
-    lam_J. Returns (lu, R_y0, R_lam, source_rows) where source_rows lists
-    the (row-block, step-index) pairs receiving the tracking source.
+    Each argument is (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) in the
+    AffinePropagator convention, with offsets as (M, L) arrays. The interface
+    unknowns (y at the end of a, lam at the start of b) are eliminated with
+    one M x M solve.
     """
-    M = K.shape[0]
-    I = sp.identity(M, format="coo")
-    Zeta = sp.coo_matrix(sp.identity(M) + tau * sp.csr_matrix(K))
-    ZetaT = sp.coo_matrix(sp.identity(M) + tau * sp.csr_matrix(K.T))
-    if objective is ObjectiveKind.TRACKING:
-        gh = tau / np.sqrt(gamma)
-    else:
-        gh = tau / gamma
-
-    n = 2 * M * J
-
-    def y_col(j):  # y_j, j = 1..J
-        return j - 1
-
-    def lam_col(j):  # lam_j, j = 0..J-1
-        return J + j
-
-    a_r, a_c, a_v = [], [], []
-    y0_r, y0_c, y0_v = [], [], []
-    lam_r, lam_c, lam_v = [], [], []
-
-    def add(triplets, row_block, col_block, mat, scale=1.0):
-        r, c, v = triplets
-        r.append(mat.row + row_block * M)
-        c.append(mat.col + col_block * M)
-        v.append(scale * mat.data)
-
-    A_t = (a_r, a_c, a_v)
-    for j in range(1, J + 1):
-        row = j - 1  # state row block
-        add(A_t, row, y_col(j), Zeta)
-        if j >= 2:
-            add(A_t, row, y_col(j - 1), I, -1.0)
-        else:
-            add((y0_r, y0_c, y0_v), row, 0, I)
-        # control coupling through the adjoint
-        if objective is ObjectiveKind.TERMINAL_COST and variant is Discretization.FDTO:
-            add(A_t, row, lam_col(j - 1), I, gh)
-        else:  # FOTD couples to lam_j
-            if j < J:
-                add(A_t, row, lam_col(j), I, gh)
-            else:
-                add((lam_r, lam_c, lam_v), row, 0, I, -gh)
-
-    for j in range(1, J + 1):
-        row = J + j - 1  # adjoint row block
-        add(A_t, row, lam_col(j - 1), ZetaT)
-        if j < J:
-            add(A_t, row, lam_col(j), I, -1.0)
-        else:
-            add((lam_r, lam_c, lam_v), row, 0, I)
-        if objective is ObjectiveKind.TRACKING:
-            if j >= 2:
-                add(A_t, row, y_col(j - 1), I, -gh)
-            else:
-                add((y0_r, y0_c, y0_v), row, 0, I, gh)
-
-    def collect(triplets, shape):
-        r, c, v = triplets
-        return sp.coo_matrix((np.concatenate(v),
-                              (np.concatenate(r), np.concatenate(c))),
-                             shape=shape)
-
-    A = collect(A_t, (n, n))
-    R_y0 = collect((y0_r, y0_c, y0_v), (n, M)).tocsr()
-    R_lam = collect((lam_r, lam_c, lam_v), (n, M)).tocsr()
-    lu = spla.splu(A.tocsc())
-    return lu, R_y0, R_lam, gh
-
-
-def _extract_maps(lu, R_y0, R_lam, M: int, J: int):
-    yJ = slice(M * (J - 1), M * J)
-    lam0 = slice(M * J, M * (J + 1))
-    sol_y = lu.solve(R_y0.toarray())
-    sol_l = lu.solve(R_lam.toarray())
-    Phi_P = sol_y[yJ, :]
-    Psi_Q = sol_y[lam0, :]
-    Psi_P = -sol_l[yJ, :]
-    Phi_Q = sol_l[lam0, :]
-    return Phi_P, Psi_P, Phi_Q, Psi_Q, yJ, lam0
+    Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
+    Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
+    M = Phi_Pa.shape[0]
+    # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
+    # with N = (I + Psi_P^a Psi_Q^b)^-1
+    UVc = np.linalg.solve(np.eye(M) + Psi_Pa @ Psi_Qb,
+                          np.hstack([Phi_Pa, Psi_Pa @ Phi_Qb,
+                                     b_Pa - Psi_Pa @ b_Qb]))
+    U, V, c = UVc[:, :M], UVc[:, M:2 * M], UVc[:, 2 * M:]
+    return (Phi_Pb @ U,
+            Psi_Pb + Phi_Pb @ V,
+            Phi_Qa @ (Phi_Qb - Psi_Qb @ V),
+            Psi_Qa + Phi_Qa @ (Psi_Qb @ U),
+            Phi_Pb @ c + b_Pb,
+            Phi_Qa @ (Psi_Qb @ c + b_Qb) + b_Qa)
 
 
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
@@ -155,47 +93,45 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     if J < 1:
         raise ValueError("need at least one implicit-Euler step")
     tau = DT / J
-    K = problem.K
-    M = K.shape[0]
+    M = problem.M
     L = int(round(problem.T / DT))
     if abs(L * DT - problem.T) > 1e-10 * problem.T:
         raise ValueError("DT must divide the horizon T")
 
     try:
-        lu, R_y0, R_lam, gh = _coupled_system(K, problem.gamma, tau, J, obj,
-                                              variant)
-    except RuntimeError as exc:  # splu: "Factor is exactly singular"
+        Zi = np.linalg.inv(np.eye(M) + tau * problem.K)
+    except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
             f"({exc})") from exc
-    Phi_P, Psi_P, Phi_Q, Psi_Q, yJ, lam0 = _extract_maps(lu, R_y0, R_lam, M, J)
-
-    b_P = np.zeros((L, M))
-    b_Q = np.zeros((L, M))
-    if obj is ObjectiveKind.TRACKING:
-        # y_d sampled at the left endpoint of each fine step; all sub-interval
-        # offset problems share the factorization, so solve them in one batch
-        rhs = np.zeros((2 * M * J, L))
-        for l in range(L):
-            t0 = l * DT
-            samples = np.array([problem.y_d(t0 + j * tau) for j in range(J)])
-            rhs[M * J:, l] = -gh * samples.ravel()
-        sol = lu.solve(rhs)
-        b_P = sol[yJ, :].T.copy()
-        b_Q = sol[lam0, :].T.copy()
-
+    # one step maps (y_{j-1}, lam_j) to (y_j, lam_{j-1})
+    tracking = obj is ObjectiveKind.TRACKING
+    gh = tau / np.sqrt(problem.gamma) if tracking else tau / problem.gamma
+    Psi_P = gh * (Zi @ Zi.T) if variant is Discretization.FDTO else gh * Zi
+    Psi_Q = gh * Zi.T if tracking else np.zeros((M, M))
+    zero = np.zeros((M, L))
+    maps = None
+    for j in range(1, J + 1):
+        b_Q = zero
+        if tracking:  # y_d sampled at the step's left end, on every interval
+            y_d = np.array([problem.y_d(l * DT + (j - 1) * tau)
+                            for l in range(L)]).T
+            b_Q = -gh * (Zi.T @ y_d)
+        step = (Zi, Psi_P, Zi.T, Psi_Q, zero, b_Q)
+        maps = step if maps is None else _compose(maps, step)
+    Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q = maps
     return AffinePropagator(Phi_P=Phi_P, Psi_P=Psi_P, Phi_Q=Phi_Q, Psi_Q=Psi_Q,
-                            b_P=b_P, b_Q=b_Q, objective=obj)
+                            b_P=b_P.T.copy(), b_Q=b_Q.T.copy(), objective=obj)
 
 
-def build_exact_propagator(problem: LinearControlProblem, DT: float,
-                           offset_steps: int = 10_000) -> AffinePropagator:
+def build_exact_propagator(problem: LinearControlProblem,
+                           DT: float) -> AffinePropagator:
     """Exact-in-time propagator pair, built through the eigendecomposition
     of a symmetric K.
 
     Tracking offsets have no convenient closed form for general y_d; they are
-    approximated by one high-resolution implicit-Euler solve (offset_steps
-    steps per sub-interval).
+    approximated by one high-resolution implicit-Euler build
+    (OFFSET_STEPS steps per sub-interval).
     """
     K = problem.K
     nrm = np.linalg.norm(K)
@@ -220,7 +156,7 @@ def build_exact_propagator(problem: LinearControlProblem, DT: float,
     b_P = np.zeros((L, M))
     b_Q = np.zeros((L, M))
     if tracking:
-        ref = build_implicit_euler_propagator(problem, DT, offset_steps,
+        ref = build_implicit_euler_propagator(problem, DT, OFFSET_STEPS,
                                               Discretization.FOTD)
         b_P, b_Q = ref.b_P, ref.b_Q
 
@@ -259,6 +195,31 @@ def black_box_view(prop: AffinePropagator, l: int = 1) -> BlackBoxView:
     return BlackBoxView(P=P, Q=Q, P0=P(zero, zero), Q0=Q(zero, zero))
 
 
+def _coupled_system(K: np.ndarray, gamma: float, tau: float, J: int,
+                    objective: ObjectiveKind, variant: Discretization):
+    """Dense 2MJ x 2MJ coupled implicit-Euler system on one sub-interval.
+
+    Returns (A, R) with A x = R [y_0; lam_J] for the unknowns
+    x = (y_1..y_J, lam_0..lam_{J-1}); R holds the y_0 and lam_J columns.
+    Tracking sources enter the adjoint rows. Brute-force oracle only.
+    """
+    M = K.shape[0]
+    I, E, S = np.eye(M), np.eye(J), np.eye(J, k=-1)
+    first, last = E[:, :1], E[:, -1:]
+    Z = I + tau * K
+    tracking = objective is ObjectiveKind.TRACKING
+    gh = tau / np.sqrt(gamma) if tracking else tau / gamma
+    g_y = gh if tracking else 0.0  # state feedback into the adjoint rows
+    fdto = variant is Discretization.FDTO  # control couples to lam_{j-1}
+    A = np.block([
+        [np.kron(E, Z) - np.kron(S, I), gh * np.kron(E if fdto else S.T, I)],
+        [-g_y * np.kron(S, I), np.kron(E, Z.T) - np.kron(S.T, I)]])
+    R = np.block([
+        [np.kron(first, I), (0.0 if fdto else -gh) * np.kron(last, I)],
+        [g_y * np.kron(first, I), np.kron(last, I)]])
+    return A, R
+
+
 def extract_phi_psi_scalar(sigma: float, gamma: float, tau: float, J: int,
                            objective: ObjectiveKind,
                            variant: Discretization = Discretization.FOTD,
@@ -268,16 +229,16 @@ def extract_phi_psi_scalar(sigma: float, gamma: float, tau: float, J: int,
 
     Serves as the independent oracle for the closed-form coefficient catalog.
     """
-    K = np.array([[float(sigma)]])
-    lu, R_y0, R_lam, _ = _coupled_system(K, gamma, tau, J, objective, variant)
-    Phi_P, Psi_P, Phi_Q, Psi_Q, _, _ = _extract_maps(lu, R_y0, R_lam, 1, J)
-    phi = float(Phi_P[0, 0])
-    psi_P = float(Psi_P[0, 0])
-    phi_Q = float(Phi_Q[0, 0])
+    A, R = _coupled_system(np.array([[float(sigma)]]), gamma, tau, J,
+                           objective, variant)
+    sol = np.linalg.solve(A, R)
+    # row J - 1 holds y_J, row J holds lam_0; columns are y_0 and lam_J
+    phi, psi_P = float(sol[J - 1, 0]), -float(sol[J - 1, 1])
+    phi_Q = float(sol[J, 1])
     if abs(phi - phi_Q) > 1e-10 * max(1.0, abs(phi)):
         raise AssertionError("propagator pair lost the shared Phi structure")
     if objective is ObjectiveKind.TRACKING:
-        psi_Q = float(Psi_Q[0, 0])
+        psi_Q = float(sol[J, 0])
         if abs(psi_P - psi_Q) > 1e-10 * max(1.0, abs(psi_P)):
             raise AssertionError("tracking propagator lost Psi_P = Psi_Q")
     return phi, psi_P

@@ -145,6 +145,16 @@ class TestSolveCommand:
         ["--objective", "terminal_cost", "--precond-method", "triangular",
          "--small-system-method", "black_box_iterative", "--n", "4",
          "--L", "4"],
+        # non-finite inputs
+        ["--gamma", "inf"],
+        ["--gamma", "nan"],
+        ["--problem", "scalar", "--sigma", "nan"],
+        ["--T", "nan"],
+        ["--T", "inf"],
+        # iteration budgets below one
+        ["--max-inner", "0"],
+        ["--max-outer", "0"],
+        ["--max-outer", "-3"],
     ])
     def test_unsupported_setup_is_config_error(self, tmp_path, capsys, args):
         rc = main(["solve", *args, "--output", str(tmp_path / "run")])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paraopt_kit.numerics import GmresConfig, eigenvalues_general, gmres
+from paraopt_kit.numerics import GmresConfig, gmres
 
 
 def random_spd(rng, n):
@@ -102,10 +102,3 @@ class TestGmres:
             GmresConfig(rel_tolerance=0.0)
         with pytest.raises(ValueError):
             GmresConfig(max_iterations=0)
-
-
-class TestEigen:
-    def test_general_spectrum(self):
-        A = np.array([[0.0, -1.0], [1.0, 0.0]])
-        ev = np.sort_complex(eigenvalues_general(A))
-        np.testing.assert_allclose(ev, [-1j, 1j], atol=1e-14)

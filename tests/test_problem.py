@@ -22,6 +22,18 @@ class TestLinearControlProblem:
             LinearControlProblem(K, 1.0, -1.0, y0, ObjectiveKind.TRACKING,
                                  y_d=lambda t: y0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("K", np.array([[1.0, np.nan], [0.0, 1.0]])),
+        ("y_init", np.array([np.inf, 0.0])),
+        ("gamma", np.inf), ("gamma", np.nan), ("T", np.inf), ("T", np.nan),
+    ])
+    def test_non_finite_data_rejected(self, field, value):
+        args = {"K": np.eye(2), "gamma": 1.0, "T": 1.0, "y_init": np.zeros(2),
+                "objective": ObjectiveKind.TERMINAL_COST,
+                "y_target": np.zeros(2), field: value}
+        with pytest.raises(ValueError):
+            LinearControlProblem(**args)
+
     def test_objective_data_requirements(self):
         K = np.eye(2)
         y0 = np.zeros(2)

@@ -11,6 +11,7 @@ from paraopt_kit.problem import (
 )
 from paraopt_kit.propagators import (
     Discretization,
+    _coupled_system,
     black_box_view,
     build_exact_propagator,
     build_implicit_euler_propagator,
@@ -63,6 +64,43 @@ class TestImplicitEulerBuild:
             assert v @ prop.Phi_P @ v == pytest.approx(phi, abs=1e-12)
             assert v @ prop.Psi_P @ v == pytest.approx(psi, abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), M=st.integers(1, 4),
+           J=st.integers(1, 10), L=st.integers(2, 5))
+    def test_composed_steps_match_dense_oracle(self, seed, M, J, L):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((M, M))
+        S = rng.standard_normal((M, M))
+        K = B @ B.T + 0.1 * np.eye(M) + (S - S.T)  # SPD plus skew: non-normal
+        gamma = 10.0 ** rng.uniform(-2, 1)
+        T = rng.uniform(0.5, 3.0)
+        DT, tau = T / L, T / (L * J)
+        w, v = rng.standard_normal(M), rng.standard_normal(M)
+        y_d = lambda t: np.sin(3.0 * t * w + v) + t * t * v
+        for obj, variant in [(TR, Discretization.FOTD),
+                             (TC, Discretization.FOTD),
+                             (TC, Discretization.FDTO)]:
+            p = LinearControlProblem(K=K, gamma=gamma, T=T, y_init=np.ones(M),
+                                     objective=obj, y_target=np.ones(M),
+                                     y_d=y_d)
+            prop = build_implicit_euler_propagator(p, DT, J, variant)
+            A, R = _coupled_system(K, gamma, tau, J, obj, variant)
+            yJ, lam0 = slice(M * (J - 1), M * J), slice(M * J, M * (J + 1))
+            sol = np.linalg.solve(A, R)
+            ref = {"Phi_P": sol[yJ, :M], "Psi_P": -sol[yJ, M:],
+                   "Psi_Q": sol[lam0, :M], "Phi_Q": sol[lam0, M:]}
+            if obj is TR:  # y_d at the left end of each step, on every interval
+                rhs = np.zeros((2 * M * J, L))
+                for l in range(L):
+                    rhs[M * J:, l] = np.concatenate(
+                        [y_d(l * DT + j * tau) for j in range(J)])
+                sol = np.linalg.solve(A, -tau / np.sqrt(gamma) * rhs)
+                ref["b_P"], ref["b_Q"] = sol[yJ].T, sol[lam0].T
+            for name, want in ref.items():
+                got = getattr(prop, name)
+                scale = np.linalg.norm(want) or np.linalg.norm(ref["Phi_P"])
+                assert np.linalg.norm(got - want) <= 1e-12 * scale, name
+
 
 class TestExactBuild:
     def test_requires_symmetric_K(self):
@@ -101,7 +139,7 @@ class TestExactBuild:
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_vanishing_eigenvalue_builds(self, objective):
         p = make_scalar_problem(1e-20, 1.0, 1.0, objective)
-        prop = build_exact_propagator(p, 0.5, offset_steps=100)
+        prop = build_exact_propagator(p, 0.5)
         assert prop.Phi_P[0, 0] <= 1.0
         assert np.isfinite(prop.Psi_P[0, 0]) and prop.Psi_P[0, 0] > 0.0
 
