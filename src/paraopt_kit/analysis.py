@@ -218,7 +218,10 @@ def _half_system(pp: PhiPsi, L: int, objective: ObjectiveKind) -> np.ndarray:
 def assemble_S_sigma(spec: SsigmaSpec) -> np.ndarray:
     A = _half_system(spec.fine, spec.L_hat, spec.objective)
     A_tilde = _half_system(spec.coarse, spec.L_hat, spec.objective)
-    return np.eye(2 * spec.L_hat) - np.linalg.solve(A_tilde, A)
+    # A_tilde^{-1} (A_tilde - A), not I - A_tilde^{-1} A: the latter's
+    # rounding (about 1e-16) swamps an S near 1e-18 when fine and coarse
+    # differ only in their last digits
+    return np.linalg.solve(A_tilde, A_tilde - A)
 
 
 def exact_rho(spec: SsigmaSpec) -> float:

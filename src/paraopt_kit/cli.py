@@ -209,6 +209,7 @@ def solve_case(cfg: RunConfig):
         "final_residual": float(log.records[-1].residual),
         "L_hat": decomp.L_hat,
         "M": problem.M,
+        "preconditioner_blocks": plan.blocks if plan is not None else None,
         "config": cfg.to_dict(),
     }
     return traj, log, summary

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraopt_kit.analysis import (
@@ -142,6 +142,10 @@ class TestTrackingBound:
     @settings(max_examples=100, deadline=None)
     @given(phi=coeff, psi=psi_val, phi_t=coeff, psi_t=psi_val,
            L_hat=st.integers(1, 12))
+    # fine and coarse one ulp apart: S is about 1e-18 and must still be
+    # formed without an absolute rounding error of 1e-16
+    @example(phi=0.02, psi=2.0, phi_t=0.020000000000000004, psi_t=2.0,
+             L_hat=5)
     def test_exact_rho_strictly_below_bound(self, phi, psi, phi_t, psi_t, L_hat):
         fine, coarse = PhiPsi(phi, psi), PhiPsi(phi_t, psi_t)
         er = exact_rho(SsigmaSpec(L_hat, fine, coarse, TR))

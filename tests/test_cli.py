@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -100,6 +101,7 @@ class TestSolveCommand:
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["converged"] is True
         assert summary["config"]["problem"] == "scalar"
+        assert summary["preconditioner_blocks"] is None
 
     def test_deterministic_reruns_byte_identical(self, tmp_path):
         outs = [str(tmp_path / f"run{i}") for i in range(2)]
@@ -193,6 +195,8 @@ class TestSolveCommand:
                    "--precond-method", "general", "--alpha-real", "-1",
                    "--output", out])
         assert rc == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["preconditioner_blocks"] == "spectral"
 
 
 @pytest.mark.parametrize("L_hat,precond,counts", [
@@ -203,6 +207,19 @@ def test_heat_tracking_iteration_counts(L_hat, precond, counts):
     # the paper's heat tracking runs (n=8): exact (outer, total inner) counts
     _, _, summary = solve_case(_heat_run_config("heat", "tracking", L_hat,
                                                 precond))
+    assert (summary["outer_iterations"],
+            summary["total_inner_iterations"]) == counts
+
+
+@pytest.mark.parametrize("L_hat,counts", [(10, (9, 22)), (100, (11, 27))])
+def test_heat_terminal_cost_triangular_iteration_counts(L_hat, counts):
+    # n=8 terminal cost, implicit-Euler fine, FDTO coarse, triangular
+    # P(0.1)^{-1}: exact (outer, total inner) counts
+    cfg = dataclasses.replace(
+        _heat_run_config("heat", "terminal_cost", L_hat, True),
+        coarse_variant="ie_fdto", precond_method="triangular", alpha_real=0.1)
+    _, _, summary = solve_case(cfg)
+    assert summary["preconditioner_blocks"] == "spectral"
     assert (summary["outer_iterations"],
             summary["total_inner_iterations"]) == counts
 

@@ -14,8 +14,10 @@ from paraopt_kit.preconditioner import (
     solve_block_blackbox,
 )
 from paraopt_kit.problem import (
+    Discretization,
     LinearControlProblem,
     ObjectiveKind,
+    make_advection_diffusion_problem,
     make_decomposition,
     make_scalar_problem,
 )
@@ -93,6 +95,9 @@ class TestApplyInverse:
     def test_general_matches_dense_tracking(self, small, J_coarse):
         p, d, coarse = tracking_setup(J_coarse=J_coarse)
         plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL, small)
+        assert plan.blocks == (
+            "black_box" if small is SmallSystemMethod.BLACK_BOX_ITERATIVE
+            else "spectral")
         P = assemble_P_alpha(coarse, d, -1.0)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(2 * d.L_hat * p.M)
@@ -130,6 +135,61 @@ class TestApplyInverse:
         lhs = plan.apply_inverse(a * u + b * v)
         rhs = a * plan.apply_inverse(u) + b * plan.apply_inverse(v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-11 * np.linalg.norm(rhs))
+
+
+def _random_K(kind, M, rng):
+    """Small K of one kind: "spd" and "normal" (SPD plus a commuting skew
+    part, complex eigenvectors) have well-separated eigenvalues; "nonnormal"
+    is SPD plus a random skew part."""
+    Q, _ = np.linalg.qr(rng.standard_normal((M, M)))
+    if kind == "spd":
+        return Q @ np.diag(1.0 + 1.5 * np.arange(M)) @ Q.T
+    if kind == "normal":  # 2 x 2 blocks [[a, b], [-b, a]] rotated by Q
+        B = np.diag(1.0 + 1.5 * (np.arange(M) // 2))
+        for k in range(0, M - 1, 2):
+            B[k, k + 1], B[k + 1, k] = 0.7 + k, -(0.7 + k)
+        return Q @ B @ Q.T
+    A = rng.standard_normal((M, M))
+    S = rng.standard_normal((M, M))
+    return A @ A.T + M * np.eye(M) + (S - S.T)
+
+
+# (objective, coarse variant, method, alpha)
+_PLAN_CASES = [(TR, Discretization.FOTD, InversionMethod.GENERAL, -1.0)] + [
+    (TC, variant, InversionMethod.GENERAL, -1.0)
+    for variant in Discretization] + [
+    (TC, variant, InversionMethod.TRIANGULAR, alpha)
+    for variant in Discretization for alpha in (0.01, -0.05, 0.3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["spd", "normal", "advection", "nonnormal"]),
+       case=st.sampled_from(_PLAN_CASES), M=st.integers(2, 4),
+       J_coarse=st.integers(1, 3), L=st.integers(2, 5),
+       seed=st.integers(0, 2**16))
+def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L, seed):
+    """The spectral path for normal K (real and complex eigenbases), the LU
+    fallback for non-normal K, both checked against the dense P(alpha)."""
+    objective, variant, method, alpha = case
+    rng = np.random.default_rng(seed)
+    if kind == "advection":  # n = 3 or 4 periodic grid, normal K
+        K = make_advection_diffusion_problem(M // 2 + 2, 0.1, 1.0, TR).K
+    else:
+        K = _random_K(kind, M, rng)
+    M = len(K)
+    p = LinearControlProblem(K=K, gamma=0.3, T=2.0,
+                             y_init=rng.standard_normal(M),
+                             objective=objective,
+                             y_d=lambda t: np.full(M, 1.0 + t),
+                             y_target=rng.standard_normal(M))
+    d = make_decomposition(p, L=L, J_fine=4, J_coarse=J_coarse)
+    coarse = build_implicit_euler_propagator(p, d.DT, J_coarse, variant)
+    plan = build_plan(coarse, d, alpha, method)
+    assert plan.blocks == ("lu" if kind == "nonnormal" else "spectral")
+    v = rng.standard_normal(2 * d.L_hat * M)
+    x = plan.apply_inverse(v)
+    P = assemble_P_alpha(coarse, d, alpha)
+    assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
 
 
 class TestBlockSolvers:
