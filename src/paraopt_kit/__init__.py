@@ -18,7 +18,7 @@ from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
     build_exact_propagator,
     propagate,
-    black_box_view,
+    linear_action,
 )
 from paraopt_kit.core import (
     PairedTrajectory,
@@ -60,7 +60,7 @@ __all__ = [
     "build_implicit_euler_propagator",
     "build_exact_propagator",
     "propagate",
-    "black_box_view",
+    "linear_action",
     "PairedTrajectory",
     "NewtonConfig",
     "SolveLog",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -132,19 +132,15 @@ def rho_bound_tracking(fine: PhiPsi, coarse: PhiPsi) -> float:
     return float(np.sqrt(num / den))
 
 
-def rho_bound_tracking_max(pairs: Iterable[tuple[PhiPsi, PhiPsi]]) -> float:
-    return max(rho_bound_tracking(f, c) for f, c in pairs)
-
-
 def x_star_candidates(fine: PhiPsi, coarse: PhiPsi) -> list[float]:
     """All admissible roots of the limiting characteristic function used by
     the terminal-cost bound (largest magnitude wins; ties go positive).
 
     The function is f(x) = (psi_t - psi)/(psi_t + 1/S(x)) - x with
     S(x) = sum over l >= 0 of q(x)^(2l), q(x) = phi_t + (phi - phi_t)/x.
-    If the geometric series diverges at x = (psi_t - psi)/psi_t, that value
-    is the root; otherwise replacing S by (1 - q^2)^(-1) turns the root
-    condition into the quadratic
+    If the geometric series diverges at x = (psi_t - psi)/psi_t (|q| within
+    rounding of 1 counts), that value is the root; otherwise replacing S by
+    (1 - q^2)^(-1) turns the root condition into the quadratic
     (psi_t + 1 - phi_t^2) x^2 - (2 phi_t (phi - phi_t) + psi_t - psi) x
     - (phi - phi_t)^2 = 0, of which only roots with |q(x)| < 1 count.
     """
@@ -152,7 +148,7 @@ def x_star_candidates(fine: PhiPsi, coarse: PhiPsi) -> list[float]:
     phi_t, psi_t = coarse.phi, coarse.psi
     dphi = phi - phi_t
     x_div = (psi_t - psi) / psi_t
-    if x_div != 0.0 and abs(phi_t + dphi / x_div) >= 1.0:
+    if x_div != 0.0 and abs(phi_t + dphi / x_div) >= 1.0 - 1e-12:
         return [x_div]
     if x_div == 0.0 and dphi == 0.0:
         return [0.0]
@@ -178,10 +174,6 @@ def rho_bound_terminal(fine: PhiPsi, coarse: PhiPsi) -> float:
     x_star = max(candidates, key=lambda r: (abs(r), r > 0))
     return float(max(abs(fine.phi - coarse.phi) / (1.0 - coarse.phi),
                      abs(x_star)))
-
-
-def rho_bound_terminal_max(pairs: Iterable[tuple[PhiPsi, PhiPsi]]) -> float:
-    return max(rho_bound_terminal(f, c) for f, c in pairs)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Subcommands:
   bound       evaluate rho_star over a (sigma_hat, gamma_hat) grid -> CSV
   solve       run one ParaOpt solve -> solve_log.csv + summary.json
-  experiment  regenerate the data behind one figure family -> CSVs + manifest
+  experiment  regenerate the data behind one or more figure families -> CSVs
+              + manifest.json; with several ids, each writes to <output>/<id>/
 
-Exit codes: 0 success, 1 solver non-convergence, 2 configuration error.
+Exit codes: 0 success, 1 solver non-convergence or abort, 2 configuration
+error (a bad flag or field value, or an unreadable --config file).
 All CSV files start with the version line `# paraopt-kit v1`, use LF endings,
 and print floats at full precision (%.17g).
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
+import functools
 import json
 import os
 import sys
@@ -58,6 +60,23 @@ from paraopt_kit.propagators import (
 
 CSV_VERSION_LINE = "# paraopt-kit v1"
 
+# the accepted values of each string field of RunConfig, mapped to what they
+# select; validation, the builders and `bound` look values up here. Problem
+# builders take (cfg, ObjectiveKind).
+CHOICES = {
+    "problem": {
+        "scalar": lambda c, o: make_scalar_problem(c.sigma, c.gamma, c.T, o),
+        "heat": lambda c, o: make_heat_problem(c.n, c.gamma, c.T, o),
+        "advection_diffusion": lambda c, o: make_advection_diffusion_problem(
+            c.n, c.gamma, c.T, o),
+    },
+    "objective": {k.value: k for k in ObjectiveKind},
+    "fine": {k.value: k for k in PropagatorKind},
+    "coarse_variant": {"ie_" + k.value: k for k in Discretization},
+    "precond_method": {k.value: k for k in InversionMethod},
+    "small_system_method": {k.value: k for k in SmallSystemMethod},
+}
+
 
 class ConfigError(Exception):
     """Raised for invalid run configurations (exit code 2)."""
@@ -66,10 +85,11 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     """Complete description of one solver run; JSON-serializable, with CLI
-    flags overriding file-provided fields."""
+    flags overriding file-provided fields. Each field must have the type of
+    its default (an int may stand for a float, a bool for neither)."""
 
-    problem: str = "heat"              # scalar | heat | advection_diffusion
-    objective: str = "tracking"        # tracking | terminal_cost
+    problem: str = "heat"
+    objective: str = "tracking"
     sigma: float = 1.0                 # scalar problems only
     n: int = 8                         # grid problems: n*n unknowns
     gamma: float = 0.05
@@ -77,14 +97,14 @@ class RunConfig:
     L: int = 11
     J_fine: int = 10
     J_coarse: int = 1
-    fine: str = "ie"                   # ie | exact
-    coarse_variant: str = "ie_fotd"    # ie_fotd | ie_fdto
+    fine: str = "ie"
+    coarse_variant: str = "ie_fotd"
     outer_tol: float = 1e-6
     inner_tol: float = 1e-4
     max_outer: int = 100
     max_inner: int = 1000
     precond_enabled: bool = True
-    precond_method: str = "general"    # general | triangular
+    precond_method: str = "general"
     alpha_real: float = -1.0
     alpha_imag: float = 0.0
     small_system_method: str = "explicit_direct"
@@ -92,17 +112,17 @@ class RunConfig:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, float) and not np.isfinite(v):
+            v, want = getattr(self, f.name), type(f.default)
+            types = (int, float) if want is float else want
+            if (isinstance(v, bool) != (want is bool)
+                    or not isinstance(v, types)):
+                raise ConfigError(
+                    f"{f.name} must be {want.__name__}, got {v!r}")
+            if want is float and not abs(v) <= sys.float_info.max:  # nan too
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        if self.problem not in ("scalar", "heat", "advection_diffusion"):
-            raise ConfigError(f"unknown problem kind '{self.problem}'")
-        if self.objective not in ("tracking", "terminal_cost"):
-            raise ConfigError(f"unknown objective '{self.objective}'")
-        if self.fine not in ("ie", "exact"):
-            raise ConfigError(f"unknown fine propagator '{self.fine}'")
-        if self.coarse_variant not in ("ie_fotd", "ie_fdto"):
-            raise ConfigError(f"unknown coarse variant '{self.coarse_variant}'")
+            if f.name in CHOICES and v not in CHOICES[f.name]:
+                raise ConfigError(f"unknown {f.name} '{v}'; choose from "
+                                  f"{', '.join(CHOICES[f.name])}")
         for name in ("outer_tol", "inner_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -111,15 +131,14 @@ class RunConfig:
             v = getattr(self, name)
             if v < 1:
                 raise ConfigError(f"{name} must be >= 1, got {v}")
-        if self.precond_method not in ("general", "triangular"):
-            raise ConfigError(f"unknown preconditioner method '{self.precond_method}'")
-        if self.small_system_method not in ("explicit_direct",
-                                            "black_box_iterative"):
-            raise ConfigError(
-                f"unknown small-system method '{self.small_system_method}'")
-        if self.objective == "tracking" and self.coarse_variant == "ie_fdto":
+        if (self.choice("objective") is ObjectiveKind.TRACKING
+                and self.choice("coarse_variant") is Discretization.FDTO):
             raise ConfigError("tracking has a single implicit-Euler coarse "
                               "variant; ie_fdto applies to terminal cost only")
+
+    def choice(self, name: str):
+        """What the value of string field ``name`` selects in CHOICES."""
+        return CHOICES[name][getattr(self, name)]
 
     @property
     def alpha(self) -> complex:
@@ -128,8 +147,14 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                data = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         bad = set(data) - known
         if bad:
@@ -140,26 +165,15 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _objective_kind(cfg: RunConfig) -> ObjectiveKind:
-    return (ObjectiveKind.TRACKING if cfg.objective == "tracking"
-            else ObjectiveKind.TERMINAL_COST)
-
-
 def build_problem(cfg: RunConfig) -> LinearControlProblem:
-    kind = _objective_kind(cfg)
-    if cfg.problem == "scalar":
-        return make_scalar_problem(cfg.sigma, cfg.gamma, cfg.T, kind)
-    if cfg.problem == "heat":
-        return make_heat_problem(cfg.n, cfg.gamma, cfg.T, kind)
-    return make_advection_diffusion_problem(cfg.n, cfg.gamma, cfg.T, kind)
+    return cfg.choice("problem")(cfg, cfg.choice("objective"))
 
 
 def build_propagators(cfg: RunConfig, problem: LinearControlProblem,
                       decomp: TimeDecomposition):
-    variant = (Discretization.FOTD if cfg.coarse_variant == "ie_fotd"
-               else Discretization.FDTO)
+    variant = cfg.choice("coarse_variant")
     try:
-        if cfg.fine == "exact":
+        if cfg.choice("fine") is PropagatorKind.EXACT:
             fine = build_exact_propagator(problem, decomp.DT)
         else:
             fine = build_implicit_euler_propagator(problem, decomp.DT,
@@ -174,13 +188,10 @@ def build_propagators(cfg: RunConfig, problem: LinearControlProblem,
 def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
     if not cfg.precond_enabled:
         return None
-    method = (InversionMethod.GENERAL if cfg.precond_method == "general"
-              else InversionMethod.TRIANGULAR)
-    small = (SmallSystemMethod.EXPLICIT_DIRECT
-             if cfg.small_system_method == "explicit_direct"
-             else SmallSystemMethod.BLACK_BOX_ITERATIVE)
     try:
-        return build_plan(coarse, decomp, cfg.alpha, method, small)
+        return build_plan(coarse, decomp, cfg.alpha,
+                          cfg.choice("precond_method"),
+                          cfg.choice("small_system_method"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -268,18 +279,14 @@ def _parse_grid(text: str) -> np.ndarray:
     return log_grid(lo, hi, count)
 
 
-def _description(kind: str, J: int, variant: str) -> PropagatorDescription:
-    v = Discretization.FOTD if variant == "fotd" else Discretization.FDTO
-    if kind == "exact":
-        return PropagatorDescription(PropagatorKind.EXACT)
-    return PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=J, variant=v)
-
-
 def cmd_bound(args) -> int:
-    objective = (ObjectiveKind.TRACKING if args.objective == "tracking"
-                 else ObjectiveKind.TERMINAL_COST)
-    fine = _description(args.fine, args.j_fine, args.fine_variant)
-    coarse = _description("ie", args.j_coarse, args.coarse_variant)
+    # an exact description ignores J and the variant
+    objective = CHOICES["objective"][args.objective]
+    fine = PropagatorDescription(CHOICES["fine"][args.fine], J=args.j_fine,
+                                 variant=Discretization(args.fine_variant))
+    coarse = PropagatorDescription(PropagatorKind.IMPLICIT_EULER,
+                                   J=args.j_coarse,
+                                   variant=Discretization(args.coarse_variant))
     sh_grid = _parse_grid(args.sigma_grid)
     gh_grid = _parse_grid(args.gamma_grid)
     try:
@@ -295,28 +302,18 @@ def cmd_bound(args) -> int:
 # ---------------------------------------------------------------------------
 # solve subcommand
 
-_SOLVE_FLAGS = [  # (flag, field, type)
-    ("--problem", "problem", str), ("--objective", "objective", str),
-    ("--sigma", "sigma", float), ("--n", "n", int),
-    ("--gamma", "gamma", float), ("--T", "T", float),
-    ("--L", "L", int), ("--j-fine", "J_fine", int),
-    ("--j-coarse", "J_coarse", int), ("--fine", "fine", str),
-    ("--coarse-variant", "coarse_variant", str),
-    ("--outer-tol", "outer_tol", float), ("--inner-tol", "inner_tol", float),
-    ("--max-outer", "max_outer", int), ("--max-inner", "max_inner", int),
-    ("--precond-method", "precond_method", str),
-    ("--alpha-real", "alpha_real", float), ("--alpha-imag", "alpha_imag", float),
-    ("--small-system-method", "small_system_method", str),
-    ("--output", "output", str),
-]
+def _flag(name: str) -> str:
+    """The solve flag of a RunConfig field: --T, --L and --n keep their
+    case, other names go lower case with dashes (--j-fine, --outer-tol)."""
+    return "--" + (name if len(name) == 1 else name.lower().replace("_", "-"))
 
 
 def _merge_config(args) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    for _, field_name, _ in _SOLVE_FLAGS:
-        value = getattr(args, field_name, None)
+    for f in dataclasses.fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, field_name, value)
+            setattr(cfg, f.name, value)
     if args.no_precond:
         cfg.precond_enabled = False
     elif args.precond:
@@ -333,18 +330,6 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 # experiment subcommand
-
-class ExperimentId(enum.Enum):
-    ScalarTimestepSweep = "ScalarTimestepSweep"
-    ScalarConvergenceAB = "ScalarConvergenceAB"
-    ScalarWeakScaling = "ScalarWeakScaling"
-    TcFotdVsFdto = "TcFotdVsFdto"
-    GmresToleranceStudy = "GmresToleranceStudy"
-    HeatIterationCounts = "HeatIterationCounts"
-    HeatTotalIterations = "HeatTotalIterations"
-    AdvectionIterationCounts = "AdvectionIterationCounts"
-    BoundContours = "BoundContours"
-
 
 def fit_geometric_rate(residuals: Sequence[float]) -> float:
     """Least-squares geometric contraction rate of a residual history,
@@ -521,36 +506,37 @@ def exp_heat_total_iterations(outdir: str) -> list[str]:
     return ["total_iterations.csv"]
 
 
-_EXPERIMENTS = {
-    ExperimentId.BoundContours: lambda out: exp_bound_contours(out),
-    ExperimentId.ScalarTimestepSweep: lambda out: exp_scalar_timestep_sweep(out),
-    ExperimentId.ScalarConvergenceAB: lambda out: exp_scalar_convergence_ab(out),
-    ExperimentId.ScalarWeakScaling: lambda out: exp_scalar_weak_scaling(out),
-    ExperimentId.TcFotdVsFdto: lambda out: exp_tc_fotd_vs_fdto(out),
-    ExperimentId.GmresToleranceStudy: lambda out: exp_gmres_tolerance_study(out),
-    ExperimentId.HeatIterationCounts:
-        lambda out: exp_iteration_counts(out, "heat"),
-    ExperimentId.HeatTotalIterations: lambda out: exp_heat_total_iterations(out),
-    ExperimentId.AdvectionIterationCounts:
-        lambda out: exp_iteration_counts(out, "advection_diffusion"),
+EXPERIMENTS = {  # id -> function(outdir) returning the files it wrote
+    "BoundContours": exp_bound_contours,
+    "ScalarTimestepSweep": exp_scalar_timestep_sweep,
+    "ScalarConvergenceAB": exp_scalar_convergence_ab,
+    "ScalarWeakScaling": exp_scalar_weak_scaling,
+    "TcFotdVsFdto": exp_tc_fotd_vs_fdto,
+    "GmresToleranceStudy": exp_gmres_tolerance_study,
+    "HeatIterationCounts": functools.partial(exp_iteration_counts,
+                                             problem="heat"),
+    "HeatTotalIterations": exp_heat_total_iterations,
+    "AdvectionIterationCounts": functools.partial(
+        exp_iteration_counts, problem="advection_diffusion"),
 }
 
 
 def cmd_experiment(args) -> int:
-    try:
-        exp_id = ExperimentId(args.id)
-    except ValueError:
-        raise ConfigError(
-            f"unknown experiment '{args.id}'; choose from "
-            f"{[e.value for e in ExperimentId]}")
-    outdir = args.output or exp_id.value
-    os.makedirs(outdir, exist_ok=True)
-    files = _EXPERIMENTS[exp_id](outdir)
-    write_json(os.path.join(outdir, "manifest.json"), {
-        "experiment": exp_id.value,
-        "files": files,
-        "csv_version": CSV_VERSION_LINE,
-    })
+    unknown = [i for i in args.ids if i not in EXPERIMENTS]
+    if unknown:
+        raise ConfigError(f"unknown experiment {', '.join(unknown)}; choose "
+                          f"from {', '.join(EXPERIMENTS)}")
+    for exp_id in args.ids:
+        outdir = args.output or ""
+        if len(args.ids) > 1 or not outdir:
+            outdir = os.path.join(outdir, exp_id)
+        os.makedirs(outdir, exist_ok=True)
+        files = EXPERIMENTS[exp_id](outdir)
+        write_json(os.path.join(outdir, "manifest.json"), {
+            "experiment": exp_id,
+            "files": files,
+            "csv_version": CSV_VERSION_LINE,
+        })
     return 0
 
 
@@ -565,15 +551,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bound = sub.add_parser("bound", help="rho_star grid sweep -> CSV")
+    variants = [k.value for k in Discretization]
     p_bound.add_argument("--objective", default="tracking",
-                         choices=["tracking", "terminal_cost"])
-    p_bound.add_argument("--fine", default="exact", choices=["exact", "ie"])
+                         choices=CHOICES["objective"])
+    p_bound.add_argument("--fine", default="exact", choices=CHOICES["fine"])
     p_bound.add_argument("--j-fine", type=int, default=10)
-    p_bound.add_argument("--fine-variant", default="fotd",
-                         choices=["fotd", "fdto"])
+    p_bound.add_argument("--fine-variant", default="fotd", choices=variants)
     p_bound.add_argument("--j-coarse", type=int, default=1)
-    p_bound.add_argument("--coarse-variant", default="fotd",
-                         choices=["fotd", "fdto"])
+    p_bound.add_argument("--coarse-variant", default="fotd", choices=variants)
     p_bound.add_argument("--sigma-grid", default="1e-4:1e4:50",
                          help="lo:hi:count (log-spaced)")
     p_bound.add_argument("--gamma-grid", default="1e-4:1e4:50")
@@ -584,13 +569,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--config", help="JSON RunConfig file")
     p_solve.add_argument("--precond", action="store_true", default=False)
     p_solve.add_argument("--no-precond", action="store_true", default=False)
-    for flag, field_name, ftype in _SOLVE_FLAGS:
-        p_solve.add_argument(flag, dest=field_name, type=ftype, default=None)
+    for f in dataclasses.fields(RunConfig):
+        if f.name != "precond_enabled":  # set by --precond / --no-precond
+            p_solve.add_argument(_flag(f.name), dest=f.name,
+                                 type=type(f.default), default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_exp = sub.add_parser("experiment", help="regenerate figure data")
-    p_exp.add_argument("id", help="|".join(e.value for e in ExperimentId))
-    p_exp.add_argument("--output", "-o", default=None)
+    p_exp.add_argument("ids", nargs="+", metavar="id",
+                       help=" | ".join(EXPERIMENTS))
+    p_exp.add_argument("--output", "-o", default=None,
+                       help="output folder (default: the id); with several "
+                            "ids, each writes to <output>/<id>/")
     p_exp.set_defaults(func=cmd_experiment)
     return parser
 

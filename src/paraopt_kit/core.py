@@ -173,7 +173,7 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         t0 = time.perf_counter()
         try:
             delta, rep = gmres(op, -r, precond=precond, cfg=cfg.inner)
-        except FloatingPointError as exc:
+        except (FloatingPointError, np.linalg.LinAlgError) as exc:
             log.aborted = f"inner solver failure: {exc}"
             return x, log
         x = PairedTrajectory.from_vector(x.as_vector() + delta, Lh, M)

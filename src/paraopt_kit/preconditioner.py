@@ -32,7 +32,7 @@ import scipy.linalg
 
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator, black_box_view
+from paraopt_kit.propagators import AffinePropagator, linear_action
 
 
 class InversionMethod(enum.Enum):
@@ -95,26 +95,26 @@ def assemble_H_block(coarse: AffinePropagator, d_l: complex) -> np.ndarray:
     return H
 
 
-def solve_block_blackbox(view, d_l: complex, rhs: np.ndarray,
+def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
+                         rhs: np.ndarray,
                          rel_tolerance: float = 1e-12) -> np.ndarray:
-    """Solve the H_l system using only affine propagator callbacks.
-
-    H_l [x; z] = [x + P(d_l x, -z) - P(0,0); z + Q(-x, conj(d_l) z) - Q(0,0)].
+    """Solve the H_l system using only the callbacks (P, Q) of the linear
+    part of the coarse maps (see ``propagators.linear_action``):
+    H_l [x; z] = [x + P(d_l x, -z); z + Q(-x, conj(d_l) z)].
     Solved tightly with inner GMRES so the preconditioner stays a fixed
-    linear operator.
+    linear operator; a block that misses the tolerance raises LinAlgError.
     """
-    M = len(view.P0)
+    M = len(rhs) // 2
 
     def op(u):
         x, z = u[:M], u[M:]
-        top = x + view.P(d_l * x, -z) - view.P0
-        bot = z + view.Q(-x, np.conj(d_l) * z) - view.Q0
-        return np.concatenate([top, bot])
+        return np.concatenate([x + P(d_l * x, -z),
+                               z + Q(-x, np.conj(d_l) * z)])
 
     cfg = GmresConfig(rel_tolerance=rel_tolerance, max_iterations=max(50, 8 * M))
     sol, rep = gmres(op, rhs.astype(complex), cfg=cfg)
     if not rep.converged:
-        raise RuntimeError(
+        raise np.linalg.LinAlgError(
             f"black-box block solve did not reach {rel_tolerance:g} "
             f"(residual {rep.final_relative_residual:g})")
     return sol
@@ -256,9 +256,9 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     basis = None
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
-        view = black_box_view(coarse)
+        P, Q = linear_action(coarse)
         solves = (_per_frequency(
-            lambda l, rhs: solve_block_blackbox(view, d[l], rhs)),)
+            lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
     elif (eigen := _shared_eigenbasis(coarse)) is not None:
         blocks = "spectral"
         basis, diagonals = eigen

@@ -15,7 +15,6 @@ behind :func:`extract_phi_psi_scalar`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -172,27 +171,11 @@ def propagate(prop: AffinePropagator, l: int, y_prev: np.ndarray,
     return y_next, lam_prev
 
 
-@dataclass(frozen=True)
-class BlackBoxView:
-    """Propagator access restricted to affine evaluation callbacks."""
-
-    P: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    Q: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    P0: np.ndarray  # cached P(0, 0)
-    Q0: np.ndarray  # cached Q(0, 0)
-
-
-def black_box_view(prop: AffinePropagator, l: int = 1) -> BlackBoxView:
-    M = prop.M
-    zero = np.zeros(M)
-
-    def P(y, lam):
-        return propagate(prop, l, y, lam)[0]
-
-    def Q(y, lam):
-        return propagate(prop, l, y, lam)[1]
-
-    return BlackBoxView(P=P, Q=Q, P0=P(zero, zero), Q0=Q(zero, zero))
+def linear_action(prop: AffinePropagator):
+    """Callbacks (P, Q) of the linear part of the maps, offsets dropped:
+    P(y, lam) = Phi_P y - Psi_P lam, Q(y, lam) = Psi_Q y + Phi_Q lam."""
+    return (lambda y, lam: prop.Phi_P @ y - prop.Psi_P @ lam,
+            lambda y, lam: prop.Psi_Q @ y + prop.Phi_Q @ lam)
 
 
 def _coupled_system(K: np.ndarray, gamma: float, tau: float, J: int,

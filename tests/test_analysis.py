@@ -179,6 +179,10 @@ class TestTerminalBound:
     @settings(max_examples=100, deadline=None)
     @given(phi=coeff, psi=psi_val, phi_t=coeff, psi_t=psi_val,
            L_hat=st.integers(1, 12))
+    # q(x_div) is 1 in exact arithmetic and 1 - 1e-16 after rounding: the
+    # divergent-series root must still be taken
+    @example(phi=0.02, psi=0.9799999999999999, phi_t=0.9799999999999999,
+             psi_t=0.02, L_hat=1)
     def test_exact_rho_below_bound(self, phi, psi, phi_t, psi_t, L_hat):
         fine, coarse = PhiPsi(phi, psi), PhiPsi(phi_t, psi_t)
         er = exact_rho(SsigmaSpec(L_hat, fine, coarse, TC))

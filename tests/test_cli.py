@@ -7,7 +7,6 @@ import pytest
 
 from paraopt_kit.cli import (
     ConfigError,
-    ExperimentId,
     RunConfig,
     _heat_run_config,
     fit_geometric_rate,
@@ -50,6 +49,37 @@ class TestRunConfig:
         path.write_text('{"problme": "heat"}')
         with pytest.raises(ConfigError):
             RunConfig.from_file(str(path))
+
+    def test_field_types(self):
+        # an int may stand for a float; a bool is neither int nor float
+        RunConfig(gamma=1, T=np.float64(2.0)).validate()
+        for bad in (dict(n=True), dict(gamma=False), dict(fine=1),
+                    dict(precond_enabled=1), dict(gamma=10 ** 400)):
+            with pytest.raises(ConfigError):
+                RunConfig(**bad).validate()
+
+
+class TestConfigFileContract:
+    @pytest.mark.parametrize("content,names", [
+        ('{"n": "4"}', "n must be int"),
+        ('{"L": 3.5}', "L must be int"),
+        ('{"precond_enabled": "no"}', "precond_enabled must be bool"),
+        ('{"n": 4', "cannot read config file"),      # invalid JSON
+        ('[1, 2]', "must hold a JSON object"),
+        (None, "cannot read config file"),          # no such file
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, content, names):
+        path = tmp_path / "cfg.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["solve", "--config", str(path),
+                   "--output", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        assert names in err
+        assert not os.path.exists(tmp_path / "run")
 
 
 class TestCsvContract:
@@ -178,6 +208,35 @@ class TestSolveCommand:
         assert not log.converged
         assert summary["aborted"] == "inner solver failure: injected"
 
+    BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
+                 "--small-system-method", "black_box_iterative"]
+
+    def test_black_box_block_solves_converge(self, tmp_path):
+        # the tracking offsets used to cancel digits in the black-box
+        # operator, which then missed its 1e-12 block tolerance
+        out = str(tmp_path / "run")
+        assert main([*self.BLACK_BOX, "--output", out]) == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["preconditioner_blocks"] == "black_box"
+        assert (summary["outer_iterations"],
+                summary["total_inner_iterations"]) == (13, 40)
+
+    def test_black_box_block_miss_aborts(self, tmp_path, monkeypatch):
+        from paraopt_kit import preconditioner
+        from paraopt_kit.numerics import GmresReport
+
+        def stalled_gmres(op, b, cfg):
+            return np.zeros_like(b), GmresReport(cfg.max_iterations, 0.5,
+                                                 False)
+
+        monkeypatch.setattr(preconditioner, "gmres", stalled_gmres)
+        out = str(tmp_path / "run")
+        assert main([*self.BLACK_BOX, "--output", out]) == 1
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["aborted"].startswith(
+            "inner solver failure: black-box block solve did not reach")
+        assert os.path.exists(os.path.join(out, "solve_log.csv"))
+
     def test_exact_fine_terminal_cost_heat_converges(self, tmp_path):
         # sigma_hat reaches about 1700 here, past the cosh/sinh overflow
         out = str(tmp_path / "run")
@@ -247,9 +306,17 @@ class TestExperimentCommand:
             _, _, bound, exact = line.split(",")
             assert float(exact) <= float(bound) + 1e-12
 
-    def test_all_ids_are_registered(self):
-        from paraopt_kit.cli import _EXPERIMENTS
-        assert set(_EXPERIMENTS) == set(ExperimentId)
+    def test_several_ids_write_one_folder_each(self, tmp_path):
+        out = str(tmp_path / "out")
+        ids = ["TcFotdVsFdto", "ScalarTimestepSweep"]
+        assert main(["experiment", *ids, "-o", out]) == 0
+        for exp_id in ids:
+            folder = os.path.join(out, exp_id)
+            manifest = json.loads(
+                open(os.path.join(folder, "manifest.json")).read())
+            assert manifest["experiment"] == exp_id
+            for fname in manifest["files"]:
+                assert os.path.exists(os.path.join(folder, fname))
 
 
 class TestFitGeometricRate:

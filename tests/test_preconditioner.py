@@ -19,9 +19,11 @@ from paraopt_kit.problem import (
     ObjectiveKind,
     make_advection_diffusion_problem,
     make_decomposition,
-    make_scalar_problem,
 )
-from paraopt_kit.propagators import black_box_view, build_implicit_euler_propagator
+from paraopt_kit.propagators import (
+    build_implicit_euler_propagator,
+    linear_action,
+)
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -200,8 +202,7 @@ class TestBlockSolvers:
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(2 * coarse.M) + 1j * rng.standard_normal(
             2 * coarse.M)
-        view = black_box_view(coarse)
-        got = solve_block_blackbox(view, d_l, rhs)
+        got = solve_block_blackbox(*linear_action(coarse), d_l, rhs)
         np.testing.assert_allclose(H @ got, rhs, atol=1e-9)
 
 
