@@ -7,13 +7,20 @@ phi_tilde/psi_tilde for the coarse one. This module provides the coefficient
 catalog (closed forms for implicit-Euler and exact sub-interval solvers),
 L_hat-independent contraction bounds rho_star, the exact spectral radius of
 S_sigma as an oracle, and grid sweeps producing contour-plot data.
+
+It also holds the one dense assembly of the ParaOpt block system,
+:func:`assemble_block_system`: with 1 x 1 maps it gives the two systems
+behind S_sigma; with M x M maps it is the dense coarse Jacobian of
+:mod:`paraopt_kit.core` and, given alpha, the dense P(alpha) of
+:mod:`paraopt_kit.preconditioner`, the oracles their fast paths are tested
+against. It lives here, the lowest layer, because the other two import it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -190,26 +197,47 @@ class SsigmaSpec:
             raise ValueError("L_hat must be >= 1")
 
 
-def _half_system(pp: PhiPsi, L: int, objective: ObjectiveKind) -> np.ndarray:
-    """Dense 2L x 2L matching-condition matrix at one eigenvalue sigma."""
-    n = 2 * L
-    A = np.eye(n)
-    for l in range(1, L):
-        A[l, l - 1] = -pp.phi
-        A[L + l - 1, L + l] = -pp.phi
-    for l in range(L):
-        A[l, L + l] = pp.psi
-    if objective is ObjectiveKind.TRACKING:
-        for l in range(L):
-            A[L + l, l] = -pp.psi
-    else:
-        A[n - 1, L - 1] = -1.0
+def assemble_block_system(maps: Sequence[np.ndarray], L_hat: int,
+                          objective: ObjectiveKind,
+                          alpha: Optional[complex] = None) -> np.ndarray:
+    """Dense ParaOpt block system of the maps (Phi_P, Psi_P, Phi_Q, Psi_Q),
+    each M x M (1 x 1 at one eigenvalue sigma), on the stacked unknown
+    [y_1..y_Lhat, lam_1..lam_Lhat]. Sized for the scalar analysis and for
+    oracle-sized problems.
+
+    Without alpha, the matching-condition Jacobian
+    [[I + B kron Phi_P, I kron Psi_P], [-I kron Psi_Q, I + B^T kron Phi_Q]],
+    B the L_hat x L_hat lower shift with -1 on its first sub-diagonal; for
+    terminal cost the last adjoint row is lam_Lhat - y_Lhat. With alpha, the
+    preconditioner P(alpha): the alpha-circulant C(alpha) (B with -alpha in
+    its top-right corner) and C(alpha)^H take the places of B and B^T, and
+    there is no terminal row.
+    """
+    Phi_P, Psi_P, Phi_Q, Psi_Q = maps
+    M = Phi_P.shape[0]
+    B = -np.eye(L_hat, k=-1)
+    if alpha is not None:
+        B = B.astype(complex)
+        B[0, -1] = -alpha
+    I_L, n = np.eye(L_hat), L_hat * M
+    A = np.eye(2 * n, dtype=B.dtype)
+    A[:n, :n] += np.kron(B, Phi_P)
+    A[:n, n:] += np.kron(I_L, Psi_P)
+    A[n:, :n] -= np.kron(I_L, Psi_Q)
+    A[n:, n:] += np.kron(B.conj().T, Phi_Q)
+    if alpha is None and objective is ObjectiveKind.TERMINAL_COST:
+        # the row's other blocks are I at lam_Lhat and -Psi_Q at y_Lhat
+        A[-M:, (L_hat - 1) * M:L_hat * M] = -np.eye(M)
     return A
 
 
 def assemble_S_sigma(spec: SsigmaSpec) -> np.ndarray:
-    A = _half_system(spec.fine, spec.L_hat, spec.objective)
-    A_tilde = _half_system(spec.coarse, spec.L_hat, spec.objective)
+    def system(pp: PhiPsi) -> np.ndarray:
+        psi_Q = pp.psi if spec.objective is ObjectiveKind.TRACKING else 0.0
+        maps = [np.array([[c]]) for c in (pp.phi, pp.psi, pp.phi, psi_Q)]
+        return assemble_block_system(maps, spec.L_hat, spec.objective)
+
+    A, A_tilde = system(spec.fine), system(spec.coarse)
     # A_tilde^{-1} (A_tilde - A), not I - A_tilde^{-1} A: the latter's
     # rounding (about 1e-16) swamps an S near 1e-18 when fine and coarse
     # differ only in their last digits

@@ -2,7 +2,8 @@
 
 Subcommands:
   bound       evaluate rho_star over a (sigma_hat, gamma_hat) grid -> CSV
-  solve       run one ParaOpt solve -> solve_log.csv + summary.json
+  solve       run one ParaOpt solve -> solve_log.csv + summary.json; the
+              preconditioner P(alpha) takes a real alpha (--alpha-real)
   experiment  regenerate the data behind one or more figure families -> CSVs
               + manifest.json; with several ids, each writes to <output>/<id>/
 
@@ -105,8 +106,7 @@ class RunConfig:
     max_inner: int = 1000
     precond_enabled: bool = True
     precond_method: str = "general"
-    alpha_real: float = -1.0
-    alpha_imag: float = 0.0
+    alpha_real: float = -1.0           # alpha of P(alpha), a real number
     small_system_method: str = "explicit_direct"
     output: str = "out"
 
@@ -139,11 +139,6 @@ class RunConfig:
     def choice(self, name: str):
         """What the value of string field ``name`` selects in CHOICES."""
         return CHOICES[name][getattr(self, name)]
-
-    @property
-    def alpha(self) -> complex:
-        a = complex(self.alpha_real, self.alpha_imag)
-        return a.real if a.imag == 0.0 else a
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -189,7 +184,7 @@ def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
     if not cfg.precond_enabled:
         return None
     try:
-        return build_plan(coarse, decomp, cfg.alpha,
+        return build_plan(coarse, decomp, cfg.alpha_real,
                           cfg.choice("precond_method"),
                           cfg.choice("small_system_method"))
     except ValueError as exc:

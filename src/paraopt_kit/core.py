@@ -3,7 +3,9 @@
 The stacked unknown is x = [y_1..y_Lhat, lam_1..lam_Lhat] (each block of
 size M). For affine propagators the matching system is linear, f(x) = A x - b,
 and each inexact-Newton step solves the coarse Jacobian system
-A_tilde * delta = -f(x).
+A_tilde * delta = -f(x). The solver applies the Jacobians matrix-free; their
+dense matrices, for oracle-sized tests, come from
+:func:`paraopt_kit.analysis.assemble_block_system`.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
 from paraopt_kit.propagators import AffinePropagator
@@ -119,14 +122,11 @@ def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                       decomp: TimeDecomposition) -> np.ndarray:
-    """Dense matching-condition Jacobian; oracle-sized problems only."""
-    Lh, M = decomp.L_hat, prop.M
-    n = 2 * Lh * M
-    A = np.zeros((n, n))
-    e = np.eye(n)
-    for j in range(n):
-        A[:, j] = apply_jacobian(prop, objective, decomp, e[:, j])
-    return A
+    """Dense matching-condition Jacobian, the matrix of apply_jacobian;
+    oracle-sized problems only."""
+    return assemble_block_system(
+        (prop.Phi_P, prop.Psi_P, prop.Phi_Q, prop.Psi_Q), decomp.L_hat,
+        objective)
 
 
 def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,

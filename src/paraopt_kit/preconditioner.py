@@ -5,7 +5,10 @@ by the alpha-circulant C(alpha) (and drops the terminal corner term), which
 diagonalizes in a scaled Fourier basis. Applying P(alpha)^{-1} then reduces
 to FFTs in time plus independent per-frequency solves: L_hat 2M x 2M solves
 for the general method, two rounds of L_hat M x M solves for the triangular
-one.
+one. alpha is real: for any other alpha, P(alpha)^{-1} of a real vector is
+complex. The dense P(alpha) that the inversion is checked against comes
+from the same block assembly as the coarse Jacobian,
+:func:`paraopt_kit.analysis.assemble_block_system`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
 option. When K is normal (symmetric heat, periodic advection-diffusion),
@@ -30,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 
+from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import AffinePropagator, linear_action
@@ -122,9 +126,10 @@ def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
 
 @dataclass
 class PreconditionerPlan:
-    """Prepared data for applying P(alpha)^{-1}: the circulant eigenvalues,
-    the Fourier weight diagonal Gamma, and the batched per-frequency block
-    solves, prepared once and reused across all outer Newton iterations.
+    """Prepared data for applying P(alpha)^{-1}: the Fourier weight diagonal
+    Gamma and the batched per-frequency block solves, which hold the
+    circulant eigenvalues d_l, prepared once and reused across all outer
+    Newton iterations.
 
     ``blocks`` names how the frequency blocks are solved:
 
@@ -139,9 +144,7 @@ class PreconditionerPlan:
       the propagator callbacks (general method only).
     """
 
-    alpha: complex
     method: InversionMethod
-    d: np.ndarray
     coarse: AffinePropagator
     L_hat: int
     blocks: str
@@ -232,7 +235,7 @@ def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
-               alpha: complex, method: InversionMethod,
+               alpha: float, method: InversionMethod,
                small_system_method: SmallSystemMethod = SmallSystemMethod.EXPLICIT_DIRECT,
                ) -> PreconditionerPlan:
     """Validate the (method, alpha, coarse) combination and prepare the
@@ -240,6 +243,10 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     eigenbasis, per-block LU otherwise, or black-box when asked for."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
+    if np.imag(alpha) != 0:
+        # P(alpha)^{-1} of a real vector is complex then, which _realize
+        # would refuse in the first application
+        raise ValueError(f"alpha must be real, got {alpha}")
     if method is InversionMethod.GENERAL and abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError("the general method requires |alpha| = 1")
     psi_q_norm = np.linalg.norm(coarse.Psi_Q)
@@ -272,9 +279,8 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     else:
         blocks = "lu"
         solves = (_lu_solves(assemble_H_block(coarse, dl) for dl in d),)
-    return PreconditionerPlan(alpha=complex(alpha), method=method, d=d,
-                              coarse=coarse, L_hat=Lh, blocks=blocks,
-                              gamma_diag=_gamma_diag(Lh, alpha),
+    return PreconditionerPlan(method=method, coarse=coarse, L_hat=Lh,
+                              blocks=blocks, gamma_diag=_gamma_diag(Lh, alpha),
                               _solves=solves, _basis=basis)
 
 
@@ -294,16 +300,6 @@ def _realize(xz: np.ndarray, input_real: bool) -> np.ndarray:
 def assemble_P_alpha(coarse: AffinePropagator, decomp: TimeDecomposition,
                      alpha: complex) -> np.ndarray:
     """Dense P(alpha); oracle for the inversion procedures."""
-    Lh, M = decomp.L_hat, coarse.M
-    B = np.zeros((Lh, Lh))
-    for l in range(1, Lh):
-        B[l, l - 1] = -1.0
-    C = B.astype(complex)
-    C[0, Lh - 1] = -alpha
-    I_L = np.eye(Lh)
-    I_M = np.eye(M)
-    top = np.hstack([np.kron(I_L, I_M) + np.kron(C, coarse.Phi_P),
-                     np.kron(I_L, coarse.Psi_P)])
-    bot = np.hstack([-np.kron(I_L, coarse.Psi_Q),
-                     np.kron(I_L, I_M) + np.kron(C.conj().T, coarse.Phi_Q)])
-    return np.vstack([top, bot])
+    return assemble_block_system(
+        (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q),
+        decomp.L_hat, coarse.objective, alpha)

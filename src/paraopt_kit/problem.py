@@ -19,6 +19,12 @@ class Discretization(enum.Enum):
     FDTO = "fdto"  # first discretize, then optimize
 
 
+def _require_positive(name: str, value: float) -> None:
+    # written so that NaN fails the test too
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LinearControlProblem:
     """Linear-dynamics control problem y' = -K y + u on [0, T].
@@ -40,11 +46,8 @@ class LinearControlProblem:
         K = np.asarray(self.K, dtype=float)
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "y_init", np.asarray(self.y_init, dtype=float))
-        # written so that NaN fails the test too
-        if not 0.0 < self.gamma < np.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not 0.0 < self.T < np.inf:
-            raise ValueError(f"T must be positive and finite, got {self.T}")
+        _require_positive("gamma", self.gamma)
+        _require_positive("T", self.T)
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("K must be square")
         if self.y_init.shape != (K.shape[0],):
@@ -70,7 +73,7 @@ class TimeDecomposition:
     """
 
     L: int
-    DT: float
+    T: float
     L_hat: int
     J_fine: int
     J_coarse: int
@@ -81,11 +84,15 @@ class TimeDecomposition:
         if not (self.J_fine >= self.J_coarse >= 1):
             raise ValueError("need J_fine >= J_coarse >= 1")
 
+    @property
+    def DT(self) -> float:
+        return self.T / self.L
+
 
 def make_decomposition(problem: LinearControlProblem, L: int, J_fine: int,
                        J_coarse: int) -> TimeDecomposition:
     L_hat = L - 1 if problem.objective is ObjectiveKind.TRACKING else L
-    return TimeDecomposition(L=L, DT=problem.T / L, L_hat=L_hat,
+    return TimeDecomposition(L=L, T=problem.T, L_hat=L_hat,
                              J_fine=J_fine, J_coarse=J_coarse)
 
 
@@ -120,6 +127,7 @@ def _periodic_central_gradient_2d(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _heat_fields(n: int, gamma: float, T: float):
     """Closed-form initial value, target state, and target trajectory on the
     periodic unit square, evaluated at the grid vertices (x1-major order)."""
+    _require_positive("gamma", gamma)  # before the fields divide by it
     x = _grid_1d(n)
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     s1 = np.sin(2 * np.pi * X1)

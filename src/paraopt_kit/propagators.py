@@ -47,10 +47,6 @@ class AffinePropagator:
     def M(self) -> int:
         return self.Phi_P.shape[0]
 
-    @property
-    def L(self) -> int:
-        return self.b_P.shape[0]
-
 
 def _compose(a: tuple, b: tuple) -> tuple:
     """Maps of segment a followed by segment b.

@@ -66,6 +66,10 @@ class TestConfigFileContract:
         ('{"precond_enabled": "no"}', "precond_enabled must be bool"),
         ('{"n": 4', "cannot read config file"),      # invalid JSON
         ('[1, 2]', "must hold a JSON object"),
+        ('{"L": 0}', "need at least two sub-intervals"),
+        ('{"gamma": 0}', "gamma must be positive"),
+        # alpha is real; P(alpha)^-1 of a real vector is complex otherwise
+        ('{"alpha_real": 0.6, "alpha_imag": 0.8}', "unknown config fields"),
         (None, "cannot read config file"),          # no such file
     ])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, content, names):
@@ -187,6 +191,12 @@ class TestSolveCommand:
         ["--max-inner", "0"],
         ["--max-outer", "0"],
         ["--max-outer", "-3"],
+        # zero gamma or L, before any division by them
+        ["--n", "4", "--gamma", "0"],
+        ["--n", "4", "--gamma", "0", "--objective", "terminal_cost"],
+        ["--n", "4", "--gamma", "0", "--problem", "advection_diffusion"],
+        ["--n", "4", "--L", "0"],
+        ["--n", "4", "--L", "0", "--objective", "terminal_cost"],
     ])
     def test_unsupported_setup_is_config_error(self, tmp_path, capsys, args):
         rc = main(["solve", *args, "--output", str(tmp_path / "run")])

@@ -84,6 +84,14 @@ class TestBuildPlanValidation:
         with pytest.raises(ValueError):
             build_plan(coarse, d, 0.01, InversionMethod.TRIANGULAR)
 
+    @pytest.mark.parametrize("setup,method", [
+        (tracking_setup, InversionMethod.GENERAL),
+        (terminal_setup, InversionMethod.TRIANGULAR)])
+    def test_non_real_alpha_rejected(self, setup, method):
+        _, d, coarse = setup()
+        with pytest.raises(ValueError, match="alpha must be real"):
+            build_plan(coarse, d, 0.6 + 0.8j, method)
+
     def test_triangular_accepts_terminal_cost(self):
         _, d, coarse = terminal_setup()
         plan = build_plan(coarse, d, 0.01, InversionMethod.TRIANGULAR)
@@ -192,6 +200,42 @@ def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L, seed):
     x = plan.apply_inverse(v)
     P = assemble_P_alpha(coarse, d, alpha)
     assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["spd", "normal", "nonnormal"]),
+       objective=st.sampled_from([TR, TC]),
+       alpha=st.sampled_from([-1.0, 1.0, 0.1]),
+       M=st.integers(2, 4), J_coarse=st.integers(1, 3), L=st.integers(2, 5),
+       fdto=st.booleans(), seed=st.integers(0, 2**16))
+def test_P_alpha_differs_from_jacobian_in_corners_only(
+        kind, objective, alpha, M, J_coarse, L, fdto, seed):
+    """P(alpha) - A_tilde is -alpha Phi_P at state block (1, L_hat) and
+    -conj(alpha) Phi_Q at adjoint block (L_hat, 1), plus, for terminal cost,
+    +I where A_tilde has its corner (adjoint row L_hat, state column L_hat);
+    zero everywhere else."""
+    rng = np.random.default_rng(seed)
+    K = _random_K(kind, M, rng)
+    p = LinearControlProblem(K=K, gamma=0.3, T=2.0,
+                             y_init=rng.standard_normal(M),
+                             objective=objective,
+                             y_d=lambda t: np.full(M, 1.0 + t),
+                             y_target=rng.standard_normal(M))
+    d = make_decomposition(p, L=L, J_fine=4, J_coarse=J_coarse)
+    variant = (Discretization.FDTO if fdto and objective is TC
+               else Discretization.FOTD)
+    coarse = build_implicit_euler_propagator(p, d.DT, J_coarse, variant)
+    Lh = d.L_hat
+    diff = (assemble_P_alpha(coarse, d, alpha)
+            - assemble_jacobian(coarse, objective, d))
+    want = np.zeros_like(diff)
+    y = lambda l: slice((l - 1) * M, l * M)                # state block l
+    lam = lambda l: slice((Lh + l - 1) * M, (Lh + l) * M)  # adjoint block l
+    want[y(1), y(Lh)] -= alpha * coarse.Phi_P
+    want[lam(Lh), lam(1)] -= np.conj(alpha) * coarse.Phi_Q
+    if objective is TC:
+        want[lam(Lh), y(Lh)] += np.eye(M)
+    np.testing.assert_allclose(diff, want, rtol=0, atol=1e-14)
 
 
 class TestBlockSolvers:
