@@ -17,7 +17,6 @@ from paraopt_kit.propagators import (
     AffinePropagator,
     build_implicit_euler_propagator,
     build_exact_propagator,
-    propagate,
     linear_action,
 )
 from paraopt_kit.core import (
@@ -59,7 +58,6 @@ __all__ = [
     "AffinePropagator",
     "build_implicit_euler_propagator",
     "build_exact_propagator",
-    "propagate",
     "linear_action",
     "PairedTrajectory",
     "NewtonConfig",

@@ -147,6 +147,8 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     Each outer step solves A_tilde * delta = -f(x) with GMRES (right
     preconditioning when a plan is configured) and stops once the residual
     norm drops below outer_tolerance relative to max(1, initial residual).
+    A non-finite residual, r0 included, or one that grew 10x over five
+    steps aborts the solve with the reason in ``log.aborted``.
     """
     Lh, M = decomp.L_hat, problem.M
     x = PairedTrajectory.zeros(Lh, M)
@@ -155,20 +157,28 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     def op(v):
         return apply_jacobian(coarse, coarse.objective, decomp, v)
 
-    precond = None
-    if cfg.preconditioner is not None:
-        plan = cfg.preconditioner
-        precond = lambda v: plan.apply_inverse(v)
+    plan = cfg.preconditioner
+    precond = None if plan is None else plan.apply_inverse
 
     r = matching_residual(fine, problem, decomp, x)
-    r0 = np.linalg.norm(r)
-    scale = max(1.0, r0)
-    log.records.append(OuterRecord(0, r0, 0, 0.0))
-    recent: list[float] = [r0]
+    rnorm = np.linalg.norm(r)
+    scale = max(1.0, rnorm)
+    log.records.append(OuterRecord(0, rnorm, 0, 0.0))
+    recent: list[float] = [rnorm]
 
-    for k in range(1, cfg.max_outer + 1):
-        if np.linalg.norm(r) <= cfg.outer_tolerance * scale:
+    # one pass more than max_outer steps, so that the same checks cover
+    # r0 and the residual after every step, the last one included
+    for k in range(1, cfg.max_outer + 2):
+        if not np.isfinite(rnorm):
+            log.aborted = "residual is non-finite"
+            return x, log
+        if len(recent) == 6 and recent[-1] > 10.0 * recent[0]:
+            log.aborted = "residual grew 10x over 5 iterations"
+            return x, log
+        if rnorm <= cfg.outer_tolerance * scale:
             log.converged = True
+            return x, log
+        if k > cfg.max_outer:
             return x, log
         t0 = time.perf_counter()
         try:
@@ -181,15 +191,4 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         rnorm = np.linalg.norm(r)
         log.records.append(OuterRecord(k, rnorm, rep.iterations,
                                        time.perf_counter() - t0))
-        recent.append(rnorm)
-        if len(recent) > 6:
-            recent.pop(0)
-        if not np.isfinite(rnorm):
-            log.aborted = "residual became non-finite"
-            return x, log
-        if len(recent) == 6 and recent[-1] > 10.0 * recent[0]:
-            log.aborted = "residual grew 10x over 5 iterations"
-            return x, log
-
-    log.converged = np.linalg.norm(r) <= cfg.outer_tolerance * scale
-    return x, log
+        recent = (recent + [rnorm])[-6:]

@@ -8,6 +8,10 @@ build costs O(J M^3) for any K and carries the offsets of all sub-intervals
 as columns. Exact propagators come from the eigendecomposition of K, with
 the (phi, psi) coefficients of each eigenvalue taken from the overflow-safe
 closed forms of the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
+Their tracking offsets are exact for a target y_d that is affine in t on
+each sub-interval (all built-in targets are): they come from the affine
+particular solution of the state/adjoint system, and any other y_d is
+rejected.
 The dense coupled J-step system survives only as the brute-force oracle
 behind :func:`extract_phi_psi_scalar`.
 """
@@ -20,9 +24,6 @@ import numpy as np
 
 from paraopt_kit.analysis import _tc_exact, _tracking_exact
 from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveKind
-
-# implicit-Euler steps per sub-interval behind the exact tracking offsets
-OFFSET_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -119,14 +120,46 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                             b_P=b_P.T.copy(), b_Q=b_Q.T.copy(), objective=obj)
 
 
+def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
+                            Phi: np.ndarray, Psi: np.ndarray) -> tuple:
+    """Offsets (b_P, b_Q), each (L, M), of the exact tracking maps (Phi, Psi)
+    for a target y_d that is affine in t on each sub-interval.
+
+    With g = 1/sqrt(gamma), z = [y; lam] solves z' = H z + [0; g y_d] with
+    H = [[-K, -g I], [-g I, K]]. For y_d(t_l + s) = a_l + s b_l the affine
+    p(s) = c0 + s c1, with c1 = -H^-1 [0; g b_l] and
+    c0 = H^-1 (c1 - [0; g a_l]), is a particular solution, and the offsets are
+    what the exact maps leave of it: b_P = y_p(DT) - Phi y_p(0) + Psi lam_p(DT)
+    and b_Q = lam_p(0) - Psi y_p(0) - Phi lam_p(DT). For symmetric K,
+    H^2 = diag(K^2 + g^2 I, K^2 + g^2 I), so H is never singular. The
+    offsets carry the rounding of p, which is of the size of y_d, so offsets
+    much smaller than y_d (DT/sqrt(gamma) << 1) lose digits to cancellation.
+    """
+    # y_d at the ends (even columns) and midpoints (odd) of all sub-intervals
+    yd = np.array([problem.y_d(s) for s in DT / 2 * np.arange(2 * L + 1)]).T
+    ends = yd[:, ::2]
+    if (np.abs(yd[:, 1::2] - (ends[:, :-1] + ends[:, 1:]) / 2).max()
+            > 1e-12 * np.abs(yd).max()):
+        raise ValueError("exact tracking offsets need a target y_d that is "
+                         "affine in t on each sub-interval")
+    g = 1.0 / np.sqrt(problem.gamma)
+    gI, zero = g * np.eye(problem.M), np.zeros((problem.M, L))
+    H = np.block([[-problem.K, -gI], [-gI, problem.K]])
+    c1 = -np.linalg.solve(H, np.vstack([zero, g * np.diff(ends) / DT]))
+    c0 = np.linalg.solve(H, c1 - np.vstack([zero, g * ends[:, :-1]]))
+    (y0, lam0), (y1, lam1) = np.split(c0, 2), np.split(c0 + DT * c1, 2)
+    return (y1 - Phi @ y0 + Psi @ lam1).T, (lam0 - Psi @ y0 - Phi @ lam1).T
+
+
 def build_exact_propagator(problem: LinearControlProblem,
                            DT: float) -> AffinePropagator:
     """Exact-in-time propagator pair, built through the eigendecomposition
     of a symmetric K.
 
-    Tracking offsets have no convenient closed form for general y_d; they are
-    approximated by one high-resolution implicit-Euler build
-    (OFFSET_STEPS steps per sub-interval).
+    Tracking offsets are exact for a y_d that is affine in t on each
+    sub-interval (see :func:`_exact_tracking_offsets`); any other y_d raises
+    ValueError, since y_d is checked at each sub-interval midpoint against
+    the mean of its ends.
     """
     K = problem.K
     nrm = np.linalg.norm(K)
@@ -148,23 +181,11 @@ def build_exact_propagator(problem: LinearControlProblem,
     Psi = (Q * np.array([pp.psi for pp in pairs])) @ Q.T
     Psi_Q = Psi if tracking else np.zeros((M, M))
 
-    b_P = np.zeros((L, M))
-    b_Q = np.zeros((L, M))
-    if tracking:
-        ref = build_implicit_euler_propagator(problem, DT, OFFSET_STEPS,
-                                              Discretization.FOTD)
-        b_P, b_Q = ref.b_P, ref.b_Q
+    b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, Phi, Psi) if tracking
+                else np.zeros((2, L, M)))
 
     return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,
                             b_P=b_P, b_Q=b_Q, objective=problem.objective)
-
-
-def propagate(prop: AffinePropagator, l: int, y_prev: np.ndarray,
-              lam_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (P, Q) on sub-interval l (1-based)."""
-    y_next = prop.Phi_P @ y_prev - prop.Psi_P @ lam_next + prop.b_P[l - 1]
-    lam_prev = prop.Psi_Q @ y_prev + prop.Phi_Q @ lam_next + prop.b_Q[l - 1]
-    return y_next, lam_prev
 
 
 def linear_action(prop: AffinePropagator):

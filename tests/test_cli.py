@@ -218,6 +218,17 @@ class TestSolveCommand:
         assert not log.converged
         assert summary["aborted"] == "inner solver failure: injected"
 
+    def test_infinite_initial_residual_aborts(self, tmp_path):
+        # gamma = 1e-300 overflows the norm of r0; inf <= tol * inf used to
+        # report convergence after zero outer iterations
+        out = str(tmp_path / "run")
+        rc = main(["solve", "--n", "4", "--gamma", "1e-300", "--objective",
+                   "terminal_cost", "--output", out])
+        assert rc == 1
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["converged"] is False
+        assert summary["aborted"] == "residual is non-finite"
+
     BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
                  "--small-system-method", "black_box_iterative"]
 

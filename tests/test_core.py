@@ -19,7 +19,7 @@ from paraopt_kit.problem import (
     make_decomposition,
     make_scalar_problem,
 )
-from paraopt_kit.propagators import build_implicit_euler_propagator, propagate
+from paraopt_kit.propagators import build_implicit_euler_propagator
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -66,6 +66,13 @@ class TestMatchingResidual:
         bad = PairedTrajectory.zeros(d.L_hat + 1, p.M)
         with pytest.raises(ValueError):
             matching_residual(fine, p, d, bad)
+
+
+def propagate(prop, l, y_prev, lam_next):
+    """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
+    y_next = prop.Phi_P @ y_prev - prop.Psi_P @ lam_next + prop.b_P[l - 1]
+    lam_prev = prop.Psi_Q @ y_prev + prop.Phi_Q @ lam_next + prop.b_Q[l - 1]
+    return y_next, lam_prev
 
 
 def loop_residual(fine, problem, decomp, x):

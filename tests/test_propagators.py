@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,6 @@ from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
     extract_phi_psi_scalar,
     linear_action,
-    propagate,
 )
 
 TR = ObjectiveKind.TRACKING
@@ -33,6 +33,39 @@ def refined_solve(A, R):
     ld = np.longdouble
     r = R.astype(ld) - A.astype(ld) @ x.astype(ld)
     return x + np.linalg.solve(A, r.astype(float))
+
+
+def propagate(prop, l, y_prev, lam_next):
+    """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
+    y_next = prop.Phi_P @ y_prev - prop.Psi_P @ lam_next + prop.b_P[l - 1]
+    lam_prev = prop.Psi_Q @ y_prev + prop.Phi_Q @ lam_next + prop.b_Q[l - 1]
+    return y_next, lam_prev
+
+
+def van_loan_offsets(K, gamma, DT, L, y_d):
+    """Oracle: exact tracking offsets for y_d affine on each sub-interval,
+    from the exponential of the state/adjoint matrix augmented with the
+    source (Van Loan, IEEE TAC 1978). The source g*(a + s b) is driven by
+    the augmented states (1, s), so expm gives the full transition
+    z(DT) = E z(0) + f, which is then solved for the boundary maps."""
+    M = K.shape[0]
+    g = 1.0 / np.sqrt(gamma)
+    b_P, b_Q = np.zeros((2, L, M))
+    for l in range(L):
+        a = y_d(l * DT)
+        b = (y_d((l + 1) * DT) - a) / DT
+        A = np.zeros((2 * M + 2, 2 * M + 2))
+        A[:M, :M], A[:M, M:2 * M] = -K, -g * np.eye(M)
+        A[M:2 * M, :M], A[M:2 * M, M:2 * M] = -g * np.eye(M), K
+        A[M:2 * M, 2 * M], A[M:2 * M, 2 * M + 1] = g * a, g * b
+        A[2 * M + 1, 2 * M] = 1.0  # (1, s)' = (0, 1)
+        E = scipy.linalg.expm(A * DT)
+        f = E[:2 * M, 2 * M]  # z(DT) for z(0) = 0
+        # y(0) = 0 and lam(DT) = 0 fix lam(0) = -E_22^-1 f_lam
+        lam0 = -np.linalg.solve(E[M:2 * M, M:2 * M], f[M:])
+        b_P[l] = f[:M] + E[:M, M:2 * M] @ lam0
+        b_Q[l] = lam0
+    return b_P, b_Q
 
 
 def small_tracking_problem():
@@ -125,15 +158,59 @@ class TestExactBuild:
 
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_implicit_euler_converges_first_order(self, objective):
-        kwargs = {"y_d": lambda t: np.array([1.0])} if objective is TR else {}
-        p = make_scalar_problem(1.0, 1.0, 1.0, objective, **kwargs)
-        exact = build_exact_propagator(p, 1.0)
-        errs = []
-        for J in (64, 128):
-            ie = build_implicit_euler_propagator(p, 1.0, J)
-            errs.append(abs(ie.Phi_P[0, 0] - exact.Phi_P[0, 0])
-                        + abs(ie.Psi_P[0, 0] - exact.Psi_P[0, 0]))
-        assert errs[1] == pytest.approx(errs[0] / 2, rel=0.1)
+        # for tracking the offsets too: their J -> infinity limit is a second
+        # oracle for the exact ones, independent of the closed form
+        targets = [lambda t: 1.0, lambda t: 1.0 + t]
+        for y_d in targets if objective is TR else [None]:
+            p = make_scalar_problem(1.0, 1.0, 1.0, objective, y_d=y_d)
+            exact = build_exact_propagator(p, 1.0)
+            errs = []
+            for J in (64, 128):
+                ie = build_implicit_euler_propagator(p, 1.0, J)
+                errs.append([abs(ie.Phi_P[0, 0] - exact.Phi_P[0, 0])
+                             + abs(ie.Psi_P[0, 0] - exact.Psi_P[0, 0]),
+                             abs(ie.b_P[0, 0] - exact.b_P[0, 0]),
+                             abs(ie.b_Q[0, 0] - exact.b_Q[0, 0])])
+            if objective is TC:  # no offsets
+                errs = [e[:1] for e in errs]
+            for e64, e128 in zip(*errs):
+                assert e128 == pytest.approx(e64 / 2, rel=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), M=st.integers(1, 4),
+           L=st.integers(2, 5), norm_K=st.floats(0.01, 5.0),
+           gamma=st.floats(0.1, 10.0), T=st.floats(0.5, 2.0))
+    def test_tracking_offsets_match_van_loan(self, seed, M, L, norm_K, gamma,
+                                             T):
+        # the ranges keep s = DT*sqrt(sigma^2 + 1/gamma) <= 6: the oracle
+        # solves with a block of expm growing like exp(s) and loses digits
+        # beyond (3.9e-13 at s = 8.9). The closed form has its own limit at
+        # small DT/sqrt(gamma): its O(|y_d|) particular solution cancels to
+        # the O(DT/sqrt(gamma)) offsets, 2.4e-13 relative at T = 0.5, L = 5,
+        # gamma = 10; b_P alone, which is smaller still, is compared through
+        # the norm of both offsets, the vector the residual carries
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((M, M))
+        K = B @ B.T + 0.1 * np.eye(M)
+        K *= norm_K / np.linalg.norm(K, 2)  # SPD
+        a, b = rng.standard_normal((2, M))
+        y_d = lambda t: a + t * b
+        DT = T / L
+        p = LinearControlProblem(K=K, gamma=gamma, T=T, y_init=np.ones(M),
+                                 objective=TR, y_d=y_d)
+        prop = build_exact_propagator(p, DT)
+        want = np.hstack(van_loan_offsets(K, gamma, DT, L, y_d))
+        got = np.hstack([prop.b_P, prop.b_Q])
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        tc = build_exact_propagator(
+            LinearControlProblem(K=K, gamma=gamma, T=T, y_init=np.ones(M),
+                                 objective=TC, y_target=np.ones(M)), DT)
+        assert not tc.b_P.any() and not tc.b_Q.any()
+
+    def test_non_affine_target_rejected(self):
+        # y_d contains sin t, which no affine particular solution follows
+        with pytest.raises(ValueError, match="affine"):
+            build_exact_propagator(small_tracking_problem(), 0.5)
 
     @pytest.mark.parametrize("case", ["heat_terminal_cost", "scalar_tracking"])
     def test_large_sigma_hat_stays_finite(self, case):
@@ -158,18 +235,6 @@ class TestExactBuild:
 
 
 class TestPropagate:
-    def test_affine_in_boundary_data(self):
-        p = small_tracking_problem()
-        prop = build_implicit_euler_propagator(p, 0.5, 3)
-        rng = np.random.default_rng(0)
-        y0, lam = rng.standard_normal(2), rng.standard_normal(2)
-        yJ, lam0 = propagate(prop, 2, y0, lam)
-        yJ0, lam00 = propagate(prop, 2, np.zeros(2), np.zeros(2))
-        np.testing.assert_allclose(
-            yJ - yJ0, prop.Phi_P @ y0 - prop.Psi_P @ lam, atol=1e-13)
-        np.testing.assert_allclose(
-            lam0 - lam00, prop.Psi_Q @ y0 + prop.Phi_Q @ lam, atol=1e-13)
-
     def test_linear_action_matches_propagate(self):
         # the tracking offsets are nonzero, so this checks they are dropped
         p = small_tracking_problem()
