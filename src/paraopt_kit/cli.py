@@ -191,6 +191,9 @@ def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
         raise ConfigError(str(exc)) from exc
 
 
+# values that overflow to inf or NaN end the solve through its finiteness
+# checks, with the reason in the log, so numpy need not warn about them
+@np.errstate(over="ignore", invalid="ignore")
 def solve_case(cfg: RunConfig):
     """Run one configured solve; returns (trajectory, log, summary dict)."""
     cfg.validate()

@@ -123,6 +123,9 @@ def gmres(
                 break
 
         k = j + 1
+        # the rotations overflow to NaN on huge operator output
+        _check_finite(np.column_stack([H[:k, :k], g[:k]]),
+                      "gmres Hessenberg matrix")
         y = scipy.linalg.solve_triangular(H[:k, :k], g[:k])
         x = x + precond(sum(yi * v for yi, v in zip(y, V)))
 

@@ -5,9 +5,12 @@ by the alpha-circulant C(alpha) (and drops the terminal corner term), which
 diagonalizes in a scaled Fourier basis. Applying P(alpha)^{-1} then reduces
 to FFTs in time plus independent per-frequency solves: L_hat 2M x 2M solves
 for the general method, two rounds of L_hat M x M solves for the triangular
-one. alpha is real: for any other alpha, P(alpha)^{-1} of a real vector is
-complex. The dense P(alpha) that the inversion is checked against comes
-from the same block assembly as the coarse Jacobian,
+one. The 2M x 2M block H_l of frequency l,
+[[I + d_l Phi_P, Psi_P], [-Psi_Q, I + conj(d_l) Phi_Q]] with d_l the l-th
+eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real: for any
+other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
+that the inversion is checked against, and the H_l that the LU path
+factorizes, come from the same block assembly as the coarse Jacobian,
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
@@ -83,20 +86,6 @@ def _diagonal_solve(blocks: np.ndarray, scale: np.ndarray,
     FFT, unscale. F uses the positive-exponent unitary convention."""
     rhs = np.fft.ifft(scale[:, None] * blocks, axis=0, norm="ortho")
     return np.fft.fft(solve(rhs), axis=0, norm="ortho") / scale[:, None]
-
-
-def assemble_H_block(coarse: AffinePropagator, d_l: complex) -> np.ndarray:
-    """The 2M x 2M frequency block [[I + d_l Phi_P, Psi_P],
-    [-Psi_Q, I + conj(d_l) Phi_Q]], written into one Fortran-ordered array
-    so that LAPACK can factorize it in place."""
-    M = coarse.M
-    H = np.empty((2 * M, 2 * M), dtype=complex, order="F")
-    np.multiply(d_l, coarse.Phi_P, out=H[:M, :M])
-    H[:M, M:] = coarse.Psi_P
-    np.negative(coarse.Psi_Q, out=H[M:, :M])
-    np.multiply(np.conj(d_l), coarse.Phi_Q, out=H[M:, M:])
-    H[np.diag_indices(2 * M)] += 1.0
-    return H
 
 
 def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
@@ -278,7 +267,9 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                   lambda z: z @ coarse.Psi_P.T)
     else:
         blocks = "lu"
-        solves = (_lu_solves(assemble_H_block(coarse, dl) for dl in d),)
+        maps = (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q)
+        solves = (_lu_solves(assemble_block_system(maps, 1, coarse.objective,
+                                                   alpha=-dl) for dl in d),)
     return PreconditionerPlan(method=method, coarse=coarse, L_hat=Lh,
                               blocks=blocks, gamma_diag=_gamma_diag(Lh, alpha),
                               _solves=solves, _basis=basis)

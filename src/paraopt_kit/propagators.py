@@ -10,8 +10,8 @@ the (phi, psi) coefficients of each eigenvalue taken from the overflow-safe
 closed forms of the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
 Their tracking offsets are exact for a target y_d that is affine in t on
 each sub-interval (all built-in targets are): they come from the affine
-particular solution of the state/adjoint system, and any other y_d is
-rejected.
+particular solution of the state/adjoint system, in closed form per
+eigenvalue with the same (phi, psi), and any other y_d is rejected.
 The dense coupled J-step system survives only as the brute-force oracle
 behind :func:`extract_phi_psi_scalar`.
 """
@@ -121,18 +121,21 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
 
 
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
-                            Phi: np.ndarray, Psi: np.ndarray) -> tuple:
-    """Offsets (b_P, b_Q), each (L, M), of the exact tracking maps (Phi, Psi)
-    for a target y_d that is affine in t on each sub-interval.
+                            w: np.ndarray, Q: np.ndarray, phi: np.ndarray,
+                            psi: np.ndarray) -> np.ndarray:
+    """Offsets (b_P, b_Q), stacked into one (2, L, M) array, of the exact
+    tracking maps with coefficients (phi, psi) at the eigenpairs (w, Q) of
+    K, for a target y_d that is affine in t on each sub-interval.
 
     With g = 1/sqrt(gamma), z = [y; lam] solves z' = H z + [0; g y_d] with
-    H = [[-K, -g I], [-g I, K]]. For y_d(t_l + s) = a_l + s b_l the affine
-    p(s) = c0 + s c1, with c1 = -H^-1 [0; g b_l] and
-    c0 = H^-1 (c1 - [0; g a_l]), is a particular solution, and the offsets are
-    what the exact maps leave of it: b_P = y_p(DT) - Phi y_p(0) + Psi lam_p(DT)
-    and b_Q = lam_p(0) - Psi y_p(0) - Phi lam_p(DT). For symmetric K,
-    H^2 = diag(K^2 + g^2 I, K^2 + g^2 I), so H is never singular. The
-    offsets carry the rounding of p, which is of the size of y_d, so offsets
+    H = [[-K, -g I], [-g I, K]], which splits per eigenvalue sigma of K. On
+    a sub-interval where the mode of y_d is affine with slope y_d', the
+    affine particular solution is, with r = hypot(sigma, g),
+    y_p = (g/r)^2 y_d and lam_p = -(g/r) ((sigma/r) y_d + y_d'/r), and the
+    offsets are what the exact maps leave of it:
+    b_P = y_p(DT) - phi y_p(0) + psi lam_p(DT) and
+    b_Q = lam_p(0) - psi y_p(0) - phi lam_p(DT). r never vanishes, and hypot
+    keeps it finite for any sigma. y_p is of the size of y_d, so offsets
     much smaller than y_d (DT/sqrt(gamma) << 1) lose digits to cancellation.
     """
     # y_d at the ends (even columns) and midpoints (odd) of all sub-intervals
@@ -143,18 +146,21 @@ def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
         raise ValueError("exact tracking offsets need a target y_d that is "
                          "affine in t on each sub-interval")
     g = 1.0 / np.sqrt(problem.gamma)
-    gI, zero = g * np.eye(problem.M), np.zeros((problem.M, L))
-    H = np.block([[-problem.K, -gI], [-gI, problem.K]])
-    c1 = -np.linalg.solve(H, np.vstack([zero, g * np.diff(ends) / DT]))
-    c0 = np.linalg.solve(H, c1 - np.vstack([zero, g * ends[:, :-1]]))
-    (y0, lam0), (y1, lam1) = np.split(c0, 2), np.split(c0 + DT * c1, 2)
-    return (y1 - Phi @ y0 + Psi @ lam1).T, (lam0 - Psi @ y0 - Phi @ lam1).T
+    w, phi, psi = (v[:, None] for v in (w, phi, psi))  # one row per mode
+    r = np.hypot(w, g)
+    e = Q.T @ ends  # modes of y_d at the sub-interval ends
+    e0, e1, slope = e[:, :-1], e[:, 1:], np.diff(e) / DT
+    y0, y1 = (g / r) ** 2 * e0, (g / r) ** 2 * e1
+    lam0, lam1 = (-(g / r) * (w / r * ek + slope / r) for ek in (e0, e1))
+    b_P, b_Q = y1 - phi * y0 + psi * lam1, lam0 - psi * y0 - phi * lam1
+    return (Q @ np.stack([b_P, b_Q])).transpose(0, 2, 1)
 
 
 def build_exact_propagator(problem: LinearControlProblem,
                            DT: float) -> AffinePropagator:
     """Exact-in-time propagator pair, built through the eigendecomposition
-    of a symmetric K.
+    of a symmetric K: one eigh gives the (phi, psi) of every eigenvalue,
+    and the maps and the tracking offsets are both formed from them.
 
     Tracking offsets are exact for a y_d that is affine in t on each
     sub-interval (see :func:`_exact_tracking_offsets`); any other y_d raises
@@ -177,12 +183,12 @@ def build_exact_propagator(problem: LinearControlProblem,
     # unchecked forms: a propagator exists for every eigenvalue, also outside
     # the range the analysis bounds assume (phi = 1 at a vanishing one)
     pairs = [closed_form(DT * sigma, gh) for sigma in w]
-    Phi = (Q * np.array([pp.phi for pp in pairs])) @ Q.T
-    Psi = (Q * np.array([pp.psi for pp in pairs])) @ Q.T
+    phi, psi = np.array([(pp.phi, pp.psi) for pp in pairs]).T
+    Phi, Psi = (Q * phi) @ Q.T, (Q * psi) @ Q.T
     Psi_Q = Psi if tracking else np.zeros((M, M))
 
-    b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, Phi, Psi) if tracking
-                else np.zeros((2, L, M)))
+    b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, Q, phi, psi)
+                if tracking else np.zeros((2, L, M)))
 
     return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,
                             b_P=b_P, b_Q=b_Q, objective=problem.objective)

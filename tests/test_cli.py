@@ -229,6 +229,41 @@ class TestSolveCommand:
         assert summary["converged"] is False
         assert summary["aborted"] == "residual is non-finite"
 
+    TRIANGULAR = ["solve", "--objective", "terminal_cost", "--n", "4",
+                  "--precond", "--precond-method", "triangular"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("args,reason", [
+        (["solve", "--n", "4", "--gamma", "1e-300"],
+         "residual is non-finite"),
+        (["solve", "--n", "4", "--gamma", "1e-300",
+          "--objective", "terminal_cost"], "residual is non-finite"),
+        (["solve", "--n", "4", "--L", "3", "--T", "1e300"],
+         "residual is non-finite"),
+        # the Givens rotations of the inner GMRES overflow to NaN
+        ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"],
+         "inner solver failure: non-finite values in gmres Hessenberg matrix"),
+        ([*TRIANGULAR, "--L", "11", "--alpha-real", "1e-30"],
+         "inner solver failure: non-finite values in gmres Hessenberg matrix"),
+    ], ids=["tiny-gamma-tracking", "tiny-gamma-terminal-cost", "huge-T",
+            "tiny-alpha-L3", "tiny-alpha-L11"])
+    def test_overflow_aborts_without_warnings(self, tmp_path, args, reason):
+        out = str(tmp_path / "run")
+        assert main([*args, "--output", out]) == 1
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["aborted"] == reason
+
+    def test_diverging_residual_aborts(self, tmp_path):
+        # alpha = 1e300 makes P(alpha)^{-1} useless, and five inner steps
+        # per outer step let the residual grow
+        out = str(tmp_path / "run")
+        rc = main([*self.TRIANGULAR, "--L", "3", "--alpha-real", "1e300",
+                   "--max-inner", "5", "--output", out])
+        assert rc == 1
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["aborted"] == "residual grew 10x over 5 iterations"
+        assert summary["outer_iterations"] == 5
+
     BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
                  "--small-system-method", "black_box_iterative"]
 
@@ -326,6 +361,19 @@ class TestExperimentCommand:
         for line in lines[2:]:
             _, _, bound, exact = line.split(",")
             assert float(exact) <= float(bound) + 1e-12
+
+    def test_heat_total_iterations(self, tmp_path):
+        out = str(tmp_path / "exp")
+        assert main(["experiment", "HeatTotalIterations", "-o", out]) == 0
+        lines = read_lines(os.path.join(out, "total_iterations.csv"))
+        assert lines[1] == "L_hat,preconditioned,outer_iters,total_inner"
+        rows = [tuple(int(v) for v in line.split(",")) for line in lines[2:]]
+        assert len(rows) == 8
+        assert [r[1] for r in rows] == [1, 0] * 4  # bools print as 1/0
+        # the same solves as test_heat_tracking_iteration_counts
+        pinned = {(10, 1): (6, 24), (10, 0): (6, 115),
+                  (100, 1): (10, 36), (100, 0): (10, 391)}
+        assert {r[:2]: r[2:] for r in rows if r[0] in (10, 100)} == pinned
 
     def test_several_ids_write_one_folder_each(self, tmp_path):
         out = str(tmp_path / "out")

@@ -87,6 +87,14 @@ class TestGmres:
         with pytest.raises(FloatingPointError):
             gmres(lambda v: v * np.nan, np.ones(4))
 
+    def test_overflowing_rotation_raises(self):
+        # the operator output is finite, but |H[0, 0]|^2 overflows in the
+        # first Givens rotation, which then fills H and g with NaN
+        scale = np.array([1e300, 1.0, 1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="Hessenberg"):
+            gmres(lambda v: scale * v, np.ones(4))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 25))
     def test_history_is_monotone(self, seed, n):

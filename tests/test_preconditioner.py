@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.core import assemble_jacobian
 from paraopt_kit.preconditioner import (
     InversionMethod,
     SmallSystemMethod,
     alpha_circulant_eigenvalues,
-    assemble_H_block,
     assemble_P_alpha,
     build_plan,
     solve_block_blackbox,
@@ -242,7 +242,10 @@ class TestBlockSolvers:
     def test_blackbox_matches_direct(self):
         _, d, coarse = tracking_setup(J_coarse=2)
         d_l = -0.3 + 0.7j
-        H = assemble_H_block(coarse, d_l)
+        # the frequency block H_l is the one-interval P(-d_l)
+        H = assemble_block_system(
+            (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q), 1,
+            coarse.objective, alpha=-d_l)
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(2 * coarse.M) + 1j * rng.standard_normal(
             2 * coarse.M)
