@@ -151,16 +151,22 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     steps aborts the solve with the reason in ``log.aborted``.
     """
     Lh, M = decomp.L_hat, problem.M
-    x = PairedTrajectory.zeros(Lh, M)
+    # x stays one flat vector; the residual sees (L_hat, M) views of it
+    x = np.zeros(2 * Lh * M)
     log = SolveLog()
 
     def op(v):
         return apply_jacobian(coarse, coarse.objective, decomp, v)
 
+    def residual(x):
+        y, lam_hat = x.reshape(2, Lh, M)
+        return matching_residual(fine, problem, decomp,
+                                 PairedTrajectory(y, lam_hat))
+
     plan = cfg.preconditioner
     precond = None if plan is None else plan.apply_inverse
 
-    r = matching_residual(fine, problem, decomp, x)
+    r = residual(x)
     rnorm = np.linalg.norm(r)
     scale = max(1.0, rnorm)
     log.records.append(OuterRecord(0, rnorm, 0, 0.0))
@@ -171,24 +177,25 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     for k in range(1, cfg.max_outer + 2):
         if not np.isfinite(rnorm):
             log.aborted = "residual is non-finite"
-            return x, log
+            break
         if len(recent) == 6 and recent[-1] > 10.0 * recent[0]:
             log.aborted = "residual grew 10x over 5 iterations"
-            return x, log
+            break
         if rnorm <= cfg.outer_tolerance * scale:
             log.converged = True
-            return x, log
+            break
         if k > cfg.max_outer:
-            return x, log
+            break
         t0 = time.perf_counter()
         try:
             delta, rep = gmres(op, -r, precond=precond, cfg=cfg.inner)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             log.aborted = f"inner solver failure: {exc}"
-            return x, log
-        x = PairedTrajectory.from_vector(x.as_vector() + delta, Lh, M)
-        r = matching_residual(fine, problem, decomp, x)
+            break
+        x += delta
+        r = residual(x)
         rnorm = np.linalg.norm(r)
         log.records.append(OuterRecord(k, rnorm, rep.iterations,
                                        time.perf_counter() - t0))
         recent = (recent + [rnorm])[-6:]
+    return PairedTrajectory.from_vector(x, Lh, M), log

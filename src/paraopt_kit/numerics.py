@@ -3,8 +3,18 @@ solves.
 
 GMRES is full (unrestarted) and always starts from x = 0, the only start
 the Newton steps need. Matrices are plain numpy arrays (real or complex).
-All norms are Euclidean and reductions happen in a fixed sequential order,
-so repeated runs on the same data are bitwise reproducible.
+All norms are Euclidean.
+
+The Arnoldi step orthogonalizes with classical Gram–Schmidt applied twice
+(CGS2), which is as stable as modified Gram–Schmidt (Giraud, Langou &
+Rozložník, Comput. Math. Appl. 2005) and runs as matrix–vector products on
+the Krylov basis, kept as the rows of contiguous blocks of a few dozen
+vectors, allocated as the basis grows. With a preconditioner the method is
+flexible GMRES (Saad, SIAM J. Sci. Comput. 1993): it stores z_j = P⁻¹v_j
+and updates x by Z y, so P⁻¹ is applied once per iteration and never to
+form the update. Those products run in BLAS, whose rounding may depend on
+its thread count, so repeated runs on the same data are bitwise
+reproducible only for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -14,6 +24,11 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+
+# rows of the first basis block and of every later one. Preconditioned
+# solves take a few iterations per call and stay in the first block, so they
+# allocate little; long runs get larger blocks, whose products run faster
+_FIRST_ROWS, _BLOCK_ROWS = 8, 32
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,71 @@ class GmresReport:
     residual_history: list = field(default_factory=list)
 
 
+class _RowBlocks:
+    """Vectors kept as the rows of contiguous blocks, of _FIRST_ROWS rows
+    and then _BLOCK_ROWS each; a block is allocated when the last one is
+    full. A complex vector switches the storage to complex."""
+
+    def __init__(self, n: int, dtype):
+        self.n = n
+        self.dtype = np.dtype(dtype)
+        self.blocks: list[np.ndarray] = []
+        self.size = 0
+
+    def to_complex(self) -> None:
+        self.dtype = np.dtype(complex)
+        self.blocks = [blk.astype(complex) for blk in self.blocks]
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        if j < _FIRST_ROWS:
+            return self.blocks[0][j]
+        i, row = divmod(j - _FIRST_ROWS, _BLOCK_ROWS)
+        return self.blocks[i + 1][row]
+
+    def append(self, v: np.ndarray) -> None:
+        if np.iscomplexobj(v) and self.dtype.kind != "c":
+            self.to_complex()
+        if self.size == sum(len(blk) for blk in self.blocks):
+            rows = _BLOCK_ROWS if self.blocks else _FIRST_ROWS
+            self.blocks.append(np.empty((rows, self.n), self.dtype))
+        self[self.size][:] = v
+        self.size += 1
+
+    def filled(self, k: int) -> list[tuple[int, np.ndarray]]:
+        """(index of the first row, rows) of each block among the first k
+        rows."""
+        out, start = [], 0
+        for blk in self.blocks:
+            if start >= k:
+                break
+            out.append((start, blk[:k - start]))
+            start += len(blk)
+        return out
+
+    def combine(self, y: np.ndarray) -> np.ndarray:
+        """sum_i y_i v_i over the first len(y) rows."""
+        return sum(y[start:start + len(blk)] @ blk
+                   for start, blk in self.filled(len(y)))
+
+    def orthogonalize(self, w: np.ndarray) -> np.ndarray:
+        """Remove from w, in place, its components along every row, by
+        classical Gram–Schmidt applied twice; return the h with
+        w (given) = sum_i h_i v_i + w (returned)."""
+        blocks = [blk for _, blk in self.filled(self.size)]
+        h = np.zeros(self.size, w.dtype)
+        for _ in range(2):
+            if w.dtype.kind == "c":
+                # conj(B @ conj(w)) = conj(B) @ w without copying a block
+                wc = w.conj()
+                parts = [(blk @ wc).conj() for blk in blocks]
+            else:
+                parts = [blk @ w for blk in blocks]
+            for blk, hb in zip(blocks, parts):
+                w -= hb @ blk
+            h += np.concatenate(parts)
+        return h
+
+
 def gmres(
     matvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
@@ -43,7 +123,7 @@ def gmres(
     cfg: GmresConfig = GmresConfig(),
 ) -> tuple[np.ndarray, GmresReport]:
     """Solve A x = b with full (unrestarted) GMRES from x = 0, optionally
-    right-preconditioned.
+    right-preconditioned (flexible GMRES: P⁻¹ may differ between calls).
 
     With right preconditioning the reported residuals are true residuals of
     the unpreconditioned system, so iteration counts with and without a
@@ -58,8 +138,6 @@ def gmres(
     """
     b = np.asarray(b)
     n = b.shape[0]
-    if precond is None:
-        precond = lambda v: v
     _check_finite(b, "gmres right-hand side")
 
     norm_b = np.linalg.norm(b)
@@ -76,45 +154,48 @@ def gmres(
         beta = np.linalg.norm(r)
         m = min(cfg.max_iterations - total_iters, n)
         dtype = complex if np.iscomplexobj(r) else float
-        # Krylov basis: one contiguous vector per Arnoldi step
-        V = [r / beta]
-        H = np.zeros((m + 1, m), dtype=dtype)
-        cs = np.zeros(m, dtype=dtype)
-        sn = np.zeros(m, dtype=dtype)
-        g = np.zeros(m + 1, dtype=dtype)
-        g[0] = beta
+        # Krylov basis V and, when preconditioned, Z with z_j = P⁻¹ v_j
+        V = _RowBlocks(n, dtype)
+        V.append(r / beta)
+        Z = V if precond is None else _RowBlocks(n, dtype)
+        # column j of the Hessenberg matrix, once rotated, is R[:j+1, j];
+        # g is the rotated right-hand side beta e_1
+        R_cols: list[np.ndarray] = []
+        cs: list = []
+        sn: list = []
+        g: list = [beta]
 
         for j in range(m):
-            w = matvec(precond(V[j]))
+            z = V[j]
+            if precond is not None:
+                z = precond(z)
+                Z.append(z)
+            w = matvec(z)
             _check_finite(w, "gmres operator output")
-            if np.iscomplexobj(w) and not np.iscomplexobj(V[0]):
-                V = [v.astype(complex) for v in V]
-                H, cs, sn, g = (a.astype(complex) for a in (H, cs, sn, g))
-            w = w.astype(V[0].dtype, copy=True)
-            # modified Gram-Schmidt
-            for i, v in enumerate(V):
-                H[i, j] = np.vdot(v, w)
-                w -= H[i, j] * v
-            H[j + 1, j] = np.linalg.norm(w)
+            if np.iscomplexobj(w) and V.dtype.kind != "c":
+                V.to_complex()
+            w = w.astype(V.dtype, copy=True)
+            h = np.append(V.orthogonalize(w), np.linalg.norm(w))
             # lucky breakdown: the Krylov space is invariant, so this step
             # is the last one of the cycle (Saad, Iterative Methods, 6.5)
-            breakdown = abs(H[j + 1, j]) <= 1e-14 * beta
+            breakdown = abs(h[j + 1]) <= 1e-14 * beta
             if not breakdown:
-                V.append(w / H[j + 1, j])
+                V.append(w / h[j + 1])
             # apply accumulated Givens rotations, then form a new one
             for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -np.conj(sn[i]) * H[i, j] + np.conj(cs[i]) * H[i + 1, j]
-                H[i, j] = t
-            denom = np.sqrt(abs(H[j, j]) ** 2 + abs(H[j + 1, j]) ** 2)
+                h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                                  -np.conj(sn[i]) * h[i] + np.conj(cs[i]) * h[i + 1])
+            # hypot: squaring the entries would overflow for |h| > 1e154
+            denom = np.hypot(abs(h[j]), abs(h[j + 1]))
             if denom == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
+                cs.append(1.0)
+                sn.append(0.0)
             else:
-                cs[j] = np.conj(H[j, j]) / denom
-                sn[j] = np.conj(H[j + 1, j]) / denom
-            H[j, j] = cs[j] * H[j, j] + sn[j] * H[j + 1, j]
-            H[j + 1, j] = 0.0
-            g[j + 1] = -np.conj(sn[j]) * g[j]
+                cs.append(np.conj(h[j]) / denom)
+                sn.append(np.conj(h[j + 1]) / denom)
+            h[j] = cs[j] * h[j] + sn[j] * h[j + 1]
+            R_cols.append(h[:j + 1])
+            g.append(-np.conj(sn[j]) * g[j])
             g[j] = cs[j] * g[j]
             total_iters += 1
             rel = abs(g[j + 1]) / norm_b
@@ -123,11 +204,14 @@ def gmres(
                 break
 
         k = j + 1
+        R = np.zeros((k, k), dtype=np.result_type(*R_cols))
+        for i, col in enumerate(R_cols):
+            R[:i + 1, i] = col
+        g = np.array(g[:k])
         # the rotations overflow to NaN on huge operator output
-        _check_finite(np.column_stack([H[:k, :k], g[:k]]),
-                      "gmres Hessenberg matrix")
-        y = scipy.linalg.solve_triangular(H[:k, :k], g[:k])
-        x = x + precond(sum(yi * v for yi, v in zip(y, V)))
+        _check_finite(np.column_stack([R, g]), "gmres Hessenberg matrix")
+        y = scipy.linalg.solve_triangular(R, g)
+        x = x + Z.combine(y)
 
         r = b - matvec(x)
         _check_finite(r, "gmres operator output")

@@ -168,8 +168,9 @@ def build_exact_propagator(problem: LinearControlProblem,
     the mean of its ends.
     """
     K = problem.K
-    nrm = np.linalg.norm(K)
-    if nrm > 0 and np.linalg.norm(K - K.T) > 1e-12 * nrm:
+    # scaled by max |K|, so that the norms cannot overflow
+    Ks = K / max(np.abs(K).max(), np.finfo(float).tiny)
+    if np.linalg.norm(Ks - Ks.T) > 1e-12 * np.linalg.norm(Ks):
         raise ValueError("exact propagators require a symmetric K")
     M = K.shape[0]
     L = int(round(problem.T / DT))

@@ -233,36 +233,50 @@ class TestSolveCommand:
                   "--precond", "--precond-method", "triangular"]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("args,reason", [
+    @pytest.mark.parametrize("args,rc,reason,counts", [
         (["solve", "--n", "4", "--gamma", "1e-300"],
-         "residual is non-finite"),
+         1, "residual is non-finite", (0, 0)),
         (["solve", "--n", "4", "--gamma", "1e-300",
-          "--objective", "terminal_cost"], "residual is non-finite"),
+          "--objective", "terminal_cost"], 1, "residual is non-finite", (0, 0)),
         (["solve", "--n", "4", "--L", "3", "--T", "1e300"],
-         "residual is non-finite"),
-        # the Givens rotations of the inner GMRES overflow to NaN
+         1, "residual is non-finite", (0, 0)),
+        # P(1e-30)^{-1} is of size 1e30. Flexible GMRES updates x with the
+        # stored P^{-1} v_j, so the update keeps its accuracy: L=3 converges
+        # and L=11 grows; both used to overflow the Givens rotations when
+        # the update applied P^{-1} to V y
         ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"],
-         "inner solver failure: non-finite values in gmres Hessenberg matrix"),
+         0, None, (5, 251)),
         ([*TRIANGULAR, "--L", "11", "--alpha-real", "1e-30"],
-         "inner solver failure: non-finite values in gmres Hessenberg matrix"),
+         1, "residual grew 10x over 5 iterations", (5, 5000)),
+        # the Hessenberg column overflows to inf, and the rotations to NaN
+        ([*TRIANGULAR, "--L", "11", "--alpha-real", "1e-100"],
+         1, "inner solver failure: non-finite values in gmres Hessenberg matrix",
+         (0, 0)),
     ], ids=["tiny-gamma-tracking", "tiny-gamma-terminal-cost", "huge-T",
-            "tiny-alpha-L3", "tiny-alpha-L11"])
-    def test_overflow_aborts_without_warnings(self, tmp_path, args, reason):
+            "tiny-alpha-L3", "tiny-alpha-L11", "tinier-alpha-L11"])
+    def test_overflow_aborts_without_warnings(self, tmp_path, args, rc, reason,
+                                              counts):
         out = str(tmp_path / "run")
-        assert main([*args, "--output", out]) == 1
+        assert main([*args, "--output", out]) == rc
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["aborted"] == reason
+        assert (summary["outer_iterations"],
+                summary["total_inner_iterations"]) == counts
 
     def test_diverging_residual_aborts(self, tmp_path):
         # alpha = 1e300 makes P(alpha)^{-1} useless, and five inner steps
-        # per outer step let the residual grow
+        # per outer step do not reduce the residual. Before flexible GMRES
+        # the update P^{-1}(V y) made it grow 10x within five outer steps;
+        # now the residual stalls and the solve stops at --max-outer
         out = str(tmp_path / "run")
         rc = main([*self.TRIANGULAR, "--L", "3", "--alpha-real", "1e300",
                    "--max-inner", "5", "--output", out])
         assert rc == 1
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
-        assert summary["aborted"] == "residual grew 10x over 5 iterations"
-        assert summary["outer_iterations"] == 5
+        assert summary["converged"] is False
+        assert summary["aborted"] is None
+        assert (summary["outer_iterations"],
+                summary["total_inner_iterations"]) == (100, 500)
 
     BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
                  "--small-system-method", "black_box_iterative"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +96,83 @@ class TestGmres:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(FloatingPointError, match="Hessenberg"):
             gmres(lambda v: scale * v, np.ones(4))
+
+    def test_huge_scaling_converges_without_warnings(self):
+        # |H[0, 0]|^2 = 1e400 used to overflow the Givens denominator, which
+        # made the rotated diagonal 0 and the triangular solve singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, rep = gmres(lambda v: 1e200 * v, np.ones(4))
+        assert rep.converged
+        np.testing.assert_allclose(x, np.full(4, 1e-200), rtol=1e-14)
+
+    def test_precond_applied_once_per_iteration(self):
+        # flexible GMRES keeps z_j = P^{-1} v_j, so forming the update
+        # costs no further application; the lucky breakdown makes two cycles
+        A = np.diag(np.arange(1.0, 9.0))
+        b = np.zeros(8)
+        b[:2] = 1.0
+        calls = []
+
+        def precond(v):
+            calls.append(1)
+            return v / (np.arange(1.0, 9.0) + 0.5)
+
+        x, rep = gmres(lambda v: A @ v, b, precond=precond,
+                       cfg=GmresConfig(rel_tolerance=1e-12))
+        assert rep.converged
+        assert len(calls) == rep.iterations
+        np.testing.assert_allclose(A @ x, b, atol=1e-12)
+
+    def test_one_cycle_solves_ill_conditioned_system(self):
+        # a full cycle of n Arnoldi steps spans R^n, so one cycle solves the
+        # system when the basis stays orthogonal; one Gram-Schmidt pass loses
+        # orthogonality on these matrices and needs a second cycle of ~n steps
+        n = 20
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            A = (np.diag(np.logspace(0, 6, n))
+                 + 10 * np.triu(rng.standard_normal((n, n)), 1))
+            b = rng.standard_normal(n)
+            x, rep = gmres(lambda v: A @ v, b,
+                           cfg=GmresConfig(rel_tolerance=1e-10,
+                                           max_iterations=4 * n))
+            assert rep.converged
+            assert rep.iterations <= n + n // 4, seed
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 8),
+           complex_data=st.booleans(), preconditioned=st.booleans())
+    def test_history_matches_krylov_least_squares(self, seed, n, complex_data,
+                                                  preconditioned):
+        # oracle: after k steps the residual is the least-squares minimum of
+        # |b - A P^{-1} Q c| over an orthonormal basis Q of the Krylov space
+        # K_k(A P^{-1}, b), formed explicitly and orthonormalized by QR
+        rng = np.random.default_rng(seed)
+
+        def rand(*shape):
+            a = rng.standard_normal(shape)
+            return a + 1j * rng.standard_normal(shape) if complex_data else a
+
+        A = rand(n, n) + n * np.eye(n)
+        b = rand(n)
+        Pinv = (np.linalg.inv(A + 0.5 * rand(n, n)) if preconditioned
+                else np.eye(n))
+        _, rep = gmres(lambda v: A @ v, b,
+                       precond=(lambda v: Pinv @ v) if preconditioned else None,
+                       cfg=GmresConfig(rel_tolerance=1e-12))
+        AP = A @ Pinv
+        cols = [b / np.linalg.norm(b)]
+        for k in range(1, min(n, rep.iterations) + 1):
+            Q = np.linalg.qr(np.column_stack(cols))[0]
+            W = AP @ Q
+            c = np.linalg.lstsq(W, b, rcond=None)[0]
+            oracle = np.linalg.norm(b - W @ c) / np.linalg.norm(b)
+            if oracle < 1e-4:
+                break  # the explicit Krylov basis is too ill-conditioned
+            assert rep.residual_history[k] == pytest.approx(oracle, rel=1e-8)
+            nxt = AP @ cols[-1]
+            cols.append(nxt / np.linalg.norm(nxt))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 25))

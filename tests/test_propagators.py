@@ -156,6 +156,16 @@ class TestExactBuild:
         with pytest.raises(ValueError):
             build_exact_propagator(p, 0.5)
 
+    def test_requires_symmetric_K_whose_norm_overflows(self):
+        # the K of test_requires_symmetric_K times 1e200: its Frobenius norm
+        # overflows to inf, and the unscaled test ||K - K^T|| > 1e-12 ||K||
+        # never fired, so eigh read the lower triangle only and gave Phi = 0
+        K = 1e200 * np.array([[1.0, 1.0], [0.0, 1.0]])
+        p = LinearControlProblem(K=K, gamma=1.0, T=1.0, y_init=np.zeros(2),
+                                 objective=TC, y_target=np.zeros(2))
+        with pytest.raises(ValueError, match="symmetric"):
+            build_exact_propagator(p, 0.5)
+
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_implicit_euler_converges_first_order(self, objective):
         # for tracking the offsets too: their J -> infinity limit is a second
