@@ -4,23 +4,33 @@ For a normal system matrix K the iteration matrix decouples, per eigenvalue
 sigma of K, into a 2*L_hat x 2*L_hat matrix S_sigma built from four scalar
 propagation coefficients: phi/psi for the fine propagator and
 phi_tilde/psi_tilde for the coarse one. This module provides the coefficient
-catalog (closed forms for implicit-Euler and exact sub-interval solvers),
-L_hat-independent contraction bounds rho_star, the exact spectral radius of
-S_sigma as an oracle, and grid sweeps producing contour-plot data.
+catalog, L_hat-independent contraction bounds rho_star, the exact spectral
+radius of S_sigma as an oracle, and grid sweeps producing contour-plot data.
+The catalog and the bounds work elementwise on arrays, so a grid sweep is
+one evaluation per panel.
+
+It holds the one composition of implicit-Euler steps,
+:func:`implicit_euler_maps`, for K of shape (..., m, m): the dense M x M
+propagators of :mod:`paraopt_kit.propagators` and a stack of eigenvalues
+alike. The implicit-Euler catalog entries are that composition at one
+eigenvalue, K = [[sigma]]; the exact-solver entries are overflow-safe
+closed forms.
 
 It also holds the one dense assembly of the ParaOpt block system,
 :func:`assemble_block_system`: with 1 x 1 maps it gives the two systems
 behind S_sigma; with M x M maps it is the dense coarse Jacobian of
 :mod:`paraopt_kit.core` and, given alpha, the dense P(alpha) of
 :mod:`paraopt_kit.preconditioner`, the oracles their fast paths are tested
-against. It lives here, the lowest layer, because the other two import it.
+against. Both live here, the lowest layer, because the modules above
+import them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -32,50 +42,121 @@ from paraopt_kit.problem import Discretization, ObjectiveKind
 class PhiPsi:
     """One propagator's scalar coefficients at a single eigenvalue sigma:
     y-component decays by phi per sub-interval and picks up -psi times the
-    rescaled adjoint."""
+    rescaled adjoint. Given arrays, the catalog fills both elementwise."""
 
     phi: float
     psi: float
 
 
-def _require_valid(pp: PhiPsi, sigma: float, where: str) -> PhiPsi:
+def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
     # contraction requires 0 < phi < 1 and psi > 0 once sigma > 0;
     # phi == 0.0 is tolerated as the underflow of a positive quantity
     # (exp(-sigma_hat) for sigma_hat beyond ~745)
-    if sigma > 0 and not (0.0 <= pp.phi < 1.0 and pp.psi > 0.0):
+    ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
+    if np.any((np.asarray(sigma) > 0) & ~ok):
         raise ValueError(f"{where}: coefficients ({pp.phi}, {pp.psi}) leave "
                          f"the admissible range at sigma={sigma}")
     return pp
 
 
-def _sinhc_scaled(s: float) -> float:
-    """exp(-s)*sinh(s)/s for s >= 0, overflow-free (limit 1 at s = 0)."""
-    if s == 0.0:
-        return 1.0
-    return -np.expm1(-2.0 * s) / (2.0 * s)
+def _sinhc_scaled(s):
+    """exp(-s)*sinh(s)/s for s >= 0, elementwise and overflow-free (limit 1
+    at s = 0)."""
+    s = np.asarray(s, dtype=float)
+    return np.divide(-np.expm1(-2.0 * s), 2.0 * s, out=np.ones_like(s),
+                     where=s != 0.0)
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Maps of segment a followed by segment b.
+
+    Each argument is (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) in the
+    AffinePropagator convention, with maps of shape (..., m, m) and offsets
+    of shape (..., m, L), all with the same batch shape. The interface
+    unknowns (y at the end of a, lam at the start of b) are eliminated with
+    one m x m solve per batch entry.
+    """
+    Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
+    Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
+    m = Phi_Pa.shape[-1]
+    # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
+    # with N = (I + Psi_P^a Psi_Q^b)^-1; the right-hand side is a matrix per
+    # batch entry, as 1-D ones broadcast differently across numpy versions
+    UVc = np.linalg.solve(np.eye(m) + Psi_Pa @ Psi_Qb,
+                          np.concatenate([Phi_Pa, Psi_Pa @ Phi_Qb,
+                                          b_Pa - Psi_Pa @ b_Qb], axis=-1))
+    U, V, c = UVc[..., :m], UVc[..., m:2 * m], UVc[..., 2 * m:]
+    return (Phi_Pb @ U,
+            Psi_Pb + Phi_Pb @ V,
+            Phi_Qa @ (Phi_Qb - Psi_Qb @ V),
+            Psi_Qa + Phi_Qa @ (Psi_Qb @ U),
+            Phi_Pb @ c + b_Pb,
+            Phi_Qa @ (Psi_Qb @ c + b_Qb) + b_Qa)
+
+
+def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
+                        objective: ObjectiveKind,
+                        variant: Discretization = Discretization.FOTD,
+                        target: Optional[Callable[[int], np.ndarray]] = None,
+                        ) -> tuple:
+    """Maps (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) of J implicit-Euler steps
+    of length tau, for K of shape (..., m, m): a dense K, or a stack of
+    eigenvalues as 1 x 1 matrices.
+
+    gh is the gamma-scaled step (tau/sqrt(gamma) for tracking, tau/gamma
+    for terminal cost) and broadcasts against K. One step inverts
+    Z = I + tau K and maps (y_{j-1}, lam_j) to (y_j, lam_{j-1}) by
+    Phi_P = Z^-1, Phi_Q = Z^-T, Psi_P = gh Z^-1 (gh Z^-1 Z^-T for FDTO) and
+    Psi_Q = gh Z^-T for tracking (0 otherwise); the J steps are folded
+    with :func:`_compose`. target(j), if given, is the tracking target at
+    the left end of step j = 0..J-1, of shape (..., m, L), and adds the
+    offset b_Q = -gh Z^-T target(j) to that step; without it the offsets
+    have no columns. Raises ValueError for a singular I + tau K.
+    """
+    try:
+        Zi = np.linalg.inv(np.eye(K.shape[-1]) + tau * K)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(
+            f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
+            f"({exc})") from exc
+    ZiT = np.swapaxes(Zi, -1, -2)
+    Psi_P = gh * (Zi @ ZiT) if variant is Discretization.FDTO else gh * Zi
+    tracking = objective is ObjectiveKind.TRACKING
+    Psi_Q = gh * ZiT if tracking else np.zeros_like(Zi)
+    no_offsets = np.zeros(Zi.shape[:-1] + (0,))
+
+    def step(j):
+        b_Q = no_offsets if target is None else -gh * (ZiT @ target(j))
+        # one step has no b_P: a zero-stride view, so no step allocates one
+        return (Zi, Psi_P, ZiT, Psi_Q, np.broadcast_to(0.0, b_Q.shape), b_Q)
+
+    return functools.reduce(_compose, map(step, range(J)))
+
+
+def _ie_at(sigma, tau: float, gh, J: int, objective: ObjectiveKind,
+           variant: Discretization = Discretization.FOTD) -> PhiPsi:
+    """(phi, psi) of :func:`implicit_euler_maps` at K = [[sigma]],
+    elementwise over arrays of sigma and gh."""
+    K, gh = (v[..., None, None] for v in np.broadcast_arrays(sigma, gh))
+    Phi_P, Psi_P = implicit_euler_maps(K, tau, gh, J, objective, variant)[:2]
+    return PhiPsi(Phi_P[..., 0, 0], Psi_P[..., 0, 0])
 
 
 def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPsi:
     """Coefficients of the J-step implicit-Euler propagator for the tracking
-    objective, via the per-step Riccati-style recursion started from the
-    identity map (phi=1, psi=0)."""
-    if J < 1 or tau <= 0 or gamma <= 0:
+    objective: the composed maps at the one eigenvalue sigma, elementwise
+    over arrays of sigma and gamma."""
+    if J < 1 or tau <= 0 or np.any(gamma <= 0):
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
-    zeta = 1.0 + sigma * tau
-    g = tau / np.sqrt(gamma)
-    phi, psi = 1.0, 0.0
-    for _ in range(J):
-        psi_new = (g + (1.0 + g * g) * psi / zeta) / (zeta + g * psi)
-        phi = phi * (1.0 / zeta - g * (psi_new - g / zeta))
-        psi = psi_new
-    return _require_valid(PhiPsi(phi, psi), sigma, "tracking IE")
+    return _require_valid(_ie_at(sigma, tau, tau / np.sqrt(gamma), J,
+                                 ObjectiveKind.TRACKING),
+                          sigma, "tracking IE")
 
 
-def _tracking_exact(sh: float, gh: float) -> PhiPsi:
-    """Unchecked exact tracking coefficients in hatted variables."""
+def _tracking_exact(sh, gh) -> PhiPsi:
+    """Unchecked exact tracking coefficients in hatted variables,
+    elementwise."""
     s = np.hypot(sh, gh)
-    if s == 0.0:
-        return PhiPsi(1.0, 0.0)
     # scaled by exp(-s) to stay finite for large s:
     # cosh(s) = exp(s)*a, sinh(s)/s = exp(s)*b
     a = (1.0 + np.exp(-2.0 * s)) / 2.0
@@ -88,7 +169,7 @@ def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for tracking:
     with s = sqrt(sigma_hat^2 + gamma_hat^2),
     phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
-    if DT <= 0 or gamma <= 0:
+    if DT <= 0 or np.any(gamma <= 0):
         raise ValueError("need DT > 0, gamma > 0")
     return _require_valid(_tracking_exact(DT * sigma, DT / np.sqrt(gamma)),
                           sigma, "tracking exact")
@@ -97,27 +178,22 @@ def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
 def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
                   variant: Discretization = Discretization.FOTD) -> PhiPsi:
     """Coefficients of the J-step implicit-Euler propagator for the
-    terminal-cost objective. The two discretization orders
-    (discretize-then-optimize vs. optimize-then-discretize) share
+    terminal-cost objective: the composed maps at the one eigenvalue sigma,
+    elementwise over arrays of sigma and gamma. The two discretization
+    orders (discretize-then-optimize vs. optimize-then-discretize) share
     phi = (1+sigma*tau)^(-J) but differ in psi by a factor (1+sigma*tau)."""
-    if J < 1 or tau <= 0 or gamma <= 0:
+    if J < 1 or tau <= 0 or np.any(gamma <= 0):
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
-    st = sigma * tau
-    if st <= -1:
+    if np.any(sigma * tau <= -1):
         raise ValueError("sigma*tau must exceed -1")
-    phi = (1.0 + st) ** (-J)
-    if sigma == 0.0:
-        psi = J * tau / gamma
-    else:
-        one_minus_phi2 = -np.expm1(-2.0 * J * np.log1p(st))
-        psi = one_minus_phi2 / (gamma * sigma * (2.0 + st))
-    if variant is Discretization.FOTD:
-        psi *= 1.0 + st
-    return _require_valid(PhiPsi(phi, psi), sigma, "terminal-cost IE")
+    return _require_valid(_ie_at(sigma, tau, tau / gamma, J,
+                                 ObjectiveKind.TERMINAL_COST, variant),
+                          sigma, "terminal-cost IE")
 
 
-def _tc_exact(sh: float, gh: float) -> PhiPsi:
-    """Unchecked exact terminal-cost coefficients in hatted variables."""
+def _tc_exact(sh, gh) -> PhiPsi:
+    """Unchecked exact terminal-cost coefficients in hatted variables,
+    elementwise."""
     # sinhc(sh)*exp(-sh) computed in scaled form to avoid overflow
     return PhiPsi(np.exp(-sh), gh * _sinhc_scaled(sh))
 
@@ -125,7 +201,7 @@ def _tc_exact(sh: float, gh: float) -> PhiPsi:
 def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for terminal cost:
     phi = exp(-sigma_hat), psi = gamma_hat*sinhc(sigma_hat)*exp(-sigma_hat)."""
-    if DT <= 0 or gamma <= 0:
+    if DT <= 0 or np.any(gamma <= 0):
         raise ValueError("need DT > 0, gamma > 0")
     return _require_valid(_tc_exact(DT * sigma, DT / gamma), sigma,
                           "terminal-cost exact")
@@ -133,10 +209,11 @@ def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
 
 def rho_bound_tracking(fine: PhiPsi, coarse: PhiPsi) -> float:
     """L_hat-independent contraction bound for the tracking objective:
-    sqrt(((phi_t-phi)^2 + (psi_t-psi)^2) / ((1-phi_t)^2 + psi_t^2))."""
+    sqrt(((phi_t-phi)^2 + (psi_t-psi)^2) / ((1-phi_t)^2 + psi_t^2)),
+    elementwise."""
     num = (coarse.phi - fine.phi) ** 2 + (coarse.psi - fine.psi) ** 2
     den = (1.0 - coarse.phi) ** 2 + coarse.psi ** 2
-    return float(np.sqrt(num / den))
+    return np.sqrt(num / den)
 
 
 def x_star_candidates(fine: PhiPsi, coarse: PhiPsi) -> list[float]:
@@ -220,7 +297,7 @@ def assemble_block_system(maps: Sequence[np.ndarray], L_hat: int,
         B = B.astype(complex)
         B[0, -1] = -alpha
     I_L, n = np.eye(L_hat), L_hat * M
-    A = np.eye(2 * n, dtype=B.dtype)
+    A = np.eye(2 * n, dtype=np.result_type(B, *maps))
     A[:n, :n] += np.kron(B, Phi_P)
     A[:n, n:] += np.kron(I_L, Psi_P)
     A[n:, :n] -= np.kron(I_L, Psi_Q)
@@ -272,8 +349,9 @@ class PropagatorDescription:
 def coefficients_at(objective: ObjectiveKind, desc: PropagatorDescription,
                     sigma_hat: float, gamma_hat: float) -> PhiPsi:
     """Evaluate a described propagator at grid coordinates (sigma_hat,
-    gamma_hat). The grid fixes DT = 1, so sigma = sigma_hat and gamma is
-    recovered from gamma_hat per the objective's scaling."""
+    gamma_hat), elementwise over arrays. The grid fixes DT = 1, so
+    sigma = sigma_hat and gamma is recovered from gamma_hat per the
+    objective's scaling."""
     DT = 1.0
     sigma = sigma_hat
     if objective is ObjectiveKind.TRACKING:
@@ -294,11 +372,16 @@ def coefficients_at(objective: ObjectiveKind, desc: PropagatorDescription,
 def rho_bound_at(objective: ObjectiveKind, fine_desc: PropagatorDescription,
                  coarse_desc: PropagatorDescription,
                  sigma_hat: float, gamma_hat: float) -> float:
+    """rho_star at grid coordinates (sigma_hat, gamma_hat), elementwise
+    over arrays."""
     fine = coefficients_at(objective, fine_desc, sigma_hat, gamma_hat)
     coarse = coefficients_at(objective, coarse_desc, sigma_hat, gamma_hat)
     if objective is ObjectiveKind.TRACKING:
         return rho_bound_tracking(fine, coarse)
-    return rho_bound_terminal(fine, coarse)
+    # the root selection of the terminal bound is per point
+    return np.vectorize(
+        lambda *c: rho_bound_terminal(PhiPsi(*c[:2]), PhiPsi(*c[2:])),
+        otypes=[float])(fine.phi, fine.psi, coarse.phi, coarse.psi)[()]
 
 
 def bound_grid_sweep(objective: ObjectiveKind,
@@ -307,14 +390,13 @@ def bound_grid_sweep(objective: ObjectiveKind,
                      sigma_hat_grid: Sequence[float],
                      gamma_hat_grid: Sequence[float],
                      ) -> list[tuple[float, float, float]]:
-    """rho_star over a (sigma_hat, gamma_hat) grid; rows are row-major with
-    sigma_hat as the slow axis. Output order is deterministic."""
-    rows = []
-    for sh in sigma_hat_grid:
-        for gh in gamma_hat_grid:
-            rows.append((float(sh), float(gh),
-                         rho_bound_at(objective, fine_desc, coarse_desc, sh, gh)))
-    return rows
+    """rho_star over a (sigma_hat, gamma_hat) grid, in one elementwise
+    evaluation; rows are row-major with sigma_hat as the slow axis. Output
+    order is deterministic."""
+    sh, gh = (g.ravel().astype(float) for g in np.meshgrid(
+        sigma_hat_grid, gamma_hat_grid, indexing="ij"))
+    rho = rho_bound_at(objective, fine_desc, coarse_desc, sh, gh)
+    return list(zip(sh.tolist(), gh.tolist(), rho.tolist()))
 
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:

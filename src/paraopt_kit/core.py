@@ -39,9 +39,6 @@ class PairedTrajectory:
         return cls(v[:half].reshape(L_hat, M).copy(),
                    v[half:].reshape(L_hat, M).copy())
 
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.y.ravel(), self.lam_hat.ravel()])
-
 
 @dataclass
 class NewtonConfig:

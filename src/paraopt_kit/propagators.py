@@ -2,12 +2,15 @@
 
 Each propagator maps interval boundary data (y at the left end, rescaled
 adjoint at the right end) to (y at the right end, adjoint at the left end).
-Implicit-Euler propagators are built by composing J one-step maps, each
-composition eliminating the interface unknowns with one M x M solve, so a
-build costs O(J M^3) for any K and carries the offsets of all sub-intervals
-as columns. Exact propagators come from the eigendecomposition of K, with
-the (phi, psi) coefficients of each eigenvalue taken from the overflow-safe
-closed forms of the exact sub-interval solver in :mod:`paraopt_kit.analysis`.
+Implicit-Euler propagators are the composition of J one-step maps by
+:func:`paraopt_kit.analysis.implicit_euler_maps`, the same composition that
+gives the implicit-Euler (phi, psi) of the analysis at one eigenvalue. Each
+composition eliminates the interface unknowns with one M x M solve, so a
+build costs O(J M^3) for any K and carries the tracking offsets of all
+sub-intervals as columns. Exact propagators come from the
+eigendecomposition of K, with the (phi, psi) coefficients of all
+eigenvalues taken at once from the overflow-safe closed forms of the exact
+sub-interval solver in :mod:`paraopt_kit.analysis`.
 Their tracking offsets are exact for a target y_d that is affine in t on
 each sub-interval (all built-in targets are): they come from the affine
 particular solution of the state/adjoint system, in closed form per
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paraopt_kit.analysis import _tc_exact, _tracking_exact
+from paraopt_kit.analysis import _tc_exact, _tracking_exact, implicit_euler_maps
 from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveKind
 
 
@@ -49,31 +52,6 @@ class AffinePropagator:
         return self.Phi_P.shape[0]
 
 
-def _compose(a: tuple, b: tuple) -> tuple:
-    """Maps of segment a followed by segment b.
-
-    Each argument is (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) in the
-    AffinePropagator convention, with offsets as (M, L) arrays. The interface
-    unknowns (y at the end of a, lam at the start of b) are eliminated with
-    one M x M solve.
-    """
-    Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
-    Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
-    M = Phi_Pa.shape[0]
-    # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
-    # with N = (I + Psi_P^a Psi_Q^b)^-1
-    UVc = np.linalg.solve(np.eye(M) + Psi_Pa @ Psi_Qb,
-                          np.hstack([Phi_Pa, Psi_Pa @ Phi_Qb,
-                                     b_Pa - Psi_Pa @ b_Qb]))
-    U, V, c = UVc[:, :M], UVc[:, M:2 * M], UVc[:, 2 * M:]
-    return (Phi_Pb @ U,
-            Psi_Pb + Phi_Pb @ V,
-            Phi_Qa @ (Phi_Qb - Psi_Qb @ V),
-            Psi_Qa + Phi_Qa @ (Psi_Qb @ U),
-            Phi_Pb @ c + b_Pb,
-            Phi_Qa @ (Psi_Qb @ c + b_Qb) + b_Qa)
-
-
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                                     J: int,
                                     variant: Discretization = Discretization.FOTD,
@@ -84,40 +62,25 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     shared-eigenvector structure the analysis relies on).
     """
     obj = problem.objective
-    if obj is ObjectiveKind.TRACKING and variant is Discretization.FDTO:
+    tracking = obj is ObjectiveKind.TRACKING
+    if tracking and variant is Discretization.FDTO:
         raise ValueError("tracking propagators support FOTD only")
     if J < 1:
         raise ValueError("need at least one implicit-Euler step")
     tau = DT / J
-    M = problem.M
     L = int(round(problem.T / DT))
     if abs(L * DT - problem.T) > 1e-10 * problem.T:
         raise ValueError("DT must divide the horizon T")
 
-    try:
-        Zi = np.linalg.inv(np.eye(M) + tau * problem.K)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
-            f"({exc})") from exc
-    # one step maps (y_{j-1}, lam_j) to (y_j, lam_{j-1})
-    tracking = obj is ObjectiveKind.TRACKING
     gh = tau / np.sqrt(problem.gamma) if tracking else tau / problem.gamma
-    Psi_P = gh * (Zi @ Zi.T) if variant is Discretization.FDTO else gh * Zi
-    Psi_Q = gh * Zi.T if tracking else np.zeros((M, M))
-    zero = np.zeros((M, L))
-    maps = None
-    for j in range(1, J + 1):
-        b_Q = zero
-        if tracking:  # y_d sampled at the step's left end, on every interval
-            y_d = np.array([problem.y_d(l * DT + (j - 1) * tau)
-                            for l in range(L)]).T
-            b_Q = -gh * (Zi.T @ y_d)
-        step = (Zi, Psi_P, Zi.T, Psi_Q, zero, b_Q)
-        maps = step if maps is None else _compose(maps, step)
-    Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q = maps
-    return AffinePropagator(Phi_P=Phi_P, Psi_P=Psi_P, Phi_Q=Phi_Q, Psi_Q=Psi_Q,
-                            b_P=b_P.T.copy(), b_Q=b_Q.T.copy(), objective=obj)
+    # y_d sampled at each step's left end, on every interval
+    target = (lambda j: np.array([problem.y_d(l * DT + j * tau)
+                                  for l in range(L)]).T) if tracking else None
+    maps = implicit_euler_maps(problem.K, tau, gh, J, obj, variant, target)
+    # maps, then offsets, in the order of the AffinePropagator fields
+    offsets = ([b.T.copy() for b in maps[4:]] if tracking
+               else np.zeros((2, L, problem.M)))
+    return AffinePropagator(*maps[:4], *offsets, objective=obj)
 
 
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
@@ -183,12 +146,11 @@ def build_exact_propagator(problem: LinearControlProblem,
     closed_form = _tracking_exact if tracking else _tc_exact
     # unchecked forms: a propagator exists for every eigenvalue, also outside
     # the range the analysis bounds assume (phi = 1 at a vanishing one)
-    pairs = [closed_form(DT * sigma, gh) for sigma in w]
-    phi, psi = np.array([(pp.phi, pp.psi) for pp in pairs]).T
-    Phi, Psi = (Q * phi) @ Q.T, (Q * psi) @ Q.T
+    pp = closed_form(DT * w, gh)
+    Phi, Psi = (Q * pp.phi) @ Q.T, (Q * pp.psi) @ Q.T
     Psi_Q = Psi if tracking else np.zeros((M, M))
 
-    b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, Q, phi, psi)
+    b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, Q, pp.phi, pp.psi)
                 if tracking else np.zeros((2, L, M)))
 
     return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,

@@ -8,6 +8,7 @@ from paraopt_kit.analysis import (
     PropagatorDescription,
     PropagatorKind,
     SsigmaSpec,
+    assemble_block_system,
     bound_grid_sweep,
     coefficients_at,
     exact_rho,
@@ -104,6 +105,17 @@ class TestCoefficientCatalog:
             bf = extract_phi_psi_scalar(sigma, gamma, tau, J, TC, variant)
             assert pp.phi == pytest.approx(bf[0], abs=1e-10)
             assert pp.psi == pytest.approx(bf[1], abs=1e-10)
+
+    @pytest.mark.parametrize("sigma, gamma_hat, J", [
+        (0.12648552168552957, 1e4, 10), (0.08685113737513521, 1e4, 32)])
+    def test_tracking_ie_relative_accuracy(self, sigma, gamma_hat, J):
+        # phi is about 1e-54 and 1e-155 here, so only a relative tolerance
+        # sees a wrong one
+        gamma, tau = 1.0 / gamma_hat ** 2, 1.0 / J
+        pp = phi_psi_tracking_ie(sigma, gamma, tau, J)
+        bf = extract_phi_psi_scalar(sigma, gamma, tau, J, TR)
+        assert pp.phi == pytest.approx(bf[0], rel=1e-12, abs=0.0)
+        assert pp.psi == pytest.approx(bf[1], rel=1e-12, abs=0.0)
 
 
 class TestExactClosedForms:
@@ -216,6 +228,19 @@ class TestGridSweep:
         rows = bound_grid_sweep(TR, fine, coarse, [1.0, 2.0], [3.0, 4.0])
         assert [(r[0], r[1]) for r in rows] == [(1, 3), (1, 4), (2, 3), (2, 4)]
 
+    @pytest.mark.parametrize("objective, variant", [
+        (TR, Discretization.FOTD), (TC, Discretization.FOTD),
+        (TC, Discretization.FDTO)])
+    def test_rows_equal_pointwise_bound_bitwise(self, objective, variant):
+        fine, coarse = (PropagatorDescription(PropagatorKind.IMPLICIT_EULER,
+                                              J=J, variant=variant)
+                        for J in (4, 10))
+        grid = log_grid(1e-4, 1e4, 3)
+        rows = bound_grid_sweep(objective, fine, coarse, grid, grid)
+        assert len(rows) == 9
+        for sh, gh, rho in rows:
+            assert rho == rho_bound_at(objective, fine, coarse, sh, gh)
+
     def test_tracking_fdto_rejected(self):
         bad = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=1,
                                     variant=Discretization.FDTO)
@@ -241,6 +266,26 @@ class TestGridSweep:
             log_grid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             log_grid(2.0, 1.0, 5)
+
+
+class TestBlockSystem:
+    @pytest.mark.parametrize("objective", [TR, TC])
+    def test_complex_one_by_one_maps(self, objective):
+        # the maps at one eigenvalue of a non-symmetric K are complex
+        phi, psi, phi_q, psi_q = 0.5 + 0.2j, 0.3 - 0.1j, 0.5 - 0.2j, 0.3 + 0.1j
+        L = 3
+        A = assemble_block_system(
+            [np.array([[c]]) for c in (phi, psi, phi_q, psi_q)], L, objective)
+        ref = np.eye(2 * L, dtype=complex)
+        for l in range(L):
+            ref[l, L + l], ref[L + l, l] = psi, -psi_q
+            if l > 0:
+                ref[l, l - 1] = -phi
+            if l < L - 1:
+                ref[L + l, L + l + 1] = -phi_q
+        if objective is TC:  # lam_Lhat - y_Lhat
+            ref[-1, L - 1] = -1.0
+        np.testing.assert_array_equal(A, ref)
 
 
 class TestHattedGridConvention:

@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from paraopt_kit.analysis import implicit_euler_maps
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
@@ -259,6 +260,51 @@ class TestPropagate:
             assert np.linalg.norm(yJ0) > 0.1 and np.linalg.norm(lam00) > 0.1
             np.testing.assert_allclose(P(y0, lam), yJ - yJ0, atol=1e-13)
             np.testing.assert_allclose(Q(y0, lam), lam0 - lam00, atol=1e-13)
+
+
+class TestPerModeBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), M=st.integers(1, 6),
+           J=st.integers(1, 10), L=st.integers(1, 5))
+    def test_eigenvalue_stack_matches_rotated_dense_build(self, seed, M, J, L):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((M, M))
+        K = B @ B.T + 0.1 * np.eye(M)
+        gamma = 10.0 ** rng.uniform(-2, 1)
+        T = rng.uniform(0.5, 3.0)
+        DT, tau = T / L, T / (L * J)
+        w, v = rng.standard_normal((2, M))
+        y_d = lambda t: np.sin(3.0 * t * w + v) + t * v
+        sigma, Q = np.linalg.eigh(K)
+
+        def modal_target(j):  # Q^T y_d at the left end of step j, per mode
+            y = np.array([y_d(l * DT + j * tau) for l in range(L)]).T
+            return (Q.T @ y)[:, None, :]
+
+        for obj, variant in [(TR, Discretization.FOTD),
+                             (TC, Discretization.FOTD),
+                             (TC, Discretization.FDTO)]:
+            p = LinearControlProblem(K=K, gamma=gamma, T=T, y_init=np.ones(M),
+                                     objective=obj, y_target=np.ones(M),
+                                     y_d=y_d)
+            dense = build_implicit_euler_propagator(p, DT, J, variant)
+            tracking = obj is TR
+            gh = tau / np.sqrt(gamma) if tracking else tau / gamma
+            modes = implicit_euler_maps(sigma[:, None, None], tau, gh, J, obj,
+                                        variant,
+                                        modal_target if tracking else None)
+            maps = (dense.Phi_P, dense.Psi_P, dense.Phi_Q, dense.Psi_Q)
+            for X, x in zip(maps, modes[:4]):
+                np.testing.assert_allclose(
+                    Q.T @ X @ Q, np.diag(x[:, 0, 0]),
+                    rtol=0, atol=1e-12 * (1.0 + np.abs(X).max()))
+            for b, x in zip((dense.b_P, dense.b_Q), modes[4:]):
+                if tracking:
+                    np.testing.assert_allclose(
+                        b @ Q, x[:, 0, :].T,
+                        rtol=0, atol=1e-12 * (1.0 + np.abs(b).max()))
+                else:
+                    assert x.shape == (M, 1, 0) and not b.any()
 
 
 class TestScalarOracle:
