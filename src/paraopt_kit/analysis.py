@@ -53,9 +53,12 @@ def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
     # phi == 0.0 is tolerated as the underflow of a positive quantity
     # (exp(-sigma_hat) for sigma_hat beyond ~745)
     ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
-    if np.any((np.asarray(sigma) > 0) & ~ok):
-        raise ValueError(f"{where}: coefficients ({pp.phi}, {pp.psi}) leave "
-                         f"the admissible range at sigma={sigma}")
+    bad = (np.asarray(sigma) > 0) & ~ok
+    if bad.any():
+        s, phi, psi = (float(v[bad][0]) for v in
+                       np.broadcast_arrays(sigma, pp.phi, pp.psi))
+        raise ValueError(f"{where}: coefficients ({phi}, {psi}) leave "
+                         f"the admissible range at sigma={s}")
     return pp
 
 
@@ -210,54 +213,51 @@ def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
 def rho_bound_tracking(fine: PhiPsi, coarse: PhiPsi) -> float:
     """L_hat-independent contraction bound for the tracking objective:
     sqrt(((phi_t-phi)^2 + (psi_t-psi)^2) / ((1-phi_t)^2 + psi_t^2)),
-    elementwise."""
+    elementwise: a scalar for scalar coefficients, else an array of their
+    broadcast shape."""
     num = (coarse.phi - fine.phi) ** 2 + (coarse.psi - fine.psi) ** 2
     den = (1.0 - coarse.phi) ** 2 + coarse.psi ** 2
     return np.sqrt(num / den)
 
 
-def x_star_candidates(fine: PhiPsi, coarse: PhiPsi) -> list[float]:
-    """All admissible roots of the limiting characteristic function used by
-    the terminal-cost bound (largest magnitude wins; ties go positive).
-
-    The function is f(x) = (psi_t - psi)/(psi_t + 1/S(x)) - x with
-    S(x) = sum over l >= 0 of q(x)^(2l), q(x) = phi_t + (phi - phi_t)/x.
-    If the geometric series diverges at x = (psi_t - psi)/psi_t (|q| within
-    rounding of 1 counts), that value is the root; otherwise replacing S by
-    (1 - q^2)^(-1) turns the root condition into the quadratic
-    (psi_t + 1 - phi_t^2) x^2 - (2 phi_t (phi - phi_t) + psi_t - psi) x
-    - (phi - phi_t)^2 = 0, of which only roots with |q(x)| < 1 count.
-    """
-    phi, psi = fine.phi, fine.psi
-    phi_t, psi_t = coarse.phi, coarse.psi
-    dphi = phi - phi_t
-    x_div = (psi_t - psi) / psi_t
-    if x_div != 0.0 and abs(phi_t + dphi / x_div) >= 1.0 - 1e-12:
-        return [x_div]
-    if x_div == 0.0 and dphi == 0.0:
-        return [0.0]
-
-    a = psi_t + 1.0 - phi_t * phi_t
-    b = 2.0 * phi_t * dphi + (psi_t - psi)
-    disc = b * b + 4.0 * a * dphi * dphi  # always >= 0
-    roots = [(b + np.sqrt(disc)) / (2.0 * a), (b - np.sqrt(disc)) / (2.0 * a)]
-    valid = [r for r in roots if r != 0.0 and abs(phi_t + dphi / r) < 1.0]
-    if x_div == 0.0:
-        valid.append(0.0)
-    return valid
-
-
 def rho_bound_terminal(fine: PhiPsi, coarse: PhiPsi) -> float:
     """L_hat-independent contraction bound for the terminal-cost objective:
-    max(|phi - phi_t|/(1 - phi_t), |x_star|)."""
-    candidates = x_star_candidates(fine, coarse)
-    if not candidates:
+    max(|phi - phi_t|/(1 - phi_t), |x_star|), elementwise like
+    :func:`rho_bound_tracking`.
+
+    x_star is the admissible root of largest magnitude of the limiting
+    characteristic function f(x) = (psi_t - psi)/(psi_t + 1/S(x)) - x with
+    S(x) = sum over l >= 0 of q(x)^(2l), q(x) = phi_t + (phi - phi_t)/x.
+    If the geometric series diverges at x_div = (psi_t - psi)/psi_t (|q|
+    within rounding of 1 counts), x_div is the root; otherwise replacing S
+    by (1 - q^2)^(-1) turns the root condition into the quadratic
+    (psi_t + 1 - phi_t^2) x^2 - (2 phi_t (phi - phi_t) + psi_t - psi) x
+    - (phi - phi_t)^2 = 0, of which only roots r != 0 with |q(r)| < 1
+    count, and x = 0 is a root when psi = psi_t. Raises ValueError naming
+    the first point without an admissible root.
+    """
+    phi, psi, phi_t, psi_t = (np.asarray(v, dtype=float) for v in
+                              (fine.phi, fine.psi, coarse.phi, coarse.psi))
+    dphi = phi - phi_t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_div = (psi_t - psi) / psi_t
+        diverges = (x_div != 0.0) & (abs(phi_t + dphi / x_div) >= 1.0 - 1e-12)
+        a = psi_t + 1.0 - phi_t * phi_t
+        b = 2.0 * phi_t * dphi + (psi_t - psi)
+        sq = np.sqrt(b * b + 4.0 * a * dphi * dphi)  # a > 0
+        roots = np.stack([(b + sq) / (2.0 * a), (b - sq) / (2.0 * a)])
+        valid = (roots != 0.0) & (abs(phi_t + dphi / roots) < 1.0)
+    bad = ~(diverges | valid.any(axis=0) | (x_div == 0.0))
+    if bad.any():
+        p = [float(v[bad][0]) for v in np.broadcast_arrays(phi, psi, phi_t,
+                                                           psi_t)]
         raise ValueError(
-            f"no admissible root for coefficients fine={fine}, coarse={coarse}"
-            " (coefficient-range assumption violated?)")
-    x_star = max(candidates, key=lambda r: (abs(r), r > 0))
-    return float(max(abs(fine.phi - coarse.phi) / (1.0 - coarse.phi),
-                     abs(x_star)))
+            f"no admissible root for coefficients fine={PhiPsi(*p[:2])}, "
+            f"coarse={PhiPsi(*p[2:])} (coefficient-range assumption "
+            "violated?)")
+    x_star = np.where(diverges, abs(x_div),
+                      np.where(valid, abs(roots), 0.0).max(axis=0))
+    return np.maximum(abs(dphi) / (1.0 - phi_t), x_star)[()]
 
 
 @dataclass(frozen=True)
@@ -376,12 +376,9 @@ def rho_bound_at(objective: ObjectiveKind, fine_desc: PropagatorDescription,
     over arrays."""
     fine = coefficients_at(objective, fine_desc, sigma_hat, gamma_hat)
     coarse = coefficients_at(objective, coarse_desc, sigma_hat, gamma_hat)
-    if objective is ObjectiveKind.TRACKING:
-        return rho_bound_tracking(fine, coarse)
-    # the root selection of the terminal bound is per point
-    return np.vectorize(
-        lambda *c: rho_bound_terminal(PhiPsi(*c[:2]), PhiPsi(*c[2:])),
-        otypes=[float])(fine.phi, fine.psi, coarse.phi, coarse.psi)[()]
+    bound = (rho_bound_tracking if objective is ObjectiveKind.TRACKING
+             else rho_bound_terminal)
+    return bound(fine, coarse)
 
 
 def bound_grid_sweep(objective: ObjectiveKind,

@@ -278,17 +278,18 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_bound(args) -> int:
-    # an exact description ignores J and the variant
     objective = CHOICES["objective"][args.objective]
-    fine = PropagatorDescription(CHOICES["fine"][args.fine], J=args.j_fine,
-                                 variant=Discretization(args.fine_variant))
-    coarse = PropagatorDescription(PropagatorKind.IMPLICIT_EULER,
-                                   J=args.j_coarse,
-                                   variant=Discretization(args.coarse_variant))
-    sh_grid = _parse_grid(args.sigma_grid)
-    gh_grid = _parse_grid(args.gamma_grid)
     try:
-        rows = bound_grid_sweep(objective, fine, coarse, sh_grid, gh_grid)
+        # an exact description ignores J and the variant
+        fine = PropagatorDescription(CHOICES["fine"][args.fine],
+                                     J=args.j_fine,
+                                     variant=Discretization(args.fine_variant))
+        coarse = PropagatorDescription(
+            PropagatorKind.IMPLICIT_EULER, J=args.j_coarse,
+            variant=Discretization(args.coarse_variant))
+        rows = bound_grid_sweep(objective, fine, coarse,
+                                _parse_grid(args.sigma_grid),
+                                _parse_grid(args.gamma_grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.output, exist_ok=True)
@@ -312,10 +313,6 @@ def _merge_config(args) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
-    if args.no_precond:
-        cfg.precond_enabled = False
-    elif args.precond:
-        cfg.precond_enabled = True
     return cfg
 
 
@@ -352,8 +349,8 @@ def _heat_run_config(problem: str, objective: str, L_hat: int,
                      alpha_real=-1.0)
 
 
-def exp_bound_contours(outdir: str, grid_count: int = 50) -> list[str]:
-    grid = log_grid(1e-4, 1e4, grid_count)
+def exp_bound_contours(outdir: str) -> list[str]:
+    grid = log_grid(1e-4, 1e4, 50)
     exact = PropagatorDescription(PropagatorKind.EXACT)
     panels = [
         ("tracking_j1", ObjectiveKind.TRACKING, 1, Discretization.FOTD),
@@ -448,17 +445,16 @@ def exp_scalar_weak_scaling(outdir: str) -> list[str]:
     return ["weak_scaling.csv"]
 
 
-def exp_tc_fotd_vs_fdto(outdir: str, gamma: float = 1e-6) -> list[str]:
-    grid = log_grid(1e-4, 1e4, 50)
-    rows = []
-    for sh in grid:
-        fine = analysis.phi_psi_tc_exact(sh, gamma, 1.0)
-        fdto = analysis.phi_psi_tc_ie(sh, gamma, 1.0, 1, Discretization.FDTO)
-        fotd = analysis.phi_psi_tc_ie(sh, gamma, 1.0, 1, Discretization.FOTD)
-        rows.append((sh, analysis.rho_bound_terminal(fine, fdto),
-                     analysis.rho_bound_terminal(fine, fotd)))
+def exp_tc_fotd_vs_fdto(outdir: str) -> list[str]:
+    # exact fine against one implicit-Euler step, DT = 1 and gamma = 1e-6
+    sh = log_grid(1e-4, 1e4, 50)
+    fine = analysis.phi_psi_tc_exact(sh, 1e-6, 1.0)
+    fdto, fotd = (analysis.rho_bound_terminal(
+        fine, analysis.phi_psi_tc_ie(sh, 1e-6, 1.0, 1, variant))
+        for variant in (Discretization.FDTO, Discretization.FOTD))
     write_csv(os.path.join(outdir, "fotd_vs_fdto.csv"),
-              ["sigma_hat", "rho_star_fdto", "rho_star_fotd"], rows)
+              ["sigma_hat", "rho_star_fdto", "rho_star_fotd"],
+              zip(sh, fdto, fotd))
     return ["fotd_vs_fdto.csv"]
 
 
@@ -565,8 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run one ParaOpt solve")
     p_solve.add_argument("--config", help="JSON RunConfig file")
-    p_solve.add_argument("--precond", action="store_true", default=False)
-    p_solve.add_argument("--no-precond", action="store_true", default=False)
+    p_solve.add_argument("--precond", dest="precond_enabled", default=None,
+                         action=argparse.BooleanOptionalAction)
     for f in dataclasses.fields(RunConfig):
         if f.name != "precond_enabled":  # set by --precond / --no-precond
             p_solve.add_argument(_flag(f.name), dest=f.name,

@@ -89,13 +89,13 @@ def _diagonal_solve(blocks: np.ndarray, scale: np.ndarray,
 
 
 def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
-                         rhs: np.ndarray,
-                         rel_tolerance: float = 1e-12) -> np.ndarray:
+                         rhs: np.ndarray) -> np.ndarray:
     """Solve the H_l system using only the callbacks (P, Q) of the linear
     part of the coarse maps (see ``propagators.linear_action``):
     H_l [x; z] = [x + P(d_l x, -z); z + Q(-x, conj(d_l) z)].
-    Solved tightly with inner GMRES so the preconditioner stays a fixed
-    linear operator; a block that misses the tolerance raises LinAlgError.
+    Solved tightly (relative residual 1e-12) with inner GMRES so the
+    preconditioner stays a fixed linear operator; a block that misses the
+    tolerance raises LinAlgError.
     """
     M = len(rhs) // 2
 
@@ -104,11 +104,11 @@ def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
         return np.concatenate([x + P(d_l * x, -z),
                                z + Q(-x, np.conj(d_l) * z)])
 
-    cfg = GmresConfig(rel_tolerance=rel_tolerance, max_iterations=max(50, 8 * M))
+    cfg = GmresConfig(rel_tolerance=1e-12, max_iterations=max(50, 8 * M))
     sol, rep = gmres(op, rhs.astype(complex), cfg=cfg)
     if not rep.converged:
         raise np.linalg.LinAlgError(
-            f"black-box block solve did not reach {rel_tolerance:g} "
+            f"black-box block solve did not reach {cfg.rel_tolerance:g} "
             f"(residual {rep.final_relative_residual:g})")
     return sol
 

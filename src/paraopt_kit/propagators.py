@@ -52,6 +52,14 @@ class AffinePropagator:
         return self.Phi_P.shape[0]
 
 
+def _interval_count(problem: LinearControlProblem, DT: float) -> int:
+    """The number L of sub-intervals of length DT in the horizon T."""
+    L = int(round(problem.T / DT))
+    if abs(L * DT - problem.T) > 1e-10 * problem.T:
+        raise ValueError("DT must divide the horizon T")
+    return L
+
+
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                                     J: int,
                                     variant: Discretization = Discretization.FOTD,
@@ -68,10 +76,7 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     if J < 1:
         raise ValueError("need at least one implicit-Euler step")
     tau = DT / J
-    L = int(round(problem.T / DT))
-    if abs(L * DT - problem.T) > 1e-10 * problem.T:
-        raise ValueError("DT must divide the horizon T")
-
+    L = _interval_count(problem, DT)
     gh = tau / np.sqrt(problem.gamma) if tracking else tau / problem.gamma
     # y_d sampled at each step's left end, on every interval
     target = (lambda j: np.array([problem.y_d(l * DT + j * tau)
@@ -136,9 +141,7 @@ def build_exact_propagator(problem: LinearControlProblem,
     if np.linalg.norm(Ks - Ks.T) > 1e-12 * np.linalg.norm(Ks):
         raise ValueError("exact propagators require a symmetric K")
     M = K.shape[0]
-    L = int(round(problem.T / DT))
-    if abs(L * DT - problem.T) > 1e-10 * problem.T:
-        raise ValueError("DT must divide the horizon T")
+    L = _interval_count(problem, DT)
 
     w, Q = np.linalg.eigh(K)
     tracking = problem.objective is ObjectiveKind.TRACKING

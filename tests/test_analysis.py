@@ -20,7 +20,6 @@ from paraopt_kit.analysis import (
     rho_bound_at,
     rho_bound_terminal,
     rho_bound_tracking,
-    x_star_candidates,
 )
 from paraopt_kit.problem import ObjectiveKind
 from paraopt_kit.propagators import Discretization, extract_phi_psi_scalar
@@ -172,21 +171,44 @@ class TestTerminalBound:
     def test_coarse_equals_fine_gives_zero(self):
         pp = PhiPsi(0.4, 0.3)
         assert rho_bound_terminal(pp, pp) == 0.0
-        assert x_star_candidates(pp, pp) == [0.0]
 
     def test_equal_phi_closed_form(self):
+        # the phi term vanishes, so the bound is |x_star|
         fine, coarse = PhiPsi(0.5, 0.2), PhiPsi(0.5, 0.45)
         want = (0.45 - 0.2) / (0.45 + 1 - 0.25)
-        roots = x_star_candidates(fine, coarse)
-        assert max(np.abs(roots)) == pytest.approx(want)
+        assert rho_bound_terminal(fine, coarse) == pytest.approx(want)
 
     def test_divergent_series_branch(self):
-        # x = (psi_t - psi)/psi_t puts |q| >= 1: it is returned directly
+        # no quadratic root is admissible here; x = (psi_t - psi)/psi_t
+        # puts |q| >= 1 and is the root, so the bound exists
         fine, coarse = PhiPsi(0.9, 0.5), PhiPsi(0.5, 0.45)
-        roots = x_star_candidates(fine, coarse)
         x = (0.45 - 0.5) / 0.45
-        assert roots == [pytest.approx(x)]
         assert abs(coarse.phi + (fine.phi - coarse.phi) / x) >= 1.0
+        assert rho_bound_terminal(fine, coarse) == pytest.approx(0.8)
+
+    def test_array_with_one_inadmissible_point_raises(self):
+        # a NaN coefficient fails every root test; the error names that
+        # point alone
+        fine = PhiPsi(np.array([0.3, np.nan, 0.2]), np.array([0.4, 0.5, 0.6]))
+        coarse = PhiPsi(np.array([0.5, 0.7, 0.4]), np.full(3, 0.8))
+        with pytest.raises(ValueError, match=r"^no admissible root for "
+                           r"coefficients fine=PhiPsi\(phi=nan, psi=0.5\), "
+                           r"coarse=PhiPsi\(phi=0.7, psi=0.8\) "):
+            rho_bound_terminal(fine, coarse)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(coeff, psi_val, coeff, psi_val), min_size=1,
+                    max_size=8))
+    @example([(0.02, 0.9799999999999999, 0.9799999999999999, 0.02),
+              (0.4, 0.3, 0.4, 0.3)])
+    def test_array_equals_scalar_calls_bitwise(self, points):
+        phi, psi, phi_t, psi_t = (np.array(c) for c in zip(*points))
+        got = rho_bound_terminal(PhiPsi(phi, psi), PhiPsi(phi_t, psi_t))
+        assert got.shape == phi.shape
+        for k, p in enumerate(points):
+            want = rho_bound_terminal(PhiPsi(*p[:2]), PhiPsi(*p[2:]))
+            assert np.isscalar(want)
+            assert got[k] == want
 
     @settings(max_examples=100, deadline=None)
     @given(phi=coeff, psi=psi_val, phi_t=coeff, psi_t=psi_val,

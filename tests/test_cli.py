@@ -119,6 +119,36 @@ class TestBoundCommand:
                    "--gamma-grid", "1:1:1", "-o", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("args", [
+        # descriptions with no implicit-Euler step
+        ["--j-coarse", "0"],
+        ["--fine", "ie", "--j-fine", "0"],
+        # grids log_grid rejects: lo <= 0, lo >= hi, count 0
+        ["--sigma-grid", "0:1:5"],
+        ["--gamma-grid", "2:1:5"],
+        ["--sigma-grid", "1:1:5"],
+        ["--sigma-grid", "1:2:0"],
+    ])
+    def test_bad_description_or_grid_is_config_error(self, tmp_path, capsys,
+                                                      args):
+        rc = main(["bound", *args, "-o", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+
+    # gamma = 1/gamma_hat^2 divides by zero before the range check
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    def test_range_error_names_one_point(self, tmp_path, capsys):
+        # every point of the 50-point sigma grid is out of range; the
+        # message names the first, not the whole grid
+        rc = main(["bound", "--gamma-grid", "0:0:1", "-o", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "configuration error: tracking exact: coefficients "
+            "(0.9999000049998333, 0.0) leave the admissible range at "
+            "sigma=0.0001\n")
+
 
 class TestSolveCommand:
     def _args(self, out, extra=()):
@@ -165,6 +195,26 @@ class TestSolveCommand:
         assert rc == 0
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["config"]["output"] == out
+
+    @pytest.mark.parametrize("file_value,flags,want", [
+        (False, ["--precond"], "spectral"),
+        (True, ["--no-precond"], None),
+        # the last of the two flags wins
+        (False, ["--no-precond", "--precond"], "spectral"),
+        (True, ["--precond", "--no-precond"], None),
+    ])
+    def test_precond_flag_overrides_config_file(self, tmp_path, file_value,
+                                                flags, want):
+        cfg = RunConfig(problem="scalar", sigma=1.0, gamma=1.0, T=5.0, L=5,
+                        J_fine=8, precond_enabled=file_value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", str(path), *flags,
+                     "--output", out]) == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["preconditioner_blocks"] == want
+        assert summary["config"]["precond_enabled"] is (want is not None)
 
     @pytest.mark.parametrize("flag,value", [("--L", "1"), ("--n", "1"),
                                             ("--j-fine", "0")])
