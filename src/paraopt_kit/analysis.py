@@ -111,7 +111,10 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     Z = I + tau K and maps (y_{j-1}, lam_j) to (y_j, lam_{j-1}) by
     Phi_P = Z^-1, Phi_Q = Z^-T, Psi_P = gh Z^-1 (gh Z^-1 Z^-T for FDTO) and
     Psi_Q = gh Z^-T for tracking (0 otherwise); the J steps are folded
-    with :func:`_compose`. target(j), if given, is the tracking target at
+    with :func:`_compose`. Z^-T is taken as the conjugate transpose Z^-H:
+    the same matrix for a real K, and the conjugate for a complex
+    eigenvalue, since a real K = V diag(sigma) V^H has K^T = V diag(conj
+    sigma) V^H. target(j), if given, is the tracking target at
     the left end of step j = 0..J-1, of shape (..., m, L), and adds the
     offset b_Q = -gh Z^-T target(j) to that step; without it the offsets
     have no columns. Raises ValueError for a singular I + tau K.
@@ -122,7 +125,7 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
         raise ValueError(
             f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
             f"({exc})") from exc
-    ZiT = np.swapaxes(Zi, -1, -2)
+    ZiT = np.swapaxes(Zi, -1, -2).conj()
     Psi_P = gh * (Zi @ ZiT) if variant is Discretization.FDTO else gh * Zi
     tracking = objective is ObjectiveKind.TRACKING
     Psi_Q = gh * ZiT if tracking else np.zeros_like(Zi)

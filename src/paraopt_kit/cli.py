@@ -273,6 +273,8 @@ def _parse_grid(text: str) -> np.ndarray:
     if count == 1:
         if lo != hi:
             raise ConfigError("a 1-point grid needs lo == hi")
+        if not lo > 0:  # what log_grid asks of a longer grid
+            raise ConfigError(f"grid values must be positive, got {lo}")
         return np.array([lo])
     return log_grid(lo, hi, count)
 

@@ -14,17 +14,21 @@ factorizes, come from the same block assembly as the coarse Jacobian,
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
-option. When K is normal (symmetric heat, periodic advection-diffusion),
-one unitary U, the complex Schur basis of Phi_P + Psi_P, diagonalizes all
-four coarse maps; it is accepted only if every map keeps an off-diagonal
-part of at most SPECTRAL_RTOL ||X||_F in it. The basis change acts on the
-space index and commutes with the FFT in time, so each application is one
-product into the basis, closed-form 2 x 2 (general) or scalar (triangular)
-solves per (frequency, mode) over the whole stack, and one product back.
-When the check fails (non-normal K), each block is LU-factorized once. The
-general method can instead solve its blocks matrix-free by inner GMRES. The
-plan names its path in ``PreconditionerPlan.blocks``; the CLI writes it to
-``summary.json`` as ``preconditioner_blocks``.
+option. When one unitary basis diagonalizes all four coarse maps, each
+application changes basis on the space index (which commutes with the FFT
+in time), does closed-form 2 x 2 (general) or scalar (triangular) solves
+per (frequency, mode) over the whole stack, and changes basis back. Where
+the basis comes from: a coarse propagator built for a K that is
+block-circulant with circulant blocks (the built-in problems; see
+:func:`paraopt_kit.propagators.fourier_symbol`) carries its per-mode
+coefficients in ``modes``, and the basis change is a 2-D FFT of the grid.
+For any other K, the basis is the complex Schur basis U of Phi_P + Psi_P,
+accepted only if every map keeps an off-diagonal part of at most
+SPECTRAL_RTOL ||X||_F in it (normal K), and the change is a product with
+U. When that check fails (non-normal K), each block is LU-factorized once. The general method can instead solve its blocks
+matrix-free by inner GMRES. The plan names its path in
+``PreconditionerPlan.blocks``; the CLI writes it to ``summary.json`` as
+``preconditioner_blocks``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,12 @@ import scipy.linalg
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator, linear_action
+from paraopt_kit.propagators import (
+    AffinePropagator,
+    grid_to_modes,
+    linear_action,
+    modes_to_grid,
+)
 
 
 class InversionMethod(enum.Enum):
@@ -122,10 +131,11 @@ class PreconditionerPlan:
 
     ``blocks`` names how the frequency blocks are solved:
 
-    - ``"spectral"``: a unitary U diagonalizes all four coarse maps, so
-      every block splits into independent 2 x 2 (general method) or scalar
-      (triangular method) solves per (frequency, mode), done in closed form
-      for the whole stack. Only U and four length-M diagonals are stored.
+    - ``"spectral"``: one unitary basis diagonalizes all four coarse maps,
+      so every block splits into independent 2 x 2 (general method) or
+      scalar (triangular method) solves per (frequency, mode), done in
+      closed form for the whole stack. Only the basis change (2-D FFTs, or
+      the Schur basis U) and four length-M diagonals are stored.
     - ``"lu"``: no such basis passed the off-diagonal check (non-normal K);
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
@@ -141,7 +151,8 @@ class PreconditionerPlan:
     # general: (solve,); triangular: (solve_P, solve_Q, couple) with
     # couple(z) = Psi_P z row by row. All act on coefficients in _basis.
     _solves: tuple = field(repr=False)
-    _basis: Optional[np.ndarray] = field(default=None, repr=False)
+    # (into, out of) the spectral basis, on the last axis of a stack
+    _basis: Optional[tuple] = field(default=None, repr=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """P(alpha)^{-1} v. General method (|alpha| = 1): one diagonalized
@@ -151,11 +162,11 @@ class PreconditionerPlan:
         acts on the space index and the FFT on the time index, so they
         commute: the spectral path changes basis once on the way in and
         once on the way out."""
-        M, U = self.coarse.M, self._basis
+        M = self.coarse.M
         input_real = not np.iscomplexobj(v)
         vw = np.asarray(v).reshape(2, self.L_hat, M)
-        if U is not None:
-            vw = vw @ U.conj()
+        if self._basis is not None:
+            vw = self._basis[0](vw)
         g = self.gamma_diag
         if self.method is InversionMethod.GENERAL:
             u = _diagonal_solve(np.concatenate(vw, axis=1), g, self._solves[0])
@@ -164,8 +175,8 @@ class PreconditionerPlan:
             solve_P, solve_Q, couple = self._solves
             z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solve_Q)
             xz = np.stack([_diagonal_solve(vw[0] - couple(z), g, solve_P), z])
-        if U is not None:
-            xz = xz @ U.T
+        if self._basis is not None:
+            xz = self._basis[1](xz)
         return _realize(xz, input_real)
 
 
@@ -229,7 +240,9 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                ) -> PreconditionerPlan:
     """Validate the (method, alpha, coarse) combination and prepare the
     L_hat block solves: spectral when the coarse maps share a unitary
-    eigenbasis, per-block LU otherwise, or black-box when asked for."""
+    eigenbasis (the per-mode coefficients of ``coarse.modes``, or else a
+    checked Schur basis), per-block LU otherwise, or black-box when asked
+    for."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     if np.imag(alpha) != 0:
@@ -255,9 +268,14 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
         P, Q = linear_action(coarse)
         solves = (_per_frequency(
             lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
+    elif coarse.modes is not None:
+        blocks = "spectral"
+        basis = (grid_to_modes, modes_to_grid)
+        solves = _spectral_solves(method, d, coarse.modes)
     elif (eigen := _shared_eigenbasis(coarse)) is not None:
         blocks = "spectral"
-        basis, diagonals = eigen
+        U, diagonals = eigen
+        basis = (lambda x: x @ U.conj(), lambda c: c @ U.T)
         solves = _spectral_solves(method, d, diagonals)
     elif method is InversionMethod.TRIANGULAR:
         blocks = "lu"

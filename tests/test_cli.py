@@ -137,17 +137,28 @@ class TestBoundCommand:
         assert err.startswith("configuration error: ")
         assert err.count("\n") == 1
 
-    # gamma = 1/gamma_hat^2 divides by zero before the range check
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_range_error_names_one_point(self, tmp_path, capsys):
-        # every point of the 50-point sigma grid is out of range; the
-        # message names the first, not the whole grid
-        rc = main(["bound", "--gamma-grid", "0:0:1", "-o", str(tmp_path)])
+        # psi = gamma_hat sinh(s)/(s (cosh s + ...)) underflows to 0 at every
+        # point of the 50-point sigma grid; the message names the first,
+        # not the whole grid
+        rc = main(["bound", "--gamma-grid", "1e-154:1e-154:1",
+                   "--sigma-grid", "1e170:1e171:50", "-o", str(tmp_path)])
         assert rc == 2
         assert capsys.readouterr().err == (
             "configuration error: tracking exact: coefficients "
-            "(0.9999000049998333, 0.0) leave the admissible range at "
-            "sigma=0.0001\n")
+            "(0.0, 0.0) leave the admissible range at sigma=1e+170\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["--gamma-grid=0:0:1",
+                                      "--sigma-grid=-1:-1:1"])
+    def test_non_positive_one_point_grid_is_config_error(self, tmp_path,
+                                                         capsys, grid):
+        # rejected before the catalog divides by gamma_hat = 0
+        rc = main(["bound", grid, "-o", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "configuration error: grid values must be positive")
 
 
 class TestSolveCommand:
@@ -293,9 +304,11 @@ class TestSolveCommand:
         # P(1e-30)^{-1} is of size 1e30. Flexible GMRES updates x with the
         # stored P^{-1} v_j, so the update keeps its accuracy: L=3 converges
         # and L=11 grows; both used to overflow the Givens rotations when
-        # the update applied P^{-1} to V y
+        # the update applied P^{-1} to V y. At this alpha P^{-1} is applied
+        # with relative errors far above 1, so the L=3 inner count follows
+        # the rounding of the coarse maps and of the plan's change of basis
         ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"],
-         0, None, (5, 251)),
+         0, None, (5, 253)),
         ([*TRIANGULAR, "--L", "11", "--alpha-real", "1e-30"],
          1, "residual grew 10x over 5 iterations", (5, 5000)),
         # the Hessenberg column overflows to inf, and the rotations to NaN
@@ -390,10 +403,14 @@ def test_heat_tracking_iteration_counts(L_hat, precond, counts):
             summary["total_inner_iterations"]) == counts
 
 
-@pytest.mark.parametrize("L_hat,counts", [(10, (9, 22)), (100, (11, 27))])
+@pytest.mark.parametrize("L_hat,counts", [(10, (9, 21)), (100, (11, 27))])
 def test_heat_terminal_cost_triangular_iteration_counts(L_hat, counts):
     # n=8 terminal cost, implicit-Euler fine, FDTO coarse, triangular
-    # P(0.1)^{-1}: exact (outer, total inner) counts
+    # P(0.1)^{-1}: exact (outer, total inner) counts. At L_hat=10 the
+    # second inner residual of two outer steps lies near the 1e-4
+    # tolerance, and an ulp in the eigenvalues of K moves it across: with
+    # them perturbed by up to 2 ulps the count is 22 in 20 of 24 runs
+    # and 21 in the others
     cfg = dataclasses.replace(
         _heat_run_config("heat", "terminal_cost", L_hat, True),
         coarse_variant="ie_fdto", precond_method="triangular", alpha_real=0.1)

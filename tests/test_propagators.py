@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,9 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paraopt_kit.analysis import implicit_euler_maps
+from paraopt_kit.preconditioner import (
+    InversionMethod,
+    assemble_P_alpha,
+    build_plan,
+)
+from paraopt_kit import propagators
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
+    make_advection_diffusion_problem,
+    make_decomposition,
     make_heat_problem,
     make_scalar_problem,
 )
@@ -17,7 +27,10 @@ from paraopt_kit.propagators import (
     build_exact_propagator,
     build_implicit_euler_propagator,
     extract_phi_psi_scalar,
+    fourier_symbol,
+    grid_to_modes,
     linear_action,
+    modes_to_grid,
 )
 
 TR = ObjectiveKind.TRACKING
@@ -305,6 +318,172 @@ class TestPerModeBuild:
                         rtol=0, atol=1e-12 * (1.0 + np.abs(b).max()))
                 else:
                     assert x.shape == (M, 1, 0) and not b.any()
+
+
+def rotated(X, F):
+    """X in the basis F of its modes."""
+    return F @ X @ F.conj().T
+
+
+def negated(n):
+    """Index of the mode -k of each mode k of an n x n grid, flattened."""
+    neg = -np.arange(n) % n
+    return (neg[:, None] * n + neg).ravel()
+
+
+def bccb(x):
+    """The M x M map of circular convolution with the n x n grid x."""
+    n = x.shape[0]
+    return np.array([np.roll(x, shift, axis=(0, 1)).ravel()
+                     for shift in np.ndindex(n, n)]).T
+
+
+class TestFourierSymbol:
+    @pytest.mark.parametrize("make", [make_heat_problem,
+                                      make_advection_diffusion_problem])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
+    def test_symbol_diagonalizes_K(self, make, n):
+        K = make(n, 0.05, 2.0, TR).K
+        s = fourier_symbol(K)
+        F = grid_to_modes(np.eye(n * n))  # the unitary 2-D DFT, symmetric
+        np.testing.assert_allclose(rotated(K, F), np.diag(s), rtol=0,
+                                   atol=1e-12 * np.abs(K).max())
+        # conjugate pairs to the last bit (the raw FFT misses this at n=16)
+        assert np.array_equal(s[negated(n)], s.conj())
+
+    def test_closed_forms(self):
+        # -Lap_h: 4 n^2 (sin^2(pi k1/n) + sin^2(pi k2/n)); each central
+        # difference adds i n sin(2 pi k/n)
+        n = 5
+        k = np.arange(n)
+        lap = 4.0 * n * n * np.sin(np.pi * k / n) ** 2
+        grad = n * np.sin(2 * np.pi * k / n)
+        heat = (lap[:, None] + lap).ravel()
+        adv = heat / 10 + 1j * (grad[:, None] + grad).ravel()
+        for make, expected in ((make_heat_problem, heat),
+                               (make_advection_diffusion_problem, adv)):
+            s = fourier_symbol(make(n, 0.05, 2.0, TR).K)
+            np.testing.assert_allclose(s, expected, rtol=0, atol=1e-12 * n * n)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_any_real_bccb_K(self, seed):
+        x = np.random.default_rng(seed).standard_normal((7, 7))
+        K = bccb(x)
+        s = fourier_symbol(K)
+        assert np.array_equal(s[negated(7)], s.conj())
+        np.testing.assert_allclose(s, np.fft.fft2(x).ravel(), rtol=0,
+                                   atol=1e-12 * np.abs(s).max())
+        # K^T is BCCB with the conjugate eigenvalues
+        np.testing.assert_allclose(fourier_symbol(K.T), s.conj(), rtol=0,
+                                   atol=1e-12 * np.abs(s).max())
+        np.testing.assert_allclose(modes_to_grid(grid_to_modes(x.ravel())),
+                                   x.ravel(), rtol=0, atol=1e-14)
+
+    def test_scalar_problem(self):
+        p = make_scalar_problem(3.0, 1.0, 1.0, TR)
+        assert fourier_symbol(p.K).tolist() == [3.0]
+
+    @pytest.mark.parametrize("K", [
+        np.diag([1.0, 2.0, 3.0, 4.0]),                     # not circulant
+        np.random.default_rng(0).standard_normal((9, 9)),
+        np.eye(6),                                         # M not a square
+        # circulant along x1 only: blocks [[a, b], [b, a]] with a != b
+        np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 3.0])),
+        bccb(np.full((2, 2), 1e308)),                      # fft2 overflows
+    ], ids=["diagonal", "random", "M-6", "x1-only", "overflow"])
+    @pytest.mark.filterwarnings("error")
+    def test_other_K_has_none(self, K):
+        assert fourier_symbol(K) is None
+
+
+class TestFourierSymbolBuild:
+    @pytest.mark.parametrize("objective,variant", [
+        (TR, Discretization.FOTD), (TC, Discretization.FOTD),
+        (TC, Discretization.FDTO)])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_complex_stack_matches_dense_advection_build(self, objective,
+                                                         variant, n):
+        # complex eigenvalues: Phi_Q, Psi_Q and the FDTO Psi_P take the
+        # conjugate of Z^-1 per mode, as K^T has the conjugate symbol
+        p = make_advection_diffusion_problem(n, 0.3, 2.0, objective)
+        L, J = 4, 3
+        DT, tau = p.T / L, p.T / (L * J)
+        gh = tau / np.sqrt(p.gamma) if objective is TR else tau / p.gamma
+        y = lambda j: np.array([p.y_d(l * DT + j * tau) for l in range(L)])
+        target = lambda j: y(j).T
+        modal = lambda j: grid_to_modes(y(j)).T[:, None, :]
+        if objective is TC:
+            target = modal = None
+        dense = implicit_euler_maps(p.K, tau, gh, J, objective, variant, target)
+        modes = implicit_euler_maps(fourier_symbol(p.K).reshape(-1, 1, 1),
+                                    tau, gh, J, objective, variant, modal)
+        F = grid_to_modes(np.eye(n * n))
+        for X, x in zip(dense[:4], modes[:4]):
+            np.testing.assert_allclose(rotated(X, F), np.diag(x[:, 0, 0]),
+                                       rtol=0, atol=1e-13)
+        for b, x in zip(dense[4:], modes[4:]):
+            assert b.shape == (n * n, L if objective is TR else 0)
+            np.testing.assert_allclose(F @ b, x[:, 0, :], rtol=0,
+                                       atol=1e-12 * (1 + np.abs(b).max(
+                                           initial=0.0)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(make=st.sampled_from([make_heat_problem,
+                                 make_advection_diffusion_problem]),
+           n=st.integers(2, 6), L=st.integers(2, 6), J=st.integers(1, 10),
+           gamma=st.floats(0.01, 1.0), seed=st.integers(0, 2**16))
+    def test_symbol_build_matches_dense_build(self, make, n, L, J, gamma,
+                                              seed):
+        """Every build from the symbol against the dense build of the same
+        K (the builder with fourier_symbol patched to find none): maps,
+        offsets and modes; and the plan from the modes against the dense
+        P(alpha)."""
+        F = grid_to_modes(np.eye(n * n))
+        rng = np.random.default_rng(seed)
+        # (objective, implicit-Euler variant or None for exact)
+        builds = [(TR, Discretization.FOTD), (TC, Discretization.FOTD),
+                  (TC, Discretization.FDTO)]
+        if make is make_heat_problem:  # exact needs a symmetric K
+            builds += [(TR, None), (TC, None)]
+        for objective, variant in builds:
+            p = make(n, gamma, 2.0, objective)
+            d = make_decomposition(p, L=L, J_fine=J, J_coarse=1)
+            if variant is None:
+                build = lambda: build_exact_propagator(p, d.DT)
+            else:
+                build = lambda: build_implicit_euler_propagator(p, d.DT, J,
+                                                                variant)
+            sym = build()
+            with mock.patch.object(propagators, "fourier_symbol",
+                                   return_value=None):
+                dense = build()
+            assert dense.modes is None
+            maps = ("Phi_P", "Psi_P", "Phi_Q", "Psi_Q")
+            for name, x in zip(maps, sym.modes):
+                X = getattr(dense, name)
+                scale = 1e-12 * (1 + np.abs(X).max())
+                np.testing.assert_allclose(getattr(sym, name), X, rtol=0,
+                                           atol=scale)
+                np.testing.assert_allclose(rotated(X, F), np.diag(x), rtol=0,
+                                           atol=scale)
+            for name in ("b_P", "b_Q"):
+                b = getattr(dense, name)
+                np.testing.assert_allclose(getattr(sym, name), b, rtol=0,
+                                           atol=1e-12 * (1 + np.abs(b).max()))
+            if variant is None:
+                continue
+            # P(1) is singular for terminal cost at sigma = 0 (phi = 1)
+            methods = [(InversionMethod.GENERAL, -1.0)] + (
+                [(InversionMethod.GENERAL, 1.0)] if objective is TR else
+                [(InversionMethod.TRIANGULAR, 0.1),
+                 (InversionMethod.TRIANGULAR, -0.05)])
+            for method, alpha in methods:
+                plan = build_plan(sym, d, alpha, method)
+                assert plan.blocks == "spectral"
+                v = rng.standard_normal(2 * d.L_hat * p.M)
+                P = assemble_P_alpha(sym, d, alpha)
+                assert (np.linalg.norm(P @ plan.apply_inverse(v) - v)
+                        <= 1e-10 * np.linalg.norm(v))
 
 
 class TestScalarOracle:
