@@ -6,10 +6,26 @@ and each inexact-Newton step solves the coarse Jacobian system
 A_tilde * delta = -f(x). The solver applies the Jacobians matrix-free; their
 dense matrices, for oracle-sized tests, come from
 :func:`paraopt_kit.analysis.assemble_block_system`.
+
+Where the solve runs: for a K that is block-circulant with circulant blocks
+(every built-in problem; the propagators then carry ``modes``),
+:func:`paraopt_solve` moves the right-hand side (the fine offsets, y_init
+and y_target) into the real coefficients of the grid's
+:class:`paraopt_kit.propagators.FourierBasis` once, runs GMRES, the fine
+residual, A_tilde and P(alpha)^{-1} on real coefficient vectors, and moves
+only the final trajectory back to the grid. There every map acts one mode
+at a time (:class:`paraopt_kit.propagators.ModeMap`), with no M x M
+product. The basis is real and orthonormal, so the vectors stay real,
+GMRES sees the norms and inner products of the grid solve, and the
+iterates agree with it up to rounding. Any other K is solved on the grid
+with the dense maps. :func:`matching_residual` and :func:`apply_jacobian`
+act in the basis of the propagator they are given: grid values for an
+AffinePropagator, coefficients for its ModalPropagator.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -19,7 +35,7 @@ import numpy as np
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator
+from paraopt_kit.propagators import AffinePropagator, FourierBasis
 
 
 @dataclass
@@ -71,23 +87,29 @@ class SolveLog:
                 for r in self.records]
 
 
-def _apply_maps(prop: AffinePropagator, objective: ObjectiveKind,
-                y: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _apply_maps(prop, objective: ObjectiveKind,
+                y: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Linear part of the matching conditions on all L_hat blocks at once;
-    y and lam are (L_hat, M) stacks, returned as the (state, adjoint) rows."""
-    out_y = y + lam @ prop.Psi_P.T
-    out_y[1:] -= y[:-1] @ prop.Phi_P.T
-    out_l = lam - y @ prop.Psi_Q.T
+    y and lam are (L_hat, M) stacks in the basis of prop, returned as one
+    (2, L_hat, M) array of the (state, adjoint) rows."""
+    Phi_P, Psi_P, Phi_Q, Psi_Q = prop.actions
+    out = np.empty((2,) + y.shape)
+    out_y, out_l = out
+    np.add(y, Psi_P(lam), out=out_y)
+    out_y[1:] -= Phi_P(y[:-1])
+    np.subtract(lam, Psi_Q(y), out=out_l)
     if objective is ObjectiveKind.TERMINAL_COST:
         out_l[-1] = lam[-1] - y[-1]
-    out_l[:-1] -= lam[1:] @ prop.Phi_Q.T
-    return out_y, out_l
+    out_l[:-1] -= Phi_Q(lam[1:])
+    return out
 
 
-def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
+def matching_residual(fine, problem: LinearControlProblem,
                       decomp: TimeDecomposition, x: PairedTrajectory) -> np.ndarray:
     """Stacked continuity defects of state and adjoint at interval boundaries,
-    evaluated as A x - b."""
+    evaluated as A x - b, in the basis of fine (an AffinePropagator or a
+    ModalPropagator), in which x, problem.y_init and problem.y_target are
+    given too."""
     Lh, M = decomp.L_hat, problem.M
     if x.y.shape != (Lh, M):
         raise ValueError("trajectory shape does not match the decomposition")
@@ -95,26 +117,26 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     # 2..Lhat+1, the known y_init entering the first interval, and the
     # terminal condition (zero adjoint for tracking, y - y_target otherwise)
     b_y = fine.b_P[:Lh].copy()
-    b_y[0] += fine.Phi_P @ problem.y_init
+    b_y[0] += fine.actions[0](problem.y_init)
     b_l = np.empty((Lh, M))
     b_l[:-1] = fine.b_Q[1:Lh]
     if problem.objective is ObjectiveKind.TRACKING:
         b_l[-1] = fine.b_Q[Lh]
     else:
         b_l[-1] = -problem.y_target
-    out_y, out_l = _apply_maps(fine, problem.objective, x.y, x.lam_hat)
-    return np.concatenate([(out_y - b_y).ravel(), (out_l - b_l).ravel()])
+    out = _apply_maps(fine, problem.objective, x.y, x.lam_hat)
+    out[0] -= b_y
+    out[1] -= b_l
+    return out.ravel()
 
 
-def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
+def apply_jacobian(prop, objective: ObjectiveKind,
                    decomp: TimeDecomposition, v: np.ndarray) -> np.ndarray:
     """Matrix-free product with the matching-condition Jacobian built from
-    the given propagator (offsets do not enter a Jacobian of an affine map)."""
-    half = decomp.L_hat * prop.M
-    out_y, out_l = _apply_maps(prop, objective,
-                               v[:half].reshape(decomp.L_hat, prop.M),
-                               v[half:].reshape(decomp.L_hat, prop.M))
-    return np.concatenate([out_y.ravel(), out_l.ravel()])
+    the given propagator (offsets do not enter a Jacobian of an affine map),
+    in its basis (see :func:`matching_residual`)."""
+    y, lam = v.reshape(2, decomp.L_hat, prop.M)
+    return _apply_maps(prop, objective, y, lam).ravel()
 
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
@@ -146,8 +168,28 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
     steps aborts the solve with the reason in ``log.aborted``.
+
+    When both propagators carry ``modes``, the iteration runs on the real
+    coefficients of the grid's FourierBasis, the basis the preconditioner
+    plan then acts in too, and only the returned trajectory is on the grid.
     """
     Lh, M = decomp.L_hat, problem.M
+    plan = cfg.preconditioner
+    basis = None
+    if (fine.modes is None) != (coarse.modes is None):
+        raise ValueError("the fine and coarse propagators must both carry "
+                         "per-mode coefficients or neither")
+    if coarse.modes is not None:
+        basis = FourierBasis(M)
+        coefficients = lambda y: None if y is None else basis.coefficients(y)
+        problem = dataclasses.replace(problem,
+                                      y_init=coefficients(problem.y_init),
+                                      y_target=coefficients(problem.y_target))
+        fine = fine.in_basis(basis)
+        coarse = coarse.in_basis(basis, offsets=False)
+    if plan is not None and (plan.basis is None) != (basis is None):
+        raise ValueError("the preconditioner plan was built for a coarse "
+                         "propagator of another basis")
     # x stays one flat vector; the residual sees (L_hat, M) views of it
     x = np.zeros(2 * Lh * M)
     log = SolveLog()
@@ -160,7 +202,6 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         return matching_residual(fine, problem, decomp,
                                  PairedTrajectory(y, lam_hat))
 
-    plan = cfg.preconditioner
     precond = None if plan is None else plan.apply_inverse
 
     r = residual(x)
@@ -195,4 +236,6 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         log.records.append(OuterRecord(k, rnorm, rep.iterations,
                                        time.perf_counter() - t0))
         recent = (recent + [rnorm])[-6:]
+    if basis is not None:
+        x = basis.grid(x.reshape(2 * Lh, M)).ravel()
     return PairedTrajectory.from_vector(x, Lh, M), log

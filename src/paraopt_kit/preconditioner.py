@@ -14,21 +14,29 @@ factorizes, come from the same block assembly as the coarse Jacobian,
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
-option. When one unitary basis diagonalizes all four coarse maps, each
-application changes basis on the space index (which commutes with the FFT
-in time), does closed-form 2 x 2 (general) or scalar (triangular) solves
-per (frequency, mode) over the whole stack, and changes basis back. Where
-the basis comes from: a coarse propagator built for a K that is
-block-circulant with circulant blocks (the built-in problems; see
-:func:`paraopt_kit.propagators.fourier_symbol`) carries its per-mode
-coefficients in ``modes``, and the basis change is a 2-D FFT of the grid.
-For any other K, the basis is the complex Schur basis U of Phi_P + Psi_P,
-accepted only if every map keeps an off-diagonal part of at most
-SPECTRAL_RTOL ||X||_F in it (normal K), and the change is a product with
-U. When that check fails (non-normal K), each block is LU-factorized once. The general method can instead solve its blocks
-matrix-free by inner GMRES. The plan names its path in
-``PreconditionerPlan.blocks``; the CLI writes it to ``summary.json`` as
-``preconditioner_blocks``.
+option. A coarse propagator built for a K that is block-circulant with
+circulant blocks (BCCB: the built-in problems, see
+:func:`paraopt_kit.propagators.fourier_symbol`) carries the eigenvalues of
+its four maps on the half spectrum of the grid's real Fourier basis
+(:class:`paraopt_kit.propagators.FourierBasis`) in ``modes``. Its plan acts
+on real coefficients in that basis, as the whole solve does
+(:func:`paraopt_kit.core.paraopt_solve`): each application reads them as
+the half spectrum, about M/2 + 2 complex modes, does the FFTs in time and
+closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
+mode) over the whole stack, and reads the result back, with no spatial
+FFT. For any other K, normal or not, the plan acts on grid values and
+LU-factorizes each block once. The general method can instead solve its
+blocks matrix-free by inner GMRES, in the basis of the coarse maps. The
+plan names its path in ``PreconditionerPlan.blocks``; the CLI writes it to
+``summary.json`` as ``preconditioner_blocks``.
+
+A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real
+and any imaginary part of the result is rounding, amplified by an
+ill-conditioned solve. Above IMAG_RESIDUE_RTOL of the result's norm it
+raises FloatingPointError. On the half spectrum each paired mode stands
+for the real data of its pair by construction, so that imaginary part is,
+by Parseval, exactly the imaginary part of the self-conjugate modes, and
+the check is evaluated there.
 """
 
 from __future__ import annotations
@@ -45,9 +53,8 @@ from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import (
     AffinePropagator,
-    grid_to_modes,
+    FourierBasis,
     linear_action,
-    modes_to_grid,
 )
 
 
@@ -62,9 +69,6 @@ class SmallSystemMethod(enum.Enum):
 
 
 IMAG_RESIDUE_RTOL = 1e-9
-# largest off-diagonal part, relative to ||X||_F, a map X may keep in the
-# shared eigenbasis of the spectral block solves
-SPECTRAL_RTOL = 1e-12
 
 
 def alpha_circulant_eigenvalues(L_hat: int, alpha: complex) -> np.ndarray:
@@ -129,82 +133,70 @@ class PreconditionerPlan:
     circulant eigenvalues d_l, prepared once and reused across all outer
     Newton iterations.
 
-    ``blocks`` names how the frequency blocks are solved:
+    ``basis`` is the space apply_inverse acts in: the real coefficients of
+    a FourierBasis when the coarse maps carry ``modes``, grid values when
+    it is None. ``blocks`` names how the frequency blocks are solved:
 
-    - ``"spectral"``: one unitary basis diagonalizes all four coarse maps,
-      so every block splits into independent 2 x 2 (general method) or
-      scalar (triangular method) solves per (frequency, mode), done in
-      closed form for the whole stack. Only the basis change (2-D FFTs, or
-      the Schur basis U) and four length-M diagonals are stored.
-    - ``"lu"``: no such basis passed the off-diagonal check (non-normal K);
+    - ``"spectral"``: the coarse maps are diagonal in ``basis``, so every
+      block splits into independent 2 x 2 (general method) or scalar
+      (triangular method) solves per (frequency, mode) of its half
+      spectrum, done in closed form for the whole stack. Only the four
+      diagonals of the half spectrum are stored.
+    - ``"lu"``: a coarse propagator without modes (a K that is not BCCB);
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
-      the propagator callbacks (general method only).
+      the propagator callbacks, in ``basis`` (general method only).
     """
 
     method: InversionMethod
     coarse: AffinePropagator
     L_hat: int
     blocks: str
+    basis: Optional[FourierBasis]
     gamma_diag: np.ndarray = field(repr=False)
     # general: (solve,); triangular: (solve_P, solve_Q, couple) with
-    # couple(z) = Psi_P z row by row. All act on coefficients in _basis.
+    # couple(z) = Psi_P z row by row; on the half spectrum when spectral
     _solves: tuple = field(repr=False)
-    # (into, out of) the spectral basis, on the last axis of a stack
-    _basis: Optional[tuple] = field(default=None, repr=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """P(alpha)^{-1} v. General method (|alpha| = 1): one diagonalized
-        solve of the whole [v | w] stack. Triangular method (Psi_Q_tilde =
-        0, any alpha != 0): the bottom-right block first, then the top-left
-        block on the corrected right-hand side. The change into the basis U
-        acts on the space index and the FFT on the time index, so they
-        commute: the spectral path changes basis once on the way in and
-        once on the way out."""
-        M = self.coarse.M
-        input_real = not np.iscomplexobj(v)
-        vw = np.asarray(v).reshape(2, self.L_hat, M)
-        if self._basis is not None:
-            vw = self._basis[0](vw)
-        g = self.gamma_diag
+        """P(alpha)^{-1} v, v and the result in the plan's basis. General
+        method (|alpha| = 1): one diagonalized solve of the whole [v | w]
+        stack. Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
+        bottom-right block first, then the top-left block on the corrected
+        right-hand side. The spectral path runs on the half spectrum of
+        the basis: its change acts on the space index and the FFT on the
+        time index, so they commute."""
+        if np.iscomplexobj(v):  # P(alpha) is real
+            return self.apply_inverse(v.real) + 1j * self.apply_inverse(v.imag)
+        spectral = self.blocks == "spectral"
+        Lh, g = self.L_hat, self.gamma_diag
+        vw = np.reshape(v, (2, Lh, self.coarse.M))
         if self.method is InversionMethod.GENERAL:
-            u = _diagonal_solve(np.concatenate(vw, axis=1), g, self._solves[0])
-            xz = u.reshape(self.L_hat, 2, M).transpose(1, 0, 2)
+            # row l of the stack is [v_l | w_l]
+            vw = vw.transpose(1, 0, 2)
+            if spectral:
+                vw = self.basis.to_half(vw)
+            u = _diagonal_solve(vw.reshape(Lh, -1), g, self._solves[0])
+            xz = u.reshape(Lh, 2, -1).transpose(1, 0, 2)
         else:
+            if spectral:
+                vw = self.basis.to_half(vw)
             solve_P, solve_Q, couple = self._solves
             z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solve_Q)
             xz = np.stack([_diagonal_solve(vw[0] - couple(z), g, solve_P), z])
-        if self._basis is not None:
-            xz = self._basis[1](xz)
-        return _realize(xz, input_real)
-
-
-def _shared_eigenbasis(coarse: AffinePropagator):
-    """(U, diagonals): a unitary U with U^H X U diagonal for each coarse map
-    X in (Phi_P, Psi_P, Phi_Q, Psi_Q), or None when the complex Schur basis
-    of Phi_P + Psi_P leaves an off-diagonal part above SPECTRAL_RTOL ||X||_F
-    in any of them (non-normal K). The sum separates eigenvalues that Phi_P
-    alone collapses towards 0 for many coarse steps. The maps are real, so
-    the complex Schur form is reached through the real one, in less than
-    half the time of a complex Schur decomposition."""
-    maps = (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q)
-    _, U = scipy.linalg.rsf2csf(*scipy.linalg.schur(maps[0] + maps[1]))
-    diagonals = []
-    for X in maps:
-        D = U.conj().T @ X @ U
-        diagonal = np.diag(D).copy()
-        np.fill_diagonal(D, 0.0)
-        if np.linalg.norm(D) > SPECTRAL_RTOL * np.linalg.norm(X):
-            return None
-        diagonals.append(diagonal)
-    return U, diagonals
+        if spectral:
+            _check_real(xz, xz[..., :self.basis.self_count].imag)
+            return self.basis.from_half(xz).ravel()
+        _check_real(xz, xz.imag)
+        return xz.real.ravel()
 
 
 def _spectral_solves(method: InversionMethod, d: np.ndarray,
                      diagonals) -> tuple:
     """Closed-form per-(frequency, mode) solves on (L_hat, m) stacks of
-    coefficients in the shared eigenbasis."""
+    coefficients in the common eigenbasis of the four maps, whose
+    eigenvalues diagonals holds."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
     e = 1.0 + np.outer(np.conj(d), phi_Q)  # (I + conj(d_l) Phi_Q) per mode
@@ -239,9 +231,8 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                small_system_method: SmallSystemMethod = SmallSystemMethod.EXPLICIT_DIRECT,
                ) -> PreconditionerPlan:
     """Validate the (method, alpha, coarse) combination and prepare the
-    L_hat block solves: spectral when the coarse maps share a unitary
-    eigenbasis (the per-mode coefficients of ``coarse.modes``, or else a
-    checked Schur basis), per-block LU otherwise, or black-box when asked
+    L_hat block solves: spectral on the eigenvalues of ``coarse.modes``
+    when it has them, per-block LU otherwise, or black-box when asked
     for."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
@@ -262,21 +253,16 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
 
     Lh = decomp.L_hat
     d = alpha_circulant_eigenvalues(Lh, alpha)
-    basis = None
+    basis = None if coarse.modes is None else FourierBasis(coarse.M)
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
-        P, Q = linear_action(coarse)
+        P, Q = linear_action(coarse if basis is None
+                             else coarse.in_basis(basis, offsets=False))
         solves = (_per_frequency(
             lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
-    elif coarse.modes is not None:
+    elif basis is not None:
         blocks = "spectral"
-        basis = (grid_to_modes, modes_to_grid)
         solves = _spectral_solves(method, d, coarse.modes)
-    elif (eigen := _shared_eigenbasis(coarse)) is not None:
-        blocks = "spectral"
-        U, diagonals = eigen
-        basis = (lambda x: x @ U.conj(), lambda c: c @ U.T)
-        solves = _spectral_solves(method, d, diagonals)
     elif method is InversionMethod.TRIANGULAR:
         blocks = "lu"
         I = np.eye(coarse.M)
@@ -289,21 +275,20 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
         solves = (_lu_solves(assemble_block_system(maps, 1, coarse.objective,
                                                    alpha=-dl) for dl in d),)
     return PreconditionerPlan(method=method, coarse=coarse, L_hat=Lh,
-                              blocks=blocks, gamma_diag=_gamma_diag(Lh, alpha),
-                              _solves=solves, _basis=basis)
+                              blocks=blocks, basis=basis,
+                              gamma_diag=_gamma_diag(Lh, alpha),
+                              _solves=solves)
 
 
-def _realize(xz: np.ndarray, input_real: bool) -> np.ndarray:
-    out = xz.ravel()
-    if not input_real:
-        return out
-    nrm = np.linalg.norm(out)
-    residue = np.linalg.norm(out.imag)
+def _check_real(xz: np.ndarray, imag: np.ndarray) -> None:
+    """Raise if imag, the imaginary part that the complex xz leaves in a
+    real result, exceeds IMAG_RESIDUE_RTOL ||xz||."""
+    nrm = np.linalg.norm(xz)
+    residue = np.linalg.norm(imag)
     if nrm > 0 and residue > IMAG_RESIDUE_RTOL * nrm:
         raise FloatingPointError(
             f"imaginary residue {residue / nrm:.3e} exceeds threshold; "
             "check |alpha| and the block assembly")
-    return out.real
 
 
 def assemble_P_alpha(coarse: AffinePropagator, decomp: TimeDecomposition,

@@ -17,20 +17,29 @@ Where the basis comes from: a K that is block-circulant with circulant
 blocks (BCCB) on the x1-major n x n grid, as the periodic heat and
 advection-diffusion operators are, is diagonal in the unitary 2-D DFT of
 the grid, and its eigenvalues are the 2-D FFT of its first column
-(:func:`fourier_symbol`). Both builders then work per mode, on those
-eigenvalues as a stack of 1 x 1 matrices, with targets and offsets moved
-by 2-D FFTs. The per-mode coefficients of the four maps are kept in
-``AffinePropagator.modes``, and each dense map, BCCB again, is formed from
-them by one gather, in O(M^2). For any other K the implicit-Euler
-composition runs on the dense K, each of its J steps eliminating the
-interface unknowns with one M x M solve, O(J M^3), and the exact build
-diagonalizes a symmetric K with eigh.
+(:func:`fourier_symbol`). Real data have conjugate pairs of DFT
+coefficients, so :class:`FourierBasis` keeps one of each pair: its real
+coefficients are laid out as [self-conjugate modes | sqrt2 Re c(k) |
+sqrt2 Im c(k)], k over one representative per pair, an orthonormal real
+basis, and its half spectrum is the complex [c(k) self-conjugate |
+sqrt2 c(k) paired], about M/2 + 2 modes. Both builders work per mode of
+the half spectrum, on its eigenvalues as a stack of 1 x 1 matrices, with
+targets and offsets moved by 2-D FFTs. The eigenvalues of the four maps
+there are kept in ``AffinePropagator.modes``, and each dense map, BCCB
+again, is formed from them by one gather, in O(M^2). The solve applies
+each map to coefficients as a :class:`ModeMap`, one product per mode
+(:meth:`AffinePropagator.in_basis`), and the dense maps serve the LU and
+oracle paths. For any other K the implicit-Euler composition runs on the
+dense K, each of its J steps eliminating the interface unknowns with one
+M x M solve, O(J M^3), and the exact build diagonalizes a symmetric K
+with eigh.
 The dense coupled J-step system survives only as the brute-force oracle
 behind :func:`extract_phi_psi_scalar`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,9 +58,9 @@ class AffinePropagator:
     Q(y, lam) = Psi_Q y + Phi_Q lam + b_Q[l].
     Offsets are indexed by sub-interval (length L); the matrices are
     interval-independent. For a K with a :func:`fourier_symbol`, ``modes``
-    holds the coefficients of (Phi_P, Psi_P, Phi_Q, Psi_Q) per mode of the
-    2-D DFT, shape (4, M), in the order of :func:`grid_to_modes`; it is
-    None otherwise.
+    holds the eigenvalues of (Phi_P, Psi_P, Phi_Q, Psi_Q) on the half
+    spectrum of the grid's :class:`FourierBasis`, shape (4, len(half)); it
+    is None otherwise.
     """
 
     Phi_P: np.ndarray
@@ -67,6 +76,41 @@ class AffinePropagator:
     def M(self) -> int:
         return self.Phi_P.shape[0]
 
+    @property
+    def actions(self) -> tuple:
+        """(Phi_P, Psi_P, Phi_Q, Psi_Q) as actions on the rows of a stack
+        of grid values."""
+        return tuple(functools.partial(_on_rows, X) for X in
+                     (self.Phi_P, self.Psi_P, self.Phi_Q, self.Psi_Q))
+
+    def in_basis(self, basis: FourierBasis,
+                 offsets: bool = True) -> "ModalPropagator":
+        """The same maps in the real coefficients of basis: per-mode
+        actions, and the offsets transformed once, or left out (None) for
+        a propagator whose Jacobian alone is applied."""
+        b = ((basis.coefficients(self.b_P), basis.coefficients(self.b_Q))
+             if offsets else (None, None))
+        return ModalPropagator(tuple(ModeMap(basis, x) for x in self.modes),
+                               *b, self.objective, self.M)
+
+
+@dataclass(frozen=True)
+class ModalPropagator:
+    """An AffinePropagator in the real coefficients of a FourierBasis
+    (:meth:`AffinePropagator.in_basis`): ``actions`` act on the rows of
+    coefficient stacks one mode at a time, with no M x M map, and the
+    offsets are coefficients."""
+
+    actions: tuple  # (Phi_P, Psi_P, Phi_Q, Psi_Q) as ModeMaps
+    b_P: Optional[np.ndarray]  # (L, M)
+    b_Q: Optional[np.ndarray]  # (L, M)
+    objective: ObjectiveKind
+    M: int
+
+
+def _on_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return v @ X.T
+
 
 def _interval_count(problem: LinearControlProblem, DT: float) -> int:
     """The number L of sub-intervals of length DT in the horizon T."""
@@ -76,42 +120,137 @@ def _interval_count(problem: LinearControlProblem, DT: float) -> int:
     return L
 
 
-def _on_grid(transform, x: np.ndarray) -> np.ndarray:
-    """transform over the last axis of x, read as an x1-major n x n grid."""
-    n = math.isqrt(x.shape[-1])
-    grid = x.reshape(x.shape[:-1] + (n, n))
-    return transform(grid, axes=(-2, -1), norm="ortho").reshape(x.shape)
-
-
 def _hermitian(c: np.ndarray) -> np.ndarray:
     """(c(k) + conj c(-k)) / 2 over the last axis of c, read as the modes of
-    an n x n grid: exactly Hermitian, as the coefficients of real data are.
+    an n x n grid: exactly Hermitian, as the eigenvalues of a real map are.
     The FFT of real data can miss that in the last bit (numpy's fft2 does
-    at n = 16), and a conjugate pair that differs there can leave an
-    imaginary part of any size after an ill-conditioned per-mode solve."""
+    at n = 16)."""
     n = math.isqrt(c.shape[-1])
     neg = -np.arange(n) % n
     return (c + c[..., (neg[:, None] * n + neg).ravel()].conj()) / 2
 
 
-def grid_to_modes(x: np.ndarray) -> np.ndarray:
-    """Coefficients in the unitary 2-D DFT (k1-major) of the values on the
-    last axis of x, an x1-major n x n grid: the basis of fourier_symbol.
-    For real x they are exactly Hermitian (:func:`_hermitian`)."""
-    c = _on_grid(np.fft.fft2, x)
-    return c if np.iscomplexobj(x) else _hermitian(c)
+class FourierBasis:
+    """Real orthonormal Fourier basis of the x1-major n x n grid, M = n^2.
+
+    The coefficients c(k) of real grid data in the unitary 2-D DFT come in
+    conjugate pairs, c(-k) = conj c(k), so one representative k of each
+    pair {k, -k} carries both, and the self-conjugate modes (k = -k: the
+    mean, and for even n the three Nyquist modes) are real. A real vector
+    of length M holds them as
+
+        [c(k), k self-conjugate | sqrt2 Re c(k) | sqrt2 Im c(k), k in pairs]
+
+    (:meth:`coefficients`, :meth:`grid`). The change is orthogonal, so
+    norms and inner products are those of the grid. The half spectrum is
+    the complex vector [c(k), k self-conjugate | sqrt2 c(k), k in pairs],
+    of length about M/2 + 2 and of the same norm (:meth:`to_half`,
+    :meth:`from_half`); a map with DFT eigenvalues x acts on it as the
+    product with x[half], one mode at a time. Real data are the only
+    input: a complex vector would need both members of each pair.
+    ``half`` indexes those modes in the k1-major order of the DFT
+    (np.fft.fft2 of the grid), self-conjugate ones first, and
+    ``self_count`` is their number: one for odd n, four for even n.
+    """
+
+    def __init__(self, M: int):
+        n = math.isqrt(M)
+        if n * n != M:
+            raise ValueError(f"M = {M} is not the size of a square grid")
+        neg = -np.arange(n) % n
+        neg = (neg[:, None] * n + neg).ravel()  # the mode -k of each mode k
+        k = np.arange(M)
+        self.n, self.M = n, M
+        self.self_count = int(np.sum(neg == k))
+        pairs = k[k < neg]
+        self.half = np.concatenate([k[neg == k], pairs])
+        self._partners = neg[pairs]
+        # the real FFT's half plane, rows k1 = 0..n//2 of the DFT, holds
+        # every mode of half at its own index, and the partners -k of the
+        # pairs in rows k1 = 0 and n/2, which its inverse needs as well
+        self._plane = (n // 2 + 1, n)
+        inside = self._partners < self._plane[0] * n
+        self._inside = (np.flatnonzero(inside) + self.self_count,
+                        self._partners[inside])
+
+    def to_half(self, c: np.ndarray) -> np.ndarray:
+        """Half spectrum of real coefficients, over the last axis."""
+        s, p = self.self_count, len(self._partners)
+        h = np.empty(c.shape[:-1] + (s + p,), complex)
+        h[..., :s] = c[..., :s]
+        h[..., s:].real = c[..., s:s + p]
+        h[..., s:].imag = c[..., s + p:]
+        return h
+
+    def from_half(self, h: np.ndarray) -> np.ndarray:
+        """Real coefficients of a half spectrum, over the last axis: the
+        imaginary part of its self-conjugate modes, which real data do not
+        have, is dropped."""
+        s = self.self_count
+        return np.concatenate([h[..., :s].real, h[..., s:].real,
+                               h[..., s:].imag], axis=-1)
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """Real coefficients of real grid values, over the last axis."""
+        batch, n = x.shape[:-1], self.n
+        # the real transform runs over x1, so that the plane is k1-major
+        c = np.fft.rfftn(x.reshape(batch + (n, n)), axes=(-1, -2),
+                         norm="ortho").reshape(batch + (self._plane[0] * n,))
+        c = c[..., self.half]
+        c[..., self.self_count:] *= np.sqrt(2.0)
+        return self.from_half(c)
+
+    def grid(self, c: np.ndarray) -> np.ndarray:
+        """Real grid values of real coefficients, over the last axis."""
+        batch, n = c.shape[:-1], self.n
+        h = self.to_half(c)
+        h[..., self.self_count:] /= np.sqrt(2.0)
+        plane = np.zeros(batch + (self._plane[0] * n,), complex)
+        plane[..., self.half] = h
+        pairs, partners = self._inside
+        plane[..., partners] = h[..., pairs].conj()
+        return np.fft.irfftn(plane.reshape(batch + self._plane), s=(n, n),
+                             axes=(-1, -2), norm="ortho").reshape(c.shape)
+
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """Values x on the modes of ``half`` extended to all M modes in DFT
+        order, conj x(k) at -k: the eigenvalues of a real map from those
+        of its half spectrum."""
+        out = np.empty(x.shape[:-1] + (self.M,), complex)
+        out[..., self.half] = x
+        out[..., self._partners] = x[..., self.self_count:].conj()
+        return out
 
 
-def modes_to_grid(c: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`grid_to_modes`; complex, like its input."""
-    return _on_grid(np.fft.ifft2, c)
+class ModeMap:
+    """The action of a real map with eigenvalues x (its half spectrum, in
+    the order of FourierBasis.half) on real coefficients, over the last
+    axis: per pair, sqrt2 (Re, Im) c(k) goes to sqrt2 (Re, Im) x(k) c(k),
+    so the imaginary part of x couples the two halves; a real x (a
+    symmetric map) skips that step."""
+
+    def __init__(self, basis: FourierBasis, x: np.ndarray):
+        s = basis.self_count
+        self._re = np.concatenate([x.real, x[s:].real])
+        im = x[s:].imag
+        self._im = im if im.any() else None
+        self._s = s
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        out = v * self._re
+        if self._im is not None:
+            s, p = self._s, len(self._im)
+            out[..., s:s + p] -= self._im * v[..., s + p:]
+            out[..., s + p:] += self._im * v[..., s:s + p]
+        return out
 
 
 def _circulant(c: np.ndarray) -> np.ndarray:
-    """The real M x M map with coefficients c (length M) in the basis of
-    grid_to_modes. It is block-circulant with circulant blocks: entry
-    ((i1, i2), (j1, j2)) is x[i1 - j1, i2 - j2] (indices mod n) with x its
-    first column, so one gather forms it."""
+    """The real M x M map with eigenvalues c, length M in the k1-major
+    order of the 2-D DFT (FourierBasis.full extends a half spectrum). It
+    is block-circulant with circulant blocks: entry ((i1, i2), (j1, j2)) is
+    x[i1 - j1, i2 - j2] (indices mod n) with x its first column, so one
+    gather forms it."""
     n = math.isqrt(len(c))
     x = np.fft.ifft2(c.reshape(n, n)).real
     d = (np.arange(n)[:, None] - np.arange(n)) % n
@@ -121,16 +260,15 @@ def _circulant(c: np.ndarray) -> np.ndarray:
 # an FFT that overflows gives inf or NaN, which the match test rejects
 @np.errstate(over="ignore", invalid="ignore")
 def fourier_symbol(K: np.ndarray) -> Optional[np.ndarray]:
-    """Eigenvalues of K, length M in the order of :func:`grid_to_modes`, if
+    """Eigenvalues of K, length M in the k1-major order of the 2-D DFT, if
     K is block-circulant with circulant blocks on an x1-major n x n grid;
     None for any other K.
 
     Such a K is the circular convolution with its first column, so its
     eigenvalues are the 2-D FFT of that column, made exactly Hermitian, as
-    the eigenvalues of a real map are (:func:`_hermitian`), so that
-    per-mode results of real data keep their conjugate pairs to the last
-    bit. K is accepted when the map of these eigenvalues matches it to
-    rounding, in O(M^2).
+    the eigenvalues of a real map are (:func:`_hermitian`), so that a
+    self-conjugate mode has a real one. K is accepted when the map of
+    these eigenvalues matches it to rounding, in O(M^2).
     """
     M = K.shape[0]
     n = math.isqrt(M)
@@ -143,12 +281,12 @@ def fourier_symbol(K: np.ndarray) -> Optional[np.ndarray]:
     return s
 
 
-def _maps_from_modes(modes: np.ndarray) -> list:
-    """The dense maps with the per-mode coefficients of each row of modes,
-    with one gather per distinct row: a row equal to an earlier one shares
-    its map, and a row equal to an earlier one's conjugate takes its
-    transpose (the conjugate coefficients of a real map are those of its
-    transpose)."""
+def _maps_from_modes(basis: FourierBasis, modes: np.ndarray) -> list:
+    """The dense maps with the eigenvalues of each row of modes, a half
+    spectrum of basis, with one gather per distinct row: a row equal to an
+    earlier one shares its map, and a row equal to an earlier one's
+    conjugate takes its transpose (the conjugate eigenvalues of a real map
+    are those of its transpose)."""
     maps = []
     for c in modes:
         for c0, X in zip(modes, maps):  # the rows before c
@@ -159,7 +297,7 @@ def _maps_from_modes(modes: np.ndarray) -> list:
                 maps.append(X.T)
                 break
         else:
-            maps.append(_circulant(c))
+            maps.append(_circulant(basis.full(c)))
     return maps
 
 
@@ -188,9 +326,11 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                                  for l in range(L)])
     if symbol is None:
         K, target = problem.K, lambda j: sample(j).T
-    else:  # one 1 x 1 K per mode, and the targets' modes as its columns
-        K = symbol.reshape(-1, 1, 1)
-        target = lambda j: grid_to_modes(sample(j)).T[:, None, :]
+    else:  # one 1 x 1 K per mode of the half spectrum, and the targets'
+        basis = FourierBasis(problem.M)  # modes as its columns
+        K = symbol[basis.half].reshape(-1, 1, 1)
+        target = lambda j: basis.to_half(
+            basis.coefficients(sample(j))).T[:, None, :]
     maps = implicit_euler_maps(K, tau, gh, J, obj, variant,
                                target if tracking else None)
     offsets = np.zeros((2, L, problem.M))
@@ -201,9 +341,10 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
         return AffinePropagator(*maps[:4], *offsets, objective=obj)
     modes = np.stack([X[:, 0, 0] for X in maps[:4]])
     if tracking:
-        offsets = [modes_to_grid(b[:, 0, :].T).real.copy() for b in maps[4:]]
-    return AffinePropagator(*_maps_from_modes(modes), *offsets, objective=obj,
-                            modes=modes)
+        offsets = [basis.grid(basis.from_half(b[:, 0, :].T))
+                   for b in maps[4:]]
+    return AffinePropagator(*_maps_from_modes(basis, modes), *offsets,
+                            objective=obj, modes=modes)
 
 
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
@@ -269,10 +410,12 @@ def build_exact_propagator(problem: LinearControlProblem,
         to_modes, to_grid = (lambda x: x @ Q), (lambda c: c @ Q.T)
         to_matrix = lambda c: (Q * c) @ Q.T
     else:
+        basis = FourierBasis(K.shape[0])
         # a symmetric K has a real symbol
-        w = symbol.real
-        to_modes, to_grid = grid_to_modes, lambda c: modes_to_grid(c).real
-        to_matrix = _circulant
+        w = symbol[basis.half].real
+        to_modes = lambda x: basis.to_half(basis.coefficients(x))
+        to_grid = lambda h: basis.grid(basis.from_half(h))
+        to_matrix = lambda c: _circulant(basis.full(c))
     tracking = problem.objective is ObjectiveKind.TRACKING
     gh = DT / np.sqrt(problem.gamma) if tracking else DT / problem.gamma
     closed_form = _tracking_exact if tracking else _tc_exact
@@ -295,11 +438,13 @@ def build_exact_propagator(problem: LinearControlProblem,
                             modes=modes)
 
 
-def linear_action(prop: AffinePropagator):
-    """Callbacks (P, Q) of the linear part of the maps, offsets dropped:
+def linear_action(prop):
+    """Callbacks (P, Q) of the linear part of the maps of an AffinePropagator
+    or a ModalPropagator, offsets dropped, in its basis:
     P(y, lam) = Phi_P y - Psi_P lam, Q(y, lam) = Psi_Q y + Phi_Q lam."""
-    return (lambda y, lam: prop.Phi_P @ y - prop.Psi_P @ lam,
-            lambda y, lam: prop.Psi_Q @ y + prop.Phi_Q @ lam)
+    Phi_P, Psi_P, Phi_Q, Psi_Q = prop.actions
+    return (lambda y, lam: Phi_P(y) - Psi_P(lam),
+            lambda y, lam: Psi_Q(y) + Phi_Q(lam))
 
 
 def _coupled_system(K: np.ndarray, gamma: float, tau: float, J: int,

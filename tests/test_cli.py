@@ -305,10 +305,14 @@ class TestSolveCommand:
         # stored P^{-1} v_j, so the update keeps its accuracy: L=3 converges
         # and L=11 grows; both used to overflow the Givens rotations when
         # the update applied P^{-1} to V y. At this alpha P^{-1} is applied
-        # with relative errors far above 1, so the L=3 inner count follows
-        # the rounding of the coarse maps and of the plan's change of basis
+        # with a relative error of about 1e7, so the L=3 inner count follows
+        # rounding, not the algorithm: y_init scaled by 1 + k 1e-15
+        # (|k| <= 12) spreads it over 246-255 in the grid solve and 233-238
+        # in the coefficient solve, and changes of basis gave 235-259. The
+        # range allows for that; a P^{-1} that stopped helping at all would
+        # run into the 5 x 1000 inner budget, as L=11 does
         ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"],
-         0, None, (5, 253)),
+         0, None, (5, range(200, 301))),
         ([*TRIANGULAR, "--L", "11", "--alpha-real", "1e-30"],
          1, "residual grew 10x over 5 iterations", (5, 5000)),
         # the Hessenberg column overflows to inf, and the rotations to NaN
@@ -323,8 +327,11 @@ class TestSolveCommand:
         assert main([*args, "--output", out]) == rc
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["aborted"] == reason
-        assert (summary["outer_iterations"],
-                summary["total_inner_iterations"]) == counts
+        outer, inner = counts
+        assert summary["outer_iterations"] == outer
+        # an int is exact; a range holds a count that follows rounding
+        assert summary["total_inner_iterations"] in (
+            inner if isinstance(inner, range) else [inner])
 
     def test_diverging_residual_aborts(self, tmp_path):
         # alpha = 1e300 makes P(alpha)^{-1} useless, and five inner steps

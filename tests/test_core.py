@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,22 @@ from paraopt_kit.core import (
     matching_residual,
     paraopt_solve,
 )
+from paraopt_kit import propagators
 from paraopt_kit.numerics import GmresConfig
+from paraopt_kit.preconditioner import InversionMethod, build_plan
 from paraopt_kit.problem import (
+    Discretization,
     LinearControlProblem,
     ObjectiveKind,
+    make_advection_diffusion_problem,
     make_decomposition,
+    make_heat_problem,
     make_scalar_problem,
 )
-from paraopt_kit.propagators import build_implicit_euler_propagator
+from paraopt_kit.propagators import (
+    build_exact_propagator,
+    build_implicit_euler_propagator,
+)
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -189,3 +199,68 @@ class TestParaoptSolve:
                                              max_iterations=1))
         _, log = paraopt_solve(p, d, fine, coarse, cfg)
         assert not log.converged
+
+
+# (problem, objective, fine propagator, preconditioner (method, alpha) or None)
+_BASIS_SOLVES = [
+    (make, objective, fine, precond)
+    for make in (make_heat_problem, make_advection_diffusion_problem)
+    for objective, precond in ((TR, (InversionMethod.GENERAL, -1.0)),
+                               (TC, (InversionMethod.TRIANGULAR, 0.1)),
+                               (TR, None), (TC, None))
+    for fine in ("ie", "exact")
+    if not (fine == "exact" and make is make_advection_diffusion_problem)]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("make,objective,fine,precond", _BASIS_SOLVES)
+def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
+                                               n):
+    """The solve in the real Fourier basis against the dense grid solve of
+    the same problem (the builders with fourier_symbol patched to find
+    none): trajectories that agree to the outer tolerance."""
+    p = make(n, 0.3, 2.0, objective)
+    d = make_decomposition(p, L=6, J_fine=5, J_coarse=1)
+    variant = (Discretization.FDTO if objective is TC
+               else Discretization.FOTD)
+
+    def solve():
+        fine_prop = (build_exact_propagator(p, d.DT) if fine == "exact" else
+                     build_implicit_euler_propagator(p, d.DT, d.J_fine))
+        coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
+        plan = None if precond is None else build_plan(coarse, d, precond[1],
+                                                       precond[0])
+        cfg = NewtonConfig(outer_tolerance=1e-8, preconditioner=plan,
+                           inner=GmresConfig(rel_tolerance=1e-4))
+        return (fine_prop, None if plan is None else plan.blocks,
+                paraopt_solve(p, d, fine_prop, coarse, cfg))
+
+    sym, blocks, (x, log) = solve()
+    with mock.patch.object(propagators, "fourier_symbol", return_value=None):
+        dense, dense_blocks, (x_dense, log_dense) = solve()
+    assert sym.modes is not None and dense.modes is None
+    assert (blocks, dense_blocks) in ((None, None), ("spectral", "lu"))
+    # inner counts may differ where an inner residual lands on the inner
+    # tolerance, since the two solves round differently
+    assert log.converged and log_dense.converged
+    both = lambda t: np.concatenate([t.y.ravel(), t.lam_hat.ravel()])
+    scale = max(1.0, np.linalg.norm(both(x_dense)))
+    assert np.linalg.norm(both(x) - both(x_dense)) <= 1e-8 * scale
+    # and the residual of the returned grid trajectory is small on the grid
+    r0 = np.linalg.norm(matching_residual(
+        dense, p, d, PairedTrajectory.zeros(d.L_hat, p.M)))
+    assert (np.linalg.norm(matching_residual(dense, p, d, x))
+            <= 1e-8 * max(1.0, r0))
+
+
+def test_propagators_of_different_bases_rejected():
+    p = make_heat_problem(3, 0.3, 2.0, TR)
+    d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
+    fine = build_implicit_euler_propagator(p, d.DT, 2)
+    with mock.patch.object(propagators, "fourier_symbol", return_value=None):
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    with pytest.raises(ValueError, match="per-mode coefficients"):
+        paraopt_solve(p, d, fine, coarse, NewtonConfig())
+    plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+    with pytest.raises(ValueError, match="another basis"):
+        paraopt_solve(p, d, fine, fine, NewtonConfig(preconditioner=plan))

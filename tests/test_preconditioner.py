@@ -106,9 +106,10 @@ class TestApplyInverse:
     def test_general_matches_dense_tracking(self, small, J_coarse):
         p, d, coarse = tracking_setup(J_coarse=J_coarse)
         plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL, small)
+        # a random SPD K is not BCCB, so its blocks are LU-factorized
         assert plan.blocks == (
             "black_box" if small is SmallSystemMethod.BLACK_BOX_ITERATIVE
-            else "spectral")
+            else "lu")
         P = assemble_P_alpha(coarse, d, -1.0)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(2 * d.L_hat * p.M)
@@ -153,7 +154,8 @@ class TestApplyInverse:
     def test_real_input_keeps_conjugate_pairs(self, make):
         # at n = 16 numpy's fft2 of real data misses Hermitian symmetry in
         # the last bit, and P(1e-30)^{-1} amplified that into an imaginary
-        # residue of 0.4 (heat) and 0.6 (advection) of the result
+        # residue of 0.4 (heat) and 0.6 (advection) of the result; the real
+        # Fourier basis holds each conjugate pair as one mode
         p = make(16, 0.05, 2.0, TC)
         d = make_decomposition(p, L=11, J_fine=10, J_coarse=1)
         coarse = build_implicit_euler_propagator(p, d.DT, 1)
@@ -189,18 +191,27 @@ _PLAN_CASES = [(TR, Discretization.FOTD, InversionMethod.GENERAL, -1.0)] + [
     for variant in Discretization for alpha in (0.01, -0.05, 0.3)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["spd", "normal", "advection", "nonnormal"]),
+_GRID_PROBLEMS = {"heat": make_heat_problem,
+                  "advection": make_advection_diffusion_problem}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["spd", "normal", "heat", "advection",
+                             "nonnormal"]),
        case=st.sampled_from(_PLAN_CASES), M=st.integers(2, 4),
        J_coarse=st.integers(1, 3), L=st.integers(2, 5),
-       seed=st.integers(0, 2**16))
-def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L, seed):
-    """The spectral path for normal K (real and complex eigenbases), the LU
-    fallback for non-normal K, both checked against the dense P(alpha)."""
+       black_box=st.booleans(), seed=st.integers(0, 2**16))
+def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L,
+                                            black_box, seed):
+    """The spectral path of a BCCB K (heat, and advection-diffusion with
+    its complex eigenvalues), in the coefficients of the real Fourier
+    basis, and the LU path of any other K, normal or not, on the grid,
+    all checked against the dense P(alpha); the black-box path of the
+    general method in either basis too."""
     objective, variant, method, alpha = case
     rng = np.random.default_rng(seed)
-    if kind == "advection":  # n = 3 or 4 periodic grid, normal K
-        K = make_advection_diffusion_problem(M // 2 + 2, 0.1, 1.0, TR).K
+    if kind in _GRID_PROBLEMS:  # n = 3 or 4 periodic grid, BCCB K
+        K = _GRID_PROBLEMS[kind](M // 2 + 2, 0.1, 1.0, TR).K
     else:
         K = _random_K(kind, M, rng)
     M = len(K)
@@ -211,10 +222,18 @@ def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L, seed):
                              y_target=rng.standard_normal(M))
     d = make_decomposition(p, L=L, J_fine=4, J_coarse=J_coarse)
     coarse = build_implicit_euler_propagator(p, d.DT, J_coarse, variant)
-    plan = build_plan(coarse, d, alpha, method)
-    assert plan.blocks == ("lu" if kind == "nonnormal" else "spectral")
+    black_box = black_box and method is InversionMethod.GENERAL
+    plan = build_plan(coarse, d, alpha, method,
+                      SmallSystemMethod.BLACK_BOX_ITERATIVE if black_box
+                      else SmallSystemMethod.EXPLICIT_DIRECT)
+    assert plan.blocks == ("black_box" if black_box else
+                           "spectral" if kind in _GRID_PROBLEMS else "lu")
+    assert (plan.basis is None) == (kind not in _GRID_PROBLEMS)
     v = rng.standard_normal(2 * d.L_hat * M)
     x = plan.apply_inverse(v)
+    if plan.basis is not None:  # v and x are coefficients: the same norms
+        to_grid = lambda c: plan.basis.grid(c.reshape(-1, M)).ravel()
+        v, x = to_grid(v), to_grid(x)
     P = assemble_P_alpha(coarse, d, alpha)
     assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
 

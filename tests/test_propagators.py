@@ -23,14 +23,13 @@ from paraopt_kit.problem import (
 )
 from paraopt_kit.propagators import (
     Discretization,
+    FourierBasis,
     _coupled_system,
     build_exact_propagator,
     build_implicit_euler_propagator,
     extract_phi_psi_scalar,
     fourier_symbol,
-    grid_to_modes,
     linear_action,
-    modes_to_grid,
 )
 
 TR = ObjectiveKind.TRACKING
@@ -325,6 +324,23 @@ def rotated(X, F):
     return F @ X @ F.conj().T
 
 
+def dft(n):
+    """The unitary 2-D DFT of the x1-major n x n grid as an M x M matrix
+    (symmetric, so the transforms of the unit vectors are its rows)."""
+    M = n * n
+    return np.fft.fft2(np.eye(M).reshape(M, n, n), norm="ortho").reshape(M, M)
+
+
+def half_spectrum(basis, x):
+    """The half spectrum of real grid values x, over the last axis."""
+    return basis.to_half(basis.coefficients(x))
+
+
+def coefficient_matrix(basis):
+    """The orthogonal M x M matrix of FourierBasis.coefficients."""
+    return basis.coefficients(np.eye(basis.M)).T
+
+
 def negated(n):
     """Index of the mode -k of each mode k of an n x n grid, flattened."""
     neg = -np.arange(n) % n
@@ -338,6 +354,78 @@ def bccb(x):
                      for shift in np.ndindex(n, n)]).T
 
 
+class TestFourierBasis:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_orthonormal_round_trip(self, n):
+        M = n * n
+        basis = FourierBasis(M)
+        # odd n: the mean only; even n: the mean and three Nyquist modes
+        assert basis.self_count == (1 if n % 2 else 4)
+        assert len(basis.half) == (M + basis.self_count) // 2
+        Q = coefficient_matrix(basis)
+        np.testing.assert_allclose(Q @ Q.T, np.eye(M), rtol=0, atol=1e-14)
+        rng = np.random.default_rng(n)
+        x, c = rng.standard_normal((2, 3, M))
+        np.testing.assert_allclose(basis.grid(basis.coefficients(x)), x,
+                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(basis.coefficients(basis.grid(c)), c,
+                                   rtol=0, atol=1e-14)
+        # the half spectrum keeps the norm, and back is exact
+        h = basis.to_half(c)
+        np.testing.assert_allclose(np.linalg.norm(h, axis=1),
+                                   np.linalg.norm(c, axis=1), rtol=1e-15)
+        assert np.array_equal(basis.from_half(h), c)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6])
+    def test_half_spectrum_holds_dft_coefficients(self, n):
+        basis = FourierBasis(n * n)
+        x = np.random.default_rng(0).standard_normal((2, n * n))
+        c = x @ dft(n)  # the DFT of each row (the matrix is symmetric)
+        s = basis.self_count
+        want = c[:, basis.half]
+        want[:, s:] *= np.sqrt(2.0)
+        np.testing.assert_allclose(half_spectrum(basis, x), want, rtol=0,
+                                   atol=1e-14)
+        # self-conjugate modes of real data are real, and -k is conj k
+        assert np.abs(c[:, basis.half[:s]].imag).max(initial=0) < 1e-14
+        full = basis.full(c[:, basis.half])
+        np.testing.assert_allclose(full, c, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("make,n", [
+        (None, 1), (make_heat_problem, 2), (make_heat_problem, 3),
+        (make_heat_problem, 4), (make_advection_diffusion_problem, 3),
+        (make_advection_diffusion_problem, 4),
+        (make_advection_diffusion_problem, 5)])
+    def test_mode_actions_match_dense_maps(self, make, n):
+        """Each map of every fine and coarse build, applied one mode at a
+        time to coefficients, against the dense map through the basis;
+        offsets against their coefficients."""
+        basis = FourierBasis(n * n)
+        Q = coefficient_matrix(basis)
+        builds = [(TR, Discretization.FOTD), (TC, Discretization.FOTD),
+                  (TC, Discretization.FDTO)]
+        if make is not make_advection_diffusion_problem:
+            builds += [(TR, None), (TC, None)]  # exact: symmetric K only
+        rng = np.random.default_rng(n)
+        for objective, variant in builds:
+            p = (make_scalar_problem(1.7, 0.3, 2.0, objective) if make is None
+                 else make(n, 0.3, 2.0, objective))
+            DT = p.T / 4
+            prop = (build_exact_propagator(p, DT) if variant is None else
+                    build_implicit_euler_propagator(p, DT, 3, variant))
+            modal = prop.in_basis(basis)
+            assert modal.M == p.M
+            c = rng.standard_normal((4, p.M))
+            for X, act in zip((prop.Phi_P, prop.Psi_P, prop.Phi_Q,
+                               prop.Psi_Q), modal.actions):
+                np.testing.assert_allclose(act(c), c @ (Q @ X @ Q.T).T,
+                                           rtol=0, atol=1e-13)
+            for name in ("b_P", "b_Q"):
+                np.testing.assert_allclose(getattr(modal, name),
+                                           getattr(prop, name) @ Q.T,
+                                           rtol=0, atol=1e-12)
+
+
 class TestFourierSymbol:
     @pytest.mark.parametrize("make", [make_heat_problem,
                                       make_advection_diffusion_problem])
@@ -345,8 +433,7 @@ class TestFourierSymbol:
     def test_symbol_diagonalizes_K(self, make, n):
         K = make(n, 0.05, 2.0, TR).K
         s = fourier_symbol(K)
-        F = grid_to_modes(np.eye(n * n))  # the unitary 2-D DFT, symmetric
-        np.testing.assert_allclose(rotated(K, F), np.diag(s), rtol=0,
+        np.testing.assert_allclose(rotated(K, dft(n)), np.diag(s), rtol=0,
                                    atol=1e-12 * np.abs(K).max())
         # conjugate pairs to the last bit (the raw FFT misses this at n=16)
         assert np.array_equal(s[negated(n)], s.conj())
@@ -376,8 +463,6 @@ class TestFourierSymbol:
         # K^T is BCCB with the conjugate eigenvalues
         np.testing.assert_allclose(fourier_symbol(K.T), s.conj(), rtol=0,
                                    atol=1e-12 * np.abs(s).max())
-        np.testing.assert_allclose(modes_to_grid(grid_to_modes(x.ravel())),
-                                   x.ravel(), rtol=0, atol=1e-14)
 
     def test_scalar_problem(self):
         p = make_scalar_problem(3.0, 1.0, 1.0, TR)
@@ -410,20 +495,24 @@ class TestFourierSymbolBuild:
         DT, tau = p.T / L, p.T / (L * J)
         gh = tau / np.sqrt(p.gamma) if objective is TR else tau / p.gamma
         y = lambda j: np.array([p.y_d(l * DT + j * tau) for l in range(L)])
+        basis = FourierBasis(n * n)
         target = lambda j: y(j).T
-        modal = lambda j: grid_to_modes(y(j)).T[:, None, :]
+        modal = lambda j: half_spectrum(basis, y(j)).T[:, None, :]
         if objective is TC:
             target = modal = None
         dense = implicit_euler_maps(p.K, tau, gh, J, objective, variant, target)
-        modes = implicit_euler_maps(fourier_symbol(p.K).reshape(-1, 1, 1),
+        symbol = fourier_symbol(p.K)[basis.half]
+        modes = implicit_euler_maps(symbol.reshape(-1, 1, 1),
                                     tau, gh, J, objective, variant, modal)
-        F = grid_to_modes(np.eye(n * n))
+        F = dft(n)
         for X, x in zip(dense[:4], modes[:4]):
-            np.testing.assert_allclose(rotated(X, F), np.diag(x[:, 0, 0]),
+            np.testing.assert_allclose(rotated(X, F),
+                                       np.diag(basis.full(x[:, 0, 0])),
                                        rtol=0, atol=1e-13)
         for b, x in zip(dense[4:], modes[4:]):
             assert b.shape == (n * n, L if objective is TR else 0)
-            np.testing.assert_allclose(F @ b, x[:, 0, :], rtol=0,
+            np.testing.assert_allclose(half_spectrum(basis, b.T).T, x[:, 0, :],
+                                       rtol=0,
                                        atol=1e-12 * (1 + np.abs(b).max(
                                            initial=0.0)))
 
@@ -436,9 +525,11 @@ class TestFourierSymbolBuild:
                                               seed):
         """Every build from the symbol against the dense build of the same
         K (the builder with fourier_symbol patched to find none): maps,
-        offsets and modes; and the plan from the modes against the dense
-        P(alpha)."""
-        F = grid_to_modes(np.eye(n * n))
+        offsets and modes; and the plan from the modes, in the coefficients
+        of the basis, against the dense P(alpha)."""
+        F = dft(n)
+        basis = FourierBasis(n * n)
+        Q = coefficient_matrix(basis)
         rng = np.random.default_rng(seed)
         # (objective, implicit-Euler variant or None for exact)
         builds = [(TR, Discretization.FOTD), (TC, Discretization.FOTD),
@@ -464,7 +555,8 @@ class TestFourierSymbolBuild:
                 scale = 1e-12 * (1 + np.abs(X).max())
                 np.testing.assert_allclose(getattr(sym, name), X, rtol=0,
                                            atol=scale)
-                np.testing.assert_allclose(rotated(X, F), np.diag(x), rtol=0,
+                np.testing.assert_allclose(rotated(X, F),
+                                           np.diag(basis.full(x)), rtol=0,
                                            atol=scale)
             for name in ("b_P", "b_Q"):
                 b = getattr(dense, name)
@@ -479,9 +571,11 @@ class TestFourierSymbolBuild:
                  (InversionMethod.TRIANGULAR, -0.05)])
             for method, alpha in methods:
                 plan = build_plan(sym, d, alpha, method)
-                assert plan.blocks == "spectral"
+                assert plan.blocks == "spectral" and plan.basis is not None
                 v = rng.standard_normal(2 * d.L_hat * p.M)
-                P = assemble_P_alpha(sym, d, alpha)
+                # P(alpha) in the coefficients: Q per block
+                P = np.kron(np.eye(2 * d.L_hat), Q) @ assemble_P_alpha(
+                    sym, d, alpha) @ np.kron(np.eye(2 * d.L_hat), Q.T)
                 assert (np.linalg.norm(P @ plan.apply_inverse(v) - v)
                         <= 1e-10 * np.linalg.norm(v))
 
