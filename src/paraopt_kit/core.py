@@ -8,19 +8,22 @@ dense matrices, for oracle-sized tests, come from
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
 Where the solve runs: for a K that is block-circulant with circulant blocks
-(every built-in problem; the propagators then carry ``modes``),
-:func:`paraopt_solve` moves the right-hand side (the fine offsets, y_init
-and y_target) into the real coefficients of the grid's
-:class:`paraopt_kit.propagators.FourierBasis` once, runs GMRES, the fine
-residual, A_tilde and P(alpha)^{-1} on real coefficient vectors, and moves
-only the final trajectory back to the grid. There every map acts one mode
-at a time (:class:`paraopt_kit.propagators.ModeMap`), with no M x M
-product. The basis is real and orthonormal, so the vectors stay real,
-GMRES sees the norms and inner products of the grid solve, and the
-iterates agree with it up to rounding. Any other K is solved on the grid
-with the dense maps. :func:`matching_residual` and :func:`apply_jacobian`
-act in the basis of the propagator they are given: grid values for an
-AffinePropagator, coefficients for its ModalPropagator.
+(every built-in problem), the propagators hold the eigenvalues of their
+maps and the grid's :class:`paraopt_kit.propagators.FourierBasis`, and no
+M x M map. :func:`paraopt_solve` moves the right-hand side (the fine
+offsets, y_init and y_target) into the real coefficients of that basis
+once, runs GMRES, the fine residual, A_tilde and P(alpha)^{-1} on real
+coefficient vectors, and moves only the final trajectory back to the
+grid. There every map acts one mode at a time
+(:class:`paraopt_kit.propagators.ModeMap`), with no M x M product. The
+basis is real and orthonormal, so the vectors stay real, GMRES sees the
+norms and inner products of the grid solve, and the iterates agree with
+it up to rounding. Any other K is solved on the grid with the dense maps.
+:func:`matching_residual` and :func:`apply_jacobian` act in the basis of
+the propagator they are given: grid values for an AffinePropagator (per
+mode between the basis's two transforms when it has one), coefficients
+for its ModalPropagator. The dense Jacobians of the oracles take their
+maps from :func:`paraopt_kit.propagators.dense_maps`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator, FourierBasis
+from paraopt_kit.propagators import AffinePropagator, dense_maps
 
 
 @dataclass
@@ -143,9 +146,7 @@ def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                       decomp: TimeDecomposition) -> np.ndarray:
     """Dense matching-condition Jacobian, the matrix of apply_jacobian;
     oracle-sized problems only."""
-    return assemble_block_system(
-        (prop.Phi_P, prop.Psi_P, prop.Phi_Q, prop.Psi_Q), decomp.L_hat,
-        objective)
+    return assemble_block_system(dense_maps(prop), decomp.L_hat, objective)
 
 
 def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
@@ -169,24 +170,23 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     A non-finite residual, r0 included, or one that grew 10x over five
     steps aborts the solve with the reason in ``log.aborted``.
 
-    When both propagators carry ``modes``, the iteration runs on the real
-    coefficients of the grid's FourierBasis, the basis the preconditioner
+    When both propagators have a FourierBasis, the iteration runs on the
+    real coefficients of the coarse one's, the basis the preconditioner
     plan then acts in too, and only the returned trajectory is on the grid.
     """
     Lh, M = decomp.L_hat, problem.M
     plan = cfg.preconditioner
-    basis = None
-    if (fine.modes is None) != (coarse.modes is None):
+    basis = coarse.basis
+    if (fine.basis is None) != (basis is None):
         raise ValueError("the fine and coarse propagators must both carry "
                          "per-mode coefficients or neither")
-    if coarse.modes is not None:
-        basis = FourierBasis(M)
+    if basis is not None:
         coefficients = lambda y: None if y is None else basis.coefficients(y)
         problem = dataclasses.replace(problem,
                                       y_init=coefficients(problem.y_init),
                                       y_target=coefficients(problem.y_target))
-        fine = fine.in_basis(basis)
-        coarse = coarse.in_basis(basis, offsets=False)
+        fine = fine.in_basis()
+        coarse = coarse.in_basis(offsets=False)
     if plan is not None and (plan.basis is None) != (basis is None):
         raise ValueError("the preconditioner plan was built for a coarse "
                          "propagator of another basis")

@@ -11,24 +11,27 @@ eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real: for any
 other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
 that the inversion is checked against, and the H_l that the LU path
 factorizes, come from the same block assembly as the coarse Jacobian,
-:func:`paraopt_kit.analysis.assemble_block_system`.
+:func:`paraopt_kit.analysis.assemble_block_system`; the oracle takes its
+dense maps from :func:`paraopt_kit.propagators.dense_maps`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
 option. A coarse propagator built for a K that is block-circulant with
 circulant blocks (BCCB: the built-in problems, see
-:func:`paraopt_kit.propagators.fourier_symbol`) carries the eigenvalues of
-its four maps on the half spectrum of the grid's real Fourier basis
-(:class:`paraopt_kit.propagators.FourierBasis`) in ``modes``. Its plan acts
-on real coefficients in that basis, as the whole solve does
+:func:`paraopt_kit.propagators.fourier_symbol`) is the eigenvalues of its
+four maps on the half spectrum of the grid's real Fourier basis
+(:class:`paraopt_kit.propagators.FourierBasis`), which it carries in
+``basis``, with no M x M map. Its plan acts on real coefficients in that
+basis, as the whole solve does
 (:func:`paraopt_kit.core.paraopt_solve`): each application reads them as
 the half spectrum, about M/2 + 2 complex modes, does the FFTs in time and
 closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
 mode) over the whole stack, and reads the result back, with no spatial
-FFT. For any other K, normal or not, the plan acts on grid values and
-LU-factorizes each block once. The general method can instead solve its
-blocks matrix-free by inner GMRES, in the basis of the coarse maps. The
-plan names its path in ``PreconditionerPlan.blocks``; the CLI writes it to
-``summary.json`` as ``preconditioner_blocks``.
+FFT. For any other K, normal or not, the coarse propagator holds dense
+maps, and the plan acts on grid values and LU-factorizes each block once.
+The general method can instead solve its blocks matrix-free by inner
+GMRES, in the basis of the coarse maps. The plan names its path in
+``PreconditionerPlan.blocks``; the CLI writes it to ``summary.json`` as
+``preconditioner_blocks``.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real
 and any imaginary part of the result is rounding, amplified by an
@@ -54,6 +57,7 @@ from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import (
     AffinePropagator,
     FourierBasis,
+    dense_maps,
     linear_action,
 )
 
@@ -134,15 +138,16 @@ class PreconditionerPlan:
     Newton iterations.
 
     ``basis`` is the space apply_inverse acts in: the real coefficients of
-    a FourierBasis when the coarse maps carry ``modes``, grid values when
-    it is None. ``blocks`` names how the frequency blocks are solved:
+    the coarse propagator's FourierBasis when it has one, grid values when
+    it is None, and ``M`` is the length of one block of a vector.
+    ``blocks`` names how the frequency blocks are solved:
 
     - ``"spectral"``: the coarse maps are diagonal in ``basis``, so every
       block splits into independent 2 x 2 (general method) or scalar
       (triangular method) solves per (frequency, mode) of its half
       spectrum, done in closed form for the whole stack. Only the four
       diagonals of the half spectrum are stored.
-    - ``"lu"``: a coarse propagator without modes (a K that is not BCCB);
+    - ``"lu"``: a coarse propagator with dense maps (a K that is not BCCB);
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
@@ -150,7 +155,7 @@ class PreconditionerPlan:
     """
 
     method: InversionMethod
-    coarse: AffinePropagator
+    M: int
     L_hat: int
     blocks: str
     basis: Optional[FourierBasis]
@@ -171,7 +176,7 @@ class PreconditionerPlan:
             return self.apply_inverse(v.real) + 1j * self.apply_inverse(v.imag)
         spectral = self.blocks == "spectral"
         Lh, g = self.L_hat, self.gamma_diag
-        vw = np.reshape(v, (2, Lh, self.coarse.M))
+        vw = np.reshape(v, (2, Lh, self.M))
         if self.method is InversionMethod.GENERAL:
             # row l of the stack is [v_l | w_l]
             vw = vw.transpose(1, 0, 2)
@@ -231,18 +236,19 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                small_system_method: SmallSystemMethod = SmallSystemMethod.EXPLICIT_DIRECT,
                ) -> PreconditionerPlan:
     """Validate the (method, alpha, coarse) combination and prepare the
-    L_hat block solves: spectral on the eigenvalues of ``coarse.modes``
-    when it has them, per-block LU otherwise, or black-box when asked
-    for."""
+    L_hat block solves: spectral on the eigenvalues in ``coarse.maps``
+    when it has a basis, per-block LU of its dense maps otherwise, or
+    black-box when asked for."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     if np.imag(alpha) != 0:
-        # P(alpha)^{-1} of a real vector is complex then, which _realize
-        # would refuse in the first application
+        # P(alpha)^{-1} of a real vector is complex then, which _check_real
+        # would refuse with a FloatingPointError in the first application
         raise ValueError(f"alpha must be real, got {alpha}")
     if method is InversionMethod.GENERAL and abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError("the general method requires |alpha| = 1")
-    psi_q_norm = np.linalg.norm(coarse.Psi_Q)
+    # the eigenvalues of Psi_Q or its matrix: zero together
+    psi_q_norm = np.linalg.norm(coarse.maps[3])
     if method is InversionMethod.TRIANGULAR and psi_q_norm != 0.0:
         raise ValueError("the triangular method requires Psi_Q_tilde = 0")
     if (method is InversionMethod.TRIANGULAR
@@ -253,28 +259,28 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
 
     Lh = decomp.L_hat
     d = alpha_circulant_eigenvalues(Lh, alpha)
-    basis = None if coarse.modes is None else FourierBasis(coarse.M)
+    basis = coarse.basis
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
         P, Q = linear_action(coarse if basis is None
-                             else coarse.in_basis(basis, offsets=False))
+                             else coarse.in_basis(offsets=False))
         solves = (_per_frequency(
             lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
     elif basis is not None:
         blocks = "spectral"
-        solves = _spectral_solves(method, d, coarse.modes)
+        solves = _spectral_solves(method, d, coarse.maps)
     elif method is InversionMethod.TRIANGULAR:
         blocks = "lu"
         I = np.eye(coarse.M)
-        solves = (_lu_solves(I + dl * coarse.Phi_P for dl in d),
-                  _lu_solves(I + np.conj(dl) * coarse.Phi_Q for dl in d),
-                  lambda z: z @ coarse.Psi_P.T)
+        Phi_P, Psi_P, Phi_Q, _ = coarse.maps
+        solves = (_lu_solves(I + dl * Phi_P for dl in d),
+                  _lu_solves(I + np.conj(dl) * Phi_Q for dl in d),
+                  lambda z: z @ Psi_P.T)
     else:
         blocks = "lu"
-        maps = (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q)
-        solves = (_lu_solves(assemble_block_system(maps, 1, coarse.objective,
-                                                   alpha=-dl) for dl in d),)
-    return PreconditionerPlan(method=method, coarse=coarse, L_hat=Lh,
+        solves = (_lu_solves(assemble_block_system(
+            coarse.maps, 1, coarse.objective, alpha=-dl) for dl in d),)
+    return PreconditionerPlan(method=method, M=coarse.M, L_hat=Lh,
                               blocks=blocks, basis=basis,
                               gamma_diag=_gamma_diag(Lh, alpha),
                               _solves=solves)
@@ -294,6 +300,5 @@ def _check_real(xz: np.ndarray, imag: np.ndarray) -> None:
 def assemble_P_alpha(coarse: AffinePropagator, decomp: TimeDecomposition,
                      alpha: complex) -> np.ndarray:
     """Dense P(alpha); oracle for the inversion procedures."""
-    return assemble_block_system(
-        (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q),
-        decomp.L_hat, coarse.objective, alpha)
+    return assemble_block_system(dense_maps(coarse), decomp.L_hat,
+                                 coarse.objective, alpha)

@@ -24,15 +24,16 @@ sqrt2 Im c(k)], k over one representative per pair, an orthonormal real
 basis, and its half spectrum is the complex [c(k) self-conjugate |
 sqrt2 c(k) paired], about M/2 + 2 modes. Both builders work per mode of
 the half spectrum, on its eigenvalues as a stack of 1 x 1 matrices, with
-targets and offsets moved by 2-D FFTs. The eigenvalues of the four maps
-there are kept in ``AffinePropagator.modes``, and each dense map, BCCB
-again, is formed from them by one gather, in O(M^2). The solve applies
-each map to coefficients as a :class:`ModeMap`, one product per mode
-(:meth:`AffinePropagator.in_basis`), and the dense maps serve the LU and
-oracle paths. For any other K the implicit-Euler composition runs on the
-dense K, each of its J steps eliminating the interface unknowns with one
-M x M solve, O(J M^3), and the exact build diagonalizes a symmetric K
-with eigh.
+targets and offsets moved by 2-D FFTs. Such a propagator is the
+eigenvalues of its four maps there, its grid offsets and its basis, with
+no M x M map: it acts on coefficients as a :class:`ModeMap`, one product
+per mode (:meth:`AffinePropagator.in_basis`), and on grid values through
+the basis's transforms. For any other K the implicit-Euler composition
+runs on the dense K, each of its J steps eliminating the interface
+unknowns with one M x M solve, O(J M^3), and the exact build
+diagonalizes a symmetric K with eigh; those propagators hold the dense
+maps. A dense map of either kind, for the oracles and tests, comes from
+:func:`dense_maps`, which applies the actions to the unit vectors.
 The dense coupled J-step system survives only as the brute-force oracle
 behind :func:`extract_phi_psi_scalar`.
 """
@@ -56,41 +57,44 @@ class AffinePropagator:
 
     P(y, lam) = Phi_P y - Psi_P lam + b_P[l],
     Q(y, lam) = Psi_Q y + Phi_Q lam + b_Q[l].
-    Offsets are indexed by sub-interval (length L); the matrices are
-    interval-independent. For a K with a :func:`fourier_symbol`, ``modes``
-    holds the eigenvalues of (Phi_P, Psi_P, Phi_Q, Psi_Q) on the half
-    spectrum of the grid's :class:`FourierBasis`, shape (4, len(half)); it
-    is None otherwise.
+    Offsets are indexed by sub-interval (length L) and hold grid values;
+    the maps are interval-independent. With ``basis`` None, ``maps`` holds
+    (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices. For a K with a
+    :func:`fourier_symbol`, ``basis`` is the grid's :class:`FourierBasis`
+    and ``maps`` holds their eigenvalues on its half spectrum, one row per
+    map, shape (4, len(basis.half)): no M x M map is formed
+    (:func:`dense_maps` forms them on demand).
     """
 
-    Phi_P: np.ndarray
-    Psi_P: np.ndarray
-    Phi_Q: np.ndarray
-    Psi_Q: np.ndarray
+    maps: object  # (Phi_P, Psi_P, Phi_Q, Psi_Q): M x M, or rows of modes
     b_P: np.ndarray  # (L, M)
     b_Q: np.ndarray  # (L, M)
     objective: ObjectiveKind
-    modes: Optional[np.ndarray] = field(default=None, repr=False)
+    basis: Optional[FourierBasis] = field(default=None, repr=False)
 
     @property
     def M(self) -> int:
-        return self.Phi_P.shape[0]
+        return self.b_P.shape[-1]
 
     @property
     def actions(self) -> tuple:
         """(Phi_P, Psi_P, Phi_Q, Psi_Q) as actions on the rows of a stack
-        of grid values."""
-        return tuple(functools.partial(_on_rows, X) for X in
-                     (self.Phi_P, self.Psi_P, self.Phi_Q, self.Psi_Q))
+        of grid values: products with the matrices, or per mode between
+        the basis's two transforms."""
+        if self.basis is None:
+            return tuple(functools.partial(_on_rows, X) for X in self.maps)
+        return tuple(functools.partial(_on_grid, self.basis,
+                                       ModeMap(self.basis, x))
+                     for x in self.maps)
 
-    def in_basis(self, basis: FourierBasis,
-                 offsets: bool = True) -> "ModalPropagator":
-        """The same maps in the real coefficients of basis: per-mode
+    def in_basis(self, offsets: bool = True) -> "ModalPropagator":
+        """The same maps in the real coefficients of ``basis``: per-mode
         actions, and the offsets transformed once, or left out (None) for
         a propagator whose Jacobian alone is applied."""
+        basis = self.basis
         b = ((basis.coefficients(self.b_P), basis.coefficients(self.b_Q))
              if offsets else (None, None))
-        return ModalPropagator(tuple(ModeMap(basis, x) for x in self.modes),
+        return ModalPropagator(tuple(ModeMap(basis, x) for x in self.maps),
                                *b, self.objective, self.M)
 
 
@@ -110,6 +114,19 @@ class ModalPropagator:
 
 def _on_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v @ X.T
+
+
+def _on_grid(basis: FourierBasis, act: ModeMap, v: np.ndarray) -> np.ndarray:
+    return basis.grid(act(basis.coefficients(v)))
+
+
+def dense_maps(prop) -> tuple:
+    """(Phi_P, Psi_P, Phi_Q, Psi_Q) of an AffinePropagator or a
+    ModalPropagator as dense M x M matrices in its basis, formed from its
+    actions on the unit vectors: O(M^2) memory each, for the dense oracles
+    and tests."""
+    I = np.eye(prop.M)
+    return tuple(act(I).T for act in prop.actions)
 
 
 def _interval_count(problem: LinearControlProblem, DT: float) -> int:
@@ -212,15 +229,6 @@ class FourierBasis:
         return np.fft.irfftn(plane.reshape(batch + self._plane), s=(n, n),
                              axes=(-1, -2), norm="ortho").reshape(c.shape)
 
-    def full(self, x: np.ndarray) -> np.ndarray:
-        """Values x on the modes of ``half`` extended to all M modes in DFT
-        order, conj x(k) at -k: the eigenvalues of a real map from those
-        of its half spectrum."""
-        out = np.empty(x.shape[:-1] + (self.M,), complex)
-        out[..., self.half] = x
-        out[..., self._partners] = x[..., self.self_count:].conj()
-        return out
-
 
 class ModeMap:
     """The action of a real map with eigenvalues x (its half spectrum, in
@@ -247,10 +255,9 @@ class ModeMap:
 
 def _circulant(c: np.ndarray) -> np.ndarray:
     """The real M x M map with eigenvalues c, length M in the k1-major
-    order of the 2-D DFT (FourierBasis.full extends a half spectrum). It
-    is block-circulant with circulant blocks: entry ((i1, i2), (j1, j2)) is
-    x[i1 - j1, i2 - j2] (indices mod n) with x its first column, so one
-    gather forms it."""
+    order of the 2-D DFT. It is block-circulant with circulant blocks:
+    entry ((i1, i2), (j1, j2)) is x[i1 - j1, i2 - j2] (indices mod n) with
+    x its first column, so one gather forms it."""
     n = math.isqrt(len(c))
     x = np.fft.ifft2(c.reshape(n, n)).real
     d = (np.arange(n)[:, None] - np.arange(n)) % n
@@ -279,26 +286,6 @@ def fourier_symbol(K: np.ndarray) -> Optional[np.ndarray]:
     if not np.abs(_circulant(s) - K).max() <= 1e-12 * np.abs(K).max():
         return None
     return s
-
-
-def _maps_from_modes(basis: FourierBasis, modes: np.ndarray) -> list:
-    """The dense maps with the eigenvalues of each row of modes, a half
-    spectrum of basis, with one gather per distinct row: a row equal to an
-    earlier one shares its map, and a row equal to an earlier one's
-    conjugate takes its transpose (the conjugate eigenvalues of a real map
-    are those of its transpose)."""
-    maps = []
-    for c in modes:
-        for c0, X in zip(modes, maps):  # the rows before c
-            if np.array_equal(c, c0):
-                maps.append(X)
-                break
-            if np.array_equal(c, c0.conj()):
-                maps.append(X.T)
-                break
-        else:
-            maps.append(_circulant(basis.full(c)))
-    return maps
 
 
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
@@ -337,14 +324,12 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     if symbol is None:
         if tracking:
             offsets = [b.T.copy() for b in maps[4:]]
-        # maps, then offsets, in the order of the AffinePropagator fields
-        return AffinePropagator(*maps[:4], *offsets, objective=obj)
-    modes = np.stack([X[:, 0, 0] for X in maps[:4]])
+        return AffinePropagator(tuple(maps[:4]), *offsets, objective=obj)
     if tracking:
         offsets = [basis.grid(basis.from_half(b[:, 0, :].T))
                    for b in maps[4:]]
-    return AffinePropagator(*_maps_from_modes(basis, modes), *offsets,
-                            objective=obj, modes=modes)
+    return AffinePropagator(np.stack([X[:, 0, 0] for X in maps[:4]]),
+                            *offsets, objective=obj, basis=basis)
 
 
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
@@ -389,8 +374,9 @@ def build_exact_propagator(problem: LinearControlProblem,
     """Exact-in-time propagator pair for a symmetric K: the closed forms
     give the (phi, psi) of every eigenvalue, and the maps and the tracking
     offsets are both formed from them. The eigenvalues are K's
-    :func:`fourier_symbol` when it has one, and come from one eigh of K
-    otherwise.
+    :func:`fourier_symbol` when it has one, and then the maps are kept as
+    they are; otherwise they come from one eigh of K, and the maps are
+    formed in its eigenbasis.
 
     Tracking offsets are exact for a y_d that is affine in t on each
     sub-interval (see :func:`_exact_tracking_offsets`); any other y_d raises
@@ -398,44 +384,42 @@ def build_exact_propagator(problem: LinearControlProblem,
     the mean of its ends.
     """
     K = problem.K
-    # scaled by max |K|, so that the norms cannot overflow
-    Ks = K / max(np.abs(K).max(), np.finfo(float).tiny)
-    if np.linalg.norm(Ks - Ks.T) > 1e-12 * np.linalg.norm(Ks):
+    symbol = fourier_symbol(K)
+    # K^T has the conjugate symbol, and the Frobenius norm of a BCCB K is
+    # the 2-norm of its symbol, so the symbol is tested as K would be;
+    # scaled by its largest entry, so that the norms cannot overflow
+    x, transpose = (K, np.transpose) if symbol is None else (symbol, np.conj)
+    xs = x / max(np.abs(x).max(), np.finfo(float).tiny)
+    if np.linalg.norm(xs - transpose(xs)) > 1e-12 * np.linalg.norm(xs):
         raise ValueError("exact propagators require a symmetric K")
     L = _interval_count(problem, DT)
 
-    symbol = fourier_symbol(K)
     if symbol is None:
-        w, Q = np.linalg.eigh(K)
+        basis, (w, Q) = None, np.linalg.eigh(K)
         to_modes, to_grid = (lambda x: x @ Q), (lambda c: c @ Q.T)
-        to_matrix = lambda c: (Q * c) @ Q.T
     else:
         basis = FourierBasis(K.shape[0])
         # a symmetric K has a real symbol
         w = symbol[basis.half].real
         to_modes = lambda x: basis.to_half(basis.coefficients(x))
         to_grid = lambda h: basis.grid(basis.from_half(h))
-        to_matrix = lambda c: _circulant(basis.full(c))
     tracking = problem.objective is ObjectiveKind.TRACKING
     gh = DT / np.sqrt(problem.gamma) if tracking else DT / problem.gamma
     closed_form = _tracking_exact if tracking else _tc_exact
     # unchecked forms: a propagator exists for every eigenvalue, also outside
     # the range the analysis bounds assume (phi = 1 at a vanishing one)
     pp = closed_form(DT * w, gh)
-    Phi, Psi = to_matrix(pp.phi), to_matrix(pp.psi)
-    Psi_Q = Psi if tracking else np.zeros_like(Psi)
-    modes = None
-    if symbol is not None:
-        modes = np.stack([pp.phi, pp.psi, pp.phi,
-                          pp.psi if tracking else np.zeros_like(pp.psi)])
+    pair = lambda phi, psi: (phi, psi, phi,
+                             psi if tracking else np.zeros_like(psi))
+    if basis is None:  # the maps of coefficients (phi, psi) in K's eigenbasis
+        maps = pair(*((Q * c) @ Q.T for c in (pp.phi, pp.psi)))
+    else:
+        maps = np.stack(pair(pp.phi, pp.psi))
 
     b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, pp.phi, pp.psi,
                                         to_modes, to_grid)
                 if tracking else np.zeros((2, L, problem.M)))
-
-    return AffinePropagator(Phi_P=Phi, Psi_P=Psi, Phi_Q=Phi, Psi_Q=Psi_Q,
-                            b_P=b_P, b_Q=b_Q, objective=problem.objective,
-                            modes=modes)
+    return AffinePropagator(maps, b_P, b_Q, problem.objective, basis)
 
 
 def linear_action(prop):

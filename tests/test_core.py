@@ -29,6 +29,7 @@ from paraopt_kit.problem import (
 from paraopt_kit.propagators import (
     build_exact_propagator,
     build_implicit_euler_propagator,
+    dense_maps,
 )
 
 TR = ObjectiveKind.TRACKING
@@ -80,8 +81,9 @@ class TestMatchingResidual:
 
 def propagate(prop, l, y_prev, lam_next):
     """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
-    y_next = prop.Phi_P @ y_prev - prop.Psi_P @ lam_next + prop.b_P[l - 1]
-    lam_prev = prop.Psi_Q @ y_prev + prop.Phi_Q @ lam_next + prop.b_Q[l - 1]
+    Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(prop)
+    y_next = Phi_P @ y_prev - Psi_P @ lam_next + prop.b_P[l - 1]
+    lam_prev = Psi_Q @ y_prev + Phi_Q @ lam_next + prop.b_Q[l - 1]
     return y_next, lam_prev
 
 
@@ -218,7 +220,8 @@ def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
                                                n):
     """The solve in the real Fourier basis against the dense grid solve of
     the same problem (the builders with fourier_symbol patched to find
-    none): trajectories that agree to the outer tolerance."""
+    none): trajectories that agree to the outer tolerance, and grid
+    residuals of the per-mode propagator that match the dense one's."""
     p = make(n, 0.3, 2.0, objective)
     d = make_decomposition(p, L=6, J_fine=5, J_coarse=1)
     variant = (Discretization.FDTO if objective is TC
@@ -238,7 +241,7 @@ def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
     sym, blocks, (x, log) = solve()
     with mock.patch.object(propagators, "fourier_symbol", return_value=None):
         dense, dense_blocks, (x_dense, log_dense) = solve()
-    assert sym.modes is not None and dense.modes is None
+    assert sym.basis is not None and dense.basis is None
     assert (blocks, dense_blocks) in ((None, None), ("spectral", "lu"))
     # inner counts may differ where an inner residual lands on the inner
     # tolerance, since the two solves round differently
@@ -251,6 +254,12 @@ def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
         dense, p, d, PairedTrajectory.zeros(d.L_hat, p.M)))
     assert (np.linalg.norm(matching_residual(dense, p, d, x))
             <= 1e-8 * max(1.0, r0))
+    # the per-mode propagator acts on grid values as the dense one does
+    v = np.random.default_rng(n).standard_normal(2 * d.L_hat * p.M)
+    for t in (x, PairedTrajectory.from_vector(v, d.L_hat, p.M)):
+        np.testing.assert_allclose(
+            matching_residual(sym, p, d, t), matching_residual(dense, p, d, t),
+            rtol=0, atol=1e-12 * max(r0, np.linalg.norm(both(t))))
 
 
 def test_propagators_of_different_bases_rejected():

@@ -23,6 +23,7 @@ from paraopt_kit.problem import (
 )
 from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
+    dense_maps,
     linear_action,
 )
 
@@ -267,8 +268,9 @@ def test_P_alpha_differs_from_jacobian_in_corners_only(
     want = np.zeros_like(diff)
     y = lambda l: slice((l - 1) * M, l * M)                # state block l
     lam = lambda l: slice((Lh + l - 1) * M, (Lh + l) * M)  # adjoint block l
-    want[y(1), y(Lh)] -= alpha * coarse.Phi_P
-    want[lam(Lh), lam(1)] -= np.conj(alpha) * coarse.Phi_Q
+    Phi_P, _, Phi_Q, _ = dense_maps(coarse)
+    want[y(1), y(Lh)] -= alpha * Phi_P
+    want[lam(Lh), lam(1)] -= np.conj(alpha) * Phi_Q
     if objective is TC:
         want[lam(Lh), y(Lh)] += np.eye(M)
     np.testing.assert_allclose(diff, want, rtol=0, atol=1e-14)
@@ -279,9 +281,8 @@ class TestBlockSolvers:
         _, d, coarse = tracking_setup(J_coarse=2)
         d_l = -0.3 + 0.7j
         # the frequency block H_l is the one-interval P(-d_l)
-        H = assemble_block_system(
-            (coarse.Phi_P, coarse.Psi_P, coarse.Phi_Q, coarse.Psi_Q), 1,
-            coarse.objective, alpha=-d_l)
+        H = assemble_block_system(dense_maps(coarse), 1, coarse.objective,
+                                  alpha=-d_l)
         rng = np.random.default_rng(4)
         rhs = rng.standard_normal(2 * coarse.M) + 1j * rng.standard_normal(
             2 * coarse.M)

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,7 @@ from paraopt_kit.propagators import (
     _coupled_system,
     build_exact_propagator,
     build_implicit_euler_propagator,
+    dense_maps,
     extract_phi_psi_scalar,
     fourier_symbol,
     linear_action,
@@ -50,8 +52,9 @@ def refined_solve(A, R):
 
 def propagate(prop, l, y_prev, lam_next):
     """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
-    y_next = prop.Phi_P @ y_prev - prop.Psi_P @ lam_next + prop.b_P[l - 1]
-    lam_prev = prop.Psi_Q @ y_prev + prop.Phi_Q @ lam_next + prop.b_Q[l - 1]
+    Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(prop)
+    y_next = Phi_P @ y_prev - Psi_P @ lam_next + prop.b_P[l - 1]
+    lam_prev = Psi_Q @ y_prev + Phi_Q @ lam_next + prop.b_Q[l - 1]
     return y_next, lam_prev
 
 
@@ -101,26 +104,28 @@ class TestImplicitEulerBuild:
 
     def test_tracking_shares_blocks(self):
         p = small_tracking_problem()
-        prop = build_implicit_euler_propagator(p, 0.5, 3)
-        np.testing.assert_allclose(prop.Phi_P, prop.Phi_Q.T, atol=1e-13)
-        np.testing.assert_allclose(prop.Psi_P, prop.Psi_Q.T, atol=1e-13)
+        Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(
+            build_implicit_euler_propagator(p, 0.5, 3))
+        np.testing.assert_allclose(Phi_P, Phi_Q.T, atol=1e-13)
+        np.testing.assert_allclose(Psi_P, Psi_Q.T, atol=1e-13)
 
     def test_terminal_cost_has_no_Q_feedback(self):
         p = make_scalar_problem(2.0, 0.5, 2.0, TC)
         for variant in (Discretization.FOTD, Discretization.FDTO):
             prop = build_implicit_euler_propagator(p, 0.5, 3, variant)
-            assert np.linalg.norm(prop.Psi_Q) == 0.0
+            assert np.linalg.norm(dense_maps(prop)[3]) == 0.0
 
     def test_eigen_coefficients_match_scalar_oracle(self):
         p = small_tracking_problem()
         DT, J = 0.5, 4
         prop = build_implicit_euler_propagator(p, DT, J)
+        Phi_P, Psi_P = dense_maps(prop)[:2]
         w, Q = np.linalg.eigh(p.K)
         for i, sigma in enumerate(w):
             phi, psi = extract_phi_psi_scalar(sigma, p.gamma, DT / J, J, TR)
             v = Q[:, i]
-            assert v @ prop.Phi_P @ v == pytest.approx(phi, abs=1e-12)
-            assert v @ prop.Psi_P @ v == pytest.approx(psi, abs=1e-12)
+            assert v @ Phi_P @ v == pytest.approx(phi, abs=1e-12)
+            assert v @ Psi_P @ v == pytest.approx(psi, abs=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), M=st.integers(1, 4),
@@ -155,8 +160,10 @@ class TestImplicitEulerBuild:
                         [y_d(l * DT + j * tau) for j in range(J)])
                 sol = refined_solve(A, -tau / np.sqrt(gamma) * rhs)
                 ref["b_P"], ref["b_Q"] = sol[yJ].T, sol[lam0].T
+            built = dict(zip(("Phi_P", "Psi_P", "Phi_Q", "Psi_Q"),
+                             dense_maps(prop)), b_P=prop.b_P, b_Q=prop.b_Q)
             for name, want in ref.items():
-                got = getattr(prop, name)
+                got = built[name]
                 scale = np.linalg.norm(want) or np.linalg.norm(ref["Phi_P"])
                 assert np.linalg.norm(got - want) <= 1e-12 * scale, name
 
@@ -179,6 +186,13 @@ class TestExactBuild:
         with pytest.raises(ValueError, match="symmetric"):
             build_exact_propagator(p, 0.5)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_requires_symmetric_bccb_K(self, n):
+        # a BCCB K is tested on its symbol: advection makes it complex
+        p = make_advection_diffusion_problem(n, 0.3, 2.0, TC)
+        with pytest.raises(ValueError, match="symmetric"):
+            build_exact_propagator(p, 0.5)
+
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_implicit_euler_converges_first_order(self, objective):
         # for tracking the offsets too: their J -> infinity limit is a second
@@ -190,8 +204,9 @@ class TestExactBuild:
             errs = []
             for J in (64, 128):
                 ie = build_implicit_euler_propagator(p, 1.0, J)
-                errs.append([abs(ie.Phi_P[0, 0] - exact.Phi_P[0, 0])
-                             + abs(ie.Psi_P[0, 0] - exact.Psi_P[0, 0]),
+                (ie_phi, ie_psi), (phi, psi) = (
+                    np.ravel(dense_maps(prop)[:2]) for prop in (ie, exact))
+                errs.append([abs(ie_phi - phi) + abs(ie_psi - psi),
                              abs(ie.b_P[0, 0] - exact.b_P[0, 0]),
                              abs(ie.b_Q[0, 0] - exact.b_Q[0, 0])])
             if objective is TC:  # no offsets
@@ -245,16 +260,17 @@ class TestExactBuild:
             # sigma_hat = 800, past the overflow of cosh and sinh
             prop = build_exact_propagator(
                 make_scalar_problem(800.0, 1.0, 2.0, TR), 1.0)
-        for block in (prop.Phi_P, prop.Psi_P, prop.Phi_Q, prop.Psi_Q):
+        maps = dense_maps(prop)
+        for block in maps:
             assert np.all(np.isfinite(block))
-        assert np.linalg.norm(prop.Psi_P) > 0.0
+        assert np.linalg.norm(maps[1]) > 0.0
 
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_vanishing_eigenvalue_builds(self, objective):
         p = make_scalar_problem(1e-20, 1.0, 1.0, objective)
-        prop = build_exact_propagator(p, 0.5)
-        assert prop.Phi_P[0, 0] <= 1.0
-        assert np.isfinite(prop.Psi_P[0, 0]) and prop.Psi_P[0, 0] > 0.0
+        phi, psi = np.ravel(dense_maps(build_exact_propagator(p, 0.5))[:2])
+        assert phi <= 1.0
+        assert np.isfinite(psi) and psi > 0.0
 
 
 class TestPropagate:
@@ -305,8 +321,7 @@ class TestPerModeBuild:
             modes = implicit_euler_maps(sigma[:, None, None], tau, gh, J, obj,
                                         variant,
                                         modal_target if tracking else None)
-            maps = (dense.Phi_P, dense.Psi_P, dense.Phi_Q, dense.Psi_Q)
-            for X, x in zip(maps, modes[:4]):
+            for X, x in zip(dense_maps(dense), modes[:4]):
                 np.testing.assert_allclose(
                     Q.T @ X @ Q, np.diag(x[:, 0, 0]),
                     rtol=0, atol=1e-12 * (1.0 + np.abs(X).max()))
@@ -345,6 +360,17 @@ def negated(n):
     """Index of the mode -k of each mode k of an n x n grid, flattened."""
     neg = -np.arange(n) % n
     return (neg[:, None] * n + neg).ravel()
+
+
+def full(basis, x):
+    """Values x on the modes of basis.half extended to all M modes in DFT
+    order, conj x(k) at -k: the eigenvalues of a real map from those of
+    its half spectrum."""
+    s = basis.self_count
+    out = np.empty(x.shape[:-1] + (basis.M,), complex)
+    out[..., basis.half] = x
+    out[..., negated(basis.n)[basis.half[s:]]] = x[..., s:].conj()
+    return out
 
 
 def bccb(x):
@@ -388,8 +414,8 @@ class TestFourierBasis:
                                    atol=1e-14)
         # self-conjugate modes of real data are real, and -k is conj k
         assert np.abs(c[:, basis.half[:s]].imag).max(initial=0) < 1e-14
-        full = basis.full(c[:, basis.half])
-        np.testing.assert_allclose(full, c, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(full(basis, c[:, basis.half]), c, rtol=0,
+                                   atol=1e-14)
 
     @pytest.mark.parametrize("make,n", [
         (None, 1), (make_heat_problem, 2), (make_heat_problem, 3),
@@ -413,11 +439,10 @@ class TestFourierBasis:
             DT = p.T / 4
             prop = (build_exact_propagator(p, DT) if variant is None else
                     build_implicit_euler_propagator(p, DT, 3, variant))
-            modal = prop.in_basis(basis)
+            modal = prop.in_basis()
             assert modal.M == p.M
             c = rng.standard_normal((4, p.M))
-            for X, act in zip((prop.Phi_P, prop.Psi_P, prop.Phi_Q,
-                               prop.Psi_Q), modal.actions):
+            for X, act in zip(dense_maps(prop), modal.actions):
                 np.testing.assert_allclose(act(c), c @ (Q @ X @ Q.T).T,
                                            rtol=0, atol=1e-13)
             for name in ("b_P", "b_Q"):
@@ -507,7 +532,7 @@ class TestFourierSymbolBuild:
         F = dft(n)
         for X, x in zip(dense[:4], modes[:4]):
             np.testing.assert_allclose(rotated(X, F),
-                                       np.diag(basis.full(x[:, 0, 0])),
+                                       np.diag(full(basis, x[:, 0, 0])),
                                        rtol=0, atol=1e-13)
         for b, x in zip(dense[4:], modes[4:]):
             assert b.shape == (n * n, L if objective is TR else 0)
@@ -515,6 +540,29 @@ class TestFourierSymbolBuild:
                                        rtol=0,
                                        atol=1e-12 * (1 + np.abs(b).max(
                                            initial=0.0)))
+
+    def test_builds_keep_no_dense_map(self):
+        """The heat tracking fine (J = 10) and coarse (J = 1) builds and the
+        terminal-cost exact fine and FDTO coarse builds, all kept alive,
+        retain less than one M x M map (2.65 MB at n = 24) between them:
+        eigenvalues, offsets and the basis only."""
+        n, L = 24, 4
+        problems = [make_heat_problem(n, 0.05, 2.0, objective)
+                    for objective in (TR, TC)]
+        DT = 2.0 / L
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            props = [build_implicit_euler_propagator(problems[0], DT, 10),
+                     build_implicit_euler_propagator(problems[0], DT, 1),
+                     build_exact_propagator(problems[1], DT),
+                     build_implicit_euler_propagator(problems[1], DT, 1,
+                                                     Discretization.FDTO)]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert all(prop.basis is not None for prop in props)
+        assert retained < (n * n) ** 2 * 8
 
     @settings(max_examples=40, deadline=None)
     @given(make=st.sampled_from([make_heat_problem,
@@ -548,15 +596,13 @@ class TestFourierSymbolBuild:
             with mock.patch.object(propagators, "fourier_symbol",
                                    return_value=None):
                 dense = build()
-            assert dense.modes is None
-            maps = ("Phi_P", "Psi_P", "Phi_Q", "Psi_Q")
-            for name, x in zip(maps, sym.modes):
-                X = getattr(dense, name)
+            assert dense.basis is None and sym.basis is not None
+            for X_sym, X, x in zip(dense_maps(sym), dense_maps(dense),
+                                   sym.maps):
                 scale = 1e-12 * (1 + np.abs(X).max())
-                np.testing.assert_allclose(getattr(sym, name), X, rtol=0,
-                                           atol=scale)
+                np.testing.assert_allclose(X_sym, X, rtol=0, atol=scale)
                 np.testing.assert_allclose(rotated(X, F),
-                                           np.diag(basis.full(x)), rtol=0,
+                                           np.diag(full(basis, x)), rtol=0,
                                            atol=scale)
             for name in ("b_P", "b_Q"):
                 b = getattr(dense, name)
