@@ -8,6 +8,7 @@ systems and an executable convergence-analysis layer.
 from paraopt_kit.problem import (
     ObjectiveKind,
     LinearControlProblem,
+    PeriodicStencil,
     TimeDecomposition,
     make_heat_problem,
     make_advection_diffusion_problem,
@@ -51,6 +52,7 @@ __all__ = [
     "bound_grid_sweep",
     "ObjectiveKind",
     "LinearControlProblem",
+    "PeriodicStencil",
     "TimeDecomposition",
     "make_heat_problem",
     "make_advection_diffusion_problem",

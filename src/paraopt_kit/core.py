@@ -7,23 +7,23 @@ A_tilde * delta = -f(x). The solver applies the Jacobians matrix-free; their
 dense matrices, for oracle-sized tests, come from
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
-Where the solve runs: for a K that is block-circulant with circulant blocks
-(every built-in problem), the propagators hold the eigenvalues of their
-maps and the grid's :class:`paraopt_kit.propagators.FourierBasis`, and no
-M x M map. :func:`paraopt_solve` moves the right-hand side (the fine
-offsets, y_init and y_target) into the real coefficients of that basis
-once, runs GMRES, the fine residual, A_tilde and P(alpha)^{-1} on real
-coefficient vectors, and moves only the final trajectory back to the
-grid. There every map acts one mode at a time
-(:class:`paraopt_kit.propagators.ModeMap`), with no M x M product. The
-basis is real and orthonormal, so the vectors stay real, GMRES sees the
-norms and inner products of the grid solve, and the iterates agree with
-it up to rounding. Any other K is solved on the grid with the dense maps.
-:func:`matching_residual` and :func:`apply_jacobian` act in the basis of
-the propagator they are given: grid values for an AffinePropagator (per
-mode between the basis's two transforms when it has one), coefficients
-for its ModalPropagator. The dense Jacobians of the oracles take their
-maps from :func:`paraopt_kit.propagators.dense_maps`.
+Where the solve runs: for a problem that declares its K as a
+:class:`paraopt_kit.problem.PeriodicStencil` (every built-in problem), the
+propagators hold the eigenvalues of their maps and the grid's
+:class:`paraopt_kit.propagators.FourierBasis`, and no M x M map.
+:func:`paraopt_solve` moves the right-hand side (the fine offsets, y_init
+and y_target) into the real coefficients of that basis once, runs GMRES,
+the fine residual, A_tilde and P(alpha)^{-1} on real coefficient vectors,
+and moves only the final trajectory back to the grid. There every map acts
+one mode at a time (:class:`paraopt_kit.propagators.ModeMap`), with no
+M x M product. The basis is real and orthonormal, so the vectors stay real,
+GMRES sees the norms and inner products of the grid solve, and the iterates
+agree with it up to rounding. A dense K is solved on the grid with the
+dense maps. :func:`matching_residual` and :func:`apply_jacobian` act in the
+basis of the propagator they are given: grid values for an AffinePropagator
+(per mode between the basis's two transforms when it has one), coefficients
+for its ModalPropagator. The dense Jacobians of the oracles take their maps
+from :func:`paraopt_kit.propagators.dense_maps`.
 """
 
 from __future__ import annotations

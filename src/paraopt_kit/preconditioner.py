@@ -15,21 +15,21 @@ factorizes, come from the same block assembly as the coarse Jacobian,
 dense maps from :func:`paraopt_kit.propagators.dense_maps`.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
-option. A coarse propagator built for a K that is block-circulant with
-circulant blocks (BCCB: the built-in problems, see
-:func:`paraopt_kit.propagators.fourier_symbol`) is the eigenvalues of its
-four maps on the half spectrum of the grid's real Fourier basis
-(:class:`paraopt_kit.propagators.FourierBasis`), which it carries in
-``basis``, with no M x M map. Its plan acts on real coefficients in that
-basis, as the whole solve does
+option. A coarse propagator built for a problem whose K is a
+:class:`paraopt_kit.problem.PeriodicStencil` (the built-in problems) is the
+eigenvalues of its four maps on the half spectrum of the grid's real
+Fourier basis (:class:`paraopt_kit.propagators.FourierBasis`), which it
+carries in ``basis``, with no M x M map. Its plan acts on real coefficients
+in that basis, as the whole solve does
 (:func:`paraopt_kit.core.paraopt_solve`): each application reads them as
 the half spectrum, about M/2 + 2 complex modes, does the FFTs in time and
 closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
-mode) over the whole stack, and reads the result back, with no spatial
-FFT. For any other K, normal or not, the coarse propagator holds dense
-maps, and the plan acts on grid values and LU-factorizes each block once.
-The general method can instead solve its blocks matrix-free by inner
-GMRES, in the basis of the coarse maps. The plan names its path in
+mode) over the whole stack, and reads the result back, with no spatial FFT.
+For a dense K, normal or not, the coarse propagator holds dense maps, and
+the plan acts on grid values and LU-factorizes each block once. A block
+with an exactly zero pivot, of either path, raises ValueError in the build.
+The general method can instead solve its blocks matrix-free by inner GMRES,
+in the basis of the coarse maps. The plan names its path in
 ``PreconditionerPlan.blocks``; the CLI writes it to ``summary.json`` as
 ``preconditioner_blocks``.
 
@@ -45,6 +45,7 @@ the check is evaluated there.
 from __future__ import annotations
 
 import enum
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -147,7 +148,7 @@ class PreconditionerPlan:
       (triangular method) solves per (frequency, mode) of its half
       spectrum, done in closed form for the whole stack. Only the four
       diagonals of the half spectrum are stored.
-    - ``"lu"``: a coarse propagator with dense maps (a K that is not BCCB);
+    - ``"lu"``: a coarse propagator with dense maps (a dense K);
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
@@ -197,19 +198,31 @@ class PreconditionerPlan:
         return xz.real.ravel()
 
 
-def _spectral_solves(method: InversionMethod, d: np.ndarray,
-                     diagonals) -> tuple:
+def _require_nonsingular(pivots: np.ndarray, where: Callable) -> None:
+    """Raise ValueError naming the first frequency l, and where(j), whose
+    pivot j is exactly zero; row l of pivots holds those of block l."""
+    for l, j in np.argwhere(pivots == 0)[:1]:
+        raise ValueError(f"P(alpha) is singular: the block of frequency "
+                         f"l = {l} has a zero pivot at {where(j)}")
+
+
+def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
+                     basis: FourierBasis) -> tuple:
     """Closed-form per-(frequency, mode) solves on (L_hat, m) stacks of
     coefficients in the common eigenbasis of the four maps, whose
-    eigenvalues diagonals holds."""
+    eigenvalues on the half spectrum of basis diagonals holds. An exactly
+    singular solve raises ValueError."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
     e = 1.0 + np.outer(np.conj(d), phi_Q)  # (I + conj(d_l) Phi_Q) per mode
+    mode = lambda j: f"mode k = {divmod(int(basis.half[j]), basis.n)}"
     if method is InversionMethod.TRIANGULAR:
+        _require_nonsingular(np.minimum(abs(a), abs(e)), mode)
         return (lambda rhs: rhs / a, lambda rhs: rhs / e,
                 lambda z: z * psi_P)
     # inverse of [[a, psi_P], [-psi_Q, e]] per (l, mode)
     det = a * e + psi_P * psi_Q
+    _require_nonsingular(det, mode)
     i11, i12, i21, i22 = e / det, -psi_P / det, psi_Q / det, a / det
     M = len(phi_P)
 
@@ -226,8 +239,14 @@ def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
 
 
 def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorize each frequency block once; row l reuses factor l."""
-    lus = [scipy.linalg.lu_factor(H, overwrite_a=True) for H in blocks]
+    """Factorize each frequency block once; row l reuses factor l. An
+    exactly singular block raises ValueError."""
+    with warnings.catch_warnings():
+        # scipy warns of a zero pivot, which is refused below instead
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lus = [scipy.linalg.lu_factor(H, overwrite_a=True) for H in blocks]
+    _require_nonsingular(np.array([np.diagonal(lu) for lu, _ in lus]),
+                         lambda i: f"row {i} of its LU factors")
     return _per_frequency(lambda l, rhs: scipy.linalg.lu_solve(lus[l], rhs))
 
 
@@ -238,7 +257,7 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     """Validate the (method, alpha, coarse) combination and prepare the
     L_hat block solves: spectral on the eigenvalues in ``coarse.maps``
     when it has a basis, per-block LU of its dense maps otherwise, or
-    black-box when asked for."""
+    black-box when asked for. An exactly singular block raises ValueError."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     if np.imag(alpha) != 0:
@@ -268,7 +287,7 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
             lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
     elif basis is not None:
         blocks = "spectral"
-        solves = _spectral_solves(method, d, coarse.maps)
+        solves = _spectral_solves(method, d, coarse.maps, basis)
     elif method is InversionMethod.TRIANGULAR:
         blocks = "lu"
         I = np.eye(coarse.M)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -25,16 +25,61 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _finite_array(name: str, x, shape=None) -> np.ndarray:
+    """x as a float array with finite entries, of the given shape, or
+    square when shape is None."""
+    x = np.asarray(x, dtype=float)
+    if shape is None and x.ndim == 2 and x.shape[0] == x.shape[1]:
+        shape = x.shape
+    if x.shape != shape:
+        raise ValueError(f"{name} must have shape {shape or '(n, n)'}, "
+                         f"got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def _hermitian(c: np.ndarray) -> np.ndarray:
+    """(c(k) + conj c(-k)) / 2 for the modes c of an n x n grid: exactly
+    Hermitian, as the eigenvalues of a real map are. The FFT of real data
+    can miss that in the last bit (numpy's fft2 does at n = 16)."""
+    return (c + np.roll(c[::-1, ::-1], 1, (0, 1)).conj()) / 2
+
+
+@dataclass(frozen=True)
+class PeriodicStencil:
+    """A periodic K on the x1-major n x n grid, M = n^2, declared by its
+    first column as n x n grid values: the circular convolution with it,
+    diagonal in the grid's unitary 2-D DFT. ``symbol``, its eigenvalues in
+    the k1-major order of that DFT, is the FFT of the column made exactly
+    Hermitian (:func:`_hermitian`), computed once, in O(M log M)."""
+
+    column: np.ndarray
+    symbol: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        column = _finite_array("a stencil's column", self.column)
+        # an FFT that overflows gives inf or NaN, which is refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            symbol = _hermitian(np.fft.fft2(column)).ravel()
+        if not np.all(np.isfinite(symbol)):
+            raise ValueError("the symbol of the periodic stencil overflows")
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "symbol", symbol)
+
+
 @dataclass(frozen=True)
 class LinearControlProblem:
     """Linear-dynamics control problem y' = -K y + u on [0, T].
 
     The adjoint convention lambda = -gamma*u couples the control to the
     costate; tracking problems carry a target trajectory ``y_d(t)``,
-    terminal-cost problems a target state ``y_target``.
+    terminal-cost problems a target state ``y_target``. K is a dense
+    M x M matrix, which takes the dense paths whatever its structure, or a
+    :class:`PeriodicStencil`, which forms no M x M matrix.
     """
 
-    K: np.ndarray
+    K: Union[np.ndarray, PeriodicStencil]
     gamma: float
     T: float
     y_init: np.ndarray
@@ -43,17 +88,16 @@ class LinearControlProblem:
     y_d: Optional[Callable[[float], np.ndarray]] = None
 
     def __post_init__(self):
-        K = np.asarray(self.K, dtype=float)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "y_init", np.asarray(self.y_init, dtype=float))
+        # a stencil was checked when it was made, and dataclasses.replace,
+        # which runs this again, keeps it and its symbol as they are
+        if self.symbol is None:
+            object.__setattr__(self, "K", _finite_array("K", self.K))
         _require_positive("gamma", self.gamma)
         _require_positive("T", self.T)
-        if K.ndim != 2 or K.shape[0] != K.shape[1]:
-            raise ValueError("K must be square")
-        if self.y_init.shape != (K.shape[0],):
-            raise ValueError("y_init size must match K")
-        if not (np.all(np.isfinite(K)) and np.all(np.isfinite(self.y_init))):
-            raise ValueError("K and y_init must be finite")
+        for name in ("y_init", "y_target"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _finite_array(
+                    name, getattr(self, name), (self.M,)))
         if self.objective is ObjectiveKind.TERMINAL_COST and self.y_target is None:
             raise ValueError("terminal-cost problems need y_target")
         if self.objective is ObjectiveKind.TRACKING and self.y_d is None:
@@ -61,7 +105,12 @@ class LinearControlProblem:
 
     @property
     def M(self) -> int:
-        return self.K.shape[0]
+        return self.K.shape[0] if self.symbol is None else len(self.symbol)
+
+    @property
+    def symbol(self) -> Optional[np.ndarray]:
+        """The eigenvalues of a PeriodicStencil K; None for a dense K."""
+        return self.K.symbol if isinstance(self.K, PeriodicStencil) else None
 
 
 @dataclass(frozen=True)
@@ -96,39 +145,29 @@ def make_decomposition(problem: LinearControlProblem, L: int, J_fine: int,
                              J_fine=J_fine, J_coarse=J_coarse)
 
 
-def _grid_1d(n: int) -> np.ndarray:
-    # cell-vertex placement with periodic wrap: x_i = i/n, i = 0..n-1
-    return np.arange(n) / n
-
-
-def _periodic_laplacian_2d(n: int) -> np.ndarray:
+def _difference_columns(n: int):
+    """First columns of the periodic central-difference Laplacian and
+    gradients d/dx1, d/dx2 on the n x n grid, h = 1/n: the operators
+    applied to the unit impulse at grid point (0, 0)."""
+    if n < 2:
+        raise ValueError("need n >= 2 grid points per dimension")
     h = 1.0 / n
-    D2 = np.zeros((n, n))
-    for i in range(n):
-        D2[i, i] = -2.0
-        D2[i, (i - 1) % n] += 1.0
-        D2[i, (i + 1) % n] += 1.0
-    D2 /= h * h
-    I = np.eye(n)
-    return np.kron(D2, I) + np.kron(I, D2)
+    e = np.zeros((n, n))
+    e[0, 0] = 1.0
+    d2 = [(np.roll(e, 1, a) + np.roll(e, -1, a) - 2.0 * e) / (h * h)
+          for a in (0, 1)]
+    d1 = [(np.roll(e, -1, a) - np.roll(e, 1, a)) / (2.0 * h) for a in (0, 1)]
+    return d2[0] + d2[1], d1[0], d1[1]
 
 
-def _periodic_central_gradient_2d(n: int) -> tuple[np.ndarray, np.ndarray]:
-    h = 1.0 / n
-    D1 = np.zeros((n, n))
-    for i in range(n):
-        D1[i, (i + 1) % n] += 1.0
-        D1[i, (i - 1) % n] -= 1.0
-    D1 /= 2.0 * h
-    I = np.eye(n)
-    return np.kron(D1, I), np.kron(I, D1)  # d/dx1, d/dx2
-
-
-def _heat_fields(n: int, gamma: float, T: float):
-    """Closed-form initial value, target state, and target trajectory on the
-    periodic unit square, evaluated at the grid vertices (x1-major order)."""
+def _periodic_problem(column: np.ndarray, gamma: float, T: float,
+                      objective: ObjectiveKind) -> LinearControlProblem:
+    """The problem of the stencil K with first column ``column`` on the
+    periodic unit square, with closed-form initial value, target state and
+    target trajectory evaluated at the grid vertices (x1-major order)."""
     _require_positive("gamma", gamma)  # before the fields divide by it
-    x = _grid_1d(n)
+    n = column.shape[0]
+    x = np.arange(n) / n  # cell vertices with periodic wrap
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     s1 = np.sin(2 * np.pi * X1)
     s2 = np.sin(2 * np.pi * X2)
@@ -141,32 +180,25 @@ def _heat_fields(n: int, gamma: float, T: float):
         coef = (c + 1.0 / (c * gamma)) * (t - T) - (1.0 + 1.0 / (c ** 2 * gamma))
         return (coef * shape).ravel()
 
-    return y_init.ravel(), y_target.ravel(), y_d
+    return LinearControlProblem(K=PeriodicStencil(column), gamma=gamma, T=T,
+                                y_init=y_init.ravel(), objective=objective,
+                                y_target=y_target.ravel(), y_d=y_d)
 
 
 def make_heat_problem(n: int, gamma: float, T: float,
                       objective: ObjectiveKind) -> LinearControlProblem:
     """2-D periodic heat equation dy/dt = Lap(y) + u on [0,1]^2, central
-    differences on an n-by-n vertex grid, so K = -Lap_h (symmetric PSD)."""
-    if n < 2:
-        raise ValueError("need n >= 2 grid points per dimension")
-    K = -_periodic_laplacian_2d(n)
-    y_init, y_target, y_d = _heat_fields(n, gamma, T)
-    return LinearControlProblem(K=K, gamma=gamma, T=T, y_init=y_init,
-                                objective=objective, y_target=y_target, y_d=y_d)
+    differences on an n-by-n vertex grid, so K = -Lap_h (symmetric PSD),
+    declared as its stencil."""
+    return _periodic_problem(-_difference_columns(n)[0], gamma, T, objective)
 
 
 def make_advection_diffusion_problem(n: int, gamma: float, T: float,
                                      objective: ObjectiveKind) -> LinearControlProblem:
     """dy/dt = Lap(y)/10 - dy/dx1 - dy/dx2 + u, periodic central differences;
     K is non-symmetric, so only the solver path applies."""
-    if n < 2:
-        raise ValueError("need n >= 2 grid points per dimension")
-    Dx1, Dx2 = _periodic_central_gradient_2d(n)
-    K = -(_periodic_laplacian_2d(n) / 10.0 - Dx1 - Dx2)
-    y_init, y_target, y_d = _heat_fields(n, gamma, T)
-    return LinearControlProblem(K=K, gamma=gamma, T=T, y_init=y_init,
-                                objective=objective, y_target=y_target, y_d=y_d)
+    lap, Dx1, Dx2 = _difference_columns(n)
+    return _periodic_problem(-(lap / 10.0 - Dx1 - Dx2), gamma, T, objective)
 
 
 def make_scalar_problem(sigma: float, gamma: float, T: float,
@@ -174,18 +206,15 @@ def make_scalar_problem(sigma: float, gamma: float, T: float,
                         y_init: float = 1.0,
                         y_d: Optional[Callable[[float], float]] = None,
                         y_target: Optional[float] = None) -> LinearControlProblem:
-    """Scalar test equation y' = -sigma*y + u."""
-    K = np.array([[float(sigma)]])
-    yd_vec = None
-    if y_d is not None:
-        yd_vec = lambda t: np.atleast_1d(np.asarray(y_d(t), dtype=float))
-    elif objective is ObjectiveKind.TRACKING:
-        yd_vec = lambda t: np.array([1.0])
-    yt_vec = None
-    if y_target is not None:
-        yt_vec = np.array([float(y_target)])
-    elif objective is ObjectiveKind.TERMINAL_COST:
-        yt_vec = np.array([1.0])
-    return LinearControlProblem(K=K, gamma=gamma, T=T,
-                                y_init=np.array([float(y_init)]),
-                                objective=objective, y_target=yt_vec, y_d=yd_vec)
+    """Scalar test equation y' = -sigma*y + u, K the 1 x 1 stencil sigma;
+    y_d is 1 for tracking and y_target 1 for terminal cost unless given."""
+    if y_d is None and objective is ObjectiveKind.TRACKING:
+        y_d = lambda t: 1.0
+    if y_target is None and objective is ObjectiveKind.TERMINAL_COST:
+        y_target = 1.0
+    yd_vec = None if y_d is None else (
+        lambda t: np.atleast_1d(np.asarray(y_d(t), dtype=float)))
+    return LinearControlProblem(
+        K=PeriodicStencil([[sigma]]), gamma=gamma, T=T, y_init=[y_init],
+        objective=objective, y_target=None if y_target is None else [y_target],
+        y_d=yd_vec)

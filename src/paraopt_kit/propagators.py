@@ -13,29 +13,23 @@ are): they come from the affine particular solution of the state/adjoint
 system, in closed form per eigenvalue with the same (phi, psi), and any
 other y_d is rejected.
 
-Where the basis comes from: a K that is block-circulant with circulant
-blocks (BCCB) on the x1-major n x n grid, as the periodic heat and
-advection-diffusion operators are, is diagonal in the unitary 2-D DFT of
-the grid, and its eigenvalues are the 2-D FFT of its first column
-(:func:`fourier_symbol`). Real data have conjugate pairs of DFT
-coefficients, so :class:`FourierBasis` keeps one of each pair: its real
-coefficients are laid out as [self-conjugate modes | sqrt2 Re c(k) |
-sqrt2 Im c(k)], k over one representative per pair, an orthonormal real
-basis, and its half spectrum is the complex [c(k) self-conjugate |
-sqrt2 c(k) paired], about M/2 + 2 modes. Both builders work per mode of
-the half spectrum, on its eigenvalues as a stack of 1 x 1 matrices, with
-targets and offsets moved by 2-D FFTs. Such a propagator is the
-eigenvalues of its four maps there, its grid offsets and its basis, with
-no M x M map: it acts on coefficients as a :class:`ModeMap`, one product
-per mode (:meth:`AffinePropagator.in_basis`), and on grid values through
-the basis's transforms. For any other K the implicit-Euler composition
-runs on the dense K, each of its J steps eliminating the interface
-unknowns with one M x M solve, O(J M^3), and the exact build
-diagonalizes a symmetric K with eigh; those propagators hold the dense
-maps. A dense map of either kind, for the oracles and tests, comes from
-:func:`dense_maps`, which applies the actions to the unit vectors.
-The dense coupled J-step system survives only as the brute-force oracle
-behind :func:`extract_phi_psi_scalar`.
+Where the basis comes from: a problem whose K is a
+:class:`paraopt_kit.problem.PeriodicStencil` (every built-in problem)
+carries K's eigenvalues on the grid's 2-D DFT
+(:attr:`LinearControlProblem.symbol`). Both builders then work per mode of
+the half spectrum of the grid's real :class:`FourierBasis`, on its
+eigenvalues as a stack of 1 x 1 matrices, with targets and offsets moved by
+2-D FFTs. Such a propagator is the eigenvalues of its four maps there, its
+grid offsets and its basis, with no M x M map: it acts on coefficients as a
+:class:`ModeMap`, one product per mode (:meth:`AffinePropagator.in_basis`),
+and on grid values through the basis's transforms. A dense K,
+block-circulant or not, takes the dense path: the implicit-Euler
+composition runs on it, one M x M solve per step, O(J M^3), and the exact
+build diagonalizes a symmetric K with eigh; those propagators hold the
+dense maps. A dense map of either kind, for the oracles and tests, comes
+from :func:`dense_maps`, which applies the actions to the unit vectors. The
+dense coupled J-step system survives only as the brute-force oracle behind
+:func:`extract_phi_psi_scalar`.
 """
 
 from __future__ import annotations
@@ -59,8 +53,8 @@ class AffinePropagator:
     Q(y, lam) = Psi_Q y + Phi_Q lam + b_Q[l].
     Offsets are indexed by sub-interval (length L) and hold grid values;
     the maps are interval-independent. With ``basis`` None, ``maps`` holds
-    (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices. For a K with a
-    :func:`fourier_symbol`, ``basis`` is the grid's :class:`FourierBasis`
+    (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices. For a problem with a
+    ``symbol``, ``basis`` is the grid's :class:`FourierBasis`
     and ``maps`` holds their eigenvalues on its half spectrum, one row per
     map, shape (4, len(basis.half)): no M x M map is formed
     (:func:`dense_maps` forms them on demand).
@@ -135,16 +129,6 @@ def _interval_count(problem: LinearControlProblem, DT: float) -> int:
     if abs(L * DT - problem.T) > 1e-10 * problem.T:
         raise ValueError("DT must divide the horizon T")
     return L
-
-
-def _hermitian(c: np.ndarray) -> np.ndarray:
-    """(c(k) + conj c(-k)) / 2 over the last axis of c, read as the modes of
-    an n x n grid: exactly Hermitian, as the eigenvalues of a real map are.
-    The FFT of real data can miss that in the last bit (numpy's fft2 does
-    at n = 16)."""
-    n = math.isqrt(c.shape[-1])
-    neg = -np.arange(n) % n
-    return (c + c[..., (neg[:, None] * n + neg).ravel()].conj()) / 2
 
 
 class FourierBasis:
@@ -253,47 +237,12 @@ class ModeMap:
         return out
 
 
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """The real M x M map with eigenvalues c, length M in the k1-major
-    order of the 2-D DFT. It is block-circulant with circulant blocks:
-    entry ((i1, i2), (j1, j2)) is x[i1 - j1, i2 - j2] (indices mod n) with
-    x its first column, so one gather forms it."""
-    n = math.isqrt(len(c))
-    x = np.fft.ifft2(c.reshape(n, n)).real
-    d = (np.arange(n)[:, None] - np.arange(n)) % n
-    return x[d[:, None, :, None], d[None, :, None, :]].reshape(n * n, n * n)
-
-
-# an FFT that overflows gives inf or NaN, which the match test rejects
-@np.errstate(over="ignore", invalid="ignore")
-def fourier_symbol(K: np.ndarray) -> Optional[np.ndarray]:
-    """Eigenvalues of K, length M in the k1-major order of the 2-D DFT, if
-    K is block-circulant with circulant blocks on an x1-major n x n grid;
-    None for any other K.
-
-    Such a K is the circular convolution with its first column, so its
-    eigenvalues are the 2-D FFT of that column, made exactly Hermitian, as
-    the eigenvalues of a real map are (:func:`_hermitian`), so that a
-    self-conjugate mode has a real one. K is accepted when the map of
-    these eigenvalues matches it to rounding, in O(M^2).
-    """
-    M = K.shape[0]
-    n = math.isqrt(M)
-    if n * n != M:
-        return None
-    s = _hermitian(np.fft.fft2(K[:, 0].reshape(n, n)).ravel())
-    # written so that NaN fails the test too
-    if not np.abs(_circulant(s) - K).max() <= 1e-12 * np.abs(K).max():
-        return None
-    return s
-
-
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                                     J: int,
                                     variant: Discretization = Discretization.FOTD,
                                     ) -> AffinePropagator:
     """J-step implicit-Euler propagator pair on sub-intervals of length DT,
-    per mode of K's :func:`fourier_symbol` when it has one.
+    per mode of the problem's ``symbol`` when it has one.
 
     Tracking supports FOTD only (an FDTO tracking discretization breaks the
     shared-eigenvector structure the analysis relies on).
@@ -307,7 +256,7 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     tau = DT / J
     L = _interval_count(problem, DT)
     gh = tau / np.sqrt(problem.gamma) if tracking else tau / problem.gamma
-    symbol = fourier_symbol(problem.K)
+    symbol = problem.symbol
     # y_d sampled at each step's left end, on every interval, as (L, M)
     sample = lambda j: np.array([problem.y_d(l * DT + j * tau)
                                  for l in range(L)])
@@ -373,9 +322,9 @@ def build_exact_propagator(problem: LinearControlProblem,
                            DT: float) -> AffinePropagator:
     """Exact-in-time propagator pair for a symmetric K: the closed forms
     give the (phi, psi) of every eigenvalue, and the maps and the tracking
-    offsets are both formed from them. The eigenvalues are K's
-    :func:`fourier_symbol` when it has one, and then the maps are kept as
-    they are; otherwise they come from one eigh of K, and the maps are
+    offsets are both formed from them. The eigenvalues are the problem's
+    ``symbol`` when it has one, and then the maps are kept as they are;
+    otherwise they come from one eigh of the dense K, and the maps are
     formed in its eigenbasis.
 
     Tracking offsets are exact for a y_d that is affine in t on each
@@ -383,8 +332,7 @@ def build_exact_propagator(problem: LinearControlProblem,
     ValueError, since y_d is checked at each sub-interval midpoint against
     the mean of its ends.
     """
-    K = problem.K
-    symbol = fourier_symbol(K)
+    K, symbol = problem.K, problem.symbol
     # K^T has the conjugate symbol, and the Frobenius norm of a BCCB K is
     # the 2-norm of its symbol, so the symbol is tested as K would be;
     # scaled by its largest entry, so that the norms cannot overflow
@@ -398,7 +346,7 @@ def build_exact_propagator(problem: LinearControlProblem,
         basis, (w, Q) = None, np.linalg.eigh(K)
         to_modes, to_grid = (lambda x: x @ Q), (lambda c: c @ Q.T)
     else:
-        basis = FourierBasis(K.shape[0])
+        basis = FourierBasis(problem.M)
         # a symmetric K has a real symbol
         w = symbol[basis.half].real
         to_modes = lambda x: basis.to_half(basis.coefficients(x))

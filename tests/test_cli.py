@@ -333,6 +333,18 @@ class TestSolveCommand:
         assert summary["total_inner_iterations"] in (
             inner if isinstance(inner, range) else [inner])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["general", "triangular"])
+    def test_singular_preconditioner_is_a_configuration_error(self, tmp_path,
+                                                              method):
+        # terminal cost at alpha = 1: P(alpha) is singular at the mean mode
+        # of frequency l = 0, which used to divide by zero in every
+        # application and end the solve with non-finite GMRES values
+        out = str(tmp_path / "run")
+        assert main(["solve", "--objective", "terminal_cost", "--n", "4",
+                     "--L", "3", "--precond", "--precond-method", method,
+                     "--alpha-real", "1", "--output", out]) == 2
+
     def test_diverging_residual_aborts(self, tmp_path):
         # alpha = 1e300 makes P(alpha)^{-1} useless, and five inner steps
         # per outer step do not reduce the residual. Before flexible GMRES

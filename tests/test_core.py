@@ -1,4 +1,4 @@
-from unittest import mock
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from paraopt_kit.core import (
     matching_residual,
     paraopt_solve,
 )
-from paraopt_kit import propagators
 from paraopt_kit.numerics import GmresConfig
 from paraopt_kit.preconditioner import InversionMethod, build_plan
 from paraopt_kit.problem import (
@@ -31,6 +30,7 @@ from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
     dense_maps,
 )
+from test_propagators import bccb
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -219,15 +219,15 @@ _BASIS_SOLVES = [
 def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
                                                n):
     """The solve in the real Fourier basis against the dense grid solve of
-    the same problem (the builders with fourier_symbol patched to find
-    none): trajectories that agree to the outer tolerance, and grid
-    residuals of the per-mode propagator that match the dense one's."""
+    the same problem on its dense K: trajectories that agree to the outer
+    tolerance, and grid residuals of the per-mode propagator that match
+    the dense one's."""
     p = make(n, 0.3, 2.0, objective)
     d = make_decomposition(p, L=6, J_fine=5, J_coarse=1)
     variant = (Discretization.FDTO if objective is TC
                else Discretization.FOTD)
 
-    def solve():
+    def solve(p):
         fine_prop = (build_exact_propagator(p, d.DT) if fine == "exact" else
                      build_implicit_euler_propagator(p, d.DT, d.J_fine))
         coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
@@ -238,9 +238,9 @@ def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
         return (fine_prop, None if plan is None else plan.blocks,
                 paraopt_solve(p, d, fine_prop, coarse, cfg))
 
-    sym, blocks, (x, log) = solve()
-    with mock.patch.object(propagators, "fourier_symbol", return_value=None):
-        dense, dense_blocks, (x_dense, log_dense) = solve()
+    sym, blocks, (x, log) = solve(p)
+    dense, dense_blocks, (x_dense, log_dense) = solve(
+        dataclasses.replace(p, K=bccb(p.K.column)))
     assert sym.basis is not None and dense.basis is None
     assert (blocks, dense_blocks) in ((None, None), ("spectral", "lu"))
     # inner counts may differ where an inner residual lands on the inner
@@ -266,8 +266,8 @@ def test_propagators_of_different_bases_rejected():
     p = make_heat_problem(3, 0.3, 2.0, TR)
     d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
     fine = build_implicit_euler_propagator(p, d.DT, 2)
-    with mock.patch.object(propagators, "fourier_symbol", return_value=None):
-        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    coarse = build_implicit_euler_propagator(
+        dataclasses.replace(p, K=bccb(p.K.column)), d.DT, 1)
     with pytest.raises(ValueError, match="per-mode coefficients"):
         paraopt_solve(p, d, fine, coarse, NewtonConfig())
     plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from paraopt_kit.propagators import (
     dense_maps,
     linear_action,
 )
+from test_propagators import bccb
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -98,6 +101,33 @@ class TestBuildPlanValidation:
         _, d, coarse = terminal_setup()
         plan = build_plan(coarse, d, 0.01, InversionMethod.TRIANGULAR)
         assert plan.L_hat == d.L_hat
+
+    # terminal cost at alpha = 1: d_0 = -1, and Phi_P = 1 at the mean mode,
+    # so I + d_0 Phi_P is singular at frequency l = 0
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", list(InversionMethod))
+    def test_singular_spectral_block_rejected(self, method):
+        p = make_heat_problem(4, 0.05, 2.0, TC)
+        d = make_decomposition(p, L=3, J_fine=2, J_coarse=1)
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+        with pytest.raises(ValueError, match=r"singular: the block of "
+                           r"frequency l = 0 .* at mode k = \(0, 0\)"):
+            build_plan(coarse, d, 1.0, method)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", list(InversionMethod))
+    def test_singular_lu_block_rejected(self, method):
+        # the same problem on its dense K; at DT = 1/32 the dense build
+        # keeps the eigenvalue 1 of Phi_P exact, so the LU meets an exact
+        # zero pivot (at T = 2, L = 3 the smallest pivot is 9e-15 instead)
+        p = make_heat_problem(4, 0.05, 0.125, TC)
+        p = dataclasses.replace(p, K=bccb(p.K.column))
+        d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+        assert coarse.basis is None
+        with pytest.raises(ValueError, match=r"singular: the block of "
+                           r"frequency l = 0 .* LU factors"):
+            build_plan(coarse, d, 1.0, method)
 
 
 class TestApplyInverse:
@@ -211,11 +241,11 @@ def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L,
     general method in either basis too."""
     objective, variant, method, alpha = case
     rng = np.random.default_rng(seed)
-    if kind in _GRID_PROBLEMS:  # n = 3 or 4 periodic grid, BCCB K
+    if kind in _GRID_PROBLEMS:  # n = 3 or 4 periodic grid, a stencil
         K = _GRID_PROBLEMS[kind](M // 2 + 2, 0.1, 1.0, TR).K
+        M = K.column.size
     else:
         K = _random_K(kind, M, rng)
-    M = len(K)
     p = LinearControlProblem(K=K, gamma=0.3, T=2.0,
                              y_init=rng.standard_normal(M),
                              objective=objective,

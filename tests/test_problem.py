@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from paraopt_kit.problem import (
     make_heat_problem,
     make_scalar_problem,
 )
+from test_propagators import bccb
 
 
 class TestLinearControlProblem:
@@ -25,6 +28,7 @@ class TestLinearControlProblem:
     @pytest.mark.parametrize("field,value", [
         ("K", np.array([[1.0, np.nan], [0.0, 1.0]])),
         ("y_init", np.array([np.inf, 0.0])),
+        ("y_target", np.array([0.0, np.nan])),
         ("gamma", np.inf), ("gamma", np.nan), ("T", np.inf), ("T", np.nan),
     ])
     def test_non_finite_data_rejected(self, field, value):
@@ -51,6 +55,22 @@ class TestLinearControlProblem:
             LinearControlProblem(np.eye(2), 1.0, 1.0, np.zeros(3),
                                  ObjectiveKind.TERMINAL_COST,
                                  y_target=np.zeros(2))
+        with pytest.raises(ValueError, match="y_target"):
+            LinearControlProblem(np.eye(2), 1.0, 1.0, np.zeros(2),
+                                 ObjectiveKind.TERMINAL_COST,
+                                 y_target=np.zeros(3))
+
+    def test_y_target_becomes_a_float_vector(self):
+        p = LinearControlProblem(np.eye(2), 1.0, 1.0, [0, 1],
+                                 ObjectiveKind.TERMINAL_COST, y_target=[1, 2])
+        assert p.y_target.dtype == float and p.y_target.tolist() == [1.0, 2.0]
+
+    def test_replace_keeps_the_stencil(self):
+        p = make_heat_problem(4, 0.05, 2.0, ObjectiveKind.TERMINAL_COST)
+        q = dataclasses.replace(p, y_init=2.0 * p.y_init)
+        assert q.K is p.K and q.symbol is p.symbol
+        with pytest.raises(ValueError, match="y_init"):
+            dataclasses.replace(p, y_init=np.zeros(3))
 
 
 class TestDecomposition:
@@ -76,12 +96,16 @@ class TestHeatProblem:
     def test_laplacian_spectrum_closed_form(self):
         n = 8
         p = make_heat_problem(n, 0.05, 2.0, ObjectiveKind.TRACKING)
-        got = np.sort(np.linalg.eigvalsh(p.K))
         h2 = (1.0 / n) ** 2
         expected = np.sort([
             4.0 / h2 * (np.sin(np.pi * j / n) ** 2 + np.sin(np.pi * k / n) ** 2)
             for j in range(n) for k in range(n)])
+        # the dense K of the stencil, and its symbol
+        got = np.sort(np.linalg.eigvalsh(bccb(p.K.column)))
         np.testing.assert_allclose(got, expected, atol=1e-9)
+        assert not p.symbol.imag.any()
+        np.testing.assert_allclose(np.sort(p.symbol.real), expected,
+                                   atol=1e-9)
 
     def test_fields_closed_form_at_vertices(self):
         n, gamma, T = 4, 0.05, 2.0
@@ -109,20 +133,22 @@ class TestAdvectionDiffusion:
     def test_K_is_nonsymmetric(self):
         p = make_advection_diffusion_problem(6, 0.05, 2.0,
                                              ObjectiveKind.TRACKING)
-        assert np.linalg.norm(p.K - p.K.T) > 1e-6 * np.linalg.norm(p.K)
+        K = bccb(p.K.column)
+        assert np.linalg.norm(K - K.T) > 1e-6 * np.linalg.norm(K)
 
     def test_diffusion_part_scaled_by_ten(self):
         ph = make_heat_problem(6, 0.05, 2.0, ObjectiveKind.TRACKING)
         pa = make_advection_diffusion_problem(6, 0.05, 2.0,
                                               ObjectiveKind.TRACKING)
-        sym = (pa.K + pa.K.T) / 2
-        np.testing.assert_allclose(sym, ph.K / 10.0, atol=1e-9)
+        Ka = bccb(pa.K.column)
+        sym = (Ka + Ka.T) / 2
+        np.testing.assert_allclose(sym, bccb(ph.K.column) / 10.0, atol=1e-9)
 
 
 class TestScalarProblem:
     def test_defaults(self):
         p = make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TRACKING)
-        assert p.M == 1 and p.K[0, 0] == 3.0
+        assert p.M == 1 and p.K.column.tolist() == [[3.0]]
         np.testing.assert_allclose(p.y_d(0.3), [1.0])
         q = make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TERMINAL_COST)
         np.testing.assert_allclose(q.y_target, [1.0])

@@ -1,5 +1,5 @@
+import dataclasses
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +13,10 @@ from paraopt_kit.preconditioner import (
     assemble_P_alpha,
     build_plan,
 )
-from paraopt_kit import propagators
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
+    PeriodicStencil,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -30,7 +30,6 @@ from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
     dense_maps,
     extract_phi_psi_scalar,
-    fourier_symbol,
     linear_action,
 )
 
@@ -456,8 +455,8 @@ class TestFourierSymbol:
                                       make_advection_diffusion_problem])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 16])
     def test_symbol_diagonalizes_K(self, make, n):
-        K = make(n, 0.05, 2.0, TR).K
-        s = fourier_symbol(K)
+        stencil = make(n, 0.05, 2.0, TR).K
+        K, s = bccb(stencil.column), stencil.symbol
         np.testing.assert_allclose(rotated(K, dft(n)), np.diag(s), rtol=0,
                                    atol=1e-12 * np.abs(K).max())
         # conjugate pairs to the last bit (the raw FFT misses this at n=16)
@@ -474,24 +473,26 @@ class TestFourierSymbol:
         adv = heat / 10 + 1j * (grad[:, None] + grad).ravel()
         for make, expected in ((make_heat_problem, heat),
                                (make_advection_diffusion_problem, adv)):
-            s = fourier_symbol(make(n, 0.05, 2.0, TR).K)
+            s = make(n, 0.05, 2.0, TR).symbol
             np.testing.assert_allclose(s, expected, rtol=0, atol=1e-12 * n * n)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_any_real_bccb_K(self, seed):
         x = np.random.default_rng(seed).standard_normal((7, 7))
-        K = bccb(x)
-        s = fourier_symbol(K)
+        s = PeriodicStencil(x).symbol
         assert np.array_equal(s[negated(7)], s.conj())
         np.testing.assert_allclose(s, np.fft.fft2(x).ravel(), rtol=0,
                                    atol=1e-12 * np.abs(s).max())
-        # K^T is BCCB with the conjugate eigenvalues
-        np.testing.assert_allclose(fourier_symbol(K.T), s.conj(), rtol=0,
+        # K^T is the stencil of the transposed map, with the conjugate
+        # eigenvalues
+        transposed = bccb(x).T[:, 0].reshape(7, 7)
+        np.testing.assert_allclose(PeriodicStencil(transposed).symbol,
+                                   s.conj(), rtol=0,
                                    atol=1e-12 * np.abs(s).max())
 
     def test_scalar_problem(self):
         p = make_scalar_problem(3.0, 1.0, 1.0, TR)
-        assert fourier_symbol(p.K).tolist() == [3.0]
+        assert p.symbol.tolist() == [3.0]
 
     @pytest.mark.parametrize("K", [
         np.diag([1.0, 2.0, 3.0, 4.0]),                     # not circulant
@@ -499,11 +500,29 @@ class TestFourierSymbol:
         np.eye(6),                                         # M not a square
         # circulant along x1 only: blocks [[a, b], [b, a]] with a != b
         np.kron(np.array([[2.0, 1.0], [1.0, 2.0]]), np.diag([1.0, 3.0])),
-        bccb(np.full((2, 2), 1e308)),                      # fft2 overflows
-    ], ids=["diagonal", "random", "M-6", "x1-only", "overflow"])
+        # block-circulant: the dense K of the heat stencil
+        bccb(make_heat_problem(3, 0.05, 2.0, TR).K.column),
+    ], ids=["diagonal", "random", "M-6", "x1-only", "dense-heat"])
+    def test_dense_K_has_none(self, K):
+        M = len(K)
+        p = LinearControlProblem(K=K, gamma=0.3, T=2.0, y_init=np.ones(M),
+                                 objective=TC, y_target=np.zeros(M))
+        assert p.symbol is None
+        prop = build_implicit_euler_propagator(p, 0.5, 2)
+        assert prop.basis is None
+        assert all(X.shape == (M, M) for X in prop.maps)
+
+    @pytest.mark.parametrize("column", [
+        np.full((2, 2), 1e308),                  # fft2 overflows
+        np.array([[1.0, np.nan], [0.0, 1.0]]),
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+        np.ones((2, 3)),
+        np.ones(4),
+    ], ids=["overflow", "nan", "inf", "not-square", "not-a-grid"])
     @pytest.mark.filterwarnings("error")
-    def test_other_K_has_none(self, K):
-        assert fourier_symbol(K) is None
+    def test_invalid_column_rejected(self, column):
+        with pytest.raises(ValueError):
+            PeriodicStencil(column)
 
 
 class TestFourierSymbolBuild:
@@ -525,8 +544,9 @@ class TestFourierSymbolBuild:
         modal = lambda j: half_spectrum(basis, y(j)).T[:, None, :]
         if objective is TC:
             target = modal = None
-        dense = implicit_euler_maps(p.K, tau, gh, J, objective, variant, target)
-        symbol = fourier_symbol(p.K)[basis.half]
+        dense = implicit_euler_maps(bccb(p.K.column), tau, gh, J, objective,
+                                    variant, target)
+        symbol = p.symbol[basis.half]
         modes = implicit_euler_maps(symbol.reshape(-1, 1, 1),
                                     tau, gh, J, objective, variant, modal)
         F = dft(n)
@@ -571,10 +591,10 @@ class TestFourierSymbolBuild:
            gamma=st.floats(0.01, 1.0), seed=st.integers(0, 2**16))
     def test_symbol_build_matches_dense_build(self, make, n, L, J, gamma,
                                               seed):
-        """Every build from the symbol against the dense build of the same
-        K (the builder with fourier_symbol patched to find none): maps,
-        offsets and modes; and the plan from the modes, in the coefficients
-        of the basis, against the dense P(alpha)."""
+        """Every build from the symbol against the build of the same
+        problem on its dense K: maps, offsets and modes; and the plan from
+        the modes, in the coefficients of the basis, against the dense
+        P(alpha)."""
         F = dft(n)
         basis = FourierBasis(n * n)
         Q = coefficient_matrix(basis)
@@ -588,14 +608,12 @@ class TestFourierSymbolBuild:
             p = make(n, gamma, 2.0, objective)
             d = make_decomposition(p, L=L, J_fine=J, J_coarse=1)
             if variant is None:
-                build = lambda: build_exact_propagator(p, d.DT)
+                build = lambda p: build_exact_propagator(p, d.DT)
             else:
-                build = lambda: build_implicit_euler_propagator(p, d.DT, J,
-                                                                variant)
-            sym = build()
-            with mock.patch.object(propagators, "fourier_symbol",
-                                   return_value=None):
-                dense = build()
+                build = lambda p: build_implicit_euler_propagator(p, d.DT, J,
+                                                                  variant)
+            sym = build(p)
+            dense = build(dataclasses.replace(p, K=bccb(p.K.column)))
             assert dense.basis is None and sym.basis is not None
             for X_sym, X, x in zip(dense_maps(sym), dense_maps(dense),
                                    sym.maps):
