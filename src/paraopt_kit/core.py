@@ -7,28 +7,29 @@ A_tilde * delta = -f(x). The solver applies the Jacobians matrix-free; their
 dense matrices, for oracle-sized tests, come from
 :func:`paraopt_kit.analysis.assemble_block_system`.
 
-Where the solve runs: for a problem that declares its K as a
-:class:`paraopt_kit.problem.PeriodicStencil` (every built-in problem), the
-propagators hold the eigenvalues of their maps and the grid's
-:class:`paraopt_kit.propagators.FourierBasis`, and no M x M map.
-:func:`paraopt_solve` moves the right-hand side (the fine offsets, y_init
-and y_target) into the real coefficients of that basis once, runs GMRES,
-the fine residual, A_tilde and P(alpha)^{-1} on real coefficient vectors,
-and moves only the final trajectory back to the grid. There every map acts
-one mode at a time (:class:`paraopt_kit.propagators.ModeMap`), with no
-M x M product. The basis is real and orthonormal, so the vectors stay real,
-GMRES sees the norms and inner products of the grid solve, and the iterates
-agree with it up to rounding. A dense K is solved on the grid with the
-dense maps. :func:`matching_residual` and :func:`apply_jacobian` act in the
-basis of the propagator they are given: grid values for an AffinePropagator
-(per mode between the basis's two transforms when it has one), coefficients
-for its ModalPropagator. The dense Jacobians of the oracles take their maps
-from :func:`paraopt_kit.propagators.dense_maps`.
+Where the solve runs: a propagator lives in its own basis. For a problem
+that declares its K as a :class:`paraopt_kit.problem.PeriodicStencil`
+(every built-in problem), the propagators hold the eigenvalues of their
+maps, their offsets as real coefficients of the grid's
+:class:`paraopt_kit.propagators.FourierBasis`, and no M x M map; every map
+acts one mode at a time (:class:`paraopt_kit.propagators.ModeMap`). The
+problem always holds grid values. :func:`paraopt_solve` runs GMRES, the
+fine residual, A_tilde and P(alpha)^{-1} on flat real coefficient vectors,
+moving y_init and y_target into the basis in each fine residual, and
+moves only the final trajectory back to the grid. The basis is real and
+orthonormal, so the vectors stay real, GMRES sees the norms and inner
+products of the grid solve, and the iterates agree with it up to rounding.
+A dense K is solved on the grid with the dense maps, its propagators' basis.
+:func:`apply_jacobian` and the dense oracles act in the propagator's basis;
+:func:`matching_residual` takes a grid :class:`PairedTrajectory` and gives
+a grid residual, or a flat vector in the propagator's basis and gives one
+there. Grid values enter and leave only through those two doors. The dense
+Jacobians of the oracles take their maps from
+:func:`paraopt_kit.propagators.dense_maps`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from paraopt_kit.analysis import assemble_block_system
-from paraopt_kit.numerics import GmresConfig, gmres
+from paraopt_kit.numerics import GmresConfig, GmresWorkspace, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
 from paraopt_kit.propagators import AffinePropagator, dense_maps
 
@@ -107,54 +108,76 @@ def _apply_maps(prop, objective: ObjectiveKind,
     return out
 
 
-def matching_residual(fine, problem: LinearControlProblem,
-                      decomp: TimeDecomposition, x: PairedTrajectory) -> np.ndarray:
+def _require(what: str, got, want_what: str, want) -> None:
+    """Raise ValueError naming both sizes unless they agree."""
+    if got != want:
+        raise ValueError(f"{what} is {got}, but {want_what} is {want}")
+
+
+def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
+                      decomp: TimeDecomposition,
+                      x: PairedTrajectory | np.ndarray) -> np.ndarray:
     """Stacked continuity defects of state and adjoint at interval boundaries,
-    evaluated as A x - b, in the basis of fine (an AffinePropagator or a
-    ModalPropagator), in which x, problem.y_init and problem.y_target are
-    given too."""
+    evaluated as A x - b. problem holds grid values. x is a PairedTrajectory
+    of grid values, which gives the residual on the grid, or the flat
+    [y | lam] vector in the basis of fine, which gives it in that basis (the
+    vector GMRES iterates on); y_init and y_target move into the basis on
+    each call."""
     Lh, M = decomp.L_hat, problem.M
-    if x.y.shape != (Lh, M):
-        raise ValueError("trajectory shape does not match the decomposition")
+    _require("the fine propagator's (M, L)", (fine.M, len(fine.b_P)),
+             "(problem.M, decomp.L)", (M, decomp.L))
+    basis = fine.basis
+    to_basis = (lambda v: v) if basis is None else basis.coefficients
+    on_grid = isinstance(x, PairedTrajectory)
+    if on_grid:
+        for name in ("y", "lam_hat"):
+            _require(f"the shape of the trajectory's {name}",
+                     getattr(x, name).shape, "the decomposition's", (Lh, M))
+        x = to_basis(np.stack([x.y, x.lam_hat]))
+    else:
+        _require("the length of x", len(x), "2 L_hat M", 2 * Lh * M)
+    y, lam = x.reshape(2, Lh, M)
     # b collects the offsets of P on intervals 1..Lhat and of Q on intervals
     # 2..Lhat+1, the known y_init entering the first interval, and the
     # terminal condition (zero adjoint for tracking, y - y_target otherwise)
     b_y = fine.b_P[:Lh].copy()
-    b_y[0] += fine.actions[0](problem.y_init)
+    b_y[0] += fine.actions[0](to_basis(problem.y_init))
     b_l = np.empty((Lh, M))
     b_l[:-1] = fine.b_Q[1:Lh]
     if problem.objective is ObjectiveKind.TRACKING:
         b_l[-1] = fine.b_Q[Lh]
     else:
-        b_l[-1] = -problem.y_target
-    out = _apply_maps(fine, problem.objective, x.y, x.lam_hat)
+        b_l[-1] = -to_basis(problem.y_target)
+    out = _apply_maps(fine, problem.objective, y, lam)
     out[0] -= b_y
     out[1] -= b_l
+    if on_grid and basis is not None:
+        out = basis.grid(out)
     return out.ravel()
 
 
-def apply_jacobian(prop, objective: ObjectiveKind,
+def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                    decomp: TimeDecomposition, v: np.ndarray) -> np.ndarray:
     """Matrix-free product with the matching-condition Jacobian built from
     the given propagator (offsets do not enter a Jacobian of an affine map),
-    in its basis (see :func:`matching_residual`)."""
+    on a flat vector in its basis, the result in that basis too."""
     y, lam = v.reshape(2, decomp.L_hat, prop.M)
     return _apply_maps(prop, objective, y, lam).ravel()
 
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                       decomp: TimeDecomposition) -> np.ndarray:
-    """Dense matching-condition Jacobian, the matrix of apply_jacobian;
-    oracle-sized problems only."""
+    """Dense matching-condition Jacobian, the matrix of apply_jacobian, in
+    the basis of prop; oracle-sized problems only."""
     return assemble_block_system(dense_maps(prop), decomp.L_hat, objective)
 
 
 def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
                     decomp: TimeDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A, b) with matching_residual(x) = A x - b; oracle helper."""
+    """Dense (A, b), in the basis of fine, with A x - b the flat form of
+    matching_residual; oracle helper."""
     A = assemble_jacobian(fine, problem.objective, decomp)
-    zero = PairedTrajectory.zeros(decomp.L_hat, problem.M)
-    b = -matching_residual(fine, problem, decomp, zero)
+    b = -matching_residual(fine, problem, decomp, np.zeros(len(A)))
     return A, b
 
 
@@ -168,11 +191,16 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     preconditioning when a plan is configured) and stops once the residual
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
-    steps aborts the solve with the reason in ``log.aborted``.
+    steps aborts the solve with the reason in ``log.aborted``. Propagators
+    or a plan of another basis, M or L_hat than the problem and the
+    decomposition raise ValueError.
 
-    When both propagators have a FourierBasis, the iteration runs on the
-    real coefficients of the coarse one's, the basis the preconditioner
-    plan then acts in too, and only the returned trajectory is on the grid.
+    The iteration runs on flat vectors in the basis of the propagators,
+    which the preconditioner plan acts in too: the real coefficients of
+    their FourierBasis when they have one, grid values otherwise. Only the
+    returned trajectory is on the grid. The GMRES calls share the first
+    blocks of their Krylov bases
+    (:class:`paraopt_kit.numerics.GmresWorkspace`).
     """
     Lh, M = decomp.L_hat, problem.M
     plan = cfg.preconditioner
@@ -180,28 +208,19 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     if (fine.basis is None) != (basis is None):
         raise ValueError("the fine and coarse propagators must both carry "
                          "per-mode coefficients or neither")
-    if basis is not None:
-        coefficients = lambda y: None if y is None else basis.coefficients(y)
-        problem = dataclasses.replace(problem,
-                                      y_init=coefficients(problem.y_init),
-                                      y_target=coefficients(problem.y_target))
-        fine = fine.in_basis()
-        coarse = coarse.in_basis(offsets=False)
-    if plan is not None and (plan.basis is None) != (basis is None):
-        raise ValueError("the preconditioner plan was built for a coarse "
-                         "propagator of another basis")
-    # x stays one flat vector; the residual sees (L_hat, M) views of it
+    _require("the coarse propagator's M", coarse.M, "the problem's M", M)
+    if plan is not None:
+        if (plan.basis is None) != (basis is None):
+            raise ValueError("the preconditioner plan was built for a coarse "
+                             "propagator of another basis")
+        _require("the preconditioner plan's (M, L_hat)", (plan.M, plan.L_hat),
+                 "(problem.M, decomp.L_hat)", (M, Lh))
     x = np.zeros(2 * Lh * M)
     log = SolveLog()
+    workspace = GmresWorkspace()
 
-    def op(v):
-        return apply_jacobian(coarse, coarse.objective, decomp, v)
-
-    def residual(x):
-        y, lam_hat = x.reshape(2, Lh, M)
-        return matching_residual(fine, problem, decomp,
-                                 PairedTrajectory(y, lam_hat))
-
+    op = lambda v: apply_jacobian(coarse, coarse.objective, decomp, v)
+    residual = lambda x: matching_residual(fine, problem, decomp, x)
     precond = None if plan is None else plan.apply_inverse
 
     r = residual(x)
@@ -226,7 +245,8 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
             break
         t0 = time.perf_counter()
         try:
-            delta, rep = gmres(op, -r, precond=precond, cfg=cfg.inner)
+            delta, rep = gmres(op, -r, precond=precond, cfg=cfg.inner,
+                               workspace=workspace)
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             log.aborted = f"inner solver failure: {exc}"
             break

@@ -14,7 +14,9 @@ flexible GMRES (Saad, SIAM J. Sci. Comput. 1993): it stores z_j = P⁻¹v_j
 and updates x by Z y, so P⁻¹ is applied once per iteration and never to
 form the update. Those products run in BLAS, whose rounding may depend on
 its thread count, so repeated runs on the same data are bitwise
-reproducible only for a fixed BLAS thread count.
+reproducible only for a fixed BLAS thread count. Calls that share a
+:class:`GmresWorkspace` take the first blocks of V and Z from it instead
+of allocating them.
 """
 
 from __future__ import annotations
@@ -51,15 +53,36 @@ class GmresReport:
     residual_history: list = field(default_factory=list)
 
 
-class _RowBlocks:
-    """Vectors kept as the rows of contiguous blocks, of _FIRST_ROWS rows
-    and then _BLOCK_ROWS each; a block is allocated when the last one is
-    full. A complex vector switches the storage to complex."""
+class GmresWorkspace:
+    """The first blocks of the Krylov bases V and Z, kept across the gmres
+    calls that share this workspace, one call at a time. A Newton solve
+    makes dozens of short calls of one size, and a block allocated anew
+    costs its first-touch page faults on every call. Rows past those a
+    call fills are never read, so a call through kept blocks gives the
+    bits of a fresh one. Later blocks are not kept."""
 
-    def __init__(self, n: int, dtype):
-        self.n = n
-        self.dtype = np.dtype(dtype)
-        self.blocks: list[np.ndarray] = []
+    def __init__(self):
+        self.blocks: dict = {}
+
+    def first(self, basis: str, n: int, dtype) -> np.ndarray:
+        """The first block of basis "V" or "Z" for vectors of length n and
+        this dtype, allocated on the first request."""
+        key = (basis, n, np.dtype(dtype))
+        if key not in self.blocks:
+            self.blocks[key] = np.empty((_FIRST_ROWS, n), dtype)
+        return self.blocks[key]
+
+
+class _RowBlocks:
+    """Vectors kept as the rows of contiguous blocks: the given first one,
+    of _FIRST_ROWS rows, whose length and dtype they take, and then blocks
+    of _BLOCK_ROWS rows, each allocated when the last one is full. A
+    complex vector switches the storage to complex."""
+
+    def __init__(self, first: np.ndarray):
+        self.n = first.shape[1]
+        self.dtype = first.dtype
+        self.blocks: list[np.ndarray] = [first]
         self.size = 0
 
     def to_complex(self) -> None:
@@ -76,8 +99,7 @@ class _RowBlocks:
         if np.iscomplexobj(v) and self.dtype.kind != "c":
             self.to_complex()
         if self.size == sum(len(blk) for blk in self.blocks):
-            rows = _BLOCK_ROWS if self.blocks else _FIRST_ROWS
-            self.blocks.append(np.empty((rows, self.n), self.dtype))
+            self.blocks.append(np.empty((_BLOCK_ROWS, self.n), self.dtype))
         self[self.size][:] = v
         self.size += 1
 
@@ -121,6 +143,7 @@ def gmres(
     b: np.ndarray,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     cfg: GmresConfig = GmresConfig(),
+    workspace: Optional[GmresWorkspace] = None,
 ) -> tuple[np.ndarray, GmresReport]:
     """Solve A x = b with full (unrestarted) GMRES from x = 0, optionally
     right-preconditioned (flexible GMRES: P⁻¹ may differ between calls).
@@ -134,7 +157,9 @@ def gmres(
     Arnoldi process starts from the current iterate.
 
     Returns (x, report); non-convergence is reported via report.converged,
-    a NaN in b or produced by the operator raises.
+    a NaN in b or produced by the operator raises. A ``workspace`` lends
+    the first Krylov blocks (see :class:`GmresWorkspace`); the result is
+    the same without it.
     """
     b = np.asarray(b)
     n = b.shape[0]
@@ -144,6 +169,7 @@ def gmres(
     if norm_b == 0.0:
         return np.zeros_like(b), GmresReport(0, 0.0, True, [0.0])
 
+    workspace = workspace or GmresWorkspace()
     tol = cfg.rel_tolerance
     history: list[float] = [1.0]
     total_iters = 0
@@ -155,9 +181,9 @@ def gmres(
         m = min(cfg.max_iterations - total_iters, n)
         dtype = complex if np.iscomplexobj(r) else float
         # Krylov basis V and, when preconditioned, Z with z_j = P⁻¹ v_j
-        V = _RowBlocks(n, dtype)
+        V = _RowBlocks(workspace.first("V", n, dtype))
         V.append(r / beta)
-        Z = V if precond is None else _RowBlocks(n, dtype)
+        Z = _RowBlocks(workspace.first("Z", n, dtype)) if precond else V
         # column j of the Hessenberg matrix, once rotated, is R[:j+1, j];
         # g is the rotated right-hand side beta e_1
         R_cols: list[np.ndarray] = []

@@ -12,15 +12,16 @@ other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
 that the inversion is checked against, and the H_l that the LU path
 factorizes, come from the same block assembly as the coarse Jacobian,
 :func:`paraopt_kit.analysis.assemble_block_system`; the oracle takes its
-dense maps from :func:`paraopt_kit.propagators.dense_maps`.
+dense maps from :func:`paraopt_kit.propagators.dense_maps`, in the basis
+of the coarse propagator, which is the one the plan acts in.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
 option. A coarse propagator built for a problem whose K is a
 :class:`paraopt_kit.problem.PeriodicStencil` (the built-in problems) is the
 eigenvalues of its four maps on the half spectrum of the grid's real
 Fourier basis (:class:`paraopt_kit.propagators.FourierBasis`), which it
-carries in ``basis``, with no M x M map. Its plan acts on real coefficients
-in that basis, as the whole solve does
+carries in ``basis`` and lives in, with no M x M map. Its plan acts on real
+coefficients in that basis, as the propagator and the whole solve do
 (:func:`paraopt_kit.core.paraopt_solve`): each application reads them as
 the half spectrum, about M/2 + 2 complex modes, does the FFTs in time and
 closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
@@ -29,9 +30,9 @@ For a dense K, normal or not, the coarse propagator holds dense maps, and
 the plan acts on grid values and LU-factorizes each block once. A block
 with an exactly zero pivot, of either path, raises ValueError in the build.
 The general method can instead solve its blocks matrix-free by inner GMRES,
-in the basis of the coarse maps. The plan names its path in
-``PreconditionerPlan.blocks``; the CLI writes it to ``summary.json`` as
-``preconditioner_blocks``.
+through the actions of the coarse maps in their basis. The plan names its
+path in ``PreconditionerPlan.blocks``; the CLI writes it to
+``summary.json`` as ``preconditioner_blocks``.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real
 and any imaginary part of the result is rounding, amplified by an
@@ -281,8 +282,7 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     basis = coarse.basis
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
-        P, Q = linear_action(coarse if basis is None
-                             else coarse.in_basis(offsets=False))
+        P, Q = linear_action(coarse)
         solves = (_per_frequency(
             lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
     elif basis is not None:
@@ -318,6 +318,7 @@ def _check_real(xz: np.ndarray, imag: np.ndarray) -> None:
 
 def assemble_P_alpha(coarse: AffinePropagator, decomp: TimeDecomposition,
                      alpha: complex) -> np.ndarray:
-    """Dense P(alpha); oracle for the inversion procedures."""
+    """Dense P(alpha) in the basis of coarse, the one its plan acts in;
+    oracle for the inversion procedures."""
     return assemble_block_system(dense_maps(coarse), decomp.L_hat,
                                  coarse.objective, alpha)

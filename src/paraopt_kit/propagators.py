@@ -18,17 +18,20 @@ Where the basis comes from: a problem whose K is a
 carries K's eigenvalues on the grid's 2-D DFT
 (:attr:`LinearControlProblem.symbol`). Both builders then work per mode of
 the half spectrum of the grid's real :class:`FourierBasis`, on its
-eigenvalues as a stack of 1 x 1 matrices, with targets and offsets moved by
-2-D FFTs. Such a propagator is the eigenvalues of its four maps there, its
-grid offsets and its basis, with no M x M map: it acts on coefficients as a
-:class:`ModeMap`, one product per mode (:meth:`AffinePropagator.in_basis`),
-and on grid values through the basis's transforms. A dense K,
-block-circulant or not, takes the dense path: the implicit-Euler
-composition runs on it, one M x M solve per step, O(J M^3), and the exact
-build diagonalizes a symmetric K with eigh; those propagators hold the
-dense maps. A dense map of either kind, for the oracles and tests, comes
-from :func:`dense_maps`, which applies the actions to the unit vectors. The
-dense coupled J-step system survives only as the brute-force oracle behind
+eigenvalues as a stack of 1 x 1 matrices, with the targets moved in by
+2-D FFTs. Such a propagator lives in that basis: it is the eigenvalues of
+its four maps there, its offsets as real coefficients and the basis, with
+no M x M map, and it acts on coefficients only, one product per mode
+(:class:`ModeMap`). A dense K, block-circulant or not, takes the dense
+path: the implicit-Euler composition runs on it, one M x M solve per step,
+O(J M^3), and the exact build diagonalizes a symmetric K with eigh; those
+propagators hold the dense maps and grid offsets, so grid values are their
+basis. A dense map of either kind, in the propagator's basis, for the
+oracles and tests, comes from :func:`dense_maps`, which applies the
+actions to the unit vectors. Grid values enter and leave a per-mode
+propagator only through :func:`paraopt_kit.core.paraopt_solve` and the
+grid form of :func:`paraopt_kit.core.matching_residual`. The dense coupled
+J-step system survives only as the brute-force oracle behind
 :func:`extract_phi_psi_scalar`.
 """
 
@@ -47,17 +50,18 @@ from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveK
 
 @dataclass(frozen=True)
 class AffinePropagator:
-    """Explicit affine sub-interval maps.
+    """Explicit affine sub-interval maps, in the basis the propagator holds.
 
     P(y, lam) = Phi_P y - Psi_P lam + b_P[l],
     Q(y, lam) = Psi_Q y + Phi_Q lam + b_Q[l].
-    Offsets are indexed by sub-interval (length L) and hold grid values;
-    the maps are interval-independent. With ``basis`` None, ``maps`` holds
-    (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices. For a problem with a
-    ``symbol``, ``basis`` is the grid's :class:`FourierBasis`
-    and ``maps`` holds their eigenvalues on its half spectrum, one row per
-    map, shape (4, len(basis.half)): no M x M map is formed
-    (:func:`dense_maps` forms them on demand).
+    Offsets are indexed by sub-interval (length L); the maps are
+    interval-independent. With ``basis`` None, ``maps`` holds
+    (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices and the offsets hold
+    grid values. For a problem with a ``symbol``, ``basis`` is the grid's
+    :class:`FourierBasis`, ``maps`` holds their eigenvalues on its half
+    spectrum, one row per map, shape (4, len(basis.half)), and the offsets
+    hold its real coefficients: no M x M map is formed (:func:`dense_maps`
+    forms them on demand, in that basis).
     """
 
     maps: object  # (Phi_P, Psi_P, Phi_Q, Psi_Q): M x M, or rows of modes
@@ -70,55 +74,21 @@ class AffinePropagator:
     def M(self) -> int:
         return self.b_P.shape[-1]
 
-    @property
+    @functools.cached_property
     def actions(self) -> tuple:
         """(Phi_P, Psi_P, Phi_Q, Psi_Q) as actions on the rows of a stack
-        of grid values: products with the matrices, or per mode between
-        the basis's two transforms."""
+        in the propagator's basis: products with the matrices, or one
+        :class:`ModeMap` per map; built on first use and kept."""
         if self.basis is None:
-            return tuple(functools.partial(_on_rows, X) for X in self.maps)
-        return tuple(functools.partial(_on_grid, self.basis,
-                                       ModeMap(self.basis, x))
-                     for x in self.maps)
-
-    def in_basis(self, offsets: bool = True) -> "ModalPropagator":
-        """The same maps in the real coefficients of ``basis``: per-mode
-        actions, and the offsets transformed once, or left out (None) for
-        a propagator whose Jacobian alone is applied."""
-        basis = self.basis
-        b = ((basis.coefficients(self.b_P), basis.coefficients(self.b_Q))
-             if offsets else (None, None))
-        return ModalPropagator(tuple(ModeMap(basis, x) for x in self.maps),
-                               *b, self.objective, self.M)
+            return tuple((lambda v, X=X: v @ X.T) for X in self.maps)
+        return tuple(ModeMap(self.basis, x) for x in self.maps)
 
 
-@dataclass(frozen=True)
-class ModalPropagator:
-    """An AffinePropagator in the real coefficients of a FourierBasis
-    (:meth:`AffinePropagator.in_basis`): ``actions`` act on the rows of
-    coefficient stacks one mode at a time, with no M x M map, and the
-    offsets are coefficients."""
-
-    actions: tuple  # (Phi_P, Psi_P, Phi_Q, Psi_Q) as ModeMaps
-    b_P: Optional[np.ndarray]  # (L, M)
-    b_Q: Optional[np.ndarray]  # (L, M)
-    objective: ObjectiveKind
-    M: int
-
-
-def _on_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return v @ X.T
-
-
-def _on_grid(basis: FourierBasis, act: ModeMap, v: np.ndarray) -> np.ndarray:
-    return basis.grid(act(basis.coefficients(v)))
-
-
-def dense_maps(prop) -> tuple:
-    """(Phi_P, Psi_P, Phi_Q, Psi_Q) of an AffinePropagator or a
-    ModalPropagator as dense M x M matrices in its basis, formed from its
-    actions on the unit vectors: O(M^2) memory each, for the dense oracles
-    and tests."""
+def dense_maps(prop: AffinePropagator) -> tuple:
+    """(Phi_P, Psi_P, Phi_Q, Psi_Q) of an AffinePropagator as dense M x M
+    matrices in its basis (grid values, or the real coefficients of its
+    FourierBasis), formed from its actions on the unit vectors: O(M^2)
+    memory each, for the dense oracles and tests."""
     I = np.eye(prop.M)
     return tuple(act(I).T for act in prop.actions)
 
@@ -275,20 +245,19 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
             offsets = [b.T.copy() for b in maps[4:]]
         return AffinePropagator(tuple(maps[:4]), *offsets, objective=obj)
     if tracking:
-        offsets = [basis.grid(basis.from_half(b[:, 0, :].T))
-                   for b in maps[4:]]
+        offsets = [basis.from_half(b[:, 0, :].T) for b in maps[4:]]
     return AffinePropagator(np.stack([X[:, 0, 0] for X in maps[:4]]),
                             *offsets, objective=obj, basis=basis)
 
 
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
                             w: np.ndarray, phi: np.ndarray, psi: np.ndarray,
-                            to_modes, to_grid) -> np.ndarray:
+                            to_modes, from_modes) -> np.ndarray:
     """Offsets (b_P, b_Q), stacked into one (2, L, M) array, of the exact
     tracking maps with coefficients (phi, psi) at the eigenvalues w of K,
     for a target y_d that is affine in t on each sub-interval. to_modes
-    and to_grid change the last axis of a stack into K's eigenbasis and
-    back.
+    changes the last axis of a stack of grid values into K's eigenbasis,
+    and from_modes changes it from there into the propagator's basis.
 
     With g = 1/sqrt(gamma), z = [y; lam] solves z' = H z + [0; g y_d] with
     H = [[-K, -g I], [-g I, K]], which splits per eigenvalue sigma of K. On
@@ -315,7 +284,7 @@ def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
     y0, y1 = (g / r) ** 2 * e0, (g / r) ** 2 * e1
     lam0, lam1 = (-(g / r) * (w / r * ek + slope / r) for ek in (e0, e1))
     b_P, b_Q = y1 - phi * y0 + psi * lam1, lam0 - psi * y0 - phi * lam1
-    return to_grid(np.stack([b_P, b_Q]))
+    return from_modes(np.stack([b_P, b_Q]))
 
 
 def build_exact_propagator(problem: LinearControlProblem,
@@ -344,13 +313,13 @@ def build_exact_propagator(problem: LinearControlProblem,
 
     if symbol is None:
         basis, (w, Q) = None, np.linalg.eigh(K)
-        to_modes, to_grid = (lambda x: x @ Q), (lambda c: c @ Q.T)
+        to_modes, from_modes = (lambda x: x @ Q), (lambda c: c @ Q.T)
     else:
         basis = FourierBasis(problem.M)
         # a symmetric K has a real symbol
         w = symbol[basis.half].real
         to_modes = lambda x: basis.to_half(basis.coefficients(x))
-        to_grid = lambda h: basis.grid(basis.from_half(h))
+        from_modes = basis.from_half
     tracking = problem.objective is ObjectiveKind.TRACKING
     gh = DT / np.sqrt(problem.gamma) if tracking else DT / problem.gamma
     closed_form = _tracking_exact if tracking else _tc_exact
@@ -365,14 +334,14 @@ def build_exact_propagator(problem: LinearControlProblem,
         maps = np.stack(pair(pp.phi, pp.psi))
 
     b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, pp.phi, pp.psi,
-                                        to_modes, to_grid)
+                                        to_modes, from_modes)
                 if tracking else np.zeros((2, L, problem.M)))
     return AffinePropagator(maps, b_P, b_Q, problem.objective, basis)
 
 
-def linear_action(prop):
-    """Callbacks (P, Q) of the linear part of the maps of an AffinePropagator
-    or a ModalPropagator, offsets dropped, in its basis:
+def linear_action(prop: AffinePropagator):
+    """Callbacks (P, Q) of the linear part of the maps of an
+    AffinePropagator, offsets dropped, on vectors in its basis:
     P(y, lam) = Phi_P y - Psi_P lam, Q(y, lam) = Psi_Q y + Phi_Q lam."""
     Phi_P, Psi_P, Phi_Q, Psi_Q = prop.actions
     return (lambda y, lam: Phi_P(y) - Psi_P(lam),

@@ -30,7 +30,7 @@ from paraopt_kit.propagators import (
     build_implicit_euler_propagator,
     dense_maps,
 )
-from test_propagators import bccb
+from test_propagators import bccb, coefficient_matrix
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -77,6 +77,14 @@ class TestMatchingResidual:
         bad = PairedTrajectory.zeros(d.L_hat + 1, p.M)
         with pytest.raises(ValueError):
             matching_residual(fine, p, d, bad)
+        bad = PairedTrajectory(np.zeros((d.L_hat, p.M)),
+                               np.zeros((d.L_hat - 1, p.M)))
+        with pytest.raises(ValueError, match=r"lam_hat is \(4, 2\), but "
+                                             r"the .* is \(5, 2\)"):
+            matching_residual(fine, p, d, bad)
+        with pytest.raises(ValueError,
+                           match="length of x is 21, but 2 L_hat M is 20"):
+            matching_residual(fine, p, d, np.zeros(2 * d.L_hat * p.M + 1))
 
 
 def propagate(prop, l, y_prev, lam_next):
@@ -105,42 +113,72 @@ def loop_residual(fine, problem, decomp, x):
     return r
 
 
+# stencil problems of the heat and of the advection-diffusion K, whose
+# complex symbol couples the two halves of the real Fourier basis
+_STENCILS = [(make_heat_problem, 2), (make_heat_problem, 3),
+             (make_advection_diffusion_problem, 3),
+             (make_advection_diffusion_problem, 4)]
+
+
 class TestJacobianAction:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), M=st.integers(1, 4),
            L=st.integers(2, 6), objective=st.sampled_from([TR, TC]),
-           skew=st.sampled_from([0.0, 1.0]))
+           skew=st.sampled_from([0.0, 1.0]),
+           stencil=st.sampled_from([None] + _STENCILS))
     def test_stacked_maps_match_dense_oracles(self, seed, M, L, objective,
-                                              skew):
+                                              skew, stencil):
+        """A dense K, or a stencil one whose propagator lives in the real
+        Fourier basis: the flat residual, the dense (A, b) and the
+        Jacobian action in the propagator's basis against the interval
+        loop in that basis, and the grid form of the residual against the
+        flat one moved to the grid."""
         rng = np.random.default_rng(seed)
-        B, C = rng.standard_normal((2, M, M))
-        # SPD K, or SPD plus a skew part: symmetric K gives symmetric maps,
-        # which would hide a transposed one
-        K = B @ B.T + 0.1 * np.eye(M) + skew * (C - C.T)
-        p = LinearControlProblem(
-            K=K, gamma=10.0 ** rng.uniform(-2, 1), T=2.0,
-            y_init=rng.standard_normal(M), objective=objective,
-            y_target=rng.standard_normal(M),
-            y_d=lambda t: np.cos(t + np.arange(M)))
+        gamma = 10.0 ** rng.uniform(-2, 1)
+        if stencil is None:
+            B, C = rng.standard_normal((2, M, M))
+            # SPD K, or SPD plus a skew part: symmetric K gives symmetric
+            # maps, which would hide a transposed one
+            K = B @ B.T + 0.1 * np.eye(M) + skew * (C - C.T)
+            p = LinearControlProblem(
+                K=K, gamma=gamma, T=2.0, y_init=rng.standard_normal(M),
+                objective=objective, y_target=rng.standard_normal(M),
+                y_d=lambda t: np.cos(t + np.arange(M)))
+        else:
+            make, n = stencil
+            p = make(n, gamma, 2.0, objective)
+            M = p.M
         d = make_decomposition(p, L=L, J_fine=int(rng.integers(1, 5)),
                                J_coarse=1)
         fine = build_implicit_euler_propagator(p, d.DT, d.J_fine)
+        basis = fine.basis
+        assert (basis is None) == (stencil is None)
+        Q = np.eye(M) if basis is None else coefficient_matrix(basis)
+        to_grid = ((lambda c: c) if basis is None else
+                   (lambda c: basis.grid(c.reshape(-1, M)).ravel()))
+        # the loop reference takes y_init and y_target in the basis too
+        p_basis = dataclasses.replace(p, y_init=Q @ p.y_init,
+                                      y_target=Q @ p.y_target)
         n = 2 * d.L_hat * M
-        v = rng.standard_normal(n)
+        v = rng.standard_normal(n)  # in the basis of fine
         x = PairedTrajectory.from_vector(v, d.L_hat, M)
 
         A, b = assemble_system(fine, p, d)
         tol = 1e-12 * (1.0 + np.linalg.norm(A) + np.linalg.norm(b))
-        ref = loop_residual(fine, p, d, x)
-        np.testing.assert_allclose(matching_residual(fine, p, d, x), ref,
-                                   atol=tol)
+        ref = loop_residual(fine, p_basis, d, x)
+        flat = matching_residual(fine, p, d, v)
+        np.testing.assert_allclose(flat, ref, atol=tol)
         np.testing.assert_allclose(A @ v - b, ref, atol=tol)
+        # the grid form is the flat one moved to the grid
+        on_grid = PairedTrajectory.from_vector(to_grid(v), d.L_hat, M)
+        np.testing.assert_allclose(matching_residual(fine, p, d, on_grid),
+                                   to_grid(flat), atol=tol)
         # the Jacobian is the linear part of the loop reference
         zero = PairedTrajectory.zeros(d.L_hat, M)
-        r0 = loop_residual(fine, p, d, zero)
+        r0 = loop_residual(fine, p_basis, d, zero)
         e = np.eye(n)
         A_loop = np.column_stack([
-            loop_residual(fine, p, d,
+            loop_residual(fine, p_basis, d,
                           PairedTrajectory.from_vector(e[:, j], d.L_hat, M))
             - r0 for j in range(n)])
         np.testing.assert_allclose(A, A_loop, atol=tol)
@@ -273,3 +311,39 @@ def test_propagators_of_different_bases_rejected():
     plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
     with pytest.raises(ValueError, match="another basis"):
         paraopt_solve(p, d, fine, fine, NewtonConfig(preconditioner=plan))
+
+
+def test_propagators_of_another_M_rejected():
+    # a propagator built for n = 3 inside an n = 4 solve used to fail in a
+    # reshape, "cannot reshape array of size 16 into shape (3,3)"
+    p = make_heat_problem(4, 0.3, 2.0, TR)
+    d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
+    fine = build_implicit_euler_propagator(p, d.DT, 2)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    other = build_implicit_euler_propagator(
+        make_heat_problem(3, 0.3, 2.0, TR), d.DT, 1)
+    with pytest.raises(ValueError, match=r"fine propagator's \(M, L\) is "
+                                         r"\(9, 4\), but .* is \(16, 4\)"):
+        paraopt_solve(p, d, other, coarse, NewtonConfig())
+    with pytest.raises(ValueError, match="coarse propagator's M is 9, but "
+                                         "the problem's M is 16"):
+        paraopt_solve(p, d, fine, other, NewtonConfig())
+    plan = build_plan(other, d, -1.0, InversionMethod.GENERAL)
+    with pytest.raises(ValueError, match=r"plan's \(M, L_hat\) is \(9, 3\), "
+                                         r"but .* is \(16, 3\)"):
+        paraopt_solve(p, d, fine, coarse, NewtonConfig(preconditioner=plan))
+
+
+def test_propagators_of_another_L_hat_rejected():
+    p = make_heat_problem(3, 0.3, 2.0, TR)
+    d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
+    d5 = make_decomposition(p, L=5, J_fine=2, J_coarse=1)
+    fine = build_implicit_euler_propagator(p, d.DT, 2)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    with pytest.raises(ValueError, match=r"fine propagator's \(M, L\) is "
+                                         r"\(9, 4\), but .* is \(9, 5\)"):
+        paraopt_solve(p, d5, fine, coarse, NewtonConfig())
+    plan = build_plan(coarse, d5, -1.0, InversionMethod.GENERAL)
+    with pytest.raises(ValueError, match=r"plan's \(M, L_hat\) is \(9, 4\), "
+                                         r"but .* is \(9, 3\)"):
+        paraopt_solve(p, d, fine, coarse, NewtonConfig(preconditioner=plan))

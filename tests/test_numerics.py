@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paraopt_kit.numerics import GmresConfig, gmres
+from paraopt_kit.numerics import GmresConfig, GmresWorkspace, gmres
 
 
 def random_spd(rng, n):
@@ -189,3 +189,61 @@ class TestGmres:
             GmresConfig(rel_tolerance=0.0)
         with pytest.raises(ValueError):
             GmresConfig(max_iterations=0)
+
+
+def test_kept_first_blocks_give_the_bits_of_fresh_calls():
+    """Right-hand sides of one size solved in turn through one workspace,
+    each against a fresh call, bit for bit: unpreconditioned and
+    preconditioned, a long call past the first block, a restart after a
+    lucky breakdown, and complex systems after real ones (a real b and a
+    complex operator take the to_complex path), then a real one again."""
+    n = 24
+    rng = np.random.default_rng(11)
+    spd = random_spd(rng, n)
+    ill = (np.diag(np.logspace(0, 6, n))
+           + 10 * np.triu(rng.standard_normal((n, n)), 1))
+    diag = np.diag(np.arange(1.0, n + 1.0))
+    cplx = spd + 1j * rng.standard_normal((n, n))
+    Pinv = np.linalg.inv(spd + 0.5 * np.eye(n))
+    near = lambda v: Pinv @ v
+    invariant = np.zeros(n)
+    invariant[:2] = 1.0  # b in a 2-dimensional invariant subspace of diag
+    b = rng.standard_normal((4, n))
+    # (operator, b, preconditioner, tolerance, what the call must reach)
+    calls = [
+        (spd, b[0], None, 1e-6, None),
+        (spd, b[1], near, 1e-12, None),
+        (ill, b[2], None, 1e-10, "long"),
+        (diag, invariant, lambda v: v / (np.diag(diag) + 0.5), 1e-16,
+         "restart"),
+        (cplx, b[3], None, 1e-10, "to_complex"),
+        (cplx, b[0] + 1j * b[1], near, 1e-10, None),
+        (spd, b[2], near, 1e-8, None),
+    ]
+    workspace = GmresWorkspace()
+    for A, rhs, precond, tol, reach in calls:
+        products = []
+
+        def matvec(v):
+            products.append(v.dtype)
+            return A @ v
+
+        cfg = GmresConfig(rel_tolerance=tol, max_iterations=4 * n)
+        x, rep = gmres(matvec, rhs, precond=precond, cfg=cfg,
+                       workspace=workspace)
+        cycles = len(products) - rep.iterations
+        x_fresh, rep_fresh = gmres(lambda v: A @ v, rhs, precond=precond,
+                                   cfg=cfg)
+        assert x.dtype == x_fresh.dtype and np.array_equal(x, x_fresh)
+        assert rep == rep_fresh
+        assert rep.converged
+        if reach == "long":  # a 32-row block after the kept 8 rows
+            assert rep.iterations > 8
+        elif reach == "restart":
+            assert cycles >= 2
+        elif reach == "to_complex":  # the basis starts real
+            assert products[0] == np.float64 and x.dtype == complex
+    # one first block per basis and dtype
+    assert set(workspace.blocks) == {(basis, n, np.dtype(dtype))
+                                     for basis in "VZ"
+                                     for dtype in (float, complex)}

@@ -423,8 +423,8 @@ class TestFourierBasis:
         (make_advection_diffusion_problem, 5)])
     def test_mode_actions_match_dense_maps(self, make, n):
         """Each map of every fine and coarse build, applied one mode at a
-        time to coefficients, against the dense map through the basis;
-        offsets against their coefficients."""
+        time to coefficients, against the map of the same build on the
+        dense K through the basis; offsets against its coefficients."""
         basis = FourierBasis(n * n)
         Q = coefficient_matrix(basis)
         builds = [(TR, Discretization.FOTD), (TC, Discretization.FOTD),
@@ -436,17 +436,19 @@ class TestFourierBasis:
             p = (make_scalar_problem(1.7, 0.3, 2.0, objective) if make is None
                  else make(n, 0.3, 2.0, objective))
             DT = p.T / 4
-            prop = (build_exact_propagator(p, DT) if variant is None else
-                    build_implicit_euler_propagator(p, DT, 3, variant))
-            modal = prop.in_basis()
-            assert modal.M == p.M
+            build = lambda p: (
+                build_exact_propagator(p, DT) if variant is None else
+                build_implicit_euler_propagator(p, DT, 3, variant))
+            prop = build(p)
+            dense = build(dataclasses.replace(p, K=bccb(p.K.column)))
+            assert prop.M == p.M and dense.basis is None
             c = rng.standard_normal((4, p.M))
-            for X, act in zip(dense_maps(prop), modal.actions):
+            for X, act in zip(dense_maps(dense), prop.actions):
                 np.testing.assert_allclose(act(c), c @ (Q @ X @ Q.T).T,
                                            rtol=0, atol=1e-13)
             for name in ("b_P", "b_Q"):
-                np.testing.assert_allclose(getattr(modal, name),
-                                           getattr(prop, name) @ Q.T,
+                np.testing.assert_allclose(getattr(prop, name),
+                                           getattr(dense, name) @ Q.T,
                                            rtol=0, atol=1e-12)
 
 
@@ -591,10 +593,10 @@ class TestFourierSymbolBuild:
            gamma=st.floats(0.01, 1.0), seed=st.integers(0, 2**16))
     def test_symbol_build_matches_dense_build(self, make, n, L, J, gamma,
                                               seed):
-        """Every build from the symbol against the build of the same
-        problem on its dense K: maps, offsets and modes; and the plan from
-        the modes, in the coefficients of the basis, against the dense
-        P(alpha)."""
+        """Every build from the symbol, which lives in the coefficients of
+        its basis, against the build of the same problem on its dense K
+        moved into them: maps, offsets and modes; and the plan from the
+        modes against the dense P(alpha) in the coefficients."""
         F = dft(n)
         basis = FourierBasis(n * n)
         Q = coefficient_matrix(basis)
@@ -618,13 +620,15 @@ class TestFourierSymbolBuild:
             for X_sym, X, x in zip(dense_maps(sym), dense_maps(dense),
                                    sym.maps):
                 scale = 1e-12 * (1 + np.abs(X).max())
-                np.testing.assert_allclose(X_sym, X, rtol=0, atol=scale)
+                np.testing.assert_allclose(X_sym, Q @ X @ Q.T, rtol=0,
+                                           atol=scale)
                 np.testing.assert_allclose(rotated(X, F),
                                            np.diag(full(basis, x)), rtol=0,
                                            atol=scale)
             for name in ("b_P", "b_Q"):
                 b = getattr(dense, name)
-                np.testing.assert_allclose(getattr(sym, name), b, rtol=0,
+                np.testing.assert_allclose(getattr(sym, name), b @ Q.T,
+                                           rtol=0,
                                            atol=1e-12 * (1 + np.abs(b).max()))
             if variant is None:
                 continue
@@ -637,9 +641,7 @@ class TestFourierSymbolBuild:
                 plan = build_plan(sym, d, alpha, method)
                 assert plan.blocks == "spectral" and plan.basis is not None
                 v = rng.standard_normal(2 * d.L_hat * p.M)
-                # P(alpha) in the coefficients: Q per block
-                P = np.kron(np.eye(2 * d.L_hat), Q) @ assemble_P_alpha(
-                    sym, d, alpha) @ np.kron(np.eye(2 * d.L_hat), Q.T)
+                P = assemble_P_alpha(sym, d, alpha)
                 assert (np.linalg.norm(P @ plan.apply_inverse(v) - v)
                         <= 1e-10 * np.linalg.norm(v))
 
