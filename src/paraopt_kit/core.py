@@ -122,7 +122,13 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     of grid values, which gives the residual on the grid, or the flat
     [y | lam] vector in the basis of fine, which gives it in that basis (the
     vector GMRES iterates on); y_init and y_target move into the basis on
-    each call."""
+    each call.
+
+    The type of x selects its basis: for a propagator with a FourierBasis
+    (every stencil problem) a flat vector holds real coefficients, not grid
+    values, and ``PairedTrajectory.from_vector(v, ...)`` of the same numbers
+    is a different point. Pass grid data as a PairedTrajectory; a flat
+    vector of grid values is read, without an error, as coefficients."""
     Lh, M = decomp.L_hat, problem.M
     _require("the fine propagator's (M, L)", (fine.M, len(fine.b_P)),
              "(problem.M, decomp.L)", (M, decomp.L))
@@ -160,7 +166,11 @@ def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                    decomp: TimeDecomposition, v: np.ndarray) -> np.ndarray:
     """Matrix-free product with the matching-condition Jacobian built from
     the given propagator (offsets do not enter a Jacobian of an affine map),
-    on a flat vector in its basis, the result in that basis too."""
+    on a flat vector in its basis, the result in that basis too. For a
+    propagator with a FourierBasis (every stencil problem) v and the result
+    are real coefficients, not grid values; move grid data in with
+    ``prop.basis.coefficients`` and back with ``prop.basis.grid``, one
+    (2 L_hat, M) stack each way."""
     y, lam = v.reshape(2, decomp.L_hat, prop.M)
     return _apply_maps(prop, objective, y, lam).ravel()
 
