@@ -5,7 +5,8 @@ sigma of K, into a 2*L_hat x 2*L_hat matrix S_sigma built from four scalar
 propagation coefficients: phi/psi for the fine propagator and
 phi_tilde/psi_tilde for the coarse one. This module provides the coefficient
 catalog, L_hat-independent contraction bounds rho_star, the exact spectral
-radius of S_sigma as an oracle, and grid sweeps producing contour-plot data.
+radius of S_sigma as an oracle, grid sweeps producing contour-plot data, and
+the observed geometric rate of a residual history to set against a bound.
 The catalog and the bounds work elementwise on arrays, so a grid sweep is
 one evaluation per panel.
 
@@ -117,8 +118,10 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     sigma) V^H. target(j), if given, is the tracking target at
     the left end of step j = 0..J-1, of shape (..., m, L), and adds the
     offset b_Q = -gh Z^-T target(j) to that step; without it the offsets
-    have no columns. Raises ValueError for a singular I + tau K.
+    have no columns. Raises ValueError for J < 1 or a singular I + tau K.
     """
+    if J < 1:
+        raise ValueError(f"need J >= 1 implicit-Euler steps, got J = {J}")
     try:
         Zi = np.linalg.inv(np.eye(K.shape[-1]) + tau * K)
     except np.linalg.LinAlgError as exc:
@@ -400,7 +403,31 @@ def bound_grid_sweep(objective: ObjectiveKind,
 
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
-    """Logarithmically spaced grid including both endpoints."""
-    if lo <= 0 or hi <= lo or count < 1:
-        raise ValueError("need 0 < lo < hi and count >= 1")
+    """count logarithmically spaced values from lo to hi, both included.
+    Values must be positive and finite. A grid of two or more points needs
+    lo < hi; a one-point grid needs lo == hi and is exactly [lo], which
+    np.logspace would round (0.3 to 0.30000000000000004). Raises
+    ValueError otherwise."""
+    for x in (lo, hi):
+        if not 0.0 < x < np.inf:  # nan too
+            raise ValueError(f"grid values must be positive and finite, "
+                             f"got {x}")
+    if count < 1 or hi < lo or (count == 1) != (lo == hi):
+        raise ValueError(f"need lo < hi and count >= 2, or lo == hi and "
+                         f"count 1; got {lo}:{hi}:{count}")
+    if count == 1:
+        return np.array([lo], dtype=float)
     return np.logspace(np.log10(lo), np.log10(hi), count)
+
+
+def fit_geometric_rate(residuals: Sequence[float]) -> float:
+    """Least-squares geometric contraction rate of a residual history,
+    ignoring the stagnation tail near machine precision."""
+    r = np.asarray(residuals, dtype=float)
+    keep = r > max(1e-13 * r[0], 0.0)
+    r = r[keep]
+    if len(r) < 3:
+        raise ValueError("need at least three residuals above the noise floor")
+    k = np.arange(len(r))
+    slope = np.polyfit(k, np.log(r), 1)[0]
+    return float(np.exp(slope))

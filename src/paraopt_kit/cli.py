@@ -8,7 +8,9 @@ Subcommands:
               + manifest.json; with several ids, each writes to <output>/<id>/
 
 Exit codes: 0 success, 1 solver non-convergence or abort, 2 configuration
-error (a bad flag or field value, or an unreadable --config file).
+error: a field of the wrong type, a non-finite float or an unknown choice
+(RunConfig.validate), an unreadable --config file, or a ValueError the
+library raises while a command sets up.
 All CSV files start with the version line `# paraopt-kit v1`, use LF endings,
 and print floats at full precision (%.17g).
 """
@@ -34,6 +36,7 @@ from paraopt_kit.analysis import (
     bound_grid_sweep,
     coefficients_at,
     exact_rho,
+    fit_geometric_rate,
     log_grid,
     rho_bound_tracking,
 )
@@ -111,6 +114,9 @@ class RunConfig:
     output: str = "out"
 
     def validate(self) -> None:
+        """Check what the CLI parses: field types, finite floats and
+        CHOICES. Every other rule belongs to the library object that owns
+        it, which raises ValueError when solve_case builds it."""
         for f in dataclasses.fields(self):
             v, want = getattr(self, f.name), type(f.default)
             types = (int, float) if want is float else want
@@ -123,18 +129,6 @@ class RunConfig:
             if f.name in CHOICES and v not in CHOICES[f.name]:
                 raise ConfigError(f"unknown {f.name} '{v}'; choose from "
                                   f"{', '.join(CHOICES[f.name])}")
-        for name in ("outer_tol", "inner_tol"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {v}")
-        for name in ("max_outer", "max_inner"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ConfigError(f"{name} must be >= 1, got {v}")
-        if (self.choice("objective") is ObjectiveKind.TRACKING
-                and self.choice("coarse_variant") is Discretization.FDTO):
-            raise ConfigError("tracking has a single implicit-Euler coarse "
-                              "variant; ie_fdto applies to terminal cost only")
 
     def choice(self, name: str):
         """What the value of string field ``name`` selects in CHOICES."""
@@ -166,49 +160,46 @@ def build_problem(cfg: RunConfig) -> LinearControlProblem:
 
 def build_propagators(cfg: RunConfig, problem: LinearControlProblem,
                       decomp: TimeDecomposition):
-    variant = cfg.choice("coarse_variant")
-    try:
-        if cfg.choice("fine") is PropagatorKind.EXACT:
-            fine = build_exact_propagator(problem, decomp.DT)
-        else:
-            fine = build_implicit_euler_propagator(problem, decomp.DT,
-                                                   decomp.J_fine)
-        coarse = build_implicit_euler_propagator(problem, decomp.DT,
-                                                 decomp.J_coarse, variant)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if cfg.choice("fine") is PropagatorKind.EXACT:
+        fine = build_exact_propagator(problem, decomp.DT)
+    else:
+        fine = build_implicit_euler_propagator(problem, decomp.DT,
+                                               decomp.J_fine)
+    coarse = build_implicit_euler_propagator(
+        problem, decomp.DT, decomp.J_coarse, cfg.choice("coarse_variant"))
     return fine, coarse
 
 
 def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
     if not cfg.precond_enabled:
         return None
-    try:
-        return build_plan(coarse, decomp, cfg.alpha_real,
-                          cfg.choice("precond_method"),
-                          cfg.choice("small_system_method"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_plan(coarse, decomp, cfg.alpha_real,
+                      cfg.choice("precond_method"),
+                      cfg.choice("small_system_method"))
 
 
 # values that overflow to inf or NaN end the solve through its finiteness
 # checks, with the reason in the log, so numpy need not warn about them
 @np.errstate(over="ignore", invalid="ignore")
 def solve_case(cfg: RunConfig):
-    """Run one configured solve; returns (trajectory, log, summary dict)."""
+    """Run one configured solve; returns (trajectory, log, summary dict).
+    After cfg.validate(), every ValueError raised while building the
+    solver configs, problem, decomposition, propagators and plan becomes
+    a ConfigError (exit 2). The solve is outside that boundary: a
+    ValueError there is a bug, not a bad input."""
     cfg.validate()
     try:
+        newton = NewtonConfig(
+            outer_tolerance=cfg.outer_tol, max_outer=cfg.max_outer,
+            inner=GmresConfig(rel_tolerance=cfg.inner_tol,
+                              max_iterations=cfg.max_inner))
         problem = build_problem(cfg)
         decomp = make_decomposition(problem, cfg.L, cfg.J_fine, cfg.J_coarse)
+        fine, coarse = build_propagators(cfg, problem, decomp)
+        plan = newton.preconditioner = build_preconditioner(cfg, coarse,
+                                                            decomp)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    fine, coarse = build_propagators(cfg, problem, decomp)
-    plan = build_preconditioner(cfg, coarse, decomp)
-    newton = NewtonConfig(
-        outer_tolerance=cfg.outer_tol, max_outer=cfg.max_outer,
-        inner=GmresConfig(rel_tolerance=cfg.inner_tol,
-                          max_iterations=cfg.max_inner),
-        preconditioner=plan)
     traj, log = paraopt_solve(problem, decomp, fine, coarse, newton)
     summary = {
         "converged": bool(log.converged),
@@ -263,19 +254,12 @@ def write_solve_artifacts(outdir: str, log: SolveLog, summary: dict) -> None:
 # bound subcommand
 
 def _parse_grid(text: str) -> np.ndarray:
+    """'lo:hi:count' -> analysis.log_grid(lo, hi, count), which checks it."""
     try:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ValueError
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise ConfigError(f"grid must be 'lo:hi:count', got '{text}'")
-    if count == 1:
-        if lo != hi:
-            raise ConfigError("a 1-point grid needs lo == hi")
-        if not lo > 0:  # what log_grid asks of a longer grid
-            raise ConfigError(f"grid values must be positive, got {lo}")
-        return np.array([lo])
+        raise ValueError(f"grid must be 'lo:hi:count', got '{text}'") from None
     return log_grid(lo, hi, count)
 
 
@@ -327,19 +311,6 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 # experiment subcommand
-
-def fit_geometric_rate(residuals: Sequence[float]) -> float:
-    """Least-squares geometric contraction rate of a residual history,
-    ignoring the stagnation tail near machine precision."""
-    r = np.asarray(residuals, dtype=float)
-    keep = r > max(1e-13 * r[0], 0.0)
-    r = r[keep]
-    if len(r) < 3:
-        raise ValueError("need at least three residuals above the noise floor")
-    k = np.arange(len(r))
-    slope = np.polyfit(k, np.log(r), 1)[0]
-    return float(np.exp(slope))
-
 
 def _heat_run_config(problem: str, objective: str, L_hat: int,
                      precond: bool, inner_tol: float = 1e-4) -> RunConfig:

@@ -62,14 +62,23 @@ class PairedTrajectory:
 
 @dataclass
 class NewtonConfig:
+    """Settings of :func:`paraopt_solve`: it stops once the residual norm
+    is below outer_tolerance, in (0, 1), times max(1, initial residual),
+    or after max_outer >= 1 Newton steps. inner holds the GMRES settings,
+    which check themselves. Raises ValueError for an outer_tolerance or a
+    max_outer out of range."""
+
     outer_tolerance: float = 1e-6
     max_outer: int = 100
     inner: GmresConfig = field(default_factory=lambda: GmresConfig(rel_tolerance=1e-4))
     preconditioner: Optional[object] = None  # PreconditionerPlan or None
 
     def __post_init__(self):
-        if self.outer_tolerance <= 0:
-            raise ValueError("outer_tolerance must be positive")
+        if not 0.0 < self.outer_tolerance < 1.0:
+            raise ValueError(f"outer_tolerance must be in (0, 1), got "
+                             f"{self.outer_tolerance}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
 
 @dataclass
@@ -170,7 +179,9 @@ def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
     propagator with a FourierBasis (every stencil problem) v and the result
     are real coefficients, not grid values; move grid data in with
     ``prop.basis.coefficients`` and back with ``prop.basis.grid``, one
-    (2 L_hat, M) stack each way."""
+    (2 L_hat, M) stack each way. Raises ValueError unless v has
+    2 L_hat M entries for the M of prop."""
+    _require("the length of v", len(v), "2 L_hat M", 2 * decomp.L_hat * prop.M)
     y, lam = v.reshape(2, decomp.L_hat, prop.M)
     return _apply_maps(prop, objective, y, lam).ravel()
 

@@ -54,6 +54,7 @@ import numpy as np
 import scipy.linalg
 
 from paraopt_kit.analysis import assemble_block_system
+from paraopt_kit.core import _require
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import (
@@ -173,7 +174,10 @@ class PreconditionerPlan:
         bottom-right block first, then the top-left block on the corrected
         right-hand side. The spectral path runs on the half spectrum of
         the basis: its change acts on the space index and the FFT on the
-        time index, so they commute."""
+        time index, so they commute. Raises ValueError unless v has
+        2 L_hat M entries for the plan's L_hat and M."""
+        _require("the length of v", len(v), "2 L_hat M",
+                 2 * self.L_hat * self.M)
         if np.iscomplexobj(v):  # P(alpha) is real
             return self.apply_inverse(v.real) + 1j * self.apply_inverse(v.imag)
         spectral = self.blocks == "spectral"

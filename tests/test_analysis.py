@@ -12,6 +12,7 @@ from paraopt_kit.analysis import (
     bound_grid_sweep,
     coefficients_at,
     exact_rho,
+    implicit_euler_maps,
     log_grid,
     phi_psi_tc_exact,
     phi_psi_tc_ie,
@@ -32,6 +33,12 @@ psi_val = st.floats(0.02, 2.0)
 
 
 class TestCoefficientCatalog:
+    @pytest.mark.parametrize("J", [0, -1])
+    def test_implicit_euler_maps_need_a_step(self, J):
+        # J = 0 used to fail in functools.reduce of no steps
+        with pytest.raises(ValueError, match=f"got J = {J}"):
+            implicit_euler_maps(np.eye(2), 0.1, 0.1, J, TR)
+
     def test_tracking_ie_zero_sigma_one_step(self):
         # gamma = 4, tau = 1: one recursion step from the identity map
         pp = phi_psi_tracking_ie(0.0, 4.0, 1.0, 1)
@@ -288,6 +295,16 @@ class TestGridSweep:
             log_grid(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             log_grid(2.0, 1.0, 5)
+        # one point needs lo == hi; values must be finite
+        for args in [(1.0, 2.0, 1), (1.0, 1.0, 5), (1.0, np.nan, 5),
+                     (1.0, np.inf, 5), (np.nan, np.nan, 1)]:
+            with pytest.raises(ValueError):
+                log_grid(*args)
+
+    @pytest.mark.parametrize("x", [0.3, 123.456])
+    def test_one_point_log_grid_is_exact(self, x):
+        # np.logspace turns 0.3 into 0.30000000000000004
+        assert log_grid(x, x, 1).tolist() == [x]
 
 
 class TestBlockSystem:

@@ -1,9 +1,14 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paraopt_kit.cli import (
     ConfigError,
@@ -28,14 +33,6 @@ class TestRunConfig:
     def test_bad_problem_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(problem="wave").validate()
-
-    def test_tracking_fdto_rejected(self):
-        with pytest.raises(ConfigError):
-            RunConfig(objective="tracking", coarse_variant="ie_fdto").validate()
-
-    def test_tolerance_range(self):
-        with pytest.raises(ConfigError):
-            RunConfig(inner_tol=1.5).validate()
 
     def test_file_roundtrip(self, tmp_path):
         cfg = RunConfig(problem="scalar", sigma=2.0, L=5)
@@ -128,6 +125,10 @@ class TestBoundCommand:
         ["--gamma-grid", "2:1:5"],
         ["--sigma-grid", "1:1:5"],
         ["--sigma-grid", "1:2:0"],
+        # a one-point grid needs lo == hi; values must be finite
+        ["--sigma-grid", "1:2:1"],
+        ["--sigma-grid", "1:nan:5"],
+        ["--gamma-grid", "1:inf:5"],
     ])
     def test_bad_description_or_grid_is_config_error(self, tmp_path, capsys,
                                                       args):
@@ -258,6 +259,11 @@ class TestSolveCommand:
         ["--n", "4", "--gamma", "0", "--problem", "advection_diffusion"],
         ["--n", "4", "--L", "0"],
         ["--n", "4", "--L", "0", "--objective", "terminal_cost"],
+        # tolerances outside (0, 1)
+        ["--inner-tol", "1.5"],
+        ["--outer-tol", "1"],
+        # tracking has a single implicit-Euler coarse variant
+        ["--objective", "tracking", "--coarse-variant", "ie_fdto"],
     ])
     def test_unsupported_setup_is_config_error(self, tmp_path, capsys, args):
         rc = main(["solve", *args, "--output", str(tmp_path / "run")])
@@ -408,6 +414,73 @@ class TestSolveCommand:
         assert rc == 0
         summary = json.loads(open(os.path.join(out, "summary.json")).read())
         assert summary["preconditioner_blocks"] == "spectral"
+
+
+@st.composite
+def solve_configs(draw):
+    """A small solve config whose every field is, about one time in 12, a
+    value the CLI or the library must reject. The valid values combine
+    as the library supports them: J_coarse <= J_fine, and the FDTO coarse
+    variant and the triangular method with terminal cost only."""
+    def field(valid, invalid):
+        # 6, not 0: Hypothesis draws the ends of a range more often
+        return draw(invalid if draw(st.integers(0, 11)) == 6 else valid)
+
+    pick = st.sampled_from
+    objective = field(pick(["tracking", "terminal_cost"]), st.just("energy"))
+    tc = objective == "terminal_cost"
+    J_fine = field(st.integers(1, 4), pick([0, -1]))
+    ssm = draw(st.integers(0, 11))
+    return dict(
+        problem=field(pick(["scalar", "heat", "advection_diffusion"]),
+                      st.just("wave")),
+        objective=objective,
+        sigma=field(pick([1.0, 0.5, 16.0]), pick([-2.5, float("nan")])),
+        n=field(st.integers(2, 4), pick([1, 0, True])),
+        gamma=field(pick([0.05, 1.0, 1e-3]),
+                    pick([0.0, -1.0, float("inf"), 1e-300])),
+        T=field(pick([1.0, 2.0, 5.0]), pick([0.0, float("nan"), 1e300])),
+        L=field(st.integers(2, 5), pick([0, 1, 2.5])),
+        J_fine=J_fine,
+        J_coarse=field(st.integers(1, max(J_fine, 1)), pick([0, 5])),
+        fine=field(pick(["ie", "exact"]), st.just("rk4")),
+        coarse_variant=field(pick(["ie_fotd", "ie_fdto"][:1 + tc]),
+                             pick(["ie_x", "ie_fdto"])),
+        outer_tol=field(pick([1e-6, 1e-8, 1e-3]), pick([0.0, 1.0, 1.5])),
+        inner_tol=field(pick([1e-4, 1e-6]), pick([0.0, 1.0, 1.5])),
+        max_outer=field(pick([100, 20, 3]), pick([0, -3])),
+        max_inner=field(pick([1000, 50, 5]), pick([0, -1])),
+        precond_enabled=field(st.booleans(), st.just(1)),
+        precond_method=field(pick(["general", "triangular"][:1 + tc]),
+                             pick(["lu", "triangular"])),
+        alpha_real=field(pick([1.0, -1.0, 0.1, 0.0, 1e-30]),
+                         st.just(float("nan"))),
+        small_system_method={6: "qr", 5: "black_box_iterative"}.get(
+            ssm, "explicit_direct"),
+    )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(solve_configs())
+def test_exit_code_contract(config):
+    # 0 converged and 1 not converged, each with a summary that says so,
+    # or 2 with one line on stderr; no exception escapes main
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "run")
+        with open(path, "w") as f:
+            json.dump(config, f)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["solve", "--config", path, "--output", out])
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("configuration error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+        else:
+            with open(os.path.join(out, "summary.json")) as f:
+                assert json.load(f)["converged"] is (rc == 0)
 
 
 @pytest.mark.parametrize("L_hat,precond,counts", [

@@ -85,6 +85,22 @@ class TestMatchingResidual:
         with pytest.raises(ValueError,
                            match="length of x is 21, but 2 L_hat M is 20"):
             matching_residual(fine, p, d, np.zeros(2 * d.L_hat * p.M + 1))
+        # the operators of the solve: a wrong length, or a propagator or
+        # plan of another M, used to fail inside a numpy reshape
+        plan = build_plan(fine, d, -1.0, InversionMethod.GENERAL)
+        scalar = build_implicit_euler_propagator(
+            make_scalar_problem(1.0, 0.3, p.T, TR), d.DT, 1)
+        cases = [
+            (lambda v: apply_jacobian(fine, TR, d, v), 21, 20),
+            (plan.apply_inverse, 21, 20),
+            (lambda v: apply_jacobian(scalar, TR, d, v), 20, 10),
+            (build_plan(scalar, d, -1.0, InversionMethod.GENERAL)
+             .apply_inverse, 20, 10),
+        ]
+        for apply, got, want in cases:
+            with pytest.raises(ValueError, match=f"length of v is {got}, "
+                                                 f"but 2 L_hat M is {want}"):
+                apply(np.zeros(got))
 
 
 def propagate(prop, l, y_prev, lam_next):
@@ -242,6 +258,18 @@ class TestParaoptSolve:
         assert len(rows) == len(log.records)
         assert rows[0][0] == 0 and rows[0][2] == 0
         assert all(rows[i][0] == i for i in range(len(rows)))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_outer=0), dict(max_outer=-3), dict(outer_tolerance=0.0),
+        dict(outer_tolerance=1.0), dict(outer_tolerance=1.5),
+        dict(outer_tolerance=2.0),
+    ])
+    def test_config_out_of_range_rejected(self, kwargs):
+        # max_outer = -3 used to return from an infinite r0 without an
+        # abort reason, and outer_tolerance = 2 to report convergence
+        # after zero steps
+        with pytest.raises(ValueError, match="must be"):
+            NewtonConfig(**kwargs)
 
     def test_max_outer_reports_nonconvergence(self):
         p, d, fine, coarse = tracking_setup()
