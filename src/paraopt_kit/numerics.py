@@ -42,7 +42,7 @@ class GmresConfig:
         if not 0.0 < self.rel_tolerance < 1.0:
             raise ValueError(f"rel_tolerance must be in (0, 1), got {self.rel_tolerance}")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
@@ -85,10 +85,6 @@ class _RowBlocks:
         self.blocks: list[np.ndarray] = [first]
         self.size = 0
 
-    def to_complex(self) -> None:
-        self.dtype = np.dtype(complex)
-        self.blocks = [blk.astype(complex) for blk in self.blocks]
-
     def __getitem__(self, j: int) -> np.ndarray:
         if j < _FIRST_ROWS:
             return self.blocks[0][j]
@@ -97,7 +93,8 @@ class _RowBlocks:
 
     def append(self, v: np.ndarray) -> None:
         if np.iscomplexobj(v) and self.dtype.kind != "c":
-            self.to_complex()
+            self.dtype = np.dtype(complex)
+            self.blocks = [blk.astype(complex) for blk in self.blocks]
         if self.size == sum(len(blk) for blk in self.blocks):
             self.blocks.append(np.empty((_BLOCK_ROWS, self.n), self.dtype))
         self[self.size][:] = v
@@ -198,9 +195,7 @@ def gmres(
                 Z.append(z)
             w = matvec(z)
             _check_finite(w, "gmres operator output")
-            if np.iscomplexobj(w) and V.dtype.kind != "c":
-                V.to_complex()
-            w = w.astype(V.dtype, copy=True)
+            w = w.astype(np.result_type(w, V.dtype), copy=True)
             h = np.append(V.orthogonalize(w), np.linalg.norm(w))
             # lucky breakdown: the Krylov space is invariant, so this step
             # is the last one of the cycle (Saad, Iterative Methods, 6.5)

@@ -5,7 +5,9 @@ by the alpha-circulant C(alpha) (and drops the terminal corner term), which
 diagonalizes in a scaled Fourier basis. Applying P(alpha)^{-1} then reduces
 to FFTs in time plus independent per-frequency solves: L_hat 2M x 2M solves
 for the general method, two rounds of L_hat M x M solves for the triangular
-one. The 2M x 2M block H_l of frequency l,
+one. Every path reads its input as the (2, L_hat, M) stack of state and
+adjoint rows that the whole solve uses, with time on the second to last
+axis, the one the FFTs run along. The 2M x 2M block H_l of frequency l,
 [[I + d_l Phi_P, Psi_P], [-Psi_Q, I + conj(d_l) Phi_Q]] with d_l the l-th
 eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real: for any
 other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
@@ -34,8 +36,9 @@ through the actions of the coarse maps in their basis. The plan names its
 path in ``PreconditionerPlan.blocks``; the CLI writes it to
 ``summary.json`` as ``preconditioner_blocks``.
 
-A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real
-and any imaginary part of the result is rounding, amplified by an
+A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real;
+real data are the only input, and a complex vector raises ValueError. Any
+imaginary part of the result is rounding, amplified by an
 ill-conditioned solve. Above IMAG_RESIDUE_RTOL of the result's norm it
 raises FloatingPointError. On the half spectrum each paired mode stands
 for the real data of its pair by construction, so that imaginary part is,
@@ -101,11 +104,12 @@ def _gamma_diag(L_hat: int, alpha: complex) -> np.ndarray:
 def _diagonal_solve(blocks: np.ndarray, scale: np.ndarray,
                     solve: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Solve with (diag(scale)^{-1} F^* kron I) blockdiag_l(H_l)
-    (F diag(scale) kron I) on an (L_hat, m) block stack: scale, FFT along
-    time, one batched solve(rhs) whose row l is H_l^{-1} rhs[l], inverse
+    (F diag(scale) kron I) on an (L_hat, m) or (2, L_hat, m) block stack,
+    whose time axis is the second to last: scale, FFT along time, one
+    batched solve(rhs) that applies H_l^{-1} to the rows l of rhs, inverse
     FFT, unscale. F uses the positive-exponent unitary convention."""
-    rhs = np.fft.ifft(scale[:, None] * blocks, axis=0, norm="ortho")
-    return np.fft.fft(solve(rhs), axis=0, norm="ortho") / scale[:, None]
+    rhs = np.fft.ifft(scale[:, None] * blocks, axis=-2, norm="ortho")
+    return np.fft.fft(solve(rhs), axis=-2, norm="ortho") / scale[:, None]
 
 
 def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
@@ -142,8 +146,9 @@ class PreconditionerPlan:
 
     ``basis`` is the space apply_inverse acts in: the real coefficients of
     the coarse propagator's FourierBasis when it has one, grid values when
-    it is None, and ``M`` is the length of one block of a vector.
-    ``blocks`` names how the frequency blocks are solved:
+    it is None. A vector is real and is read as the (2, L_hat, M) stack of
+    its state and adjoint rows, ``M`` the length of one row. ``blocks``
+    names how the frequency blocks are solved:
 
     - ``"spectral"``: the coarse maps are diagonal in ``basis``, so every
       block splits into independent 2 x 2 (general method) or scalar
@@ -163,36 +168,33 @@ class PreconditionerPlan:
     blocks: str
     basis: Optional[FourierBasis]
     gamma_diag: np.ndarray = field(repr=False)
-    # general: (solve,); triangular: (solve_P, solve_Q, couple) with
-    # couple(z) = Psi_P z row by row; on the half spectrum when spectral
+    # general: (solve,) on the (2, L_hat, m) stack; triangular: (solve_P,
+    # solve_Q, couple) on (L_hat, m) stacks, with couple(z) = Psi_P z row
+    # by row; on the half spectrum when spectral
     _solves: tuple = field(repr=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        """P(alpha)^{-1} v, v and the result in the plan's basis. General
-        method (|alpha| = 1): one diagonalized solve of the whole [v | w]
-        stack. Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
+        """P(alpha)^{-1} v, v and the result real and in the plan's basis,
+        read as the (2, L_hat, M) stack of state and adjoint rows. General
+        method (|alpha| = 1): one diagonalized solve of the whole stack.
+        Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
         bottom-right block first, then the top-left block on the corrected
         right-hand side. The spectral path runs on the half spectrum of
         the basis: its change acts on the space index and the FFT on the
-        time index, so they commute. Raises ValueError unless v has
-        2 L_hat M entries for the plan's L_hat and M."""
+        time index, so they commute. Raises ValueError unless v is real
+        and has 2 L_hat M entries for the plan's L_hat and M."""
         _require("the length of v", len(v), "2 L_hat M",
                  2 * self.L_hat * self.M)
-        if np.iscomplexobj(v):  # P(alpha) is real
-            return self.apply_inverse(v.real) + 1j * self.apply_inverse(v.imag)
+        if np.iscomplexobj(v):
+            raise ValueError(f"v must be real, as P(alpha) is; got {v.dtype}")
         spectral = self.blocks == "spectral"
-        Lh, g = self.L_hat, self.gamma_diag
-        vw = np.reshape(v, (2, Lh, self.M))
+        g = self.gamma_diag
+        vw = np.reshape(v, (2, self.L_hat, self.M))
+        if spectral:
+            vw = self.basis.to_half(vw)
         if self.method is InversionMethod.GENERAL:
-            # row l of the stack is [v_l | w_l]
-            vw = vw.transpose(1, 0, 2)
-            if spectral:
-                vw = self.basis.to_half(vw)
-            u = _diagonal_solve(vw.reshape(Lh, -1), g, self._solves[0])
-            xz = u.reshape(Lh, 2, -1).transpose(1, 0, 2)
+            xz = _diagonal_solve(vw, g, self._solves[0])
         else:
-            if spectral:
-                vw = self.basis.to_half(vw)
             solve_P, solve_Q, couple = self._solves
             z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solve_Q)
             xz = np.stack([_diagonal_solve(vw[0] - couple(z), g, solve_P), z])
@@ -213,9 +215,10 @@ def _require_nonsingular(pivots: np.ndarray, where: Callable) -> None:
 
 def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
                      basis: FourierBasis) -> tuple:
-    """Closed-form per-(frequency, mode) solves on (L_hat, m) stacks of
-    coefficients in the common eigenbasis of the four maps, whose
-    eigenvalues on the half spectrum of basis diagonals holds. An exactly
+    """Closed-form per-(frequency, mode) solves on stacks of coefficients
+    in the common eigenbasis of the four maps, whose eigenvalues on the
+    half spectrum of basis diagonals holds: the (2, L_hat, m) stack for
+    the general method, (L_hat, m) ones for the triangular. An exactly
     singular solve raises ValueError."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
@@ -229,18 +232,20 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
     det = a * e + psi_P * psi_Q
     _require_nonsingular(det, mode)
     i11, i12, i21, i22 = e / det, -psi_P / det, psi_Q / det, a / det
-    M = len(phi_P)
 
     def solve(rhs):
-        r1, r2 = rhs[:, :M], rhs[:, M:]
-        return np.concatenate([i11 * r1 + i12 * r2, i21 * r1 + i22 * r2],
-                              axis=1)
+        r1, r2 = rhs
+        return np.stack([i11 * r1 + i12 * r2, i21 * r1 + i22 * r2])
     return (solve,)
 
 
 def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
-    """Batched solve from a per-frequency one, looping over l."""
-    return lambda rhs: np.stack([solve_l(l, r) for l, r in enumerate(rhs)])
+    """Batched solve from a per-frequency one, looping over l: solve_l(l, r)
+    gets the rows l of the stack's blocks flattened, [v_l | w_l] for a
+    (2, L_hat, m) stack, and returns H_l^{-1} r in the same order."""
+    return lambda rhs: np.moveaxis(np.stack(
+        [solve_l(l, r.ravel()).reshape(r.shape)
+         for l, r in enumerate(np.moveaxis(rhs, -2, 0))]), 0, -2)
 
 
 def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:

@@ -512,6 +512,59 @@ def test_heat_terminal_cost_triangular_iteration_counts(L_hat, counts):
             summary["total_inner_iterations"]) == counts
 
 
+# per-outer inner counts of the iteration-count experiments (n=8 heat and
+# advection-diffusion tracking), keyed by (L_hat, preconditioned)
+_INNER_PER_OUTER = {
+    "HeatIterationCounts": {
+        (10, 1): [4, 4, 4, 4, 4, 4],
+        (10, 0): [13, 17, 20, 21, 22, 22],
+        (100, 1): [4, 4, 4, 5, 3, 3, 3, 3, 3, 4],
+        (100, 0): [17, 37, 42, 42, 44, 46, 42, 44, 36, 41]},
+    "AdvectionIterationCounts": {
+        (10, 1): [5] + [4] * 8 + [3] * 5,
+        (10, 0): [17, 19, 20, 20, 20, 20, 20, 18, 18, 17, 17, 15, 15, 16],
+        (100, 1): [5, 5, 5, 6, 5, 5, 6],
+        (100, 0): [61, 81, 94, 90, 92, 92, 89]},
+}
+# (outer, total inner) of the same solves
+_TOTALS = {
+    "HeatIterationCounts": {(10, 1): (6, 24), (10, 0): (6, 115),
+                            (100, 1): (10, 36), (100, 0): (10, 391)},
+    "AdvectionIterationCounts": {(10, 1): (14, 52), (10, 0): (14, 252),
+                                 (100, 1): (7, 37), (100, 0): (7, 599)},
+}
+
+
+def test_experiment_iteration_counts(tmp_path):
+    """The count columns of the experiments whose iteration counts are
+    the paper's results, exactly: GMRES tolerance study, heat and
+    advection-diffusion iteration counts, scalar cases A and B."""
+    out = str(tmp_path / "exps")
+    assert main(["experiment", "ScalarConvergenceAB", "GmresToleranceStudy",
+                 "HeatIterationCounts", "AdvectionIterationCounts",
+                 "-o", out]) == 0
+    rows = lambda exp_id, fname: [line.split(",") for line in read_lines(
+        os.path.join(out, exp_id, fname))[2:]]
+
+    study = rows("GmresToleranceStudy", "gmres_tolerance.csv")
+    assert [(int(r[1]), int(r[2])) for r in study] == (
+        [(6, 21), (6, 24)] + [(6, 30)] * 4)
+    for exp_id, want in _INNER_PER_OUTER.items():
+        got: dict = {}
+        for L_hat, precond, k, inner, _ in rows(exp_id,
+                                                "iteration_counts.csv"):
+            key = (int(L_hat), int(precond))
+            got.setdefault(key, []).append(int(inner))
+            assert int(k) == len(got[key])
+        assert got == want
+        assert {key: (len(c), sum(c)) for key, c in got.items()} == (
+            _TOTALS[exp_id])
+    # residual rows from iteration 0: 18 and 7 outer steps
+    cases = [r[0] for r in rows("ScalarConvergenceAB",
+                                "residual_histories.csv")]
+    assert (cases.count("A") - 1, cases.count("B") - 1) == (18, 7)
+
+
 class TestExperimentCommand:
     def test_unknown_id_is_config_error(self, tmp_path):
         assert main(["experiment", "NoSuchThing",

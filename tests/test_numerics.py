@@ -185,9 +185,10 @@ class TestGmres:
         assert all(h[i + 1] <= h[i] + 1e-15 for i in range(len(h) - 1))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rel_tolerance .*, got 0\.0"):
             GmresConfig(rel_tolerance=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="max_iterations must be >= 1, got 0"):
             GmresConfig(max_iterations=0)
 
 
@@ -196,7 +197,7 @@ def test_kept_first_blocks_give_the_bits_of_fresh_calls():
     each against a fresh call, bit for bit: unpreconditioned and
     preconditioned, a long call past the first block, a restart after a
     lucky breakdown, and complex systems after real ones (a real b and a
-    complex operator take the to_complex path), then a real one again."""
+    complex operator promote the basis to complex), then a real one again."""
     n = 24
     rng = np.random.default_rng(11)
     spd = random_spd(rng, n)
@@ -216,7 +217,7 @@ def test_kept_first_blocks_give_the_bits_of_fresh_calls():
         (ill, b[2], None, 1e-10, "long"),
         (diag, invariant, lambda v: v / (np.diag(diag) + 0.5), 1e-16,
          "restart"),
-        (cplx, b[3], None, 1e-10, "to_complex"),
+        (cplx, b[3], None, 1e-10, "promote"),
         (cplx, b[0] + 1j * b[1], near, 1e-10, None),
         (spd, b[2], near, 1e-8, None),
     ]
@@ -241,7 +242,7 @@ def test_kept_first_blocks_give_the_bits_of_fresh_calls():
             assert rep.iterations > 8
         elif reach == "restart":
             assert cycles >= 2
-        elif reach == "to_complex":  # the basis starts real
+        elif reach == "promote":  # the basis starts real
             assert products[0] == np.float64 and x.dtype == complex
     # one first block per basis and dtype
     assert set(workspace.blocks) == {(basis, n, np.dtype(dtype))

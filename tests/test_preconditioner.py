@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paraopt_kit.analysis import assemble_block_system
-from paraopt_kit.core import assemble_jacobian
+from paraopt_kit.core import NewtonConfig, assemble_jacobian, paraopt_solve
 from paraopt_kit.preconditioner import (
     InversionMethod,
     SmallSystemMethod,
+    _gamma_diag,
     alpha_circulant_eigenvalues,
     assemble_P_alpha,
     build_plan,
@@ -195,6 +196,50 @@ class TestApplyInverse:
         v = np.random.default_rng(0).standard_normal(2 * d.L_hat * p.M)
         x = plan.apply_inverse(v)
         assert x.dtype == np.float64 and np.all(np.isfinite(x))
+
+
+class TestRealData:
+    """P(alpha) is real, so apply_inverse takes real data only, and an
+    imaginary part in its result beyond rounding aborts. A plan whose
+    Gamma belongs to alpha = i is not P(alpha)^{-1} of a real alpha: its
+    results are complex."""
+
+    @staticmethod
+    def heat_spectral():
+        p = make_heat_problem(4, 0.05, 2.0, TR)
+        d = make_decomposition(p, L=3, J_fine=2, J_coarse=1)
+        fine = build_implicit_euler_propagator(p, d.DT, 2)
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+        return p, d, fine, coarse
+
+    @staticmethod
+    def dense_lu():
+        p, d, coarse = tracking_setup(M=3)
+        return p, d, build_implicit_euler_propagator(p, d.DT, 4), coarse
+
+    @pytest.mark.parametrize("setup,blocks", [("heat_spectral", "spectral"),
+                                              ("dense_lu", "lu")])
+    def test_imaginary_residue_aborts(self, setup, blocks):
+        p, d, fine, coarse = getattr(self, setup)()
+        plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+        assert plan.blocks == blocks
+        plan = dataclasses.replace(plan,
+                                   gamma_diag=_gamma_diag(plan.L_hat, 1j))
+        v = np.random.default_rng(0).standard_normal(2 * d.L_hat * p.M)
+        with pytest.raises(FloatingPointError, match="imaginary residue"):
+            plan.apply_inverse(v)
+        _, log = paraopt_solve(p, d, fine, coarse,
+                               NewtonConfig(preconditioner=plan))
+        assert log.aborted.startswith(
+            "inner solver failure: imaginary residue")
+        assert not log.converged
+
+    def test_complex_input_rejected(self):
+        p, d, _, coarse = self.heat_spectral()
+        plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+        v = np.ones(2 * d.L_hat * p.M, dtype=complex)
+        with pytest.raises(ValueError, match="v must be real.*complex128"):
+            plan.apply_inverse(v)
 
 
 def _random_K(kind, M, rng):
