@@ -49,9 +49,7 @@ from paraopt_kit.preconditioner import (
 )
 from paraopt_kit.problem import (
     Discretization,
-    LinearControlProblem,
     ObjectiveKind,
-    TimeDecomposition,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -63,9 +61,10 @@ from paraopt_kit.propagators import (
 )
 
 CSV_VERSION_LINE = "# paraopt-kit v1"
+RHO_STAR_HEADER = ["sigma_hat", "gamma_hat", "rho_star"]
 
 # the accepted values of each string field of RunConfig, mapped to what they
-# select; validation, the builders and `bound` look values up here. Problem
+# select; validation, solve_case and `bound` look values up here. Problem
 # builders take (cfg, ObjectiveKind).
 CHOICES = {
     "problem": {
@@ -154,30 +153,6 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def build_problem(cfg: RunConfig) -> LinearControlProblem:
-    return cfg.choice("problem")(cfg, cfg.choice("objective"))
-
-
-def build_propagators(cfg: RunConfig, problem: LinearControlProblem,
-                      decomp: TimeDecomposition):
-    if cfg.choice("fine") is PropagatorKind.EXACT:
-        fine = build_exact_propagator(problem, decomp.DT)
-    else:
-        fine = build_implicit_euler_propagator(problem, decomp.DT,
-                                               decomp.J_fine)
-    coarse = build_implicit_euler_propagator(
-        problem, decomp.DT, decomp.J_coarse, cfg.choice("coarse_variant"))
-    return fine, coarse
-
-
-def build_preconditioner(cfg: RunConfig, coarse, decomp: TimeDecomposition):
-    if not cfg.precond_enabled:
-        return None
-    return build_plan(coarse, decomp, cfg.alpha_real,
-                      cfg.choice("precond_method"),
-                      cfg.choice("small_system_method"))
-
-
 # values that overflow to inf or NaN end the solve through its finiteness
 # checks, with the reason in the log, so numpy need not warn about them
 @np.errstate(over="ignore", invalid="ignore")
@@ -193,14 +168,23 @@ def solve_case(cfg: RunConfig):
             outer_tolerance=cfg.outer_tol, max_outer=cfg.max_outer,
             inner=GmresConfig(rel_tolerance=cfg.inner_tol,
                               max_iterations=cfg.max_inner))
-        problem = build_problem(cfg)
+        problem = cfg.choice("problem")(cfg, cfg.choice("objective"))
         decomp = make_decomposition(problem, cfg.L, cfg.J_fine, cfg.J_coarse)
-        fine, coarse = build_propagators(cfg, problem, decomp)
-        plan = newton.preconditioner = build_preconditioner(cfg, coarse,
-                                                            decomp)
+        if cfg.choice("fine") is PropagatorKind.EXACT:
+            fine = build_exact_propagator(problem, decomp.DT)
+        else:
+            fine = build_implicit_euler_propagator(problem, decomp.DT,
+                                                   decomp.J_fine)
+        coarse = build_implicit_euler_propagator(
+            problem, decomp.DT, decomp.J_coarse, cfg.choice("coarse_variant"))
+        if cfg.precond_enabled:
+            newton.preconditioner = build_plan(
+                coarse, decomp, cfg.alpha_real, cfg.choice("precond_method"),
+                cfg.choice("small_system_method"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     traj, log = paraopt_solve(problem, decomp, fine, coarse, newton)
+    plan = newton.preconditioner
     summary = {
         "converged": bool(log.converged),
         "aborted": log.aborted,
@@ -279,8 +263,7 @@ def cmd_bound(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     os.makedirs(args.output, exist_ok=True)
-    write_csv(os.path.join(args.output, "rho_star.csv"),
-              ["sigma_hat", "gamma_hat", "rho_star"], rows)
+    write_csv(os.path.join(args.output, "rho_star.csv"), RHO_STAR_HEADER, rows)
     return 0
 
 
@@ -322,7 +305,7 @@ def _heat_run_config(problem: str, objective: str, L_hat: int,
                      alpha_real=-1.0)
 
 
-def exp_bound_contours(outdir: str) -> list[str]:
+def exp_bound_contours() -> dict:
     grid = log_grid(1e-4, 1e4, 50)
     exact = PropagatorDescription(PropagatorKind.EXACT)
     panels = [
@@ -333,19 +316,16 @@ def exp_bound_contours(outdir: str) -> list[str]:
         ("tc_fdto_j1", ObjectiveKind.TERMINAL_COST, 1, Discretization.FDTO),
         ("tc_fdto_j10", ObjectiveKind.TERMINAL_COST, 10, Discretization.FDTO),
     ]
-    files = []
+    files = {}
     for name, objective, J, variant in panels:
         coarse = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=J,
                                        variant=variant)
-        rows = bound_grid_sweep(objective, exact, coarse, grid, grid)
-        fname = f"rho_star_{name}.csv"
-        write_csv(os.path.join(outdir, fname),
-                  ["sigma_hat", "gamma_hat", "rho_star"], rows)
-        files.append(fname)
+        files[f"rho_star_{name}.csv"] = (RHO_STAR_HEADER, bound_grid_sweep(
+            objective, exact, coarse, grid, grid))
     return files
 
 
-def exp_scalar_timestep_sweep(outdir: str) -> list[str]:
+def exp_scalar_timestep_sweep() -> dict:
     # exact fine vs J-step implicit-Euler coarse at sigma=16, gamma=1, T=1
     sigma, gamma, T, L_hat = 16.0, 1.0, 1.0, 100
     DT = T / (L_hat + 1)
@@ -356,9 +336,8 @@ def exp_scalar_timestep_sweep(outdir: str) -> list[str]:
         rows.append((J, rho_bound_tracking(fine, coarse),
                      exact_rho(SsigmaSpec(L_hat, fine, coarse,
                                           ObjectiveKind.TRACKING))))
-    write_csv(os.path.join(outdir, "timestep_sweep.csv"),
-              ["J_coarse", "rho_star", "exact_rho"], rows)
-    return ["timestep_sweep.csv"]
+    return {"timestep_sweep.csv": (["J_coarse", "rho_star", "exact_rho"],
+                                   rows)}
 
 
 def scalar_case_config(sigma_hat: float, gamma_hat: float) -> RunConfig:
@@ -370,7 +349,7 @@ def scalar_case_config(sigma_hat: float, gamma_hat: float) -> RunConfig:
                      inner_tol=1e-10, max_outer=60, precond_enabled=False)
 
 
-def exp_scalar_convergence_ab(outdir: str) -> list[str]:
+def exp_scalar_convergence_ab() -> dict:
     cases = {"A": (1e-6, 6.0), "B": (6e-4, 0.4)}
     hist_rows, rate_rows = [], []
     for name, (sh, gh) in cases.items():
@@ -387,14 +366,12 @@ def exp_scalar_convergence_ab(outdir: str) -> list[str]:
             sh, gh)
         rate_rows.append((name, rho_bound_tracking(fine, coarse),
                           fit_geometric_rate([r.residual for r in log.records])))
-    write_csv(os.path.join(outdir, "residual_histories.csv"),
-              ["case", "iteration", "residual"], hist_rows)
-    write_csv(os.path.join(outdir, "rates.csv"),
-              ["case", "rho_star", "fitted_rate"], rate_rows)
-    return ["residual_histories.csv", "rates.csv"]
+    return {"residual_histories.csv": (["case", "iteration", "residual"],
+                                       hist_rows),
+            "rates.csv": (["case", "rho_star", "fitted_rate"], rate_rows)}
 
 
-def exp_scalar_weak_scaling(outdir: str) -> list[str]:
+def exp_scalar_weak_scaling() -> dict:
     exact = PropagatorDescription(PropagatorKind.EXACT)
     ie1 = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=1)
     rows = []
@@ -413,38 +390,34 @@ def exp_scalar_weak_scaling(outdir: str) -> list[str]:
         rows.append(("fixed_T", L_hat, rho_bound_tracking(fine, coarse),
                      exact_rho(SsigmaSpec(L_hat, fine, coarse,
                                           ObjectiveKind.TRACKING))))
-    write_csv(os.path.join(outdir, "weak_scaling.csv"),
-              ["regime", "L_hat", "rho_star", "exact_rho"], rows)
-    return ["weak_scaling.csv"]
+    return {"weak_scaling.csv": (["regime", "L_hat", "rho_star", "exact_rho"],
+                                 rows)}
 
 
-def exp_tc_fotd_vs_fdto(outdir: str) -> list[str]:
+def exp_tc_fotd_vs_fdto() -> dict:
     # exact fine against one implicit-Euler step, DT = 1 and gamma = 1e-6
     sh = log_grid(1e-4, 1e4, 50)
     fine = analysis.phi_psi_tc_exact(sh, 1e-6, 1.0)
     fdto, fotd = (analysis.rho_bound_terminal(
         fine, analysis.phi_psi_tc_ie(sh, 1e-6, 1.0, 1, variant))
         for variant in (Discretization.FDTO, Discretization.FOTD))
-    write_csv(os.path.join(outdir, "fotd_vs_fdto.csv"),
-              ["sigma_hat", "rho_star_fdto", "rho_star_fotd"],
-              zip(sh, fdto, fotd))
-    return ["fotd_vs_fdto.csv"]
+    return {"fotd_vs_fdto.csv": (
+        ["sigma_hat", "rho_star_fdto", "rho_star_fotd"],
+        list(zip(sh, fdto, fotd)))}
 
 
-def exp_gmres_tolerance_study(outdir: str) -> list[str]:
+def exp_gmres_tolerance_study() -> dict:
     rows = []
     for tol in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
         cfg = _heat_run_config("heat", "tracking", 10, True, inner_tol=tol)
         _, log, summary = solve_case(cfg)
         rows.append((tol, summary["outer_iterations"],
                      summary["total_inner_iterations"], log.converged))
-    write_csv(os.path.join(outdir, "gmres_tolerance.csv"),
-              ["inner_tolerance", "outer_iters", "total_inner", "converged"],
-              rows)
-    return ["gmres_tolerance.csv"]
+    return {"gmres_tolerance.csv": (
+        ["inner_tolerance", "outer_iters", "total_inner", "converged"], rows)}
 
 
-def exp_iteration_counts(outdir: str, problem: str) -> list[str]:
+def exp_iteration_counts(problem: str) -> dict:
     rows = []
     for L_hat in (10, 100):
         for precond in (True, False):
@@ -453,14 +426,12 @@ def exp_iteration_counts(outdir: str, problem: str) -> list[str]:
             for rec in log.records[1:]:
                 rows.append((L_hat, precond, rec.iteration, rec.inner_iters,
                              rec.residual))
-    fname = "iteration_counts.csv"
-    write_csv(os.path.join(outdir, fname),
-              ["L_hat", "preconditioned", "outer_iteration", "inner_iters",
-               "residual"], rows)
-    return [fname]
+    return {"iteration_counts.csv": (
+        ["L_hat", "preconditioned", "outer_iteration", "inner_iters",
+         "residual"], rows)}
 
 
-def exp_heat_total_iterations(outdir: str) -> list[str]:
+def exp_heat_total_iterations() -> dict:
     rows = []
     for L_hat in (10, 25, 50, 100):
         for precond in (True, False):
@@ -468,12 +439,12 @@ def exp_heat_total_iterations(outdir: str) -> list[str]:
             _, _, summary = solve_case(cfg)
             rows.append((L_hat, precond, summary["outer_iterations"],
                          summary["total_inner_iterations"]))
-    write_csv(os.path.join(outdir, "total_iterations.csv"),
-              ["L_hat", "preconditioned", "outer_iters", "total_inner"], rows)
-    return ["total_iterations.csv"]
+    return {"total_iterations.csv": (
+        ["L_hat", "preconditioned", "outer_iters", "total_inner"], rows)}
 
 
-EXPERIMENTS = {  # id -> function(outdir) returning the files it wrote
+# id -> function() returning {file name: (CSV header, rows)}, in manifest order
+EXPERIMENTS = {
     "BoundContours": exp_bound_contours,
     "ScalarTimestepSweep": exp_scalar_timestep_sweep,
     "ScalarConvergenceAB": exp_scalar_convergence_ab,
@@ -498,10 +469,12 @@ def cmd_experiment(args) -> int:
         if len(args.ids) > 1 or not outdir:
             outdir = os.path.join(outdir, exp_id)
         os.makedirs(outdir, exist_ok=True)
-        files = EXPERIMENTS[exp_id](outdir)
+        files = EXPERIMENTS[exp_id]()
+        for fname, (header, rows) in files.items():
+            write_csv(os.path.join(outdir, fname), header, rows)
         write_json(os.path.join(outdir, "manifest.json"), {
             "experiment": exp_id,
-            "files": files,
+            "files": list(files),
             "csv_version": CSV_VERSION_LINE,
         })
     return 0

@@ -1,8 +1,8 @@
 """ParaOpt outer loop: matching conditions, Jacobian actions, Newton-GMRES.
 
 The stacked unknown is x = [y_1..y_Lhat, lam_1..lam_Lhat] (each block of
-size M). For affine propagators the matching system is linear, f(x) = A x - b,
-and each inexact-Newton step solves the coarse Jacobian system
+size M). For affine propagators the matching system is linear, f(x) = A x - b
+= A x + f(0), and each inexact-Newton step solves the coarse Jacobian system
 A_tilde * delta = -f(x). The solver applies the Jacobians matrix-free; their
 dense matrices, for oracle-sized tests, come from
 :func:`paraopt_kit.analysis.assemble_block_system`.
@@ -14,18 +14,19 @@ maps, their offsets as real coefficients of the grid's
 :class:`paraopt_kit.propagators.FourierBasis`, and no M x M map; every map
 acts one mode at a time (:class:`paraopt_kit.propagators.ModeMap`). The
 problem always holds grid values. :func:`paraopt_solve` runs GMRES, the
-fine residual, A_tilde and P(alpha)^{-1} on flat real coefficient vectors,
-moving y_init and y_target into the basis in each fine residual, and
-moves only the final trajectory back to the grid. The basis is real and
+fine residual, A_tilde and P(alpha)^{-1} on flat real coefficient vectors:
+it calls :func:`matching_residual` once, on the zero trajectory, moves
+that f(0) into the basis, takes every later residual as
+:func:`apply_jacobian` with the fine propagator plus f(0), and moves only
+the final trajectory back to the grid. The basis is real and
 orthonormal, so the vectors stay real, GMRES sees the norms and inner
 products of the grid solve, and the iterates agree with it up to rounding.
 A dense K is solved on the grid with the dense maps, its propagators' basis.
 :func:`apply_jacobian` and the dense oracles act in the propagator's basis;
-:func:`matching_residual` takes a grid :class:`PairedTrajectory` and gives
-a grid residual, or a flat vector in the propagator's basis and gives one
-there. Grid values enter and leave only through those two doors. The dense
-Jacobians of the oracles take their maps from
-:func:`paraopt_kit.propagators.dense_maps`.
+:func:`matching_residual` takes only a grid :class:`PairedTrajectory` and
+gives a grid residual. Grid values enter and leave only through it and
+:func:`paraopt_solve`. The dense Jacobians of the oracles take their maps
+from :func:`paraopt_kit.propagators.dense_maps`.
 """
 
 from __future__ import annotations
@@ -118,40 +119,34 @@ def _apply_maps(prop, objective: ObjectiveKind,
 
 
 def _require(what: str, got, want_what: str, want) -> None:
-    """Raise ValueError naming both sizes unless they agree."""
+    """Raise ValueError naming both values unless they agree."""
     if got != want:
         raise ValueError(f"{what} is {got}, but {want_what} is {want}")
 
 
 def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
                       decomp: TimeDecomposition,
-                      x: PairedTrajectory | np.ndarray) -> np.ndarray:
+                      x: PairedTrajectory) -> np.ndarray:
     """Stacked continuity defects of state and adjoint at interval boundaries,
-    evaluated as A x - b. problem holds grid values. x is a PairedTrajectory
-    of grid values, which gives the residual on the grid, or the flat
-    [y | lam] vector in the basis of fine, which gives it in that basis (the
-    vector GMRES iterates on); y_init and y_target move into the basis on
-    each call.
-
-    The type of x selects its basis: for a propagator with a FourierBasis
-    (every stencil problem) a flat vector holds real coefficients, not grid
-    values, and ``PairedTrajectory.from_vector(v, ...)`` of the same numbers
-    is a different point. Pass grid data as a PairedTrajectory; a flat
-    vector of grid values is read, without an error, as coefficients."""
+    evaluated as A x - b on the grid: x is a PairedTrajectory of grid
+    values, as problem holds, and the flat [y | lam] residual is on the grid
+    too; x and the result move through the basis of fine. Raises TypeError
+    for any other x, and ValueError for a fine propagator of another M, L
+    or objective than the problem and the decomposition."""
+    if not isinstance(x, PairedTrajectory):
+        raise TypeError(f"x must be a PairedTrajectory of grid values, got "
+                        f"{type(x).__name__}")
     Lh, M = decomp.L_hat, problem.M
     _require("the fine propagator's (M, L)", (fine.M, len(fine.b_P)),
              "(problem.M, decomp.L)", (M, decomp.L))
+    _require("the fine propagator's objective", fine.objective.value,
+             "the problem's", problem.objective.value)
+    for name in ("y", "lam_hat"):
+        _require(f"the shape of the trajectory's {name}",
+                 getattr(x, name).shape, "the decomposition's", (Lh, M))
     basis = fine.basis
     to_basis = (lambda v: v) if basis is None else basis.coefficients
-    on_grid = isinstance(x, PairedTrajectory)
-    if on_grid:
-        for name in ("y", "lam_hat"):
-            _require(f"the shape of the trajectory's {name}",
-                     getattr(x, name).shape, "the decomposition's", (Lh, M))
-        x = to_basis(np.stack([x.y, x.lam_hat]))
-    else:
-        _require("the length of x", len(x), "2 L_hat M", 2 * Lh * M)
-    y, lam = x.reshape(2, Lh, M)
+    y, lam = to_basis(np.stack([x.y, x.lam_hat]))
     # b collects the offsets of P on intervals 1..Lhat and of Q on intervals
     # 2..Lhat+1, the known y_init entering the first interval, and the
     # terminal condition (zero adjoint for tracking, y - y_target otherwise)
@@ -166,16 +161,29 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     out = _apply_maps(fine, problem.objective, y, lam)
     out[0] -= b_y
     out[1] -= b_l
-    if on_grid and basis is not None:
+    if basis is not None:
         out = basis.grid(out)
     return out.ravel()
+
+
+def _residual_at_zero(fine: AffinePropagator, problem: LinearControlProblem,
+                      decomp: TimeDecomposition) -> np.ndarray:
+    """f(0) = -b of the matching conditions, flat, in the basis of fine:
+    one call of matching_residual on the zero trajectory."""
+    zero = PairedTrajectory.zeros(decomp.L_hat, problem.M)
+    f0 = matching_residual(fine, problem, decomp, zero)
+    if fine.basis is None:
+        return f0
+    return fine.basis.coefficients(f0.reshape(-1, problem.M)).ravel()
 
 
 def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                    decomp: TimeDecomposition, v: np.ndarray) -> np.ndarray:
     """Matrix-free product with the matching-condition Jacobian built from
     the given propagator (offsets do not enter a Jacobian of an affine map),
-    on a flat vector in its basis, the result in that basis too. For a
+    on a flat vector in its basis, the result in that basis too: A_tilde v
+    with the coarse propagator, and with the fine one the A of
+    f(x) = A x + f(0), the residual paraopt_solve iterates on. For a
     propagator with a FourierBasis (every stencil problem) v and the result
     are real coefficients, not grid values; move grid data in with
     ``prop.basis.coefficients`` and back with ``prop.basis.grid``, one
@@ -195,11 +203,12 @@ def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
 
 def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
                     decomp: TimeDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A, b), in the basis of fine, with A x - b the flat form of
-    matching_residual; oracle helper."""
-    A = assemble_jacobian(fine, problem.objective, decomp)
-    b = -matching_residual(fine, problem, decomp, np.zeros(len(A)))
-    return A, b
+    """Dense (A, b) in the basis of fine, the matching conditions as
+    A x - b on flat [y | lam] vectors in that basis: A is the matrix of
+    apply_jacobian and b = -f(0), from one matching_residual call on the
+    zero trajectory moved into the basis; oracle helper."""
+    return (assemble_jacobian(fine, problem.objective, decomp),
+            -_residual_at_zero(fine, problem, decomp))
 
 
 def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
@@ -213,13 +222,16 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
     steps aborts the solve with the reason in ``log.aborted``. Propagators
-    or a plan of another basis, M or L_hat than the problem and the
-    decomposition raise ValueError.
+    or a plan of another basis, M or L_hat, or propagators of another
+    objective, than the problem and the decomposition raise ValueError.
 
     The iteration runs on flat vectors in the basis of the propagators,
     which the preconditioner plan acts in too: the real coefficients of
-    their FourierBasis when they have one, grid values otherwise. Only the
-    returned trajectory is on the grid. The GMRES calls share the first
+    their FourierBasis when they have one, grid values otherwise. The
+    residual is f(x) = A x + f(0): one matching_residual call on the zero
+    trajectory gives f(0), moved into the basis, and each step adds it to
+    apply_jacobian of the fine propagator at x. Only the returned
+    trajectory is on the grid. The GMRES calls share the first
     blocks of their Krylov bases
     (:class:`paraopt_kit.numerics.GmresWorkspace`).
     """
@@ -230,6 +242,8 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         raise ValueError("the fine and coarse propagators must both carry "
                          "per-mode coefficients or neither")
     _require("the coarse propagator's M", coarse.M, "the problem's M", M)
+    _require("the coarse propagator's objective", coarse.objective.value,
+             "the problem's", problem.objective.value)
     if plan is not None:
         if (plan.basis is None) != (basis is None):
             raise ValueError("the preconditioner plan was built for a coarse "
@@ -240,11 +254,10 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     log = SolveLog()
     workspace = GmresWorkspace()
 
-    op = lambda v: apply_jacobian(coarse, coarse.objective, decomp, v)
-    residual = lambda x: matching_residual(fine, problem, decomp, x)
+    op = lambda v: apply_jacobian(coarse, problem.objective, decomp, v)
     precond = None if plan is None else plan.apply_inverse
 
-    r = residual(x)
+    r = f0 = _residual_at_zero(fine, problem, decomp)
     rnorm = np.linalg.norm(r)
     scale = max(1.0, rnorm)
     log.records.append(OuterRecord(0, rnorm, 0, 0.0))
@@ -272,7 +285,8 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
             log.aborted = f"inner solver failure: {exc}"
             break
         x += delta
-        r = residual(x)
+        r = apply_jacobian(fine, problem.objective, decomp, x)
+        r += f0
         rnorm = np.linalg.norm(r)
         log.records.append(OuterRecord(k, rnorm, rep.iterations,
                                        time.perf_counter() - t0))

@@ -29,8 +29,8 @@ propagators hold the dense maps and grid offsets, so grid values are their
 basis. A dense map of either kind, in the propagator's basis, for the
 oracles and tests, comes from :func:`dense_maps`, which applies the
 actions to the unit vectors. Grid values enter and leave a per-mode
-propagator only through :func:`paraopt_kit.core.paraopt_solve` and the
-grid form of :func:`paraopt_kit.core.matching_residual`. The dense coupled
+propagator only through :func:`paraopt_kit.core.paraopt_solve` and
+:func:`paraopt_kit.core.matching_residual`. The dense coupled
 J-step system survives only as the brute-force oracle behind
 :func:`extract_phi_psi_scalar`.
 """

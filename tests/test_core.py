@@ -82,9 +82,9 @@ class TestMatchingResidual:
         with pytest.raises(ValueError, match=r"lam_hat is \(4, 2\), but "
                                              r"the .* is \(5, 2\)"):
             matching_residual(fine, p, d, bad)
-        with pytest.raises(ValueError,
-                           match="length of x is 21, but 2 L_hat M is 20"):
-            matching_residual(fine, p, d, np.zeros(2 * d.L_hat * p.M + 1))
+        # a flat vector, even of the right length, has no basis of its own
+        with pytest.raises(TypeError, match="PairedTrajectory"):
+            matching_residual(fine, p, d, np.zeros(2 * d.L_hat * p.M))
         # the operators of the solve: a wrong length, or a propagator or
         # plan of another M, used to fail inside a numpy reshape
         plan = build_plan(fine, d, -1.0, InversionMethod.GENERAL)
@@ -130,9 +130,9 @@ def loop_residual(fine, problem, decomp, x):
 
 
 def check_oracles_in_basis(p, d, fine, rng):
-    """The flat residual, the dense (A, b) and the Jacobian action in the
-    basis of fine against the interval loop in that basis, and the grid
-    form of the residual against the flat one moved to the grid."""
+    """The dense (A, b) and the Jacobian action in the basis of fine
+    against the interval loop in that basis, and the grid residual against
+    the loop reference moved to the grid."""
     M, basis = p.M, fine.basis
     Q = np.eye(M) if basis is None else coefficient_matrix(basis)
     to_grid = ((lambda c: c) if basis is None else
@@ -147,13 +147,10 @@ def check_oracles_in_basis(p, d, fine, rng):
     A, b = assemble_system(fine, p, d)
     tol = 1e-12 * (1.0 + np.linalg.norm(A) + np.linalg.norm(b))
     ref = loop_residual(fine, p_basis, d, x)
-    flat = matching_residual(fine, p, d, v)
-    np.testing.assert_allclose(flat, ref, atol=tol)
     np.testing.assert_allclose(A @ v - b, ref, atol=tol)
-    # the grid form is the flat one moved to the grid
     on_grid = PairedTrajectory.from_vector(to_grid(v), d.L_hat, M)
     np.testing.assert_allclose(matching_residual(fine, p, d, on_grid),
-                               to_grid(flat), atol=tol)
+                               to_grid(ref), atol=tol)
     # the Jacobian is the linear part of the loop reference
     zero = PairedTrajectory.zeros(d.L_hat, M)
     r0 = loop_residual(fine, p_basis, d, zero)
@@ -386,3 +383,50 @@ def test_propagators_of_another_L_hat_rejected():
     with pytest.raises(ValueError, match=r"plan's \(M, L_hat\) is \(9, 4\), "
                                          r"but .* is \(9, 3\)"):
         paraopt_solve(p, d, fine, coarse, NewtonConfig(preconditioner=plan))
+
+
+def test_propagators_of_another_objective_rejected():
+    # a terminal-cost problem solved with propagators built for tracking
+    # used to report convergence in 5 steps, with a terminal-cost residual
+    # of 12.5 at its answer: the offsets of the fine propagator and the
+    # Jacobian of the coarse one were those of tracking
+    p = make_heat_problem(4, 0.3, 2.0, TC)
+    d = make_decomposition(p, L=4, J_fine=10, J_coarse=1)
+    tracking = make_heat_problem(4, 0.3, 2.0, TR)
+    fine, coarse = (build_implicit_euler_propagator(p, d.DT, J)
+                    for J in (10, 1))
+    fine_tr, coarse_tr = (build_implicit_euler_propagator(tracking, d.DT, J)
+                          for J in (10, 1))
+    msg = ("{} propagator's objective is tracking, but the problem's is "
+           "terminal_cost")
+    for f, c, which in ((fine_tr, coarse_tr, "coarse"),
+                        (fine, coarse_tr, "coarse"),
+                        (fine_tr, coarse, "fine")):
+        with pytest.raises(ValueError, match=msg.format(which)):
+            paraopt_solve(p, d, f, c, NewtonConfig())
+    with pytest.raises(ValueError, match=msg.format("fine")):
+        matching_residual(fine_tr, p, d, PairedTrajectory.zeros(d.L_hat, p.M))
+
+
+@pytest.mark.parametrize("objective", [TR, TC])
+@pytest.mark.parametrize("stencil", [True, False])
+def test_last_logged_residual_is_the_grid_residual(objective, stencil):
+    """The solve iterates on A x + f(0) in the basis of its propagators;
+    the norm it logs last is the grid residual of the trajectory it
+    returns, on a stencil K and on its dense K."""
+    p = make_heat_problem(4, 0.3, 2.0, objective)
+    if not stencil:
+        p = dataclasses.replace(p, K=bccb(p.K.column))
+    d = make_decomposition(p, L=6, J_fine=5, J_coarse=1)
+    variant = (Discretization.FDTO if objective is TC
+               else Discretization.FOTD)
+    fine = build_implicit_euler_propagator(p, d.DT, d.J_fine)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
+    assert (fine.basis is not None) == stencil
+    x, log = paraopt_solve(p, d, fine, coarse, NewtonConfig())
+    assert log.converged
+    r = np.linalg.norm(matching_residual(fine, p, d, x))
+    # rounding in A x + f(0) and in the moves between basis and grid is
+    # of the size of the eps of r0, not of the small residual itself
+    assert abs(r - log.records[-1].residual) <= 1e-14 * max(
+        1.0, log.records[0].residual)
