@@ -388,7 +388,7 @@ def test_propagators_of_another_L_hat_rejected():
 def test_propagators_of_another_objective_rejected():
     # a terminal-cost problem solved with propagators built for tracking
     # used to report convergence in 5 steps, with a terminal-cost residual
-    # of 12.5 at its answer: the offsets of the fine propagator and the
+    # of 12.56 at its answer: the offsets of the fine propagator and the
     # Jacobian of the coarse one were those of tracking
     p = make_heat_problem(4, 0.3, 2.0, TC)
     d = make_decomposition(p, L=4, J_fine=10, J_coarse=1)
