@@ -194,6 +194,8 @@ def solve_case(cfg: RunConfig):
         "L_hat": decomp.L_hat,
         "M": problem.M,
         "preconditioner_blocks": plan.blocks if plan is not None else None,
+        "inner_solve": log.inner_solve,
+        "fallback_steps": log.fallback_steps,
         "config": cfg.to_dict(),
     }
     return traj, log, summary

@@ -27,6 +27,16 @@ A dense K is solved on the grid with the dense maps, its propagators' basis.
 gives a grid residual. Grid values enter and leave only through it and
 :func:`paraopt_solve`. The dense Jacobians of the oracles take their maps
 from :func:`paraopt_kit.propagators.dense_maps`.
+
+With a spectral plan the preconditioned inner solve runs GMRES on T, the
+action of A_tilde P(alpha)^{-1} in the (1 + 2M)-dimensional space that
+right-preconditioned GMRES from zero never leaves (:class:`_SliceSpace`):
+an isometry carries one onto the other, so the logged inner counts and
+residuals are the same minimization as flexible GMRES on
+(A_tilde, P(alpha)^{-1}), up to rounding. Flexible GMRES runs without a
+plan, for LU and black-box plans, and where P(alpha)^{-1} is not exact to
+SLICE_LEAK_RTOL; ``SolveLog.inner_solve`` and ``fallback_steps`` say which
+ran.
 """
 
 from __future__ import annotations
@@ -92,13 +102,28 @@ class OuterRecord:
 
 @dataclass
 class SolveLog:
+    """The outer records and the outcome of a solve. ``inner_solve`` names
+    the space of its inner GMRES: "reduced" for a spectral plan whose
+    A_tilde P(alpha)^{-1} keeps to the slice structure, "flexible"
+    otherwise; ``fallback_steps`` counts the outer steps of a spectral
+    plan that ran flexible GMRES instead."""
+
     records: list[OuterRecord] = field(default_factory=list)
     converged: bool = False
     aborted: Optional[str] = None
+    inner_solve: str = "flexible"
+    fallback_steps: int = 0
 
     def csv_rows(self) -> list[tuple]:
         return [(r.iteration, r.residual, r.inner_iters, r.seconds)
                 for r in self.records]
+
+
+# N(u) = A_tilde P(alpha)^{-1} u - u writes outside the slices y_1 and
+# lam_Lhat only by rounding when P(alpha)^{-1} is exact; a share of ||u||
+# above this sends the step, or the whole solve when G's probes show it, to
+# flexible GMRES (cf. preconditioner.IMAG_RESIDUE_RTOL)
+SLICE_LEAK_RTOL = 1e-8
 
 
 def _apply_maps(prop, objective: ObjectiveKind,
@@ -211,6 +236,95 @@ def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
             -_residual_at_zero(fine, problem, decomp))
 
 
+class _SliceSpace:
+    """Right-preconditioned GMRES on A_tilde P(alpha)^{-1}, run in the space
+    where it acts, for a spectral plan. P(alpha) differs from A_tilde only
+    in the rows of the time slices y_1 and lam_Lhat, so
+    N(u) = A_tilde P^{-1} u - u lies in range(S), S the 2M coordinates of
+    those two slices, and the Krylov space of GMRES from zero on b stays in
+    span{b_hat} + range(S), b_hat being b with the slices zeroed,
+    normalized. In the orthonormal coordinates (gamma, s) of that space
+    A_tilde P^{-1} is T(gamma, s) = (gamma, s + gamma q + G s), with
+    q = S^T N(b_hat) and G = S^T N S, one complex 2 x 2 block per mode of
+    the half spectrum. GMRES on T therefore minimizes the residual over the
+    same Krylov space, in the same norm, as on A_tilde P^{-1}, with O(M)
+    work per step, and delta = P^{-1}(gamma b_hat + S s).
+
+    G is read off two probes, ones on every mode of one slice, mapped
+    through N. ``exact`` says whether N kept them to the slices within
+    SLICE_LEAK_RTOL, as it does when P^{-1} is exact."""
+
+    def __init__(self, plan, op):
+        self.plan, self.op, basis = plan, op, plan.basis
+        probe = basis.from_half(np.ones(len(basis.half)))
+        self.G = np.empty((2, 2, len(basis.half)), complex)
+        leak = 0.0
+        for j in range(2):
+            u = np.zeros(2 * plan.L_hat * plan.M)
+            self._slices(u)[j] = probe
+            w = self._image(u)[1]
+            self.G[:, j] = basis.to_half(self._slices(w))
+            leak = max(leak, self._leak(w) / np.linalg.norm(probe))
+        # a NaN leak fails this too
+        self.exact = bool(leak <= SLICE_LEAK_RTOL)
+
+    def _slices(self, v: np.ndarray) -> np.ndarray:
+        """The (2, M) view of the slices y_1 and lam_Lhat of a flat v: rows
+        0 and 2 L_hat - 1 of its (2 L_hat, M) stack."""
+        Lh2 = 2 * self.plan.L_hat
+        return v.reshape(Lh2, self.plan.M)[::Lh2 - 1]
+
+    def _leak(self, w: np.ndarray) -> float:
+        """Norm of a flat w outside its two slices."""
+        return np.linalg.norm(w.reshape(2 * self.plan.L_hat, -1)[1:-1])
+
+    def _image(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(P^{-1} u, N(u)) of a flat u."""
+        z = self.plan.apply_inverse(u)
+        w = self.op(z)
+        w -= u
+        return z, w
+
+    def _couple(self, s: np.ndarray) -> np.ndarray:
+        """G s for the flat 2M real coordinates s of the two slices."""
+        basis = self.plan.basis
+        h = basis.to_half(s.reshape(2, -1))
+        return basis.from_half(self.G[:, 0] * h[0]
+                               + self.G[:, 1] * h[1]).ravel()
+
+    def solve(self, b: np.ndarray, cfg: GmresConfig,
+              workspace: GmresWorkspace):
+        """(delta, report) of GMRES on A_tilde delta = b through T, or None
+        when P^{-1} is not exact: its probes or N(b_hat) leave the
+        slices."""
+        if not self.exact:
+            return None
+        b_hat = b.copy()
+        self._slices(b_hat)[:] = 0.0
+        nb = np.linalg.norm(b_hat)
+        # a b on the slices alone, as f(0) of terminal cost is, has no
+        # b_hat: gamma stays 0, and T acts as s -> s + G s
+        z = q = 0.0
+        if nb > 0.0:
+            b_hat /= nb
+            z, q = self._image(b_hat)
+            if not self._leak(q) <= SLICE_LEAK_RTOL:
+                return None
+            q = self._slices(q).ravel()
+
+        def T(v):
+            out = v.copy()
+            out[1:] += v[0] * q + self._couple(v[1:])
+            return out
+        gs, rep = gmres(T, np.concatenate([[nb], self._slices(b).ravel()]),
+                        cfg=cfg, workspace=workspace)
+        u = np.zeros_like(b)
+        self._slices(u)[:] = gs[1:].reshape(2, -1)
+        delta = self.plan.apply_inverse(u)
+        delta += gs[0] * z
+        return delta, rep
+
+
 def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
                   fine: AffinePropagator, coarse: AffinePropagator,
                   cfg: NewtonConfig,
@@ -218,7 +332,9 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     """Inexact-Newton iteration on the matching conditions.
 
     Each outer step solves A_tilde * delta = -f(x) with GMRES (right
-    preconditioning when a plan is configured) and stops once the residual
+    preconditioning when a plan is configured: on T in the slice space of a
+    spectral plan, built at the first step, else flexible GMRES on
+    (A_tilde, P(alpha)^{-1})) and stops once the residual
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
     steps aborts the solve with the reason in ``log.aborted``. Propagators
@@ -256,6 +372,9 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
 
     op = lambda v: apply_jacobian(coarse, problem.objective, decomp, v)
     precond = None if plan is None else plan.apply_inverse
+    spectral = plan is not None and plan.blocks == "spectral"
+    log.inner_solve = "reduced" if spectral else "flexible"
+    slices = None  # the _SliceSpace of a spectral plan, from the first step
 
     r = f0 = _residual_at_zero(fine, problem, decomp)
     rnorm = np.linalg.norm(r)
@@ -279,8 +398,18 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
             break
         t0 = time.perf_counter()
         try:
-            delta, rep = gmres(op, -r, precond=precond, cfg=cfg.inner,
-                               workspace=workspace)
+            step = None
+            if spectral:
+                if slices is None:
+                    slices = _SliceSpace(plan, op)
+                    if not slices.exact:
+                        log.inner_solve = "flexible"
+                step = slices.solve(-r, cfg.inner, workspace)
+                log.fallback_steps += step is None
+            if step is None:
+                step = gmres(op, -r, precond=precond, cfg=cfg.inner,
+                             workspace=workspace)
+            delta, rep = step
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             log.aborted = f"inner solver failure: {exc}"
             break

@@ -30,11 +30,21 @@ closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
 mode) over the whole stack, and reads the result back, with no spatial FFT.
 For a dense K, normal or not, the coarse propagator holds dense maps, and
 the plan acts on grid values and LU-factorizes each block once. A block
-with an exactly zero pivot, of either path, raises ValueError in the build.
+with a pivot below PIVOT_RTOL of its scale, singular to rounding, of
+either path, raises ValueError in the build.
 The general method can instead solve its blocks matrix-free by inner GMRES,
 through the actions of the coarse maps in their basis. The plan names its
 path in ``PreconditionerPlan.blocks``; the CLI writes it to
 ``summary.json`` as ``preconditioner_blocks``.
+
+A_tilde P(alpha)^{-1} is the identity plus a term that writes only the
+time slices y_1 and lam_Lhat, since P(alpha) differs from A_tilde only in
+their rows. With a spectral plan the solve therefore runs its inner GMRES
+in the (1 + 2M)-dimensional space that this leaves
+(:class:`paraopt_kit.core._SliceSpace`), at two applications of the plan
+per outer step and the same inner counts and residuals; the LU and
+black-box plans, and a P(alpha)^{-1} that is not exact, keep flexible
+GMRES with the plan applied at every inner step.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real;
 real data are the only input, and a complex vector raises ValueError. Any
@@ -79,6 +89,10 @@ class SmallSystemMethod(enum.Enum):
 
 
 IMAG_RESIDUE_RTOL = 1e-9
+# a pivot below this share of its scale (the largest entry of an LU block;
+# the sum of the magnitudes of the terms of a closed-form one, at least 1)
+# is zero to rounding, and the block singular
+PIVOT_RTOL = 1e-12
 
 
 def alpha_circulant_eigenvalues(L_hat: int, alpha: complex) -> np.ndarray:
@@ -205,10 +219,15 @@ class PreconditionerPlan:
         return xz.real.ravel()
 
 
-def _require_nonsingular(pivots: np.ndarray, where: Callable) -> None:
+def _require_nonsingular(pivots: np.ndarray, scales: np.ndarray,
+                         where: Callable) -> None:
     """Raise ValueError naming the first frequency l, and where(j), whose
-    pivot j is exactly zero; row l of pivots holds those of block l."""
-    for l, j in np.argwhere(pivots == 0)[:1]:
+    pivot j is below PIVOT_RTOL times its scale, which is positive; row l
+    of pivots and of scales holds those of block l. An infinite pivot is
+    not small, and a NaN one is left to the solve's finiteness checks."""
+    small = abs(pivots) < PIVOT_RTOL * scales
+    if small.any():
+        l, j = np.argwhere(small)[0]
         raise ValueError(f"P(alpha) is singular: the block of frequency "
                          f"l = {l} has a zero pivot at {where(j)}")
 
@@ -218,19 +237,23 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
     """Closed-form per-(frequency, mode) solves on stacks of coefficients
     in the common eigenbasis of the four maps, whose eigenvalues on the
     half spectrum of basis diagonals holds: the (2, L_hat, m) stack for
-    the general method, (L_hat, m) ones for the triangular. An exactly
-    singular solve raises ValueError."""
+    the general method, (L_hat, m) ones for the triangular. A solve
+    singular to rounding raises ValueError."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
     e = 1.0 + np.outer(np.conj(d), phi_Q)  # (I + conj(d_l) Phi_Q) per mode
     mode = lambda j: f"mode k = {divmod(int(basis.half[j]), basis.n)}"
+    # the magnitudes of the terms of a and e
+    a_terms = 1.0 + np.outer(abs(d), abs(phi_P))
+    e_terms = 1.0 + np.outer(abs(d), abs(phi_Q))
     if method is InversionMethod.TRIANGULAR:
-        _require_nonsingular(np.minimum(abs(a), abs(e)), mode)
+        _require_nonsingular(a, a_terms, mode)
+        _require_nonsingular(e, e_terms, mode)
         return (lambda rhs: rhs / a, lambda rhs: rhs / e,
                 lambda z: z * psi_P)
     # inverse of [[a, psi_P], [-psi_Q, e]] per (l, mode)
     det = a * e + psi_P * psi_Q
-    _require_nonsingular(det, mode)
+    _require_nonsingular(det, a_terms * e_terms + abs(psi_P * psi_Q), mode)
     i11, i12, i21, i22 = e / det, -psi_P / det, psi_Q / det, a / det
 
     def solve(rhs):
@@ -249,13 +272,17 @@ def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
 
 
 def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorize each frequency block once; row l reuses factor l. An
-    exactly singular block raises ValueError."""
+    """Factorize each frequency block once; row l reuses factor l. A block
+    singular to rounding raises ValueError."""
+    lus, scales = [], []
     with warnings.catch_warnings():
         # scipy warns of a zero pivot, which is refused below instead
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lus = [scipy.linalg.lu_factor(H, overwrite_a=True) for H in blocks]
+        for H in blocks:
+            scales.append(np.max(abs(H)))
+            lus.append(scipy.linalg.lu_factor(H, overwrite_a=True))
     _require_nonsingular(np.array([np.diagonal(lu) for lu, _ in lus]),
+                         np.array(scales)[:, None],
                          lambda i: f"row {i} of its LU factors")
     return _per_frequency(lambda l, rhs: scipy.linalg.lu_solve(lus[l], rhs))
 
@@ -267,7 +294,8 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     """Validate the (method, alpha, coarse) combination and prepare the
     L_hat block solves: spectral on the eigenvalues in ``coarse.maps``
     when it has a basis, per-block LU of its dense maps otherwise, or
-    black-box when asked for. An exactly singular block raises ValueError."""
+    black-box when asked for. A block singular to rounding raises
+    ValueError."""
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     if np.imag(alpha) != 0:

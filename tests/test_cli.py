@@ -369,6 +369,23 @@ class TestSolveCommand:
     BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
                  "--small-system-method", "black_box_iterative"]
 
+    @pytest.mark.parametrize("args,inner_solve,fallback_steps", [
+        (["solve", "--n", "4", "--L", "3"], "reduced", 0),
+        ([*TRIANGULAR, "--L", "3", "--alpha-real", "0.1"], "reduced", 0),
+        (["solve", "--n", "4", "--L", "3", "--no-precond"], "flexible", 0),
+        (BLACK_BOX, "flexible", 0),
+        # P(1e-30)^{-1} maps the probes of G far outside the slices y_1 and
+        # lam_Lhat, so each of the 5 steps falls back to flexible GMRES
+        ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"], "flexible", 5),
+    ], ids=["spectral", "triangular", "no-plan", "black-box", "tiny-alpha"])
+    def test_summary_names_the_inner_solve(self, tmp_path, args, inner_solve,
+                                           fallback_steps):
+        out = str(tmp_path / "run")
+        assert main([*args, "--output", out]) == 0
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert (summary["inner_solve"], summary["fallback_steps"]) == (
+            inner_solve, fallback_steps)
+
     def test_black_box_block_solves_converge(self, tmp_path):
         # the tracking offsets used to cancel digits in the black-box
         # operator, which then missed its 1e-12 block tolerance

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from paraopt_kit.core import (
     NewtonConfig,
     PairedTrajectory,
+    _SliceSpace,
     apply_jacobian,
     assemble_jacobian,
     assemble_system,
     matching_residual,
     paraopt_solve,
 )
-from paraopt_kit.numerics import GmresConfig
-from paraopt_kit.preconditioner import InversionMethod, build_plan
+from paraopt_kit.numerics import GmresConfig, GmresWorkspace, gmres
+from paraopt_kit.preconditioner import InversionMethod, assemble_P_alpha, build_plan
 from paraopt_kit.problem import (
     Discretization,
     LinearControlProblem,
@@ -430,3 +431,69 @@ def test_last_logged_residual_is_the_grid_residual(objective, stencil):
     # of the size of the eps of r0, not of the small residual itself
     assert abs(r - log.records[-1].residual) <= 1e-14 * max(
         1.0, log.records[0].residual)
+
+
+# (objective, coarse variant, method, alpha) of the spectral plans
+_SLICE_CASES = [
+    (TR, Discretization.FOTD, InversionMethod.GENERAL, -1.0),
+    (TC, Discretization.FOTD, InversionMethod.GENERAL, -1.0),
+    (TC, Discretization.FDTO, InversionMethod.TRIANGULAR, 0.1),
+    (TC, Discretization.FOTD, InversionMethod.TRIANGULAR, -0.5),
+]
+
+
+def _slice_space(make, case, n, L):
+    objective, variant, method, alpha = case
+    p = make(n, 0.05, 2.0, objective)
+    d = make_decomposition(p, L=L, J_fine=2, J_coarse=1)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
+    plan = build_plan(coarse, d, alpha, method)
+    assert plan.blocks == "spectral"
+    op = lambda v: apply_jacobian(coarse, objective, d, v)
+    return p, d, coarse, plan, op
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([make_heat_problem,
+                             make_advection_diffusion_problem]),
+       case=st.sampled_from(_SLICE_CASES), n=st.integers(3, 6),
+       L=st.integers(2, 6), on_slices=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_reduced_inner_solve_matches_flexible_gmres(make, case, n, L,
+                                                    on_slices, seed):
+    """GMRES on T in the (1 + 2M)-dimensional slice space takes the steps of
+    flexible GMRES on (A_tilde, P(alpha)^{-1}) from the same b: the same
+    count, residual history and correction, odd and even grids, heat and
+    advection-diffusion, both objectives and both methods; a b on the two
+    slices alone (on_slices, and every b at L_hat = 1) has no b_hat."""
+    p, d, _, plan, op = _slice_space(make, case, n, L)
+    b = np.random.default_rng(seed).standard_normal(2 * d.L_hat * p.M)
+    if on_slices:
+        b.reshape(2 * d.L_hat, p.M)[1:-1] = 0.0
+    cfg = GmresConfig(rel_tolerance=1e-8)
+    want, want_rep = gmres(op, b, precond=plan.apply_inverse, cfg=cfg)
+    space = _SliceSpace(plan, op)
+    assert space.exact
+    got, rep = space.solve(b, cfg, GmresWorkspace())
+    assert rep.converged and rep.iterations == want_rep.iterations
+    np.testing.assert_allclose(rep.residual_history,
+                               want_rep.residual_history, rtol=0, atol=1e-10)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("make", [make_heat_problem,
+                                  make_advection_diffusion_problem])
+@pytest.mark.parametrize("case", _SLICE_CASES)
+def test_slice_coupling_matches_dense_oracle(make, case):
+    """The per-mode 2 x 2 blocks G, as a real map on the 2M coordinates of
+    the slices y_1 and lam_Lhat, are S^T (A_tilde P(alpha)^{-1} - I) S of
+    the dense assemble_jacobian and assemble_P_alpha, at n = 4."""
+    p, d, coarse, plan, op = _slice_space(make, case, 4, 5)
+    Lh, M = d.L_hat, p.M
+    At = assemble_jacobian(coarse, case[0], d)
+    P = assemble_P_alpha(coarse, d, case[3])
+    S = np.r_[0:M, (2 * Lh - 1) * M:2 * Lh * M]
+    want = (At @ np.linalg.inv(P) - np.eye(2 * Lh * M))[np.ix_(S, S)]
+    space = _SliceSpace(plan, op)
+    got = np.column_stack([space._couple(e) for e in np.eye(2 * M)])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)

@@ -130,6 +130,20 @@ class TestBuildPlanValidation:
                            r"frequency l = 0 .* LU factors"):
             build_plan(coarse, d, 1.0, method)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", list(InversionMethod))
+    def test_lu_block_singular_to_rounding_rejected(self, method):
+        # at T = 2, L = 3 the dense build rounds the eigenvalue 1 of Phi_P,
+        # and the smallest LU pivot is 9e-15, not zero. The solve used to
+        # run 5 outer steps of 1000 inner ones and abort
+        p = make_heat_problem(4, 0.05, 2.0, TC)
+        p = dataclasses.replace(p, K=bccb(p.K.column))
+        d = make_decomposition(p, L=3, J_fine=10, J_coarse=1)
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+        with pytest.raises(ValueError, match=r"singular: the block of "
+                           r"frequency l = 0 .* row 15 of its LU factors"):
+            build_plan(coarse, d, 1.0, method)
+
 
 class TestApplyInverse:
     @pytest.mark.parametrize("small", [SmallSystemMethod.EXPLICIT_DIRECT,
