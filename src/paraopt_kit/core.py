@@ -28,15 +28,17 @@ gives a grid residual. Grid values enter and leave only through it and
 :func:`paraopt_solve`. The dense Jacobians of the oracles take their maps
 from :func:`paraopt_kit.propagators.dense_maps`.
 
-With a spectral plan the preconditioned inner solve runs GMRES on T, the
-action of A_tilde P(alpha)^{-1} in the (1 + 2M)-dimensional space that
-right-preconditioned GMRES from zero never leaves (:class:`_SliceSpace`):
-an isometry carries one onto the other, so the logged inner counts and
-residuals are the same minimization as flexible GMRES on
-(A_tilde, P(alpha)^{-1}), up to rounding. Flexible GMRES runs without a
-plan, for LU and black-box plans, and where P(alpha)^{-1} is not exact to
-SLICE_LEAK_RTOL; ``SolveLog.inner_solve`` and ``fallback_steps`` say which
-ran.
+With a plan in a FourierBasis, whose blocks are solved in closed form or
+black-box, the coarse maps act one mode at a time, and the preconditioned
+inner solve runs GMRES on T, the action of A_tilde P(alpha)^{-1} in the
+(1 + 2M)-dimensional space that right-preconditioned GMRES from zero never
+leaves (:class:`_SliceSpace`): an isometry carries one onto the other, so
+the logged inner counts and residuals are the same minimization as
+flexible GMRES on (A_tilde, P(alpha)^{-1}), up to rounding. Flexible GMRES
+runs without a plan, for a plan on grid values (a dense K, LU or
+black-box blocks), and where P(alpha)^{-1} is not exact to
+SLICE_LEAK_RTOL; ``SolveLog.inner_solve`` and ``fallback_steps`` say
+which ran.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from paraopt_kit.analysis import assemble_block_system
-from paraopt_kit.numerics import GmresConfig, GmresWorkspace, gmres
+from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
 from paraopt_kit.propagators import AffinePropagator, dense_maps
 
@@ -103,10 +105,10 @@ class OuterRecord:
 @dataclass
 class SolveLog:
     """The outer records and the outcome of a solve. ``inner_solve`` names
-    the space of its inner GMRES: "reduced" for a spectral plan whose
-    A_tilde P(alpha)^{-1} keeps to the slice structure, "flexible"
-    otherwise; ``fallback_steps`` counts the outer steps of a spectral
-    plan that ran flexible GMRES instead."""
+    the space of its inner GMRES: "reduced" for a plan in a FourierBasis
+    whose A_tilde P(alpha)^{-1} keeps to the slice structure, "flexible"
+    otherwise; ``fallback_steps`` counts the outer steps of such a plan
+    that ran flexible GMRES instead."""
 
     records: list[OuterRecord] = field(default_factory=list)
     converged: bool = False
@@ -238,7 +240,7 @@ def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
 
 class _SliceSpace:
     """Right-preconditioned GMRES on A_tilde P(alpha)^{-1}, run in the space
-    where it acts, for a spectral plan. P(alpha) differs from A_tilde only
+    where it acts, for a plan in a FourierBasis. P(alpha) differs from A_tilde only
     in the rows of the time slices y_1 and lam_Lhat, so
     N(u) = A_tilde P^{-1} u - u lies in range(S), S the 2M coordinates of
     those two slices, and the Krylov space of GMRES from zero on b stays in
@@ -292,8 +294,7 @@ class _SliceSpace:
         return basis.from_half(self.G[:, 0] * h[0]
                                + self.G[:, 1] * h[1]).ravel()
 
-    def solve(self, b: np.ndarray, cfg: GmresConfig,
-              workspace: GmresWorkspace):
+    def solve(self, b: np.ndarray, cfg: GmresConfig):
         """(delta, report) of GMRES on A_tilde delta = b through T, or None
         when P^{-1} is not exact: its probes or N(b_hat) leave the
         slices."""
@@ -317,7 +318,7 @@ class _SliceSpace:
             out[1:] += v[0] * q + self._couple(v[1:])
             return out
         gs, rep = gmres(T, np.concatenate([[nb], self._slices(b).ravel()]),
-                        cfg=cfg, workspace=workspace)
+                        cfg=cfg)
         u = np.zeros_like(b)
         self._slices(u)[:] = gs[1:].reshape(2, -1)
         delta = self.plan.apply_inverse(u)
@@ -333,7 +334,7 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
 
     Each outer step solves A_tilde * delta = -f(x) with GMRES (right
     preconditioning when a plan is configured: on T in the slice space of a
-    spectral plan, built at the first step, else flexible GMRES on
+    plan in a FourierBasis, built at the first step, else flexible GMRES on
     (A_tilde, P(alpha)^{-1})) and stops once the residual
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
@@ -347,9 +348,7 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     residual is f(x) = A x + f(0): one matching_residual call on the zero
     trajectory gives f(0), moved into the basis, and each step adds it to
     apply_jacobian of the fine propagator at x. Only the returned
-    trajectory is on the grid. The GMRES calls share the first
-    blocks of their Krylov bases
-    (:class:`paraopt_kit.numerics.GmresWorkspace`).
+    trajectory is on the grid.
     """
     Lh, M = decomp.L_hat, problem.M
     plan = cfg.preconditioner
@@ -368,13 +367,12 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
                  "(problem.M, decomp.L_hat)", (M, Lh))
     x = np.zeros(2 * Lh * M)
     log = SolveLog()
-    workspace = GmresWorkspace()
 
     op = lambda v: apply_jacobian(coarse, problem.objective, decomp, v)
     precond = None if plan is None else plan.apply_inverse
-    spectral = plan is not None and plan.blocks == "spectral"
-    log.inner_solve = "reduced" if spectral else "flexible"
-    slices = None  # the _SliceSpace of a spectral plan, from the first step
+    reduced = plan is not None and plan.basis is not None
+    log.inner_solve = "reduced" if reduced else "flexible"
+    slices = None  # the _SliceSpace of the plan, from the first step
 
     r = f0 = _residual_at_zero(fine, problem, decomp)
     rnorm = np.linalg.norm(r)
@@ -399,16 +397,15 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
         t0 = time.perf_counter()
         try:
             step = None
-            if spectral:
+            if reduced:
                 if slices is None:
                     slices = _SliceSpace(plan, op)
                     if not slices.exact:
                         log.inner_solve = "flexible"
-                step = slices.solve(-r, cfg.inner, workspace)
+                step = slices.solve(-r, cfg.inner)
                 log.fallback_steps += step is None
             if step is None:
-                step = gmres(op, -r, precond=precond, cfg=cfg.inner,
-                             workspace=workspace)
+                step = gmres(op, -r, precond=precond, cfg=cfg.inner)
             delta, rep = step
         except (FloatingPointError, np.linalg.LinAlgError) as exc:
             log.aborted = f"inner solver failure: {exc}"

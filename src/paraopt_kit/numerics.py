@@ -1,5 +1,5 @@
-"""GMRES, the inner solver of the Newton steps and of the black-box block
-solves.
+"""GMRES, the inner solver of the Newton steps (on the slice space of a
+Fourier-basis plan, or flexible) and of the black-box block solves.
 
 GMRES is full (unrestarted) and always starts from x = 0, the only start
 the Newton steps need. Matrices are plain numpy arrays (real or complex).
@@ -9,14 +9,12 @@ The Arnoldi step orthogonalizes with classical Gram–Schmidt applied twice
 (CGS2), which is as stable as modified Gram–Schmidt (Giraud, Langou &
 Rozložník, Comput. Math. Appl. 2005) and runs as matrix–vector products on
 the Krylov basis, kept as the rows of contiguous blocks of a few dozen
-vectors, allocated as the basis grows. With a preconditioner the method is
-flexible GMRES (Saad, SIAM J. Sci. Comput. 1993): it stores z_j = P⁻¹v_j
-and updates x by Z y, so P⁻¹ is applied once per iteration and never to
-form the update. Those products run in BLAS, whose rounding may depend on
-its thread count, so repeated runs on the same data are bitwise
-reproducible only for a fixed BLAS thread count. Calls that share a
-:class:`GmresWorkspace` take the first blocks of V and Z from it instead
-of allocating them.
+vectors, which each call allocates as its basis grows. With a
+preconditioner the method is flexible GMRES (Saad, SIAM J. Sci. Comput.
+1993): it stores z_j = P⁻¹v_j and updates x by Z y, so P⁻¹ is applied once
+per iteration and never to form the update. Those products run in BLAS,
+whose rounding may depend on its thread count, so repeated runs on the
+same data are bitwise reproducible only for a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -28,8 +26,9 @@ import numpy as np
 import scipy.linalg
 
 # rows of the first basis block and of every later one. Preconditioned
-# solves take a few iterations per call and stay in the first block, so they
-# allocate little; long runs get larger blocks, whose products run faster
+# inner solves take a few iterations per call and stay in the first block,
+# so they allocate little; long runs get larger blocks, whose products run
+# faster
 _FIRST_ROWS, _BLOCK_ROWS = 8, 32
 
 
@@ -53,36 +52,16 @@ class GmresReport:
     residual_history: list = field(default_factory=list)
 
 
-class GmresWorkspace:
-    """The first blocks of the Krylov bases V and Z, kept across the gmres
-    calls that share this workspace, one call at a time. A Newton solve
-    makes dozens of short calls of one size, and a block allocated anew
-    costs its first-touch page faults on every call. Rows past those a
-    call fills are never read, so a call through kept blocks gives the
-    bits of a fresh one. Later blocks are not kept."""
-
-    def __init__(self):
-        self.blocks: dict = {}
-
-    def first(self, basis: str, n: int, dtype) -> np.ndarray:
-        """The first block of basis "V" or "Z" for vectors of length n and
-        this dtype, allocated on the first request."""
-        key = (basis, n, np.dtype(dtype))
-        if key not in self.blocks:
-            self.blocks[key] = np.empty((_FIRST_ROWS, n), dtype)
-        return self.blocks[key]
-
-
 class _RowBlocks:
-    """Vectors kept as the rows of contiguous blocks: the given first one,
-    of _FIRST_ROWS rows, whose length and dtype they take, and then blocks
-    of _BLOCK_ROWS rows, each allocated when the last one is full. A
-    complex vector switches the storage to complex."""
+    """Vectors of length n kept as the rows of contiguous blocks: a first
+    one of _FIRST_ROWS rows, and then blocks of _BLOCK_ROWS rows, each
+    allocated when the last one is full. A complex vector switches the
+    storage to complex."""
 
-    def __init__(self, first: np.ndarray):
-        self.n = first.shape[1]
-        self.dtype = first.dtype
-        self.blocks: list[np.ndarray] = [first]
+    def __init__(self, n: int, dtype):
+        self.n = n
+        self.dtype = np.dtype(dtype)
+        self.blocks: list[np.ndarray] = [np.empty((_FIRST_ROWS, n), dtype)]
         self.size = 0
 
     def __getitem__(self, j: int) -> np.ndarray:
@@ -140,7 +119,6 @@ def gmres(
     b: np.ndarray,
     precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     cfg: GmresConfig = GmresConfig(),
-    workspace: Optional[GmresWorkspace] = None,
 ) -> tuple[np.ndarray, GmresReport]:
     """Solve A x = b with full (unrestarted) GMRES from x = 0, optionally
     right-preconditioned (flexible GMRES: P⁻¹ may differ between calls).
@@ -154,9 +132,7 @@ def gmres(
     Arnoldi process starts from the current iterate.
 
     Returns (x, report); non-convergence is reported via report.converged,
-    a NaN in b or produced by the operator raises. A ``workspace`` lends
-    the first Krylov blocks (see :class:`GmresWorkspace`); the result is
-    the same without it.
+    a NaN in b or produced by the operator raises.
     """
     b = np.asarray(b)
     n = b.shape[0]
@@ -166,7 +142,6 @@ def gmres(
     if norm_b == 0.0:
         return np.zeros_like(b), GmresReport(0, 0.0, True, [0.0])
 
-    workspace = workspace or GmresWorkspace()
     tol = cfg.rel_tolerance
     history: list[float] = [1.0]
     total_iters = 0
@@ -178,9 +153,9 @@ def gmres(
         m = min(cfg.max_iterations - total_iters, n)
         dtype = complex if np.iscomplexobj(r) else float
         # Krylov basis V and, when preconditioned, Z with z_j = P⁻¹ v_j
-        V = _RowBlocks(workspace.first("V", n, dtype))
+        V = _RowBlocks(n, dtype)
         V.append(r / beta)
-        Z = _RowBlocks(workspace.first("Z", n, dtype)) if precond else V
+        Z = _RowBlocks(n, dtype) if precond else V
         # column j of the Hessenberg matrix, once rotated, is R[:j+1, j];
         # g is the rotated right-hand side beta e_1
         R_cols: list[np.ndarray] = []

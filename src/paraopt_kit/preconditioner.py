@@ -39,12 +39,12 @@ path in ``PreconditionerPlan.blocks``; the CLI writes it to
 
 A_tilde P(alpha)^{-1} is the identity plus a term that writes only the
 time slices y_1 and lam_Lhat, since P(alpha) differs from A_tilde only in
-their rows. With a spectral plan the solve therefore runs its inner GMRES
-in the (1 + 2M)-dimensional space that this leaves
-(:class:`paraopt_kit.core._SliceSpace`), at two applications of the plan
-per outer step and the same inner counts and residuals; the LU and
-black-box plans, and a P(alpha)^{-1} that is not exact, keep flexible
-GMRES with the plan applied at every inner step.
+their rows. With a plan in a FourierBasis, spectral or black-box, the
+solve therefore runs its inner GMRES in the (1 + 2M)-dimensional space
+that this leaves (:class:`paraopt_kit.core._SliceSpace`), at two
+applications of the plan per outer step and the same inner counts and
+residuals; a plan on grid values (a dense K), and a P(alpha)^{-1} that is
+not exact, keep flexible GMRES with the plan applied at every inner step.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real;
 real data are the only input, and a complex vector raises ValueError. Any
@@ -173,7 +173,10 @@ class PreconditionerPlan:
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
-      the propagator callbacks, in ``basis`` (general method only).
+      the propagator callbacks, in ``basis`` (general method only). The
+      blocks are solved to 1e-12, far below core.SLICE_LEAK_RTOL, so in a
+      FourierBasis the solve runs its slice-space inner GMRES with this
+      plan as with a spectral one.
     """
 
     method: InversionMethod

@@ -39,11 +39,16 @@ def _finite_array(name: str, x, shape=None) -> np.ndarray:
     return x
 
 
+def _reflected(c: np.ndarray) -> np.ndarray:
+    """c(-k) at every k of an n x n grid, indices taken modulo n."""
+    return np.roll(c[::-1, ::-1], 1, (0, 1))
+
+
 def _hermitian(c: np.ndarray) -> np.ndarray:
     """(c(k) + conj c(-k)) / 2 for the modes c of an n x n grid: exactly
     Hermitian, as the eigenvalues of a real map are. The FFT of real data
     can miss that in the last bit (numpy's fft2 does at n = 16)."""
-    return (c + np.roll(c[::-1, ::-1], 1, (0, 1)).conj()) / 2
+    return (c + _reflected(c).conj()) / 2
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,10 @@ class PeriodicStencil:
     first column as n x n grid values: the circular convolution with it,
     diagonal in the grid's unitary 2-D DFT. ``symbol``, its eigenvalues in
     the k1-major order of that DFT, is the FFT of the column made exactly
-    Hermitian (:func:`_hermitian`), computed once, in O(M log M)."""
+    Hermitian (:func:`_hermitian`), computed once, in O(M log M). An even
+    column, column(k) = column(-k) exactly, is a symmetric K, and its
+    symbol is exactly real: the FFT's rounding in the imaginary part
+    (up to 5.6e-12 for the heat stencil at n = 128) is dropped."""
 
     column: np.ndarray
     symbol: np.ndarray = field(init=False, repr=False)
@@ -64,6 +72,8 @@ class PeriodicStencil:
             symbol = _hermitian(np.fft.fft2(column)).ravel()
         if not np.all(np.isfinite(symbol)):
             raise ValueError("the symbol of the periodic stencil overflows")
+        if np.array_equal(column, _reflected(column)):
+            symbol.imag = 0.0
         object.__setattr__(self, "column", column)
         object.__setattr__(self, "symbol", symbol)
 

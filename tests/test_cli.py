@@ -373,11 +373,16 @@ class TestSolveCommand:
         (["solve", "--n", "4", "--L", "3"], "reduced", 0),
         ([*TRIANGULAR, "--L", "3", "--alpha-real", "0.1"], "reduced", 0),
         (["solve", "--n", "4", "--L", "3", "--no-precond"], "flexible", 0),
-        (BLACK_BOX, "flexible", 0),
+        # a black-box plan acts on the same Fourier basis, whose coarse maps
+        # are diagonal, and its block solves keep P(alpha)^{-1} exact to
+        # far below SLICE_LEAK_RTOL, so it runs the slice space too
+        (BLACK_BOX, "reduced", 0),
+        ([*BLACK_BOX, "--problem", "advection_diffusion"], "reduced", 0),
         # P(1e-30)^{-1} maps the probes of G far outside the slices y_1 and
         # lam_Lhat, so each of the 5 steps falls back to flexible GMRES
         ([*TRIANGULAR, "--L", "3", "--alpha-real", "1e-30"], "flexible", 5),
-    ], ids=["spectral", "triangular", "no-plan", "black-box", "tiny-alpha"])
+    ], ids=["spectral", "triangular", "no-plan", "black-box",
+            "black-box-advection", "tiny-alpha"])
     def test_summary_names_the_inner_solve(self, tmp_path, args, inner_solve,
                                            fallback_steps):
         out = str(tmp_path / "run")

@@ -15,8 +15,13 @@ from paraopt_kit.core import (
     matching_residual,
     paraopt_solve,
 )
-from paraopt_kit.numerics import GmresConfig, GmresWorkspace, gmres
-from paraopt_kit.preconditioner import InversionMethod, assemble_P_alpha, build_plan
+from paraopt_kit.numerics import GmresConfig, gmres
+from paraopt_kit.preconditioner import (
+    InversionMethod,
+    SmallSystemMethod,
+    assemble_P_alpha,
+    build_plan,
+)
 from paraopt_kit.problem import (
     Discretization,
     LinearControlProblem,
@@ -433,7 +438,7 @@ def test_last_logged_residual_is_the_grid_residual(objective, stencil):
         1.0, log.records[0].residual)
 
 
-# (objective, coarse variant, method, alpha) of the spectral plans
+# (objective, coarse variant, method, alpha) of the plans in a Fourier basis
 _SLICE_CASES = [
     (TR, Discretization.FOTD, InversionMethod.GENERAL, -1.0),
     (TC, Discretization.FOTD, InversionMethod.GENERAL, -1.0),
@@ -442,13 +447,15 @@ _SLICE_CASES = [
 ]
 
 
-def _slice_space(make, case, n, L):
+def _slice_space(make, case, n, L, black_box=False):
     objective, variant, method, alpha = case
     p = make(n, 0.05, 2.0, objective)
     d = make_decomposition(p, L=L, J_fine=2, J_coarse=1)
     coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
-    plan = build_plan(coarse, d, alpha, method)
-    assert plan.blocks == "spectral"
+    plan = build_plan(coarse, d, alpha, method,
+                      SmallSystemMethod.BLACK_BOX_ITERATIVE if black_box
+                      else SmallSystemMethod.EXPLICIT_DIRECT)
+    assert plan.basis is not None
     op = lambda v: apply_jacobian(coarse, objective, d, v)
     return p, d, coarse, plan, op
 
@@ -458,15 +465,18 @@ def _slice_space(make, case, n, L):
                              make_advection_diffusion_problem]),
        case=st.sampled_from(_SLICE_CASES), n=st.integers(3, 6),
        L=st.integers(2, 6), on_slices=st.booleans(),
-       seed=st.integers(0, 2**16))
+       black_box=st.booleans(), seed=st.integers(0, 2**16))
 def test_reduced_inner_solve_matches_flexible_gmres(make, case, n, L,
-                                                    on_slices, seed):
+                                                    on_slices, black_box,
+                                                    seed):
     """GMRES on T in the (1 + 2M)-dimensional slice space takes the steps of
     flexible GMRES on (A_tilde, P(alpha)^{-1}) from the same b: the same
     count, residual history and correction, odd and even grids, heat and
-    advection-diffusion, both objectives and both methods; a b on the two
-    slices alone (on_slices, and every b at L_hat = 1) has no b_hat."""
-    p, d, _, plan, op = _slice_space(make, case, n, L)
+    advection-diffusion, both objectives and both methods, with closed-form
+    and (general method) black-box block solves; a b on the two slices
+    alone (on_slices, and every b at L_hat = 1) has no b_hat."""
+    black_box = black_box and case[2] is InversionMethod.GENERAL
+    p, d, _, plan, op = _slice_space(make, case, n, L, black_box)
     b = np.random.default_rng(seed).standard_normal(2 * d.L_hat * p.M)
     if on_slices:
         b.reshape(2 * d.L_hat, p.M)[1:-1] = 0.0
@@ -474,7 +484,7 @@ def test_reduced_inner_solve_matches_flexible_gmres(make, case, n, L,
     want, want_rep = gmres(op, b, precond=plan.apply_inverse, cfg=cfg)
     space = _SliceSpace(plan, op)
     assert space.exact
-    got, rep = space.solve(b, cfg, GmresWorkspace())
+    got, rep = space.solve(b, cfg)
     assert rep.converged and rep.iterations == want_rep.iterations
     np.testing.assert_allclose(rep.residual_history,
                                want_rep.residual_history, rtol=0, atol=1e-10)

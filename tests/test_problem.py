@@ -107,6 +107,15 @@ class TestHeatProblem:
         np.testing.assert_allclose(np.sort(p.symbol.real), expected,
                                    atol=1e-9)
 
+    @pytest.mark.parametrize("n", [9, 12, 32, 64])
+    def test_symbol_of_the_even_stencil_is_real(self, n):
+        # the FFT leaves rounding in the imaginary part of these symbols;
+        # advection makes the stencil odd, and its symbol stays complex
+        assert not make_heat_problem(
+            n, 0.05, 2.0, ObjectiveKind.TRACKING).symbol.imag.any()
+        assert make_advection_diffusion_problem(
+            n, 0.05, 2.0, ObjectiveKind.TRACKING).symbol.imag.any()
+
     def test_fields_closed_form_at_vertices(self):
         n, gamma, T = 4, 0.05, 2.0
         p = make_heat_problem(n, gamma, T, ObjectiveKind.TERMINAL_COST)
