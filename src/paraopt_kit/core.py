@@ -10,17 +10,23 @@ dense matrices, for oracle-sized tests, come from
 Where the solve runs: a propagator lives in its own basis. For a problem
 that declares its K as a :class:`paraopt_kit.problem.PeriodicStencil`
 (every built-in problem), the propagators hold the eigenvalues of their
-maps, their offsets as real coefficients of the grid's
+maps and their offsets on the half spectrum of the grid's
 :class:`paraopt_kit.propagators.FourierBasis`, and no M x M map; every map
-acts one mode at a time (:class:`paraopt_kit.propagators.ModeMap`). The
-problem always holds grid values. :func:`paraopt_solve` runs GMRES, the
-fine residual, A_tilde and P(alpha)^{-1} on flat real coefficient vectors:
-it calls :func:`matching_residual` once, on the zero trajectory, moves
-that f(0) into the basis, takes every later residual as
-:func:`apply_jacobian` with the fine propagator plus f(0), and moves only
-the final trajectory back to the grid. The basis is real and
-orthonormal, so the vectors stay real, GMRES sees the norms and inner
-products of the grid solve, and the iterates agree with it up to rounding.
+acts as one product with its eigenvalues. The problem always holds grid
+values. :func:`paraopt_solve` runs GMRES, the fine residual, A_tilde and
+P(alpha)^{-1} on one flat real vector, the real view (``.view(float)``)
+of the (2, L_hat, len(half)) stack of half spectra, 2 L_hat (M + s)
+entries long, s = ``basis.self_count``; each operator views it as that
+stack, with no conversion (:func:`paraopt_kit.propagators.stack` and
+:func:`paraopt_kit.propagators.flat`, which own the layout). The s slots
+per row for the imaginary parts of the self-conjugate modes are 0 for
+real data, and every operator keeps them 0. The solve calls
+:func:`matching_residual` once, on the zero trajectory, moves that f(0)
+into the basis, takes every later residual as :func:`apply_jacobian`
+with the fine propagator plus f(0), and moves only the final trajectory
+back to the grid. The basis is orthonormal and its real view real, so
+GMRES sees the norms and inner products of the grid solve, and the
+iterates agree with it up to rounding.
 A dense K is solved on the grid with the dense maps, its propagators' basis.
 :func:`apply_jacobian` and the dense oracles act in the propagator's basis;
 :func:`matching_residual` takes only a grid :class:`PairedTrajectory` and
@@ -31,12 +37,12 @@ from :func:`paraopt_kit.propagators.dense_maps`.
 With a plan in a FourierBasis, whose blocks are solved in closed form or
 black-box, the coarse maps act one mode at a time, and the preconditioned
 inner solve runs GMRES on T, the action of A_tilde P(alpha)^{-1} in the
-(1 + 2M)-dimensional space that right-preconditioned GMRES from zero never
-leaves (:class:`_SliceSpace`): an isometry carries one onto the other, so
-the logged inner counts and residuals are the same minimization as
-flexible GMRES on (A_tilde, P(alpha)^{-1}), up to rounding. Flexible GMRES
-runs without a plan, for a plan on grid values (a dense K, LU or
-black-box blocks), and where P(alpha)^{-1} is not exact to
+(1 + 2 (M + s))-dimensional space that right-preconditioned GMRES from
+zero never leaves (:class:`_SliceSpace`): an isometry carries one onto
+the other, so the logged inner counts and residuals are the same
+minimization as flexible GMRES on (A_tilde, P(alpha)^{-1}), up to
+rounding. Flexible GMRES runs without a plan, for a plan on grid values
+(a dense K, LU or black-box blocks), and where P(alpha)^{-1} is not exact to
 SLICE_LEAK_RTOL; ``SolveLog.inner_solve`` and ``fallback_steps`` say
 which ran.
 """
@@ -52,7 +58,7 @@ import numpy as np
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
-from paraopt_kit.propagators import AffinePropagator, dense_maps
+from paraopt_kit.propagators import AffinePropagator, dense_maps, flat, stack
 
 
 @dataclass
@@ -134,7 +140,7 @@ def _apply_maps(prop, objective: ObjectiveKind,
     y and lam are (L_hat, M) stacks in the basis of prop, returned as one
     (2, L_hat, M) array of the (state, adjoint) rows."""
     Phi_P, Psi_P, Phi_Q, Psi_Q = prop.actions
-    out = np.empty((2,) + y.shape)
+    out = np.empty((2,) + y.shape, y.dtype)
     out_y, out_l = out
     np.add(y, Psi_P(lam), out=out_y)
     out_y[1:] -= Phi_P(y[:-1])
@@ -179,7 +185,7 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     # terminal condition (zero adjoint for tracking, y - y_target otherwise)
     b_y = fine.b_P[:Lh].copy()
     b_y[0] += fine.actions[0](to_basis(problem.y_init))
-    b_l = np.empty((Lh, M))
+    b_l = np.empty_like(b_y)
     b_l[:-1] = fine.b_Q[1:Lh]
     if problem.objective is ObjectiveKind.TRACKING:
         b_l[-1] = fine.b_Q[Lh]
@@ -201,7 +207,7 @@ def _residual_at_zero(fine: AffinePropagator, problem: LinearControlProblem,
     f0 = matching_residual(fine, problem, decomp, zero)
     if fine.basis is None:
         return f0
-    return fine.basis.coefficients(f0.reshape(-1, problem.M)).ravel()
+    return flat(fine.basis.coefficients(f0.reshape(-1, problem.M)))
 
 
 def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
@@ -212,13 +218,13 @@ def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
     with the coarse propagator, and with the fine one the A of
     f(x) = A x + f(0), the residual paraopt_solve iterates on. For a
     propagator with a FourierBasis (every stencil problem) v and the result
-    are real coefficients, not grid values; move grid data in with
-    ``prop.basis.coefficients`` and back with ``prop.basis.grid``, one
-    (2 L_hat, M) stack each way. Raises ValueError unless v has
-    2 L_hat M entries for the M of prop."""
-    _require("the length of v", len(v), "2 L_hat M", 2 * decomp.L_hat * prop.M)
-    y, lam = v.reshape(2, decomp.L_hat, prop.M)
-    return _apply_maps(prop, objective, y, lam).ravel()
+    are the real view of half spectra, not grid values; move grid data in
+    with ``flat(prop.basis.coefficients(...))`` and back with
+    ``prop.basis.grid(stack(...))`` (:func:`paraopt_kit.propagators.flat`,
+    :func:`paraopt_kit.propagators.stack`). Raises ValueError unless v
+    has 2 L_hat (M + s) entries for the M and basis of prop."""
+    y, lam = stack(prop.basis, v, (2, decomp.L_hat), prop.M)
+    return flat(_apply_maps(prop, objective, y, lam))
 
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
@@ -242,11 +248,11 @@ class _SliceSpace:
     """Right-preconditioned GMRES on A_tilde P(alpha)^{-1}, run in the space
     where it acts, for a plan in a FourierBasis. P(alpha) differs from A_tilde only
     in the rows of the time slices y_1 and lam_Lhat, so
-    N(u) = A_tilde P^{-1} u - u lies in range(S), S the 2M coordinates of
-    those two slices, and the Krylov space of GMRES from zero on b stays in
-    span{b_hat} + range(S), b_hat being b with the slices zeroed,
-    normalized. In the orthonormal coordinates (gamma, s) of that space
-    A_tilde P^{-1} is T(gamma, s) = (gamma, s + gamma q + G s), with
+    N(u) = A_tilde P^{-1} u - u lies in range(S), S the 2 (M + self_count)
+    coordinates of those two slices, and the Krylov space of GMRES from
+    zero on b stays in span{b_hat} + range(S), b_hat being b with the
+    slices zeroed, normalized. In the orthonormal coordinates (gamma, s)
+    of that space A_tilde P^{-1} is T(gamma, s) = (gamma, s + gamma q + G s), with
     q = S^T N(b_hat) and G = S^T N S, one complex 2 x 2 block per mode of
     the half spectrum. GMRES on T therefore minimizes the residual over the
     same Krylov space, in the same norm, as on A_tilde P^{-1}, with O(M)
@@ -258,23 +264,23 @@ class _SliceSpace:
 
     def __init__(self, plan, op):
         self.plan, self.op, basis = plan, op, plan.basis
-        probe = basis.from_half(np.ones(len(basis.half)))
+        probe = flat(np.ones(len(basis.half), complex))
         self.G = np.empty((2, 2, len(basis.half)), complex)
         leak = 0.0
         for j in range(2):
-            u = np.zeros(2 * plan.L_hat * plan.M)
+            u = np.zeros(2 * plan.L_hat * len(probe))
             self._slices(u)[j] = probe
             w = self._image(u)[1]
-            self.G[:, j] = basis.to_half(self._slices(w))
+            self.G[:, j] = stack(basis, self._slices(w), (2,), plan.M)
             leak = max(leak, self._leak(w) / np.linalg.norm(probe))
         # a NaN leak fails this too
         self.exact = bool(leak <= SLICE_LEAK_RTOL)
 
     def _slices(self, v: np.ndarray) -> np.ndarray:
-        """The (2, M) view of the slices y_1 and lam_Lhat of a flat v: rows
-        0 and 2 L_hat - 1 of its (2 L_hat, M) stack."""
+        """The view of the slices y_1 and lam_Lhat of a flat v: rows 0 and
+        2 L_hat - 1 of its stack of 2 L_hat rows."""
         Lh2 = 2 * self.plan.L_hat
-        return v.reshape(Lh2, self.plan.M)[::Lh2 - 1]
+        return v.reshape(Lh2, -1)[::Lh2 - 1]
 
     def _leak(self, w: np.ndarray) -> float:
         """Norm of a flat w outside its two slices."""
@@ -288,11 +294,10 @@ class _SliceSpace:
         return z, w
 
     def _couple(self, s: np.ndarray) -> np.ndarray:
-        """G s for the flat 2M real coordinates s of the two slices."""
-        basis = self.plan.basis
-        h = basis.to_half(s.reshape(2, -1))
-        return basis.from_half(self.G[:, 0] * h[0]
-                               + self.G[:, 1] * h[1]).ravel()
+        """G s for the coordinates s of the two slices, the flat real view
+        of their half spectra."""
+        h = stack(self.plan.basis, s, (2,), self.plan.M)
+        return flat(self.G[:, 0] * h[0] + self.G[:, 1] * h[1])
 
     def solve(self, b: np.ndarray, cfg: GmresConfig):
         """(delta, report) of GMRES on A_tilde delta = b through T, or None
@@ -343,12 +348,12 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     objective, than the problem and the decomposition raise ValueError.
 
     The iteration runs on flat vectors in the basis of the propagators,
-    which the preconditioner plan acts in too: the real coefficients of
-    their FourierBasis when they have one, grid values otherwise. The
-    residual is f(x) = A x + f(0): one matching_residual call on the zero
-    trajectory gives f(0), moved into the basis, and each step adds it to
-    apply_jacobian of the fine propagator at x. Only the returned
-    trajectory is on the grid.
+    which the preconditioner plan acts in too: the real view of the half
+    spectra of their FourierBasis when they have one, grid values
+    otherwise. The residual is f(x) = A x + f(0): one matching_residual
+    call on the zero trajectory gives f(0), moved into the basis, and each
+    step adds it to apply_jacobian of the fine propagator at x. Only the
+    returned trajectory is on the grid.
     """
     Lh, M = decomp.L_hat, problem.M
     plan = cfg.preconditioner
@@ -365,7 +370,6 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
                              "propagator of another basis")
         _require("the preconditioner plan's (M, L_hat)", (plan.M, plan.L_hat),
                  "(problem.M, decomp.L_hat)", (M, Lh))
-    x = np.zeros(2 * Lh * M)
     log = SolveLog()
 
     op = lambda v: apply_jacobian(coarse, problem.objective, decomp, v)
@@ -375,6 +379,7 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     slices = None  # the _SliceSpace of the plan, from the first step
 
     r = f0 = _residual_at_zero(fine, problem, decomp)
+    x = np.zeros_like(f0)
     rnorm = np.linalg.norm(r)
     scale = max(1.0, rnorm)
     log.records.append(OuterRecord(0, rnorm, 0, 0.0))
@@ -418,5 +423,5 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
                                        time.perf_counter() - t0))
         recent = (recent + [rnorm])[-6:]
     if basis is not None:
-        x = basis.grid(x.reshape(2 * Lh, M)).ravel()
+        x = basis.grid(stack(basis, x, (2 * Lh,), M)).ravel()
     return PairedTrajectory.from_vector(x, Lh, M), log

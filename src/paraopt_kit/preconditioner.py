@@ -5,9 +5,10 @@ by the alpha-circulant C(alpha) (and drops the terminal corner term), which
 diagonalizes in a scaled Fourier basis. Applying P(alpha)^{-1} then reduces
 to FFTs in time plus independent per-frequency solves: L_hat 2M x 2M solves
 for the general method, two rounds of L_hat M x M solves for the triangular
-one. Every path reads its input as the (2, L_hat, M) stack of state and
+one. Every path reads its input as the (2, L_hat, m) stack of state and
 adjoint rows that the whole solve uses, with time on the second to last
-axis, the one the FFTs run along. The 2M x 2M block H_l of frequency l,
+axis, the one the FFTs run along: grid values (m = M), or half spectra
+(m = len(basis.half)). The 2M x 2M block H_l of frequency l,
 [[I + d_l Phi_P, Psi_P], [-Psi_Q, I + conj(d_l) Phi_Q]] with d_l the l-th
 eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real: for any
 other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
@@ -20,40 +21,46 @@ of the coarse propagator, which is the one the plan acts in.
 How the frequency blocks are solved is chosen from the coarse maps, with no
 option. A coarse propagator built for a problem whose K is a
 :class:`paraopt_kit.problem.PeriodicStencil` (the built-in problems) is the
-eigenvalues of its four maps on the half spectrum of the grid's real
+eigenvalues of its four maps on the half spectrum of the grid's
 Fourier basis (:class:`paraopt_kit.propagators.FourierBasis`), which it
-carries in ``basis`` and lives in, with no M x M map. Its plan acts on real
-coefficients in that basis, as the propagator and the whole solve do
-(:func:`paraopt_kit.core.paraopt_solve`): each application reads them as
-the half spectrum, about M/2 + 2 complex modes, does the FFTs in time and
-closed-form 2 x 2 (general) or scalar (triangular) solves per (frequency,
-mode) over the whole stack, and reads the result back, with no spatial FFT.
+carries in ``basis`` and lives in, with no M x M map. Its plan acts on
+the real view of half spectra, as the propagator and the whole solve do
+(:func:`paraopt_kit.core.paraopt_solve`): each application views its
+input as the stack of half spectra, about M/2 + 2 complex modes per row,
+does the FFTs in time and closed-form 2 x 2 (general) or scalar
+(triangular) solves per (frequency, mode) over the whole stack, and
+returns the real view of the result, with no spatial FFT.
 For a dense K, normal or not, the coarse propagator holds dense maps, and
 the plan acts on grid values and LU-factorizes each block once. A block
 with a pivot below PIVOT_RTOL of its scale, singular to rounding, of
 either path, raises ValueError in the build.
 The general method can instead solve its blocks matrix-free by inner GMRES,
-through the actions of the coarse maps in their basis. The plan names its
+through the actions of the coarse maps in their basis: in a FourierBasis a
+block vector is the two half spectra of one frequency, M + s complex
+entries. The plan names its
 path in ``PreconditionerPlan.blocks``; the CLI writes it to
 ``summary.json`` as ``preconditioner_blocks``.
 
 A_tilde P(alpha)^{-1} is the identity plus a term that writes only the
 time slices y_1 and lam_Lhat, since P(alpha) differs from A_tilde only in
 their rows. With a plan in a FourierBasis, spectral or black-box, the
-solve therefore runs its inner GMRES in the (1 + 2M)-dimensional space
-that this leaves (:class:`paraopt_kit.core._SliceSpace`), at two
+solve therefore runs its inner GMRES in the (1 + 2 (M + s))-dimensional
+space that this leaves (:class:`paraopt_kit.core._SliceSpace`), at two
 applications of the plan per outer step and the same inner counts and
 residuals; a plan on grid values (a dense K), and a P(alpha)^{-1} that is
 not exact, keep flexible GMRES with the plan applied at every inner step.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real;
-real data are the only input, and a complex vector raises ValueError. Any
-imaginary part of the result is rounding, amplified by an
-ill-conditioned solve. Above IMAG_RESIDUE_RTOL of the result's norm it
-raises FloatingPointError. On the half spectrum each paired mode stands
-for the real data of its pair by construction, so that imaginary part is,
-by Parseval, exactly the imaginary part of the self-conjugate modes, and
-the check is evaluated there.
+real data are the only input. A complex vector raises ValueError, and so
+does a finite nonzero imaginary part of a self-conjugate mode of a half
+spectrum, which real data do not have; inf and NaN are left to the
+solve's finiteness checks. Any imaginary part of the result is rounding,
+amplified by an ill-conditioned solve. Above IMAG_RESIDUE_RTOL of the
+result's norm it raises FloatingPointError. On the half spectrum each
+paired mode stands for the real data of its pair by construction, so
+that imaginary part is, by Parseval, exactly the imaginary part of the
+self-conjugate modes: the check is evaluated there, and those parts are
+then set to 0.
 """
 
 from __future__ import annotations
@@ -67,14 +74,15 @@ import numpy as np
 import scipy.linalg
 
 from paraopt_kit.analysis import assemble_block_system
-from paraopt_kit.core import _require
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.problem import TimeDecomposition
 from paraopt_kit.propagators import (
     AffinePropagator,
     FourierBasis,
     dense_maps,
+    flat,
     linear_action,
+    stack,
 )
 
 
@@ -158,11 +166,12 @@ class PreconditionerPlan:
     circulant eigenvalues d_l, prepared once and reused across all outer
     Newton iterations.
 
-    ``basis`` is the space apply_inverse acts in: the real coefficients of
-    the coarse propagator's FourierBasis when it has one, grid values when
-    it is None. A vector is real and is read as the (2, L_hat, M) stack of
-    its state and adjoint rows, ``M`` the length of one row. ``blocks``
-    names how the frequency blocks are solved:
+    ``basis`` is the space apply_inverse acts in: the half spectra of the
+    coarse propagator's FourierBasis when it has one, grid values when it
+    is None. A vector is real and is read as the (2, L_hat, m) stack of
+    its state and adjoint rows: grid values of length ``M``, or the half
+    spectra of which it is the real view. ``blocks`` names how the
+    frequency blocks are solved:
 
     - ``"spectral"``: the coarse maps are diagonal in ``basis``, so every
       block splits into independent 2 x 2 (general method) or scalar
@@ -173,7 +182,8 @@ class PreconditionerPlan:
       each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
       (triangular), is LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
-      the propagator callbacks, in ``basis`` (general method only). The
+      the propagator callbacks, in ``basis`` (general method only), on the
+      two half spectra of its frequency in a FourierBasis. The
       blocks are solved to 1e-12, far below core.SLICE_LEAK_RTOL, so in a
       FourierBasis the solve runs its slice-space inner GMRES with this
       plan as with a spectral one.
@@ -192,34 +202,40 @@ class PreconditionerPlan:
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """P(alpha)^{-1} v, v and the result real and in the plan's basis,
-        read as the (2, L_hat, M) stack of state and adjoint rows. General
+        read as the (2, L_hat, m) stack of state and adjoint rows: grid
+        values, or the half spectra of which v is the real view. General
         method (|alpha| = 1): one diagonalized solve of the whole stack.
         Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
         bottom-right block first, then the top-left block on the corrected
-        right-hand side. The spectral path runs on the half spectrum of
-        the basis: its change acts on the space index and the FFT on the
-        time index, so they commute. Raises ValueError unless v is real
-        and has 2 L_hat M entries for the plan's L_hat and M."""
-        _require("the length of v", len(v), "2 L_hat M",
-                 2 * self.L_hat * self.M)
+        right-hand side. On half spectra the FFT acts on the time index and
+        the basis on the space index, so they commute. Raises ValueError
+        unless v is real data: a real vector of 2 L_hat (M + s) entries
+        for the plan's L_hat and M (see propagators.stack), whose
+        self-conjugate modes have no finite nonzero imaginary part."""
         if np.iscomplexobj(v):
             raise ValueError(f"v must be real, as P(alpha) is; got {v.dtype}")
-        spectral = self.blocks == "spectral"
+        vw = stack(self.basis, v, (2, self.L_hat), self.M)
+        if self.basis is not None:
+            imag = vw[..., :self.basis.self_count].imag
+            if np.any(imag[np.isfinite(imag)]):
+                raise ValueError("v is not real data: a self-conjugate mode "
+                                 "has an imaginary part")
         g = self.gamma_diag
-        vw = np.reshape(v, (2, self.L_hat, self.M))
-        if spectral:
-            vw = self.basis.to_half(vw)
         if self.method is InversionMethod.GENERAL:
             xz = _diagonal_solve(vw, g, self._solves[0])
         else:
             solve_P, solve_Q, couple = self._solves
             z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solve_Q)
             xz = np.stack([_diagonal_solve(vw[0] - couple(z), g, solve_P), z])
-        if spectral:
-            _check_real(xz, xz[..., :self.basis.self_count].imag)
-            return self.basis.from_half(xz).ravel()
-        _check_real(xz, xz.imag)
-        return xz.real.ravel()
+        if self.basis is None:
+            _check_real(xz, xz.imag)
+            return xz.real.ravel()
+        # real data have no imaginary part on the self-conjugate modes, so
+        # that part of the result is rounding, as the whole of it on the grid
+        s = self.basis.self_count
+        _check_real(xz, xz[..., :s].imag)
+        xz[..., :s].imag = 0.0
+        return flat(xz)
 
 
 def _require_nonsingular(pivots: np.ndarray, scales: np.ndarray,
@@ -237,9 +253,9 @@ def _require_nonsingular(pivots: np.ndarray, scales: np.ndarray,
 
 def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
                      basis: FourierBasis) -> tuple:
-    """Closed-form per-(frequency, mode) solves on stacks of coefficients
-    in the common eigenbasis of the four maps, whose eigenvalues on the
-    half spectrum of basis diagonals holds: the (2, L_hat, m) stack for
+    """Closed-form per-(frequency, mode) solves on stacks of half spectra
+    of basis, the common eigenbasis of the four maps, whose eigenvalues
+    there diagonals holds: the (2, L_hat, m) stack for
     the general method, (L_hat, m) ones for the triangular. A solve
     singular to rounding raises ValueError."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals

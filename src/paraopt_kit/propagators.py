@@ -17,19 +17,20 @@ Where the basis comes from: a problem whose K is a
 :class:`paraopt_kit.problem.PeriodicStencil` (every built-in problem)
 carries K's eigenvalues on the grid's 2-D DFT
 (:attr:`LinearControlProblem.symbol`). Both builders then work per mode of
-the half spectrum of the grid's real :class:`FourierBasis`, on its
-eigenvalues as a stack of 1 x 1 matrices, with the targets moved in by
-2-D FFTs. Such a propagator lives in that basis: it is the eigenvalues of
-its four maps there, its offsets as real coefficients and the basis, with
-no M x M map, and it acts on coefficients only, one product per mode
-(:class:`ModeMap`). A dense K, block-circulant or not, takes the dense
-path: the implicit-Euler composition runs on it, one M x M solve per step,
+the half spectrum of the grid's :class:`FourierBasis`, on its eigenvalues
+as a stack of 1 x 1 matrices, with the targets moved in by 2-D FFTs.
+Such a propagator lives in that basis: it is the eigenvalues of its four
+maps there, its offsets as half spectra and the basis, with no M x M map,
+and each of its actions is one product with the eigenvalues of a map. A
+dense K, block-circulant or not, takes the dense path: the
+implicit-Euler composition runs on it, one M x M solve per step,
 O(J M^3), and the exact build diagonalizes a symmetric K with eigh; those
 propagators hold the dense maps and grid offsets, so grid values are their
 basis. A dense map of either kind, in the propagator's basis, for the
-oracles and tests, comes from :func:`dense_maps`, which applies the
-actions to the unit vectors. Grid values enter and leave a per-mode
-propagator only through :func:`paraopt_kit.core.paraopt_solve` and
+oracles and tests, comes from :func:`dense_maps`: M x M on grid values,
+(M + s) x (M + s) on the real view of the half spectrum. Grid values
+enter and leave a per-mode propagator only through
+:func:`paraopt_kit.core.paraopt_solve` and
 :func:`paraopt_kit.core.matching_residual`. The dense coupled
 J-step system survives only as the brute-force oracle behind
 :func:`extract_phi_psi_scalar`.
@@ -57,40 +58,54 @@ class AffinePropagator:
     Offsets are indexed by sub-interval (length L); the maps are
     interval-independent. With ``basis`` None, ``maps`` holds
     (Phi_P, Psi_P, Phi_Q, Psi_Q) as M x M matrices and the offsets hold
-    grid values. For a problem with a ``symbol``, ``basis`` is the grid's
-    :class:`FourierBasis`, ``maps`` holds their eigenvalues on its half
-    spectrum, one row per map, shape (4, len(basis.half)), and the offsets
-    hold its real coefficients: no M x M map is formed (:func:`dense_maps`
-    forms them on demand, in that basis).
+    grid values, (L, M). For a problem with a ``symbol``, ``basis`` is the
+    grid's :class:`FourierBasis`, ``maps`` holds their eigenvalues on its
+    half spectrum, one row per map, shape (4, len(basis.half)), and the
+    offsets hold half spectra, (L, len(basis.half)): no M x M map is
+    formed (:func:`dense_maps` forms them on demand, in that basis).
     """
 
     maps: object  # (Phi_P, Psi_P, Phi_Q, Psi_Q): M x M, or rows of modes
-    b_P: np.ndarray  # (L, M)
-    b_Q: np.ndarray  # (L, M)
+    b_P: np.ndarray  # (L, M), or (L, len(basis.half)) half spectra
+    b_Q: np.ndarray
     objective: ObjectiveKind
     basis: Optional[FourierBasis] = field(default=None, repr=False)
 
     @property
     def M(self) -> int:
-        return self.b_P.shape[-1]
+        return self.b_P.shape[-1] if self.basis is None else self.basis.M
 
     @functools.cached_property
     def actions(self) -> tuple:
         """(Phi_P, Psi_P, Phi_Q, Psi_Q) as actions on the rows of a stack
-        in the propagator's basis: products with the matrices, or one
-        :class:`ModeMap` per map; built on first use and kept."""
+        in the propagator's basis, grid values or half spectra: products
+        with the matrices, or with the eigenvalues; built on first use and
+        kept. Real eigenvalues scale the real view of a half spectrum, so
+        that no 0 * inf of a complex product turns an overflow into NaN."""
         if self.basis is None:
             return tuple((lambda v, X=X: v @ X.T) for X in self.maps)
-        return tuple(ModeMap(self.basis, x) for x in self.maps)
+        return tuple(_mode_action(x) for x in self.maps)
+
+
+def _mode_action(x: np.ndarray):
+    """The product with eigenvalues x on the rows of a stack of half
+    spectra, a complex array contiguous along its last axis."""
+    if np.imag(x).any():
+        return lambda v: v * x
+    x = np.repeat(np.real(x), 2)
+    return lambda v: (v.view(float) * x).view(complex)
 
 
 def dense_maps(prop: AffinePropagator) -> tuple:
-    """(Phi_P, Psi_P, Phi_Q, Psi_Q) of an AffinePropagator as dense M x M
-    matrices in its basis (grid values, or the real coefficients of its
-    FourierBasis), formed from its actions on the unit vectors: O(M^2)
-    memory each, for the dense oracles and tests."""
-    I = np.eye(prop.M)
-    return tuple(act(I).T for act in prop.actions)
+    """(Phi_P, Psi_P, Phi_Q, Psi_Q) of an AffinePropagator as dense
+    matrices in its basis, for the dense oracles and tests: the M x M maps
+    of grid values, or, with a FourierBasis, the (M + s) x (M + s) maps of
+    the real view of its half spectra (s = basis.self_count), formed from
+    the actions on the unit vectors."""
+    if prop.basis is None:
+        return tuple(prop.maps)
+    I = np.eye(2 * len(prop.basis.half))
+    return tuple(act(I.view(complex)).view(float).T for act in prop.actions)
 
 
 def _interval_count(problem: LinearControlProblem, DT: float) -> int:
@@ -102,26 +117,27 @@ def _interval_count(problem: LinearControlProblem, DT: float) -> int:
 
 
 class FourierBasis:
-    """Real orthonormal Fourier basis of the x1-major n x n grid, M = n^2.
+    """Orthonormal Fourier basis of real data on the x1-major n x n grid,
+    M = n^2: the half spectrum.
 
     The coefficients c(k) of real grid data in the unitary 2-D DFT come in
     conjugate pairs, c(-k) = conj c(k), so one representative k of each
     pair {k, -k} carries both, and the self-conjugate modes (k = -k: the
-    mean, and for even n the three Nyquist modes) are real. A real vector
-    of length M holds them as
+    mean, and for even n the three Nyquist modes) are real. The half
+    spectrum of real data is the complex vector
 
-        [c(k), k self-conjugate | sqrt2 Re c(k) | sqrt2 Im c(k), k in pairs]
+        [c(k), k self-conjugate | sqrt2 c(k), k in pairs]
 
-    (:meth:`coefficients`, :meth:`grid`). The change is orthogonal, so
-    norms and inner products are those of the grid. The half spectrum is
-    the complex vector [c(k), k self-conjugate | sqrt2 c(k), k in pairs],
-    of length about M/2 + 2 and of the same norm (:meth:`to_half`,
-    :meth:`from_half`); a map with DFT eigenvalues x acts on it as the
-    product with x[half], one mode at a time. Real data are the only
-    input: a complex vector would need both members of each pair.
-    ``half`` indexes those modes in the k1-major order of the DFT
+    of length about M/2 + 2 (:meth:`coefficients`, :meth:`grid`); a map
+    with DFT eigenvalues x acts on it as the product with x[half], one
+    mode at a time. Its real view (``.view(float)``), of length M + s, is
+    the coordinate vector the solve runs on (:func:`stack` and
+    :func:`flat` convert between the two): the change is orthogonal, so
+    norms and inner products are those of the grid. Its s slots for the
+    imaginary parts of the self-conjugate modes are 0 for real data.
+    ``half`` indexes the modes in the k1-major order of the DFT
     (np.fft.fft2 of the grid), self-conjugate ones first, and
-    ``self_count`` is their number: one for odd n, four for even n.
+    ``self_count`` is their number s: one for odd n, four for even n.
     """
 
     def __init__(self, M: int):
@@ -135,76 +151,66 @@ class FourierBasis:
         self.self_count = int(np.sum(neg == k))
         pairs = k[k < neg]
         self.half = np.concatenate([k[neg == k], pairs])
-        self._partners = neg[pairs]
+        partners = neg[pairs]
         # the real FFT's half plane, rows k1 = 0..n//2 of the DFT, holds
         # every mode of half at its own index, and the partners -k of the
         # pairs in rows k1 = 0 and n/2, which its inverse needs as well
         self._plane = (n // 2 + 1, n)
-        inside = self._partners < self._plane[0] * n
+        inside = partners < self._plane[0] * n
         self._inside = (np.flatnonzero(inside) + self.self_count,
-                        self._partners[inside])
-
-    def to_half(self, c: np.ndarray) -> np.ndarray:
-        """Half spectrum of real coefficients, over the last axis."""
-        s, p = self.self_count, len(self._partners)
-        h = np.empty(c.shape[:-1] + (s + p,), complex)
-        h[..., :s] = c[..., :s]
-        h[..., s:].real = c[..., s:s + p]
-        h[..., s:].imag = c[..., s + p:]
-        return h
-
-    def from_half(self, h: np.ndarray) -> np.ndarray:
-        """Real coefficients of a half spectrum, over the last axis: the
-        imaginary part of its self-conjugate modes, which real data do not
-        have, is dropped."""
-        s = self.self_count
-        return np.concatenate([h[..., :s].real, h[..., s:].real,
-                               h[..., s:].imag], axis=-1)
+                        partners[inside])
 
     def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """Real coefficients of real grid values, over the last axis."""
+        """Half spectra of real grid values, over the last axis, with the
+        imaginary parts of the self-conjugate modes exactly 0."""
         batch, n = x.shape[:-1], self.n
         # the real transform runs over x1, so that the plane is k1-major
         c = np.fft.rfftn(x.reshape(batch + (n, n)), axes=(-1, -2),
                          norm="ortho").reshape(batch + (self._plane[0] * n,))
-        c = c[..., self.half]
+        c = np.take(c, self.half, axis=-1)  # contiguous, to view as real
+        c[..., :self.self_count].imag = 0.0
         c[..., self.self_count:] *= np.sqrt(2.0)
-        return self.from_half(c)
+        return c
 
-    def grid(self, c: np.ndarray) -> np.ndarray:
-        """Real grid values of real coefficients, over the last axis."""
-        batch, n = c.shape[:-1], self.n
-        h = self.to_half(c)
+    def grid(self, h: np.ndarray) -> np.ndarray:
+        """Real grid values of half spectra, over the last axis: the
+        imaginary parts of their self-conjugate modes, which real data do
+        not have, are dropped."""
+        batch, n = h.shape[:-1], self.n
+        h = h.copy()
         h[..., self.self_count:] /= np.sqrt(2.0)
         plane = np.zeros(batch + (self._plane[0] * n,), complex)
         plane[..., self.half] = h
         pairs, partners = self._inside
         plane[..., partners] = h[..., pairs].conj()
         return np.fft.irfftn(plane.reshape(batch + self._plane), s=(n, n),
-                             axes=(-1, -2), norm="ortho").reshape(c.shape)
+                             axes=(-1, -2),
+                             norm="ortho").reshape(batch + (self.M,))
 
 
-class ModeMap:
-    """The action of a real map with eigenvalues x (its half spectrum, in
-    the order of FourierBasis.half) on real coefficients, over the last
-    axis: per pair, sqrt2 (Re, Im) c(k) goes to sqrt2 (Re, Im) x(k) c(k),
-    so the imaginary part of x couples the two halves; a real x (a
-    symmetric map) skips that step."""
+def stack(basis: Optional[FourierBasis], v: np.ndarray, shape: tuple,
+          M: int) -> np.ndarray:
+    """The stack, of shape ``shape`` + (m,), of the rows that a real
+    vector v of the solve holds: grid values (m = M) without a basis, else
+    the half spectra (m = len(basis.half)) of which v is the real view.
+    Raises ValueError unless v has prod(shape) (M + s) entries, s =
+    ``basis.self_count`` (0 without a basis). The inverse of :func:`flat`."""
+    s = 0 if basis is None else basis.self_count
+    rows = math.prod(shape)
+    if np.size(v) != rows * (M + s):
+        raise ValueError(f"the length of v is {np.size(v)}, but {rows} rows "
+                         f"of M + s = {M + s} are {rows * (M + s)}")
+    v = np.ascontiguousarray(v).reshape(shape + (M + s,))
+    return v if basis is None else v.view(complex)
 
-    def __init__(self, basis: FourierBasis, x: np.ndarray):
-        s = basis.self_count
-        self._re = np.concatenate([x.real, x[s:].real])
-        im = x[s:].imag
-        self._im = im if im.any() else None
-        self._s = s
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        out = v * self._re
-        if self._im is not None:
-            s, p = self._s, len(self._im)
-            out[..., s:s + p] -= self._im * v[..., s + p:]
-            out[..., s + p:] += self._im * v[..., s:s + p]
-        return out
+def flat(h: np.ndarray) -> np.ndarray:
+    """The flat real vector of the solve that holds a stack of rows: the
+    real view of half spectra (complex h), else grid values. h is copied
+    first when its last axis is not contiguous, as in the output of an FFT
+    along another axis on numpy 1.x. The inverse of :func:`stack`."""
+    h = np.ascontiguousarray(h)
+    return (h.view(float) if np.iscomplexobj(h) else h).ravel()
 
 
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
@@ -235,17 +241,16 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     else:  # one 1 x 1 K per mode of the half spectrum, and the targets'
         basis = FourierBasis(problem.M)  # modes as its columns
         K = symbol[basis.half].reshape(-1, 1, 1)
-        target = lambda j: basis.to_half(
-            basis.coefficients(sample(j))).T[:, None, :]
+        target = lambda j: basis.coefficients(sample(j)).T[:, None, :]
     maps = implicit_euler_maps(K, tau, gh, J, obj, variant,
                                target if tracking else None)
-    offsets = np.zeros((2, L, problem.M))
+    dtype = float if symbol is None else complex  # grid values, half spectra
+    offsets = np.zeros((2, L, len(K)), dtype)
+    if tracking:  # b_P of one step is a real zero
+        offsets = [b.reshape(len(K), L).T.astype(dtype, order="C")
+                   for b in maps[4:]]
     if symbol is None:
-        if tracking:
-            offsets = [b.T.copy() for b in maps[4:]]
         return AffinePropagator(tuple(maps[:4]), *offsets, objective=obj)
-    if tracking:
-        offsets = [basis.from_half(b[:, 0, :].T) for b in maps[4:]]
     return AffinePropagator(np.stack([X[:, 0, 0] for X in maps[:4]]),
                             *offsets, objective=obj, basis=basis)
 
@@ -253,7 +258,7 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
 def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
                             w: np.ndarray, phi: np.ndarray, psi: np.ndarray,
                             to_modes, from_modes) -> np.ndarray:
-    """Offsets (b_P, b_Q), stacked into one (2, L, M) array, of the exact
+    """Offsets (b_P, b_Q), stacked into one (2, L, m) array, of the exact
     tracking maps with coefficients (phi, psi) at the eigenvalues w of K,
     for a target y_d that is affine in t on each sub-interval. to_modes
     changes the last axis of a stack of grid values into K's eigenbasis,
@@ -318,8 +323,7 @@ def build_exact_propagator(problem: LinearControlProblem,
         basis = FourierBasis(problem.M)
         # a symmetric K has a real symbol
         w = symbol[basis.half].real
-        to_modes = lambda x: basis.to_half(basis.coefficients(x))
-        from_modes = basis.from_half
+        to_modes, from_modes = basis.coefficients, (lambda c: c)
     tracking = problem.objective is ObjectiveKind.TRACKING
     gh = DT / np.sqrt(problem.gamma) if tracking else DT / problem.gamma
     closed_form = _tracking_exact if tracking else _tc_exact
@@ -333,9 +337,10 @@ def build_exact_propagator(problem: LinearControlProblem,
     else:
         maps = np.stack(pair(pp.phi, pp.psi))
 
+    dtype = float if basis is None else complex  # grid values, half spectra
     b_P, b_Q = (_exact_tracking_offsets(problem, DT, L, w, pp.phi, pp.psi,
                                         to_modes, from_modes)
-                if tracking else np.zeros((2, L, problem.M)))
+                if tracking else np.zeros((2, L, len(w)), dtype))
     return AffinePropagator(maps, b_P, b_Q, problem.objective, basis)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -34,9 +35,8 @@ from paraopt_kit.problem import (
 from paraopt_kit.propagators import (
     build_exact_propagator,
     build_implicit_euler_propagator,
-    dense_maps,
 )
-from test_propagators import bccb, coefficient_matrix
+from test_propagators import bccb, coefficient_matrix, propagate, real_data
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -54,6 +54,8 @@ def tracking_setup(L=6, J_fine=8, J_coarse=1):
 
 
 def terminal_setup(L=5, J_fine=8, J_coarse=1):
+    # the 1 x 1 stencil: M = 1 in a FourierBasis, whose real view adds
+    # the zero imaginary slot of the one mode to every row
     p = make_scalar_problem(2.0, 0.5, 2.5, TC, y_target=0.3)
     d = make_decomposition(p, L=L, J_fine=J_fine, J_coarse=J_coarse)
     fine = build_implicit_euler_propagator(p, d.DT, J_fine)
@@ -61,12 +63,20 @@ def terminal_setup(L=5, J_fine=8, J_coarse=1):
     return p, d, fine, coarse
 
 
+def to_grid(basis, v):
+    """Grid values, flat, of a flat vector of the solve in basis."""
+    if basis is None:
+        return v
+    return basis.grid(v.reshape(-1, 2 * len(basis.half)).view(complex)).ravel()
+
+
 class TestMatchingResidual:
     @pytest.mark.parametrize("setup", [tracking_setup, terminal_setup])
     def test_dense_solution_has_zero_residual(self, setup):
         p, d, fine, _ = setup()
         A, b = assemble_system(fine, p, d)
-        x = PairedTrajectory.from_vector(np.linalg.solve(A, b), d.L_hat, p.M)
+        x = PairedTrajectory.from_vector(
+            to_grid(fine.basis, np.linalg.solve(A, b)), d.L_hat, p.M)
         assert np.linalg.norm(matching_residual(fine, p, d, x)) < 1e-12
 
     def test_residual_is_affine(self):
@@ -92,34 +102,28 @@ class TestMatchingResidual:
         with pytest.raises(TypeError, match="PairedTrajectory"):
             matching_residual(fine, p, d, np.zeros(2 * d.L_hat * p.M))
         # the operators of the solve: a wrong length, or a propagator or
-        # plan of another M, used to fail inside a numpy reshape
+        # plan of another M, used to fail inside a numpy reshape. The
+        # scalar problem's rows are the real view of its one mode, M + s = 2
         plan = build_plan(fine, d, -1.0, InversionMethod.GENERAL)
         scalar = build_implicit_euler_propagator(
             make_scalar_problem(1.0, 0.3, p.T, TR), d.DT, 1)
         cases = [
             (lambda v: apply_jacobian(fine, TR, d, v), 21, 20),
             (plan.apply_inverse, 21, 20),
-            (lambda v: apply_jacobian(scalar, TR, d, v), 20, 10),
+            (lambda v: apply_jacobian(scalar, TR, d, v), 10, 20),
             (build_plan(scalar, d, -1.0, InversionMethod.GENERAL)
-             .apply_inverse, 20, 10),
+             .apply_inverse, 10, 20),
         ]
         for apply, got, want in cases:
-            with pytest.raises(ValueError, match=f"length of v is {got}, "
-                                                 f"but 2 L_hat M is {want}"):
+            msg = rf"length of v is {got}, but 10 rows of M \+ s = 2 are {want}"
+            with pytest.raises(ValueError, match=msg):
                 apply(np.zeros(got))
 
 
-def propagate(prop, l, y_prev, lam_next):
-    """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
-    Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(prop)
-    y_next = Phi_P @ y_prev - Psi_P @ lam_next + prop.b_P[l - 1]
-    lam_prev = Psi_Q @ y_prev + Phi_Q @ lam_next + prop.b_Q[l - 1]
-    return y_next, lam_prev
-
-
 def loop_residual(fine, problem, decomp, x):
-    """Reference: the matching conditions evaluated one interval at a time."""
-    Lh, M = decomp.L_hat, problem.M
+    """Reference: the matching conditions evaluated one interval at a time,
+    on rows of the length of those of x."""
+    Lh, M = x.y.shape
     r = np.zeros(2 * Lh * M)
     for l in range(1, Lh + 1):
         y_prev = problem.y_init if l == 1 else x.y[l - 2]
@@ -141,29 +145,30 @@ def check_oracles_in_basis(p, d, fine, rng):
     the loop reference moved to the grid."""
     M, basis = p.M, fine.basis
     Q = np.eye(M) if basis is None else coefficient_matrix(basis)
-    to_grid = ((lambda c: c) if basis is None else
-               (lambda c: basis.grid(c.reshape(-1, M)).ravel()))
+    m = len(Q)  # M, or M + s on the real view of half spectra
     # the loop reference takes y_init and y_target in the basis too
-    p_basis = dataclasses.replace(p, y_init=Q @ p.y_init,
-                                  y_target=Q @ p.y_target)
-    n = 2 * d.L_hat * M
-    v = rng.standard_normal(n)  # in the basis of fine
-    x = PairedTrajectory.from_vector(v, d.L_hat, M)
+    p_basis = types.SimpleNamespace(objective=p.objective,
+                                    y_init=Q @ p.y_init,
+                                    y_target=Q @ p.y_target)
+    n = 2 * d.L_hat * m
+    v = (rng.standard_normal(n) if basis is None else
+         real_data(basis, rng, n // m).ravel())  # in the basis of fine
+    x = PairedTrajectory.from_vector(v, d.L_hat, m)
 
     A, b = assemble_system(fine, p, d)
     tol = 1e-12 * (1.0 + np.linalg.norm(A) + np.linalg.norm(b))
     ref = loop_residual(fine, p_basis, d, x)
     np.testing.assert_allclose(A @ v - b, ref, atol=tol)
-    on_grid = PairedTrajectory.from_vector(to_grid(v), d.L_hat, M)
+    on_grid = PairedTrajectory.from_vector(to_grid(basis, v), d.L_hat, M)
     np.testing.assert_allclose(matching_residual(fine, p, d, on_grid),
-                               to_grid(ref), atol=tol)
+                               to_grid(basis, ref), atol=tol)
     # the Jacobian is the linear part of the loop reference
-    zero = PairedTrajectory.zeros(d.L_hat, M)
+    zero = PairedTrajectory.zeros(d.L_hat, m)
     r0 = loop_residual(fine, p_basis, d, zero)
     e = np.eye(n)
     A_loop = np.column_stack([
         loop_residual(fine, p_basis, d,
-                      PairedTrajectory.from_vector(e[:, j], d.L_hat, M))
+                      PairedTrajectory.from_vector(e[:, j], d.L_hat, m))
         - r0 for j in range(n)])
     np.testing.assert_allclose(A, A_loop, atol=tol)
     np.testing.assert_allclose(apply_jacobian(fine, p.objective, d, v),
@@ -171,7 +176,7 @@ def check_oracles_in_basis(p, d, fine, rng):
 
 
 # stencil problems of the heat and of the advection-diffusion K, whose
-# complex symbol couples the two halves of the real Fourier basis
+# complex symbol multiplies each half spectrum as complex numbers
 _STENCILS = [(make_heat_problem, 2), (make_heat_problem, 3),
              (make_advection_diffusion_problem, 3),
              (make_advection_diffusion_problem, 4)]
@@ -206,7 +211,7 @@ class TestJacobianAction:
            objective=st.sampled_from([TR, TC]))
     def test_stencil_maps_match_oracles_in_their_basis(self, make, n, seed,
                                                         L, objective):
-        """A stencil K, whose propagator lives in the real Fourier basis."""
+        """A stencil K, whose propagator lives in the half spectrum."""
         rng = np.random.default_rng(seed)
         p = make(n, 10.0 ** rng.uniform(-2, 1), 2.0, objective)
         d = make_decomposition(p, L=L, J_fine=int(rng.integers(1, 5)),
@@ -218,10 +223,11 @@ class TestJacobianAction:
     def test_terminal_corner_is_identity_coupling(self):
         p, d, fine, _ = terminal_setup()
         A = assemble_jacobian(fine, p.objective, d)
-        Lh = d.L_hat
-        # last adjoint row: lam_Lhat - y_Lhat
-        np.testing.assert_allclose(A[-1, Lh - 1], -1.0)
-        np.testing.assert_allclose(A[-1, -1], 1.0)
+        Lh, m = d.L_hat, p.M + fine.basis.self_count
+        blocks = A.reshape(2 * Lh, m, 2 * Lh, m)
+        # last adjoint row: lam_Lhat - y_Lhat, on both slots of the mode
+        np.testing.assert_allclose(blocks[-1, :, Lh - 1], -np.eye(m))
+        np.testing.assert_allclose(blocks[-1, :, -1], np.eye(m))
 
 
 class TestPairedTrajectory:
@@ -252,7 +258,8 @@ class TestParaoptSolve:
         x, log = paraopt_solve(p, d, fine, coarse, cfg)
         assert log.converged
         np.testing.assert_allclose(
-            np.concatenate([x.y.ravel(), x.lam_hat.ravel()]), ref, atol=1e-8)
+            np.concatenate([x.y.ravel(), x.lam_hat.ravel()]),
+            to_grid(fine.basis, ref), atol=1e-8)
 
     def test_log_rows_match_records(self):
         p, d, fine, coarse = tracking_setup()
@@ -298,7 +305,7 @@ _BASIS_SOLVES = [
 @pytest.mark.parametrize("make,objective,fine,precond", _BASIS_SOLVES)
 def test_coefficient_solve_matches_dense_solve(make, objective, fine, precond,
                                                n):
-    """The solve in the real Fourier basis against the dense grid solve of
+    """The solve in the Fourier basis against the dense grid solve of
     the same problem on its dense K: trajectories that agree to the outer
     tolerance, and grid residuals of the per-mode propagator that match
     the dense one's."""
@@ -469,17 +476,18 @@ def _slice_space(make, case, n, L, black_box=False):
 def test_reduced_inner_solve_matches_flexible_gmres(make, case, n, L,
                                                     on_slices, black_box,
                                                     seed):
-    """GMRES on T in the (1 + 2M)-dimensional slice space takes the steps of
-    flexible GMRES on (A_tilde, P(alpha)^{-1}) from the same b: the same
-    count, residual history and correction, odd and even grids, heat and
-    advection-diffusion, both objectives and both methods, with closed-form
-    and (general method) black-box block solves; a b on the two slices
-    alone (on_slices, and every b at L_hat = 1) has no b_hat."""
+    """GMRES on T in the (1 + 2(M + s))-dimensional slice space takes the
+    steps of flexible GMRES on (A_tilde, P(alpha)^{-1}) from the same b:
+    the same count, residual history and correction, odd and even grids,
+    heat and advection-diffusion, both objectives and both methods, with
+    closed-form and (general method) black-box block solves; a b on the
+    two slices alone (on_slices, and every b at L_hat = 1) has no b_hat."""
     black_box = black_box and case[2] is InversionMethod.GENERAL
     p, d, _, plan, op = _slice_space(make, case, n, L, black_box)
-    b = np.random.default_rng(seed).standard_normal(2 * d.L_hat * p.M)
+    b = real_data(plan.basis, np.random.default_rng(seed), 2 * d.L_hat)
     if on_slices:
-        b.reshape(2 * d.L_hat, p.M)[1:-1] = 0.0
+        b[1:-1] = 0.0
+    b = b.ravel()
     cfg = GmresConfig(rel_tolerance=1e-8)
     want, want_rep = gmres(op, b, precond=plan.apply_inverse, cfg=cfg)
     space = _SliceSpace(plan, op)
@@ -495,15 +503,55 @@ def test_reduced_inner_solve_matches_flexible_gmres(make, case, n, L,
                                   make_advection_diffusion_problem])
 @pytest.mark.parametrize("case", _SLICE_CASES)
 def test_slice_coupling_matches_dense_oracle(make, case):
-    """The per-mode 2 x 2 blocks G, as a real map on the 2M coordinates of
-    the slices y_1 and lam_Lhat, are S^T (A_tilde P(alpha)^{-1} - I) S of
-    the dense assemble_jacobian and assemble_P_alpha, at n = 4."""
+    """The per-mode 2 x 2 blocks G, as a real map on the 2 (M + s)
+    coordinates of the real view of the slices y_1 and lam_Lhat, are
+    S^T (A_tilde P(alpha)^{-1} - I) S of the dense assemble_jacobian and
+    assemble_P_alpha, at n = 4, self-conjugate imaginary slots included."""
     p, d, coarse, plan, op = _slice_space(make, case, 4, 5)
-    Lh, M = d.L_hat, p.M
+    Lh, m = d.L_hat, p.M + plan.basis.self_count
     At = assemble_jacobian(coarse, case[0], d)
     P = assemble_P_alpha(coarse, d, case[3])
-    S = np.r_[0:M, (2 * Lh - 1) * M:2 * Lh * M]
-    want = (At @ np.linalg.inv(P) - np.eye(2 * Lh * M))[np.ix_(S, S)]
+    S = np.r_[0:m, (2 * Lh - 1) * m:2 * Lh * m]
+    want = (At @ np.linalg.inv(P) - np.eye(2 * Lh * m))[np.ix_(S, S)]
     space = _SliceSpace(plan, op)
-    got = np.column_stack([space._couple(e) for e in np.eye(2 * M)])
+    got = np.column_stack([space._couple(e) for e in np.eye(2 * m)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([make_heat_problem,
+                             make_advection_diffusion_problem]),
+       case=st.sampled_from(_SLICE_CASES), n=st.integers(3, 6),
+       L=st.integers(2, 5), black_box=st.booleans(),
+       seed=st.integers(0, 2**16),
+       residue=st.floats(allow_nan=False, allow_infinity=False).filter(
+           lambda r: r != 0.0))
+def test_real_data_in_real_data_out(make, case, n, L, black_box, seed,
+                                    residue):
+    """Real data have no imaginary part on the self-conjugate modes: those
+    slots of the real view are exactly 0 in what coefficients,
+    apply_jacobian, apply_inverse and _SliceSpace._couple return, odd and
+    even grids, heat and advection-diffusion, spectral general and
+    triangular and black-box plans. apply_inverse refuses a finite nonzero
+    one with ValueError, as it refuses complex input, and leaves a
+    non-finite one to the solve's finiteness checks."""
+    black_box = black_box and case[2] is InversionMethod.GENERAL
+    p, d, _, plan, op = _slice_space(make, case, n, L, black_box)
+    s = plan.basis.self_count
+    slots = lambda v: v.reshape(-1, p.M + s)[:, 1:2 * s:2]
+    rng = np.random.default_rng(seed)
+    v = real_data(plan.basis, rng, 2 * d.L_hat).ravel()
+    couple = _SliceSpace(plan, op)._couple
+    for out in (v, op(v), plan.apply_inverse(v),
+                couple(real_data(plan.basis, rng, 2).ravel())):
+        assert not slots(out).any()
+    row, mode = rng.integers(2 * d.L_hat), rng.integers(s)
+    slots(v)[row, mode] = residue
+    with pytest.raises(ValueError, match="not real data"):
+        plan.apply_inverse(v)
+    slots(v)[row, mode] = np.nan
+    with np.errstate(all="ignore"):
+        try:
+            plan.apply_inverse(v)
+        except FloatingPointError:  # a black-box block's GMRES refuses it
+            pass

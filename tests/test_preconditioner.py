@@ -29,7 +29,7 @@ from paraopt_kit.propagators import (
     dense_maps,
     linear_action,
 )
-from test_propagators import bccb
+from test_propagators import bccb, real_data
 
 TR = ObjectiveKind.TRACKING
 TC = ObjectiveKind.TERMINAL_COST
@@ -200,16 +200,47 @@ class TestApplyInverse:
     def test_real_input_keeps_conjugate_pairs(self, make):
         # at n = 16 numpy's fft2 of real data misses Hermitian symmetry in
         # the last bit, and P(1e-30)^{-1} amplified that into an imaginary
-        # residue of 0.4 (heat) and 0.6 (advection) of the result; the real
-        # Fourier basis holds each conjugate pair as one mode
+        # residue of 0.4 (heat) and 0.6 (advection) of the result; the half
+        # spectrum holds each conjugate pair as one mode
         p = make(16, 0.05, 2.0, TC)
         d = make_decomposition(p, L=11, J_fine=10, J_coarse=1)
         coarse = build_implicit_euler_propagator(p, d.DT, 1)
         plan = build_plan(coarse, d, 1e-30, InversionMethod.TRIANGULAR)
         assert plan.blocks == "spectral"
-        v = np.random.default_rng(0).standard_normal(2 * d.L_hat * p.M)
-        x = plan.apply_inverse(v)
+        v = real_data(plan.basis, np.random.default_rng(0), 2 * d.L_hat)
+        x = plan.apply_inverse(v.ravel())
         assert x.dtype == np.float64 and np.all(np.isfinite(x))
+
+
+def _numpy1_layout(fft):
+    """fft (or ifft) as numpy 1.x returns a transform along an axis other
+    than the last: a C-ordered transform of the axis swapped to last,
+    swapped back, so that the last axis of the result is not contiguous."""
+    def transform(a, n=None, axis=-1, norm=None):
+        out = fft(np.swapaxes(a, axis, -1), n=n, axis=-1, norm=norm)
+        return np.swapaxes(np.ascontiguousarray(out), axis, -1)
+    return transform
+
+
+@pytest.mark.parametrize("objective,method,small", [
+    (TR, InversionMethod.GENERAL, SmallSystemMethod.EXPLICIT_DIRECT),
+    (TC, InversionMethod.TRIANGULAR, SmallSystemMethod.EXPLICIT_DIRECT),
+    (TR, InversionMethod.GENERAL, SmallSystemMethod.BLACK_BOX_ITERATIVE)])
+def test_apply_inverse_ignores_fft_layout(monkeypatch, objective, method,
+                                          small):
+    """The real view of P(alpha)^{-1} v does not depend on the memory
+    layout of the FFTs in time, which differs between numpy 1.x and 2."""
+    p = make_advection_diffusion_problem(4, 0.05, 2.0, objective)
+    d = make_decomposition(p, L=5, J_fine=2, J_coarse=1)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    alpha = 0.1 if method is InversionMethod.TRIANGULAR else -1.0
+    plan = build_plan(coarse, d, alpha, method, small)
+    v = real_data(plan.basis, np.random.default_rng(3), 2 * d.L_hat).ravel()
+    want = plan.apply_inverse(v)
+    monkeypatch.setattr(np.fft, "fft", _numpy1_layout(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", _numpy1_layout(np.fft.ifft))
+    np.testing.assert_allclose(plan.apply_inverse(v), want, rtol=0,
+                               atol=1e-12 * np.linalg.norm(want))
 
 
 class TestRealData:
@@ -239,7 +270,9 @@ class TestRealData:
         assert plan.blocks == blocks
         plan = dataclasses.replace(plan,
                                    gamma_diag=_gamma_diag(plan.L_hat, 1j))
-        v = np.random.default_rng(0).standard_normal(2 * d.L_hat * p.M)
+        rng = np.random.default_rng(0)
+        v = (rng.standard_normal(2 * d.L_hat * p.M) if plan.basis is None
+             else real_data(plan.basis, rng, 2 * d.L_hat).ravel())
         with pytest.raises(FloatingPointError, match="imaginary residue"):
             plan.apply_inverse(v)
         _, log = paraopt_solve(p, d, fine, coarse,
@@ -251,7 +284,7 @@ class TestRealData:
     def test_complex_input_rejected(self):
         p, d, _, coarse = self.heat_spectral()
         plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
-        v = np.ones(2 * d.L_hat * p.M, dtype=complex)
+        v = np.ones(2 * d.L_hat * (p.M + plan.basis.self_count), complex)
         with pytest.raises(ValueError, match="v must be real.*complex128"):
             plan.apply_inverse(v)
 
@@ -294,9 +327,9 @@ _GRID_PROBLEMS = {"heat": make_heat_problem,
 def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L,
                                             black_box, seed):
     """The spectral path of a BCCB K (heat, and advection-diffusion with
-    its complex eigenvalues), in the coefficients of the real Fourier
-    basis, and the LU path of any other K, normal or not, on the grid,
-    all checked against the dense P(alpha) in the basis of the coarse
+    its complex eigenvalues), on the real view of the half spectrum of the
+    Fourier basis, and the LU path of any other K, normal or not, on the
+    grid, all checked against the dense P(alpha) in the basis of the coarse
     propagator; the black-box path of the general method in either basis
     too."""
     objective, variant, method, alpha = case
@@ -320,7 +353,8 @@ def test_apply_inverse_matches_dense_oracle(kind, case, M, J_coarse, L,
     assert plan.blocks == ("black_box" if black_box else
                            "spectral" if kind in _GRID_PROBLEMS else "lu")
     assert (plan.basis is None) == (kind not in _GRID_PROBLEMS)
-    v = rng.standard_normal(2 * d.L_hat * M)
+    v = (rng.standard_normal(2 * d.L_hat * M) if plan.basis is None
+         else real_data(plan.basis, rng, 2 * d.L_hat).ravel())
     x = plan.apply_inverse(v)
     P = assemble_P_alpha(coarse, d, alpha)
     assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)

@@ -50,10 +50,12 @@ def refined_solve(A, R):
 
 
 def propagate(prop, l, y_prev, lam_next):
-    """Reference: (P, Q) on sub-interval l (1-based), one interval at a time."""
+    """Reference: (P, Q) on sub-interval l (1-based), one interval at a
+    time, on vectors in the basis of prop (the real view of half spectra
+    when it has a FourierBasis)."""
     Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(prop)
-    y_next = Phi_P @ y_prev - Psi_P @ lam_next + prop.b_P[l - 1]
-    lam_prev = Psi_Q @ y_prev + Phi_Q @ lam_next + prop.b_Q[l - 1]
+    y_next = Phi_P @ y_prev - Psi_P @ lam_next + prop.b_P[l - 1].view(float)
+    lam_prev = Psi_Q @ y_prev + Phi_Q @ lam_next + prop.b_Q[l - 1].view(float)
     return y_next, lam_prev
 
 
@@ -204,7 +206,8 @@ class TestExactBuild:
             for J in (64, 128):
                 ie = build_implicit_euler_propagator(p, 1.0, J)
                 (ie_phi, ie_psi), (phi, psi) = (
-                    np.ravel(dense_maps(prop)[:2]) for prop in (ie, exact))
+                    [X[0, 0] for X in dense_maps(prop)[:2]]
+                    for prop in (ie, exact))
                 errs.append([abs(ie_phi - phi) + abs(ie_psi - psi),
                              abs(ie.b_P[0, 0] - exact.b_P[0, 0]),
                              abs(ie.b_Q[0, 0] - exact.b_Q[0, 0])])
@@ -267,7 +270,8 @@ class TestExactBuild:
     @pytest.mark.parametrize("objective", [TR, TC])
     def test_vanishing_eigenvalue_builds(self, objective):
         p = make_scalar_problem(1e-20, 1.0, 1.0, objective)
-        phi, psi = np.ravel(dense_maps(build_exact_propagator(p, 0.5))[:2])
+        phi, psi = (X[0, 0] for X in
+                    dense_maps(build_exact_propagator(p, 0.5))[:2])
         assert phi <= 1.0
         assert np.isfinite(psi) and psi > 0.0
 
@@ -345,14 +349,18 @@ def dft(n):
     return np.fft.fft2(np.eye(M).reshape(M, n, n), norm="ortho").reshape(M, M)
 
 
-def half_spectrum(basis, x):
-    """The half spectrum of real grid values x, over the last axis."""
-    return basis.to_half(basis.coefficients(x))
-
-
 def coefficient_matrix(basis):
-    """The orthogonal M x M matrix of FourierBasis.coefficients."""
-    return basis.coefficients(np.eye(basis.M)).T
+    """The (M + s) x M matrix of the real view of FourierBasis.coefficients,
+    s = basis.self_count: its columns are orthonormal."""
+    return basis.coefficients(np.eye(basis.M)).view(float).T
+
+
+def real_data(basis, rng, *shape):
+    """The real views of the half spectra of random grid values, of shape
+    shape + (M + s,): random vectors of the solve in that basis, whose
+    self-conjugate imaginary slots are 0."""
+    x = rng.standard_normal(shape + (basis.M,))
+    return basis.coefficients(x).view(float)
 
 
 def negated(n):
@@ -385,21 +393,26 @@ class TestFourierBasis:
         M = n * n
         basis = FourierBasis(M)
         # odd n: the mean only; even n: the mean and three Nyquist modes
-        assert basis.self_count == (1 if n % 2 else 4)
-        assert len(basis.half) == (M + basis.self_count) // 2
+        s = basis.self_count
+        assert s == (1 if n % 2 else 4)
+        assert len(basis.half) == (M + s) // 2
+        # the real view keeps inner products and norms, and the imaginary
+        # slots of the self-conjugate modes are exactly 0
         Q = coefficient_matrix(basis)
-        np.testing.assert_allclose(Q @ Q.T, np.eye(M), rtol=0, atol=1e-14)
+        assert Q.shape == (M + s, M) and not Q[1:2 * s:2].any()
+        np.testing.assert_allclose(Q.T @ Q, np.eye(M), rtol=0, atol=1e-14)
         rng = np.random.default_rng(n)
-        x, c = rng.standard_normal((2, 3, M))
-        np.testing.assert_allclose(basis.grid(basis.coefficients(x)), x,
-                                   rtol=0, atol=1e-14)
-        np.testing.assert_allclose(basis.coefficients(basis.grid(c)), c,
-                                   rtol=0, atol=1e-14)
-        # the half spectrum keeps the norm, and back is exact
-        h = basis.to_half(c)
+        x = rng.standard_normal((3, M))
+        h = basis.coefficients(x)
+        assert h.dtype == complex and h.flags.c_contiguous
         np.testing.assert_allclose(np.linalg.norm(h, axis=1),
-                                   np.linalg.norm(c, axis=1), rtol=1e-15)
-        assert np.array_equal(basis.from_half(h), c)
+                                   np.linalg.norm(x, axis=1), rtol=1e-14)
+        np.testing.assert_allclose(basis.grid(h), x, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(basis.coefficients(basis.grid(h)), h,
+                                   rtol=0, atol=1e-14)
+        # grid drops an imaginary part of a self-conjugate mode
+        h[:, :s] += 1j
+        np.testing.assert_allclose(basis.grid(h), x, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6])
     def test_half_spectrum_holds_dft_coefficients(self, n):
@@ -409,8 +422,9 @@ class TestFourierBasis:
         s = basis.self_count
         want = c[:, basis.half]
         want[:, s:] *= np.sqrt(2.0)
-        np.testing.assert_allclose(half_spectrum(basis, x), want, rtol=0,
-                                   atol=1e-14)
+        h = basis.coefficients(x)
+        np.testing.assert_allclose(h, want, rtol=0, atol=1e-14)
+        assert not h[:, :s].imag.any()
         # self-conjugate modes of real data are real, and -k is conj k
         assert np.abs(c[:, basis.half[:s]].imag).max(initial=0) < 1e-14
         np.testing.assert_allclose(full(basis, c[:, basis.half]), c, rtol=0,
@@ -423,10 +437,9 @@ class TestFourierBasis:
         (make_advection_diffusion_problem, 5)])
     def test_mode_actions_match_dense_maps(self, make, n):
         """Each map of every fine and coarse build, applied one mode at a
-        time to coefficients, against the map of the same build on the
-        dense K through the basis; offsets against its coefficients."""
+        time to half spectra, against the map of the same build on the
+        dense K moved into the basis; offsets against its half spectra."""
         basis = FourierBasis(n * n)
-        Q = coefficient_matrix(basis)
         builds = [(TR, Discretization.FOTD), (TC, Discretization.FOTD),
                   (TC, Discretization.FDTO)]
         if make is not make_advection_diffusion_problem:
@@ -442,14 +455,30 @@ class TestFourierBasis:
             prop = build(p)
             dense = build(dataclasses.replace(p, K=bccb(p.K.column)))
             assert prop.M == p.M and dense.basis is None
-            c = rng.standard_normal((4, p.M))
+            x = rng.standard_normal((4, p.M))
             for X, act in zip(dense_maps(dense), prop.actions):
-                np.testing.assert_allclose(act(c), c @ (Q @ X @ Q.T).T,
+                np.testing.assert_allclose(act(basis.coefficients(x)),
+                                           basis.coefficients(x @ X.T),
                                            rtol=0, atol=1e-13)
             for name in ("b_P", "b_Q"):
-                np.testing.assert_allclose(getattr(prop, name),
-                                           getattr(dense, name) @ Q.T,
-                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    getattr(prop, name),
+                    basis.coefficients(getattr(dense, name)),
+                    rtol=0, atol=1e-12)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_real_eigenvalues_keep_an_overflow_without_nan(self):
+        """A real map (heat) scales the real view of a half spectrum: a
+        mode that overflowed stays inf, where a complex product would add
+        0 * inf = NaN to its imaginary part."""
+        p = make_heat_problem(4, 0.3, 2.0, TR)
+        prop = build_implicit_euler_propagator(p, 0.5, 1)
+        h = prop.basis.coefficients(np.ones((2, p.M)))
+        h[:, 0] = np.inf
+        for act in prop.actions:
+            out = act(h)
+            assert np.isinf(out[:, 0].real).all() and not np.isnan(out).any()
 
 
 class TestFourierSymbol:
@@ -543,7 +572,7 @@ class TestFourierSymbolBuild:
         y = lambda j: np.array([p.y_d(l * DT + j * tau) for l in range(L)])
         basis = FourierBasis(n * n)
         target = lambda j: y(j).T
-        modal = lambda j: half_spectrum(basis, y(j)).T[:, None, :]
+        modal = lambda j: basis.coefficients(y(j)).T[:, None, :]
         if objective is TC:
             target = modal = None
         dense = implicit_euler_maps(bccb(p.K.column), tau, gh, J, objective,
@@ -558,7 +587,7 @@ class TestFourierSymbolBuild:
                                        rtol=0, atol=1e-13)
         for b, x in zip(dense[4:], modes[4:]):
             assert b.shape == (n * n, L if objective is TR else 0)
-            np.testing.assert_allclose(half_spectrum(basis, b.T).T, x[:, 0, :],
+            np.testing.assert_allclose(basis.coefficients(b.T).T, x[:, 0, :],
                                        rtol=0,
                                        atol=1e-12 * (1 + np.abs(b).max(
                                            initial=0.0)))
@@ -593,10 +622,10 @@ class TestFourierSymbolBuild:
            gamma=st.floats(0.01, 1.0), seed=st.integers(0, 2**16))
     def test_symbol_build_matches_dense_build(self, make, n, L, J, gamma,
                                               seed):
-        """Every build from the symbol, which lives in the coefficients of
+        """Every build from the symbol, which lives in the half spectra of
         its basis, against the build of the same problem on its dense K
-        moved into them: maps, offsets and modes; and the plan from the
-        modes against the dense P(alpha) in the coefficients."""
+        moved into them: maps on real data, offsets and modes; and the
+        plan from the modes against the dense P(alpha) on the real view."""
         F = dft(n)
         basis = FourierBasis(n * n)
         Q = coefficient_matrix(basis)
@@ -620,15 +649,15 @@ class TestFourierSymbolBuild:
             for X_sym, X, x in zip(dense_maps(sym), dense_maps(dense),
                                    sym.maps):
                 scale = 1e-12 * (1 + np.abs(X).max())
-                np.testing.assert_allclose(X_sym, Q @ X @ Q.T, rtol=0,
+                np.testing.assert_allclose(X_sym @ Q, Q @ X, rtol=0,
                                            atol=scale)
                 np.testing.assert_allclose(rotated(X, F),
                                            np.diag(full(basis, x)), rtol=0,
                                            atol=scale)
             for name in ("b_P", "b_Q"):
                 b = getattr(dense, name)
-                np.testing.assert_allclose(getattr(sym, name), b @ Q.T,
-                                           rtol=0,
+                np.testing.assert_allclose(getattr(sym, name).view(float),
+                                           b @ Q.T, rtol=0,
                                            atol=1e-12 * (1 + np.abs(b).max()))
             if variant is None:
                 continue
@@ -640,7 +669,7 @@ class TestFourierSymbolBuild:
             for method, alpha in methods:
                 plan = build_plan(sym, d, alpha, method)
                 assert plan.blocks == "spectral" and plan.basis is not None
-                v = rng.standard_normal(2 * d.L_hat * p.M)
+                v = real_data(basis, rng, 2 * d.L_hat).ravel()
                 P = assemble_P_alpha(sym, d, alpha)
                 assert (np.linalg.norm(P @ plan.apply_inverse(v) - v)
                         <= 1e-10 * np.linalg.norm(v))
