@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from paraopt_kit.problem import Discretization, ObjectiveKind
 
@@ -278,6 +278,11 @@ class SsigmaSpec:
     def __post_init__(self):
         if self.L_hat < 1:
             raise ValueError("L_hat must be >= 1")
+        for name, pp in (("fine", self.fine), ("coarse", self.coarse)):
+            # math.isfinite: np.isfinite of a list costs ten times more
+            if not (math.isfinite(pp.phi) and math.isfinite(pp.psi)):
+                raise ValueError(f"{name} coefficients (phi, psi) = "
+                                 f"({pp.phi}, {pp.psi}) are not finite")
 
 
 def assemble_block_system(maps: Sequence[np.ndarray], L_hat: int,
@@ -328,8 +333,13 @@ def assemble_S_sigma(spec: SsigmaSpec) -> np.ndarray:
 
 
 def exact_rho(spec: SsigmaSpec) -> float:
-    """Spectral radius of the decoupled iteration matrix (dense oracle)."""
-    return float(np.max(np.abs(scipy.linalg.eigvals(assemble_S_sigma(spec)))))
+    """Spectral radius of the decoupled iteration matrix (dense oracle).
+
+    S_sigma is assembled and its eigenvalues computed in numpy's LAPACK
+    alone: calling a second BLAS library (scipy bundles its own OpenBLAS)
+    right after numpy's makes each call wait for the other library's idle
+    threads."""
+    return float(np.max(np.abs(np.linalg.eigvals(assemble_S_sigma(spec)))))
 
 
 class PropagatorKind(enum.Enum):

@@ -12,9 +12,11 @@ the Krylov basis, kept as the rows of contiguous blocks of a few dozen
 vectors, which each call allocates as its basis grows. With a
 preconditioner the method is flexible GMRES (Saad, SIAM J. Sci. Comput.
 1993): it stores z_j = P⁻¹v_j and updates x by Z y, so P⁻¹ is applied once
-per iteration and never to form the update. Those products run in BLAS,
-whose rounding may depend on its thread count, so repeated runs on the
-same data are bitwise reproducible only for a fixed BLAS thread count.
+per iteration and never to form the update. Those products, and the
+triangular solve of the rotated Hessenberg matrix, run in numpy's BLAS and
+LAPACK, whose rounding may depend on the BLAS thread count, so repeated
+runs on the same data are bitwise reproducible only for a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 # rows of the first basis block and of every later one. Preconditioned
 # inner solves take a few iterations per call and stay in the first block,
@@ -206,7 +207,14 @@ def gmres(
         g = np.array(g[:k])
         # the rotations overflow to NaN on huge operator output
         _check_finite(np.column_stack([R, g]), "gmres Hessenberg matrix")
-        y = scipy.linalg.solve_triangular(R, g)
+        zero = np.flatnonzero(np.diagonal(R) == 0)
+        if zero.size:
+            raise np.linalg.LinAlgError(
+                f"gmres Hessenberg matrix is singular: rotated column "
+                f"{zero[0]} has a zero diagonal")
+        # R is upper triangular with a nonzero diagonal, so the LU of
+        # np.linalg.solve swaps no rows
+        y = np.linalg.solve(R, g)
         x = x + Z.combine(y)
 
         r = b - matvec(x)

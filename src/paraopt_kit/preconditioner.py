@@ -31,7 +31,10 @@ does the FFTs in time and closed-form 2 x 2 (general) or scalar
 (triangular) solves per (frequency, mode) over the whole stack, and
 returns the real view of the result, with no spatial FFT.
 For a dense K, normal or not, the coarse propagator holds dense maps, and
-the plan acts on grid values and LU-factorizes each block once. A block
+the plan acts on grid values and LU-factorizes each block once, with
+scipy.linalg, which this path alone imports: every other path of the
+package runs on numpy, so a solve of a built-in problem never loads scipy
+or the second OpenBLAS it bundles. A block
 with a pivot below PIVOT_RTOL of its scale, singular to rounding, of
 either path, raises ValueError in the build.
 The general method can instead solve its blocks matrix-free by inner GMRES,
@@ -71,7 +74,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
@@ -293,6 +295,9 @@ def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
 def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:
     """Factorize each frequency block once; row l reuses factor l. A block
     singular to rounding raises ValueError."""
+    # numpy keeps no LU factors to reuse, so this path alone loads scipy
+    # (and the OpenBLAS it bundles): only a dense K reaches it
+    import scipy.linalg
     lus, scales = [], []
     with warnings.catch_warnings():
         # scipy warns of a zero pivot, which is refused below instead

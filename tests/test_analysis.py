@@ -236,6 +236,15 @@ class TestExactRho:
         for obj in (TR, TC):
             assert exact_rho(SsigmaSpec(4, pp, pp, obj)) < 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_coefficients_rejected(self, bad):
+        good = PhiPsi(0.5, 0.3)
+        for fine, coarse, name in ((PhiPsi(0.5, bad), good, "fine"),
+                                   (good, PhiPsi(bad, 0.3), "coarse")):
+            with pytest.raises(ValueError, match=f"{name} coefficients"):
+                SsigmaSpec(10, fine, coarse, TR)
+
     def test_bound_independent_of_L_hat(self):
         fine, coarse = PhiPsi(0.3, 0.2), PhiPsi(0.5, 0.4)
         bound = rho_bound_tracking(fine, coarse)

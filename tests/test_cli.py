@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -634,6 +636,61 @@ class TestExperimentCommand:
             assert manifest["experiment"] == exp_id
             for fname in manifest["files"]:
                 assert os.path.exists(os.path.join(folder, fname))
+
+
+# runs in a fresh interpreter, since any earlier test may have loaded scipy
+_SCIPY_GUARD = """
+import sys
+import numpy as np
+from paraopt_kit.cli import main
+
+out = sys.argv[1]
+tiny = ["solve", "--n", "4", "--L", "3"]
+runs = [tiny + ["--precond"],
+        tiny + ["--precond", "--small-system-method", "black_box_iterative"],
+        tiny + ["--no-precond"],
+        ["bound"],
+        ["experiment", "ScalarTimestepSweep"]]
+for i, args in enumerate(runs):
+    assert main(args + ["--output", f"{out}/{i}"]) == 0, args
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+
+# a dense K takes the LU path, which imports scipy.linalg when it is built
+from paraopt_kit.preconditioner import (
+    InversionMethod, assemble_P_alpha, build_plan)
+from paraopt_kit.problem import (
+    LinearControlProblem, ObjectiveKind, make_decomposition)
+from paraopt_kit.propagators import build_implicit_euler_propagator
+
+rng = np.random.default_rng(0)
+A, S = rng.standard_normal((2, 3, 3))
+p = LinearControlProblem(K=A @ A.T + 3 * np.eye(3) + S - S.T, gamma=0.3,
+                         T=2.0, y_init=rng.standard_normal(3),
+                         objective=ObjectiveKind.TRACKING,
+                         y_d=lambda t: np.full(3, 1.0 + t))
+d = make_decomposition(p, L=4, J_fine=4, J_coarse=1)
+coarse = build_implicit_euler_propagator(p, d.DT, 1)
+plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+assert plan.blocks == "lu" and "scipy.linalg" in sys.modules
+v = rng.standard_normal(2 * d.L_hat * 3)
+P = assemble_P_alpha(coarse, d, -1.0)
+assert np.linalg.norm(P @ plan.apply_inverse(v) - v) <= 1e-10 * np.linalg.norm(v)
+"""
+
+
+def test_solves_bounds_and_exact_rho_never_load_scipy(tmp_path):
+    """The stencil solves (spectral and black-box plans, and no plan), the
+    bound sweep and exact_rho run on numpy's linear algebra alone, so a
+    process that runs them never loads scipy or the OpenBLAS it bundles;
+    only a dense-K LU plan imports it."""
+    import paraopt_kit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paraopt_kit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFitGeometricRate:

@@ -97,6 +97,13 @@ class TestGmres:
                 pytest.raises(FloatingPointError, match="Hessenberg"):
             gmres(lambda v: scale * v, np.ones(4))
 
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_singular_hessenberg_names_its_column(self, dtype):
+        # A e_2 = 0, so the first Arnoldi step breaks down with R = [[0]]
+        with pytest.raises(np.linalg.LinAlgError, match="Hessenberg"):
+            gmres(lambda v: np.array([v[0], 0.0]),
+                  np.array([0.0, 1.0], dtype))
+
     def test_huge_scaling_converges_without_warnings(self):
         # |H[0, 0]|^2 = 1e400 used to overflow the Givens denominator, which
         # made the rotated diagonal 0 and the triangular solve singular
