@@ -34,6 +34,15 @@ gives a grid residual. Grid values enter and leave only through it and
 :func:`paraopt_solve`. The dense Jacobians of the oracles take their maps
 from :func:`paraopt_kit.propagators.dense_maps`.
 
+Mismatched inputs raise ValueError, naming both values, before anything
+is computed. :func:`matching_residual` checks the fine propagator and the
+decomposition, whose L_hat must be L - 1 for tracking and L for terminal
+cost; :func:`paraopt_solve` and :func:`assemble_system` call it before
+their first computation. :func:`apply_jacobian` and
+:func:`assemble_jacobian` refuse an objective other than the one their
+propagator was built for. Every operator reads its vector through
+:func:`paraopt_kit.propagators.stack`, which refuses a complex one.
+
 With a plan in a FourierBasis, whose blocks are solved in closed form or
 black-box, the coarse maps act one mode at a time, and the preconditioned
 inner solve runs GMRES on T, the action of A_tilde P(alpha)^{-1} in the
@@ -134,18 +143,18 @@ class SolveLog:
 SLICE_LEAK_RTOL = 1e-8
 
 
-def _apply_maps(prop, objective: ObjectiveKind,
-                y: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Linear part of the matching conditions on all L_hat blocks at once;
-    y and lam are (L_hat, M) stacks in the basis of prop, returned as one
-    (2, L_hat, M) array of the (state, adjoint) rows."""
+def _apply_maps(prop, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Linear part of the matching conditions of prop's objective on all
+    L_hat blocks at once; y and lam are (L_hat, M) stacks in the basis of
+    prop, returned as one (2, L_hat, M) array of the (state, adjoint)
+    rows."""
     Phi_P, Psi_P, Phi_Q, Psi_Q = prop.actions
     out = np.empty((2,) + y.shape, y.dtype)
     out_y, out_l = out
     np.add(y, Psi_P(lam), out=out_y)
     out_y[1:] -= Phi_P(y[:-1])
     np.subtract(lam, Psi_Q(y), out=out_l)
-    if objective is ObjectiveKind.TERMINAL_COST:
+    if prop.objective is ObjectiveKind.TERMINAL_COST:
         out_l[-1] = lam[-1] - y[-1]
     out_l[:-1] -= Phi_Q(lam[1:])
     return out
@@ -165,7 +174,8 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     values, as problem holds, and the flat [y | lam] residual is on the grid
     too; x and the result move through the basis of fine. Raises TypeError
     for any other x, and ValueError for a fine propagator of another M, L
-    or objective than the problem and the decomposition."""
+    or objective than the problem and the decomposition, or a decomposition
+    whose L_hat is not L - 1 (tracking) or L (terminal cost)."""
     if not isinstance(x, PairedTrajectory):
         raise TypeError(f"x must be a PairedTrajectory of grid values, got "
                         f"{type(x).__name__}")
@@ -174,6 +184,9 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
              "(problem.M, decomp.L)", (M, decomp.L))
     _require("the fine propagator's objective", fine.objective.value,
              "the problem's", problem.objective.value)
+    tracking = problem.objective is ObjectiveKind.TRACKING
+    _require("the decomposition's L_hat", Lh, "L - 1 for tracking"
+             if tracking else "L for terminal cost", decomp.L - tracking)
     for name in ("y", "lam_hat"):
         _require(f"the shape of the trajectory's {name}",
                  getattr(x, name).shape, "the decomposition's", (Lh, M))
@@ -191,7 +204,7 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
         b_l[-1] = fine.b_Q[Lh]
     else:
         b_l[-1] = -to_basis(problem.y_target)
-    out = _apply_maps(fine, problem.objective, y, lam)
+    out = _apply_maps(fine, y, lam)
     out[0] -= b_y
     out[1] -= b_l
     if basis is not None:
@@ -222,15 +235,21 @@ def apply_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
     with ``flat(prop.basis.coefficients(...))`` and back with
     ``prop.basis.grid(stack(...))`` (:func:`paraopt_kit.propagators.flat`,
     :func:`paraopt_kit.propagators.stack`). Raises ValueError unless v
-    has 2 L_hat (M + s) entries for the M and basis of prop."""
+    is real and has 2 L_hat (M + s) entries for the M and basis of prop,
+    and unless objective is the one prop was built for."""
+    _require("the objective", objective.value, "the propagator's",
+             prop.objective.value)
     y, lam = stack(prop.basis, v, (2, decomp.L_hat), prop.M)
-    return flat(_apply_maps(prop, objective, y, lam))
+    return flat(_apply_maps(prop, y, lam))
 
 
 def assemble_jacobian(prop: AffinePropagator, objective: ObjectiveKind,
                       decomp: TimeDecomposition) -> np.ndarray:
     """Dense matching-condition Jacobian, the matrix of apply_jacobian, in
-    the basis of prop; oracle-sized problems only."""
+    the basis of prop; oracle-sized problems only. Raises ValueError
+    unless objective is the one prop was built for."""
+    _require("the objective", objective.value, "the propagator's",
+             prop.objective.value)
     return assemble_block_system(dense_maps(prop), decomp.L_hat, objective)
 
 
@@ -239,9 +258,10 @@ def assemble_system(fine: AffinePropagator, problem: LinearControlProblem,
     """Dense (A, b) in the basis of fine, the matching conditions as
     A x - b on flat [y | lam] vectors in that basis: A is the matrix of
     apply_jacobian and b = -f(0), from one matching_residual call on the
-    zero trajectory moved into the basis; oracle helper."""
-    return (assemble_jacobian(fine, problem.objective, decomp),
-            -_residual_at_zero(fine, problem, decomp))
+    zero trajectory moved into the basis, which checks the inputs first;
+    oracle helper."""
+    b = -_residual_at_zero(fine, problem, decomp)
+    return assemble_jacobian(fine, problem.objective, decomp), b
 
 
 class _SliceSpace:
@@ -272,8 +292,8 @@ class _SliceSpace:
             self._slices(u)[j] = probe
             w = self._image(u)[1]
             self.G[:, j] = stack(basis, self._slices(w), (2,), plan.M)
-            leak = max(leak, self._leak(w) / np.linalg.norm(probe))
-        # a NaN leak fails this too
+            # np.maximum keeps a NaN leak, which then fails the check
+            leak = np.maximum(leak, self._leak(w) / np.linalg.norm(probe))
         self.exact = bool(leak <= SLICE_LEAK_RTOL)
 
     def _slices(self, v: np.ndarray) -> np.ndarray:
@@ -344,8 +364,11 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     norm drops below outer_tolerance relative to max(1, initial residual).
     A non-finite residual, r0 included, or one that grew 10x over five
     steps aborts the solve with the reason in ``log.aborted``. Propagators
-    or a plan of another basis, M or L_hat, or propagators of another
-    objective, than the problem and the decomposition raise ValueError.
+    or a plan of another basis, M or L_hat, propagators of another
+    objective, than the problem and the decomposition, and a decomposition
+    whose L_hat does not fit the objective raise ValueError before the
+    first computation (matching_residual checks the fine propagator and
+    the decomposition).
 
     The iteration runs on flat vectors in the basis of the propagators,
     which the preconditioner plan acts in too: the real view of the half

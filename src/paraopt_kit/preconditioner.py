@@ -10,13 +10,21 @@ adjoint rows that the whole solve uses, with time on the second to last
 axis, the one the FFTs run along: grid values (m = M), or half spectra
 (m = len(basis.half)). The 2M x 2M block H_l of frequency l,
 [[I + d_l Phi_P, Psi_P], [-Psi_Q, I + conj(d_l) Phi_Q]] with d_l the l-th
-eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real: for any
-other alpha, P(alpha)^{-1} of a real vector is complex. The dense P(alpha)
-that the inversion is checked against, and the H_l that the LU path
-factorizes, come from the same block assembly as the coarse Jacobian,
-:func:`paraopt_kit.analysis.assemble_block_system`; the oracle takes its
-dense maps from :func:`paraopt_kit.propagators.dense_maps`, in the basis
-of the coarse propagator, which is the one the plan acts in.
+eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real and
+finite: for any other alpha, P(alpha)^{-1} of a real vector is complex.
+The dense P(alpha) that the inversion is checked against, and every block
+that the LU path factorizes (H_l, or its two diagonal blocks for the
+triangular method), come from the same block assembly as the coarse
+Jacobian, :func:`paraopt_kit.analysis.assemble_block_system`; the oracle
+takes its dense maps from :func:`paraopt_kit.propagators.dense_maps`, in
+the basis of the coarse propagator, which is the one the plan acts in.
+
+The method is fixed when the plan is built, and so is the composition:
+:func:`build_plan` composes P(alpha)^{-1} of the stack once from the
+Fourier weights and the block solves of its method, and the plan applies
+that one solve. The triangular method couples its two rounds by Psi_P z,
+the coarse propagator's own action on a stack (``coarse.actions[1]``),
+the same on every block kind.
 
 How the frequency blocks are solved is chosen from the coarse maps, with no
 option. A coarse propagator built for a problem whose K is a
@@ -133,7 +141,9 @@ def _diagonal_solve(blocks: np.ndarray, scale: np.ndarray,
     batched solve(rhs) that applies H_l^{-1} to the rows l of rhs, inverse
     FFT, unscale. F uses the positive-exponent unitary convention."""
     rhs = np.fft.ifft(scale[:, None] * blocks, axis=-2, norm="ortho")
-    return np.fft.fft(solve(rhs), axis=-2, norm="ortho") / scale[:, None]
+    # C-ordered, so that an action may view its last axis as real
+    return np.ascontiguousarray(
+        np.fft.fft(solve(rhs), axis=-2, norm="ortho") / scale[:, None])
 
 
 def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
@@ -163,10 +173,11 @@ def solve_block_blackbox(P: Callable, Q: Callable, d_l: complex,
 
 @dataclass
 class PreconditionerPlan:
-    """Prepared data for applying P(alpha)^{-1}: the Fourier weight diagonal
-    Gamma and the batched per-frequency block solves, which hold the
-    circulant eigenvalues d_l, prepared once and reused across all outer
-    Newton iterations.
+    """Prepared P(alpha)^{-1}: one solve on the (2, L_hat, m) stack,
+    composed once by :func:`build_plan` for its method from the Fourier
+    weight diagonal Gamma and the batched per-frequency block solves, which
+    hold the circulant eigenvalues d_l, and reused across all outer Newton
+    iterations.
 
     ``basis`` is the space apply_inverse acts in: the half spectra of the
     coarse propagator's FourierBasis when it has one, grid values when it
@@ -181,8 +192,8 @@ class PreconditionerPlan:
       spectrum, done in closed form for the whole stack. Only the four
       diagonals of the half spectrum are stored.
     - ``"lu"``: a coarse propagator with dense maps (a dense K);
-      each H_l (general), or I + d_l Phi_P and I + conj(d_l) Phi_Q
-      (triangular), is LU-factorized once.
+      each H_l (general), or its two diagonal blocks (triangular), is
+      LU-factorized once.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
       the propagator callbacks, in ``basis`` (general method only), on the
       two half spectra of its frequency in a FourierBasis. The
@@ -191,44 +202,29 @@ class PreconditionerPlan:
       plan as with a spectral one.
     """
 
-    method: InversionMethod
     M: int
     L_hat: int
     blocks: str
     basis: Optional[FourierBasis]
-    gamma_diag: np.ndarray = field(repr=False)
-    # general: (solve,) on the (2, L_hat, m) stack; triangular: (solve_P,
-    # solve_Q, couple) on (L_hat, m) stacks, with couple(z) = Psi_P z row
-    # by row; on the half spectrum when spectral
-    _solves: tuple = field(repr=False)
+    # P(alpha)^{-1} of a complex (2, L_hat, m) stack, the composed solve
+    _solve: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
         """P(alpha)^{-1} v, v and the result real and in the plan's basis,
         read as the (2, L_hat, m) stack of state and adjoint rows: grid
-        values, or the half spectra of which v is the real view. General
-        method (|alpha| = 1): one diagonalized solve of the whole stack.
-        Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
-        bottom-right block first, then the top-left block on the corrected
-        right-hand side. On half spectra the FFT acts on the time index and
-        the basis on the space index, so they commute. Raises ValueError
-        unless v is real data: a real vector of 2 L_hat (M + s) entries
-        for the plan's L_hat and M (see propagators.stack), whose
-        self-conjugate modes have no finite nonzero imaginary part."""
-        if np.iscomplexobj(v):
-            raise ValueError(f"v must be real, as P(alpha) is; got {v.dtype}")
+        values, or the half spectra of which v is the real view. On half
+        spectra the FFT acts on the time index and the basis on the space
+        index, so they commute. Raises ValueError unless v is real data: a
+        real vector of 2 L_hat (M + s) entries for the plan's L_hat and M
+        (see propagators.stack), whose self-conjugate modes have no finite
+        nonzero imaginary part."""
         vw = stack(self.basis, v, (2, self.L_hat), self.M)
         if self.basis is not None:
             imag = vw[..., :self.basis.self_count].imag
             if np.any(imag[np.isfinite(imag)]):
                 raise ValueError("v is not real data: a self-conjugate mode "
                                  "has an imaginary part")
-        g = self.gamma_diag
-        if self.method is InversionMethod.GENERAL:
-            xz = _diagonal_solve(vw, g, self._solves[0])
-        else:
-            solve_P, solve_Q, couple = self._solves
-            z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solve_Q)
-            xz = np.stack([_diagonal_solve(vw[0] - couple(z), g, solve_P), z])
+        xz = self._solve(vw)
         if self.basis is None:
             _check_real(xz, xz.imag)
             return xz.real.ravel()
@@ -257,9 +253,10 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
                      basis: FourierBasis) -> tuple:
     """Closed-form per-(frequency, mode) solves on stacks of half spectra
     of basis, the common eigenbasis of the four maps, whose eigenvalues
-    there diagonals holds: the (2, L_hat, m) stack for
-    the general method, (L_hat, m) ones for the triangular. A solve
-    singular to rounding raises ValueError."""
+    there diagonals holds: (H_l,) on the (2, L_hat, m) stack for the
+    general method, (I + d_l Phi_P, I + conj(d_l) Phi_Q) on (L_hat, m)
+    ones for the triangular. A solve singular to rounding raises
+    ValueError."""
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
     e = 1.0 + np.outer(np.conj(d), phi_Q)  # (I + conj(d_l) Phi_Q) per mode
@@ -270,8 +267,7 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
     if method is InversionMethod.TRIANGULAR:
         _require_nonsingular(a, a_terms, mode)
         _require_nonsingular(e, e_terms, mode)
-        return (lambda rhs: rhs / a, lambda rhs: rhs / e,
-                lambda z: z * psi_P)
+        return lambda rhs: rhs / a, lambda rhs: rhs / e
     # inverse of [[a, psi_P], [-psi_Q, e]] per (l, mode)
     det = a * e + psi_P * psi_Q
     _require_nonsingular(det, a_terms * e_terms + abs(psi_P * psi_Q), mode)
@@ -292,34 +288,46 @@ def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
          for l, r in enumerate(np.moveaxis(rhs, -2, 0))]), 0, -2)
 
 
-def _lu_solves(blocks) -> Callable[[np.ndarray], np.ndarray]:
-    """Factorize each frequency block once; row l reuses factor l. A block
-    singular to rounding raises ValueError."""
+def _lu_solves(blocks) -> tuple:
+    """LU-factorize each block that blocks yields for a frequency l, a
+    tuple of them per frequency, once: one batched solve per place in the
+    tuple, whose row l reuses factor l. A block singular to rounding
+    raises ValueError."""
     # numpy keeps no LU factors to reuse, so this path alone loads scipy
     # (and the OpenBLAS it bundles): only a dense K reaches it
     import scipy.linalg
-    lus, scales = [], []
     with warnings.catch_warnings():
         # scipy warns of a zero pivot, which is refused below instead
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        for H in blocks:
-            scales.append(np.max(abs(H)))
-            lus.append(scipy.linalg.lu_factor(H, overwrite_a=True))
-    _require_nonsingular(np.array([np.diagonal(lu) for lu, _ in lus]),
-                         np.array(scales)[:, None],
-                         lambda i: f"row {i} of its LU factors")
-    return _per_frequency(lambda l, rhs: scipy.linalg.lu_solve(lus[l], rhs))
+        # per place in the tuple, the (scale, LU factors) of each frequency
+        factors = list(zip(*[[(np.max(abs(H)), scipy.linalg.lu_factor(H))
+                              for H in Hs] for Hs in blocks]))
+    for lus in factors:
+        _require_nonsingular(np.array([np.diagonal(f[0]) for _, f in lus]),
+                             np.array([[scale] for scale, _ in lus]),
+                             lambda i: f"row {i} of its LU factors")
+    return tuple(_per_frequency(
+        lambda l, rhs, lus=lus: scipy.linalg.lu_solve(lus[l][1], rhs))
+        for lus in factors)
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                alpha: float, method: InversionMethod,
                small_system_method: SmallSystemMethod = SmallSystemMethod.EXPLICIT_DIRECT,
                ) -> PreconditionerPlan:
-    """Validate the (method, alpha, coarse) combination and prepare the
+    """Validate the (method, alpha, coarse) combination, prepare the
     L_hat block solves: spectral on the eigenvalues in ``coarse.maps``
     when it has a basis, per-block LU of its dense maps otherwise, or
-    black-box when asked for. A block singular to rounding raises
-    ValueError."""
+    black-box when asked for, and compose them into the plan's one solve.
+    General method (|alpha| = 1): one diagonalized solve of the whole
+    stack. Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
+    bottom-right block first, then the top-left block on the right-hand
+    side corrected by the coupling Psi_P z, the action
+    ``coarse.actions[1]``, fetched at the first application. A block
+    singular to rounding, or an alpha that is not finite, real and nonzero,
+    raises ValueError."""
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     if np.imag(alpha) != 0:
@@ -340,6 +348,7 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
 
     Lh = decomp.L_hat
     d = alpha_circulant_eigenvalues(Lh, alpha)
+    g = _gamma_diag(Lh, alpha)
     basis = coarse.basis
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
@@ -349,21 +358,24 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     elif basis is not None:
         blocks = "spectral"
         solves = _spectral_solves(method, d, coarse.maps, basis)
-    elif method is InversionMethod.TRIANGULAR:
-        blocks = "lu"
-        I = np.eye(coarse.M)
-        Phi_P, Psi_P, Phi_Q, _ = coarse.maps
-        solves = (_lu_solves(I + dl * Phi_P for dl in d),
-                  _lu_solves(I + np.conj(dl) * Phi_Q for dl in d),
-                  lambda z: z @ Psi_P.T)
+    else:  # H_l is the one-interval P(-d_l) of the block assembly
+        blocks, M = "lu", coarse.M
+        H_l = (assemble_block_system(coarse.maps, 1, coarse.objective,
+                                     alpha=-dl) for dl in d)
+        solves = _lu_solves(  # H_l, or its two diagonal blocks
+            [H] if method is InversionMethod.GENERAL
+            else [H[:M, :M], H[M:, M:]] for H in H_l)
+    if method is InversionMethod.GENERAL:
+        solve = lambda vw: _diagonal_solve(vw, g, solves[0])
     else:
-        blocks = "lu"
-        solves = (_lu_solves(assemble_block_system(
-            coarse.maps, 1, coarse.objective, alpha=-dl) for dl in d),)
-    return PreconditionerPlan(method=method, M=coarse.M, L_hat=Lh,
-                              blocks=blocks, basis=basis,
-                              gamma_diag=_gamma_diag(Lh, alpha),
-                              _solves=solves)
+        # the adjoint rows first; solves: of I + d_l Phi_P, then of
+        # I + conj(d_l) Phi_Q
+        def solve(vw):
+            z = _diagonal_solve(vw[1], 1.0 / np.conj(g), solves[1])
+            x = _diagonal_solve(vw[0] - coarse.actions[1](z), g, solves[0])
+            return np.stack([x, z])
+    return PreconditionerPlan(M=coarse.M, L_hat=Lh, blocks=blocks,
+                              basis=basis, _solve=solve)
 
 
 def _check_real(xz: np.ndarray, imag: np.ndarray) -> None:

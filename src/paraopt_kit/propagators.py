@@ -193,8 +193,13 @@ def stack(basis: Optional[FourierBasis], v: np.ndarray, shape: tuple,
     """The stack, of shape ``shape`` + (m,), of the rows that a real
     vector v of the solve holds: grid values (m = M) without a basis, else
     the half spectra (m = len(basis.half)) of which v is the real view.
-    Raises ValueError unless v has prod(shape) (M + s) entries, s =
-    ``basis.self_count`` (0 without a basis). The inverse of :func:`flat`."""
+    Raises ValueError unless v is real and has prod(shape) (M + s)
+    entries, s = ``basis.self_count`` (0 without a basis): every operator
+    of the solve reads its vector through here. The inverse of
+    :func:`flat`."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"v must be real, as the solve's vectors are; got "
+                         f"{v.dtype}")
     s = 0 if basis is None else basis.self_count
     rows = math.prod(shape)
     if np.size(v) != rows * (M + s):

@@ -27,6 +27,7 @@ from paraopt_kit.problem import (
     Discretization,
     LinearControlProblem,
     ObjectiveKind,
+    TimeDecomposition,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -419,6 +420,88 @@ def test_propagators_of_another_objective_rejected():
             paraopt_solve(p, d, f, c, NewtonConfig())
     with pytest.raises(ValueError, match=msg.format("fine")):
         matching_residual(fine_tr, p, d, PairedTrajectory.zeros(d.L_hat, p.M))
+
+
+# tracking with L_hat = L used to raise an IndexError in matching_residual,
+# and terminal cost with L_hat = L - 1 "converged" in 4 outer steps on a
+# system without its last interval
+@pytest.mark.parametrize("objective,L_hat,want", [(TR, 5, "L - 1 for "
+                                                   "tracking is 4"),
+                                                  (TC, 4, "L for terminal "
+                                                   "cost is 5")])
+def test_decomposition_of_another_L_hat_rejected(objective, L_hat, want):
+    p = make_heat_problem(4, 0.3, 2.0, objective)
+    d = TimeDecomposition(L=5, T=p.T, L_hat=L_hat, J_fine=2, J_coarse=1)
+    fine, coarse = (build_implicit_euler_propagator(p, d.DT, J)
+                    for J in (2, 1))
+    msg = f"the decomposition's L_hat is {L_hat}, but {want}"
+    with pytest.raises(ValueError, match=msg):
+        matching_residual(fine, p, d, PairedTrajectory.zeros(L_hat, p.M))
+    with pytest.raises(ValueError, match=msg):
+        assemble_system(fine, p, d)
+    plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+    for cfg in (NewtonConfig(), NewtonConfig(preconditioner=plan)):
+        with pytest.raises(ValueError, match=msg):
+            paraopt_solve(p, d, fine, coarse, cfg)
+
+
+def test_operators_refuse_another_objective_and_complex_input():
+    # the terminal-cost product of a tracking propagator used to differ
+    # from its tracking product by 42% on random real data, with no error;
+    # a complex v failed inside a numpy broadcast
+    p = make_heat_problem(4, 0.3, 2.0, TR)
+    d = make_decomposition(p, L=5, J_fine=2, J_coarse=1)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    v = real_data(coarse.basis, np.random.default_rng(0), 2 * d.L_hat)
+    msg = "the objective is terminal_cost, but the propagator's is tracking"
+    with pytest.raises(ValueError, match=msg):
+        apply_jacobian(coarse, TC, d, v.ravel())
+    with pytest.raises(ValueError, match=msg):
+        assemble_jacobian(coarse, TC, d)
+    with pytest.raises(ValueError, match="v must be real.*complex128"):
+        apply_jacobian(coarse, TR, d, v.ravel().astype(complex))
+
+
+def _heat_plan_case():
+    p = make_heat_problem(4, 0.3, 2.0, TR)
+    d = make_decomposition(p, L=5, J_fine=4, J_coarse=1)
+    fine, coarse = (build_implicit_euler_propagator(p, d.DT, J)
+                    for J in (4, 1))
+    plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+    return p, d, fine, coarse, plan
+
+
+def test_nan_probe_fails_the_slice_check():
+    """A P(alpha)^{-1} that returns NaN leaks NaN from the probes, which
+    fails the check: Python's max(0.0, nan) is 0.0, and such a plan used
+    to pass it, so that the solve was reported as "reduced"."""
+    p, d, fine, coarse, plan = _heat_plan_case()
+    plan = dataclasses.replace(plan,
+                               _solve=lambda vw: np.full_like(vw, np.nan))
+    op = lambda v: apply_jacobian(coarse, TR, d, v)
+    assert not _SliceSpace(plan, op).exact
+    _, log = paraopt_solve(p, d, fine, coarse,
+                           NewtonConfig(preconditioner=plan))
+    assert log.inner_solve == "flexible" and not log.converged
+
+
+def test_step_whose_image_leaves_the_slices_falls_back():
+    """A P(alpha)^{-1} exact on inputs supported on the slices y_1 and
+    lam_Lhat, so that its probes pass, but off by about 1e-6 on any other
+    input: N(b_hat) leaves the slices at every step, and every step runs
+    flexible GMRES instead, which still converges."""
+    p, d, fine, coarse, plan = _heat_plan_case()
+    exact = plan._solve
+
+    def solve(vw):
+        off = vw.copy()
+        off[0, 0] = off[1, -1] = 0.0
+        return exact(vw) + 1e-6 * exact(off)
+    plan = dataclasses.replace(plan, _solve=solve)
+    _, log = paraopt_solve(p, d, fine, coarse,
+                           NewtonConfig(preconditioner=plan))
+    assert log.converged and log.inner_solve == "reduced"
+    assert log.fallback_steps == len(log.records) - 1 > 0
 
 
 @pytest.mark.parametrize("objective", [TR, TC])

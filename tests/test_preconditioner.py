@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paraopt_kit import preconditioner
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.core import NewtonConfig, assemble_jacobian, paraopt_solve
 from paraopt_kit.preconditioner import (
@@ -97,6 +98,22 @@ class TestBuildPlanValidation:
         _, d, coarse = setup()
         with pytest.raises(ValueError, match="alpha must be real"):
             build_plan(coarse, d, 0.6 + 0.8j, method)
+
+    # such a plan used to be built, with RuntimeWarnings in its build or
+    # its first application on heat n = 4, and the solve aborted on a
+    # non-finite GMRES operator output
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method,alpha", [
+        (InversionMethod.GENERAL, np.nan), (InversionMethod.GENERAL, np.inf),
+        (InversionMethod.TRIANGULAR, np.nan),
+        (InversionMethod.TRIANGULAR, np.inf),
+        (InversionMethod.TRIANGULAR, -np.inf)])
+    def test_non_finite_alpha_rejected(self, method, alpha):
+        p = make_heat_problem(4, 0.05, 2.0, TC)
+        d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
+        coarse = build_implicit_euler_propagator(p, d.DT, 1)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            build_plan(coarse, d, alpha, method)
 
     def test_triangular_accepts_terminal_cost(self):
         _, d, coarse = terminal_setup()
@@ -222,15 +239,19 @@ def _numpy1_layout(fft):
     return transform
 
 
+@pytest.mark.parametrize("make", [make_heat_problem,
+                                  make_advection_diffusion_problem])
 @pytest.mark.parametrize("objective,method,small", [
     (TR, InversionMethod.GENERAL, SmallSystemMethod.EXPLICIT_DIRECT),
     (TC, InversionMethod.TRIANGULAR, SmallSystemMethod.EXPLICIT_DIRECT),
     (TR, InversionMethod.GENERAL, SmallSystemMethod.BLACK_BOX_ITERATIVE)])
-def test_apply_inverse_ignores_fft_layout(monkeypatch, objective, method,
-                                          small):
+def test_apply_inverse_ignores_fft_layout(monkeypatch, make, objective,
+                                          method, small):
     """The real view of P(alpha)^{-1} v does not depend on the memory
-    layout of the FFTs in time, which differs between numpy 1.x and 2."""
-    p = make_advection_diffusion_problem(4, 0.05, 2.0, objective)
+    layout of the FFTs in time, which differs between numpy 1.x and 2:
+    with real Psi_P eigenvalues (heat) the triangular coupling scales the
+    real view of z, which needs a contiguous last axis."""
+    p = make(4, 0.05, 2.0, objective)
     d = make_decomposition(p, L=5, J_fine=2, J_coarse=1)
     coarse = build_implicit_euler_propagator(p, d.DT, 1)
     alpha = 0.1 if method is InversionMethod.TRIANGULAR else -1.0
@@ -245,8 +266,8 @@ def test_apply_inverse_ignores_fft_layout(monkeypatch, objective, method,
 
 class TestRealData:
     """P(alpha) is real, so apply_inverse takes real data only, and an
-    imaginary part in its result beyond rounding aborts. A plan whose
-    Gamma belongs to alpha = i is not P(alpha)^{-1} of a real alpha: its
+    imaginary part in its result beyond rounding aborts. A plan built
+    with the Gamma of alpha = i is not P(alpha)^{-1} of a real alpha: its
     results are complex."""
 
     @staticmethod
@@ -264,12 +285,13 @@ class TestRealData:
 
     @pytest.mark.parametrize("setup,blocks", [("heat_spectral", "spectral"),
                                               ("dense_lu", "lu")])
-    def test_imaginary_residue_aborts(self, setup, blocks):
+    def test_imaginary_residue_aborts(self, monkeypatch, setup, blocks):
         p, d, fine, coarse = getattr(self, setup)()
-        plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
+        with monkeypatch.context() as m:
+            m.setattr(preconditioner, "_gamma_diag",
+                      lambda L_hat, alpha: _gamma_diag(L_hat, 1j))
+            plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
         assert plan.blocks == blocks
-        plan = dataclasses.replace(plan,
-                                   gamma_diag=_gamma_diag(plan.L_hat, 1j))
         rng = np.random.default_rng(0)
         v = (rng.standard_normal(2 * d.L_hat * p.M) if plan.basis is None
              else real_data(plan.basis, rng, 2 * d.L_hat).ravel())
