@@ -335,9 +335,10 @@ def assemble_S_sigma(spec: SsigmaSpec) -> np.ndarray:
 def exact_rho(spec: SsigmaSpec) -> float:
     """Spectral radius of the decoupled iteration matrix (dense oracle).
 
-    S_sigma is assembled and its eigenvalues computed in numpy's LAPACK
-    alone: calling a second BLAS library (scipy bundles its own OpenBLAS)
-    right after numpy's makes each call wait for the other library's idle
+    S_sigma is assembled and its eigenvalues computed in numpy's LAPACK,
+    as all of the package's linear algebra is; it never imports scipy. A
+    second BLAS library (scipy bundles its own OpenBLAS) called right
+    after numpy's makes each call wait for the other library's idle
     threads."""
     return float(np.max(np.abs(np.linalg.eigvals(assemble_S_sigma(spec)))))
 

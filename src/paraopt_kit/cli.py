@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 solver non-convergence or abort, 2 configuration
 error: a field of the wrong type, a non-finite float or an unknown choice
-(RunConfig.validate), an unreadable --config file, or a ValueError the
-library raises while a command sets up.
+(RunConfig.validate), an unreadable --config file, an output folder that
+cannot be created or written, or a ValueError the library raises while a
+command sets up.
 All CSV files start with the version line `# paraopt-kit v1`, use LF endings,
 and print floats at full precision (%.17g).
 """
@@ -18,6 +19,7 @@ and print floats at full precision (%.17g).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -228,12 +230,24 @@ def write_json(path: str, data: dict) -> None:
         f.write("\n")
 
 
+@contextlib.contextmanager
+def _output_folder(path: str):
+    """Create the folder path, which the with block writes to; an OSError
+    there, as for a path under a regular file, is a configuration error."""
+    try:
+        os.makedirs(path, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write to output folder {path}: "
+                          f"{exc}") from exc
+
+
 def write_solve_artifacts(outdir: str, log: SolveLog, summary: dict) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    write_csv(os.path.join(outdir, "solve_log.csv"),
-              ["iteration", "residual", "inner_iters", "seconds"],
-              log.csv_rows())
-    write_json(os.path.join(outdir, "summary.json"), summary)
+    with _output_folder(outdir):
+        write_csv(os.path.join(outdir, "solve_log.csv"),
+                  ["iteration", "residual", "inner_iters", "seconds"],
+                  log.csv_rows())
+        write_json(os.path.join(outdir, "summary.json"), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +278,9 @@ def cmd_bound(args) -> int:
                                 _parse_grid(args.gamma_grid))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    os.makedirs(args.output, exist_ok=True)
-    write_csv(os.path.join(args.output, "rho_star.csv"), RHO_STAR_HEADER, rows)
+    with _output_folder(args.output):
+        write_csv(os.path.join(args.output, "rho_star.csv"), RHO_STAR_HEADER,
+                  rows)
     return 0
 
 
@@ -470,15 +485,15 @@ def cmd_experiment(args) -> int:
         outdir = args.output or ""
         if len(args.ids) > 1 or not outdir:
             outdir = os.path.join(outdir, exp_id)
-        os.makedirs(outdir, exist_ok=True)
-        files = EXPERIMENTS[exp_id]()
-        for fname, (header, rows) in files.items():
-            write_csv(os.path.join(outdir, fname), header, rows)
-        write_json(os.path.join(outdir, "manifest.json"), {
-            "experiment": exp_id,
-            "files": list(files),
-            "csv_version": CSV_VERSION_LINE,
-        })
+        with _output_folder(outdir):
+            files = EXPERIMENTS[exp_id]()
+            for fname, (header, rows) in files.items():
+                write_csv(os.path.join(outdir, fname), header, rows)
+            write_json(os.path.join(outdir, "manifest.json"), {
+                "experiment": exp_id,
+                "files": list(files),
+                "csv_version": CSV_VERSION_LINE,
+            })
     return 0
 
 

@@ -362,8 +362,9 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
     plan in a FourierBasis, built at the first step, else flexible GMRES on
     (A_tilde, P(alpha)^{-1})) and stops once the residual
     norm drops below outer_tolerance relative to max(1, initial residual).
-    A non-finite residual, r0 included, or one that grew 10x over five
-    steps aborts the solve with the reason in ``log.aborted``. Propagators
+    A non-finite residual, r0 included, one that grew 10x over five
+    steps, or five residuals in a row above 10 max(1, r0) abort the solve
+    with the reason in ``log.aborted``. Propagators
     or a plan of another basis, M or L_hat, propagators of another
     objective, than the problem and the decomposition, and a decomposition
     whose L_hat does not fit the objective raise ValueError before the
@@ -416,6 +417,9 @@ def paraopt_solve(problem: LinearControlProblem, decomp: TimeDecomposition,
             break
         if len(recent) == 6 and recent[-1] > 10.0 * recent[0]:
             log.aborted = "residual grew 10x over 5 iterations"
+            break
+        if len(recent) == 6 and min(recent[-5:]) > 10.0 * scale:
+            log.aborted = "residual above 10x max(1, r0) for 5 iterations"
             break
         if rnorm <= cfg.outer_tolerance * scale:
             log.converged = True

@@ -13,7 +13,7 @@ axis, the one the FFTs run along: grid values (m = M), or half spectra
 eigenvalue of C(alpha), is the one-interval P(-d_l). alpha is real and
 finite: for any other alpha, P(alpha)^{-1} of a real vector is complex.
 The dense P(alpha) that the inversion is checked against, and every block
-that the LU path factorizes (H_l, or its two diagonal blocks for the
+that the dense path inverts (H_l, or its two diagonal blocks for the
 triangular method), come from the same block assembly as the coarse
 Jacobian, :func:`paraopt_kit.analysis.assemble_block_system`; the oracle
 takes its dense maps from :func:`paraopt_kit.propagators.dense_maps`, in
@@ -39,12 +39,11 @@ does the FFTs in time and closed-form 2 x 2 (general) or scalar
 (triangular) solves per (frequency, mode) over the whole stack, and
 returns the real view of the result, with no spatial FFT.
 For a dense K, normal or not, the coarse propagator holds dense maps, and
-the plan acts on grid values and LU-factorizes each block once, with
-scipy.linalg, which this path alone imports: every other path of the
-package runs on numpy, so a solve of a built-in problem never loads scipy
-or the second OpenBLAS it bundles. A block
-with a pivot below PIVOT_RTOL of its scale, singular to rounding, of
-either path, raises ValueError in the build.
+the plan acts on grid values and inverts the stack of its blocks once,
+with numpy's LU (``np.linalg.inv``), as the whole package runs on numpy. A
+block singular to rounding raises ValueError in the build: on the
+spectral path a pivot below PIVOT_RTOL of its scale, on the dense one a
+1-norm reciprocal condition number below PIVOT_RTOL.
 The general method can instead solve its blocks matrix-free by inner GMRES,
 through the actions of the coarse maps in their basis: in a FourierBasis a
 block vector is the two half spectra of one frequency, M + s complex
@@ -77,7 +76,6 @@ then set to 0.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -107,15 +105,22 @@ class SmallSystemMethod(enum.Enum):
 
 
 IMAG_RESIDUE_RTOL = 1e-9
-# a pivot below this share of its scale (the largest entry of an LU block;
-# the sum of the magnitudes of the terms of a closed-form one, at least 1)
-# is zero to rounding, and the block singular
+# a closed-form pivot below this share of its scale (the sum of the
+# magnitudes of its terms, at least 1) is zero to rounding, and so is a
+# dense block's 1-norm reciprocal condition number below it: the block is
+# singular
 PIVOT_RTOL = 1e-12
 
 
 def alpha_circulant_eigenvalues(L_hat: int, alpha: complex) -> np.ndarray:
     """Eigenvalues of C(alpha): the lower-shift matrix B (-1 on the first
-    sub-diagonal) with an extra -alpha in the top-right corner."""
+    sub-diagonal) with an extra -alpha in the top-right corner. An L_hat
+    below 1, or an alpha that is not finite and nonzero, raises
+    ValueError."""
+    if L_hat < 1:
+        raise ValueError(f"L_hat must be at least 1, got {L_hat}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if alpha == 0:
         raise ValueError("alpha must be non-zero")
     c1 = np.zeros(L_hat, dtype=complex)
@@ -191,9 +196,10 @@ class PreconditionerPlan:
       (triangular method) solves per (frequency, mode) of its half
       spectrum, done in closed form for the whole stack. Only the four
       diagonals of the half spectrum are stored.
-    - ``"lu"``: a coarse propagator with dense maps (a dense K);
-      each H_l (general), or its two diagonal blocks (triangular), is
-      LU-factorized once.
+    - ``"lu"``: a coarse propagator with dense maps (a dense K); the
+      stack of the H_l (general), or of each of their two diagonal blocks
+      (triangular), is inverted once by numpy's LU, and each application
+      multiplies row l by inverse l.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
       the propagator callbacks, in ``basis`` (general method only), on the
       two half spectra of its frequency in a FourierBasis. The
@@ -236,17 +242,18 @@ class PreconditionerPlan:
         return flat(xz)
 
 
-def _require_nonsingular(pivots: np.ndarray, scales: np.ndarray,
-                         where: Callable) -> None:
-    """Raise ValueError naming the first frequency l, and where(j), whose
-    pivot j is below PIVOT_RTOL times its scale, which is positive; row l
-    of pivots and of scales holds those of block l. An infinite pivot is
-    not small, and a NaN one is left to the solve's finiteness checks."""
-    small = abs(pivots) < PIVOT_RTOL * scales
+def _require_nonsingular(values: np.ndarray, scales, what: Callable) -> None:
+    """Raise ValueError naming the first frequency l, and what(l, j), whose
+    value j is below PIVOT_RTOL times its scale, which is positive: a
+    closed-form pivot, or a dense block's reciprocal condition number (of
+    scale 1). Row l of values and of scales holds those of block l. An
+    infinite value is not small, and a NaN one is left to the solve's
+    finiteness checks."""
+    small = abs(values) < PIVOT_RTOL * scales
     if small.any():
         l, j = np.argwhere(small)[0]
         raise ValueError(f"P(alpha) is singular: the block of frequency "
-                         f"l = {l} has a zero pivot at {where(j)}")
+                         f"l = {l} has {what(l, j)}")
 
 
 def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
@@ -260,7 +267,8 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
     phi_P, psi_P, phi_Q, psi_Q = diagonals
     a = 1.0 + np.outer(d, phi_P)           # (I + d_l Phi_P) per mode
     e = 1.0 + np.outer(np.conj(d), phi_Q)  # (I + conj(d_l) Phi_Q) per mode
-    mode = lambda j: f"mode k = {divmod(int(basis.half[j]), basis.n)}"
+    mode = lambda l, j: (f"a zero pivot at mode k = "
+                         f"{divmod(int(basis.half[j]), basis.n)}")
     # the magnitudes of the terms of a and e
     a_terms = 1.0 + np.outer(abs(d), abs(phi_P))
     e_terms = 1.0 + np.outer(abs(d), abs(phi_Q))
@@ -288,27 +296,19 @@ def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
          for l, r in enumerate(np.moveaxis(rhs, -2, 0))]), 0, -2)
 
 
-def _lu_solves(blocks) -> tuple:
-    """LU-factorize each block that blocks yields for a frequency l, a
-    tuple of them per frequency, once: one batched solve per place in the
-    tuple, whose row l reuses factor l. A block singular to rounding
-    raises ValueError."""
-    # numpy keeps no LU factors to reuse, so this path alone loads scipy
-    # (and the OpenBLAS it bundles): only a dense K reaches it
-    import scipy.linalg
-    with warnings.catch_warnings():
-        # scipy warns of a zero pivot, which is refused below instead
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        # per place in the tuple, the (scale, LU factors) of each frequency
-        factors = list(zip(*[[(np.max(abs(H)), scipy.linalg.lu_factor(H))
-                              for H in Hs] for Hs in blocks]))
-    for lus in factors:
-        _require_nonsingular(np.array([np.diagonal(f[0]) for _, f in lus]),
-                             np.array([[scale] for scale, _ in lus]),
-                             lambda i: f"row {i} of its LU factors")
-    return tuple(_per_frequency(
-        lambda l, rhs, lus=lus: scipy.linalg.lu_solve(lus[l][1], rhs))
-        for lus in factors)
+def _dense_solves(blocks) -> tuple:
+    """Invert the blocks that blocks yields for each frequency l, a tuple
+    of them per frequency, once, as one (L_hat, k, k) stack per place in
+    the tuple: one batched solve per place, whose row l is multiplied by
+    inverse l. A block whose 1-norm reciprocal condition number is below
+    PIVOT_RTOL, singular to rounding, raises ValueError."""
+    stacks = [np.array(Hs) for Hs in zip(*blocks)]
+    # cond is inf, so its reciprocal 0, for an exactly singular block
+    rcond = np.stack([1.0 / np.linalg.cond(H, 1) for H in stacks], axis=-1)
+    _require_nonsingular(rcond, 1.0, lambda l, j: (
+        f"the reciprocal condition number {rcond[l, j]:.1e}"))
+    return tuple(_per_frequency(lambda l, rhs, X=np.linalg.inv(H): X[l] @ rhs)
+                 for H in stacks)
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
@@ -317,19 +317,19 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                ) -> PreconditionerPlan:
     """Validate the (method, alpha, coarse) combination, prepare the
     L_hat block solves: spectral on the eigenvalues in ``coarse.maps``
-    when it has a basis, per-block LU of its dense maps otherwise, or
-    black-box when asked for, and compose them into the plan's one solve.
+    when it has a basis, by the inverses of the blocks of its dense maps,
+    formed once by numpy, otherwise, or black-box when asked for, and
+    compose them into the plan's one solve.
     General method (|alpha| = 1): one diagonalized solve of the whole
     stack. Triangular method (Psi_Q_tilde = 0, any alpha != 0): the
     bottom-right block first, then the top-left block on the right-hand
     side corrected by the coupling Psi_P z, the action
     ``coarse.actions[1]``, fetched at the first application. A block
     singular to rounding, or an alpha that is not finite, real and nonzero,
-    raises ValueError."""
-    if not np.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if alpha == 0:
-        raise ValueError("alpha must be non-zero")
+    raises ValueError; alpha_circulant_eigenvalues, called first, checks
+    that it is finite and nonzero."""
+    Lh = decomp.L_hat
+    d = alpha_circulant_eigenvalues(Lh, alpha)
     if np.imag(alpha) != 0:
         # P(alpha)^{-1} of a real vector is complex then, which _check_real
         # would refuse with a FloatingPointError in the first application
@@ -346,8 +346,6 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
                          "directly; the black-box small-system method "
                          "applies to the general method only")
 
-    Lh = decomp.L_hat
-    d = alpha_circulant_eigenvalues(Lh, alpha)
     g = _gamma_diag(Lh, alpha)
     basis = coarse.basis
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
@@ -362,7 +360,7 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
         blocks, M = "lu", coarse.M
         H_l = (assemble_block_system(coarse.maps, 1, coarse.objective,
                                      alpha=-dl) for dl in d)
-        solves = _lu_solves(  # H_l, or its two diagonal blocks
+        solves = _dense_solves(  # H_l, or its two diagonal blocks
             [H] if method is InversionMethod.GENERAL
             else [H[:M, :M], H[M:, M:]] for H in H_l)
     if method is InversionMethod.GENERAL:

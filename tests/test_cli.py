@@ -84,6 +84,20 @@ class TestConfigFileContract:
         assert names in err
         assert not os.path.exists(tmp_path / "run")
 
+    # each command used to end in a NotADirectoryError traceback, exit 1
+    @pytest.mark.parametrize("args", [
+        ["solve", "--n", "4", "--L", "3"],
+        ["bound", "--sigma-grid", "1:1:1", "--gamma-grid", "1:1:1"],
+        ["experiment", "TcFotdVsFdto"]], ids=["solve", "bound", "experiment"])
+    def test_output_under_a_file_exits_2(self, tmp_path, capsys, args):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        assert main([*args, "--output", str(a_file / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot write to output "
+                              "folder ")
+        assert err.count("\n") == 1
+
 
 class TestCsvContract:
     def test_version_header_and_precision(self, tmp_path):
@@ -368,6 +382,23 @@ class TestSolveCommand:
         assert (summary["outer_iterations"],
                 summary["total_inner_iterations"]) == (100, 500)
 
+    # the FDTO coarse propagator makes these solves diverge by about 1.3x
+    # per outer step, never 10x over five; they used to run all 100 steps
+    # and end 1.7e5-3.1e12 times above r0 with no reason recorded
+    @pytest.mark.parametrize("n,L", [(4, 3), (8, 4)])
+    def test_steady_divergence_aborts(self, tmp_path, n, L):
+        out = str(tmp_path / "run")
+        rc = main(["solve", "--problem", "advection_diffusion",
+                   "--objective", "terminal_cost", "--n", str(n),
+                   "--L", str(L), "--precond", "--precond-method", "triangular",
+                   "--alpha-real", "0.1", "--coarse-variant", "ie_fdto",
+                   "--output", out])
+        assert rc == 1
+        summary = json.loads(open(os.path.join(out, "summary.json")).read())
+        assert summary["aborted"] == ("residual above 10x max(1, r0) "
+                                      "for 5 iterations")
+        assert summary["outer_iterations"] < 100
+
     BLACK_BOX = ["solve", "--n", "4", "--L", "3", "--precond",
                  "--small-system-method", "black_box_iterative"]
 
@@ -638,9 +669,10 @@ class TestExperimentCommand:
                 assert os.path.exists(os.path.join(folder, fname))
 
 
-# runs in a fresh interpreter, since any earlier test may have loaded scipy
-_SCIPY_GUARD = """
+# runs in a fresh interpreter, in which any import of scipy fails
+_NO_SCIPY = """
 import sys
+sys.modules["scipy"] = None
 import numpy as np
 from paraopt_kit.cli import main
 
@@ -653,42 +685,51 @@ runs = [tiny + ["--precond"],
         ["experiment", "ScalarTimestepSweep"]]
 for i, args in enumerate(runs):
     assert main(args + ["--output", f"{out}/{i}"]) == 0, args
-loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-assert not loaded, loaded
 
-# a dense K takes the LU path, which imports scipy.linalg when it is built
+# a dense K: the blocks of each method, and the black-box ones, on numpy
 from paraopt_kit.preconditioner import (
-    InversionMethod, assemble_P_alpha, build_plan)
+    InversionMethod, SmallSystemMethod, assemble_P_alpha, build_plan)
 from paraopt_kit.problem import (
     LinearControlProblem, ObjectiveKind, make_decomposition)
 from paraopt_kit.propagators import build_implicit_euler_propagator
 
 rng = np.random.default_rng(0)
 A, S = rng.standard_normal((2, 3, 3))
-p = LinearControlProblem(K=A @ A.T + 3 * np.eye(3) + S - S.T, gamma=0.3,
-                         T=2.0, y_init=rng.standard_normal(3),
-                         objective=ObjectiveKind.TRACKING,
-                         y_d=lambda t: np.full(3, 1.0 + t))
-d = make_decomposition(p, L=4, J_fine=4, J_coarse=1)
-coarse = build_implicit_euler_propagator(p, d.DT, 1)
-plan = build_plan(coarse, d, -1.0, InversionMethod.GENERAL)
-assert plan.blocks == "lu" and "scipy.linalg" in sys.modules
-v = rng.standard_normal(2 * d.L_hat * 3)
-P = assemble_P_alpha(coarse, d, -1.0)
-assert np.linalg.norm(P @ plan.apply_inverse(v) - v) <= 1e-10 * np.linalg.norm(v)
+K = A @ A.T + 3 * np.eye(3) + S - S.T
+tracking = LinearControlProblem(
+    K=K, gamma=0.3, T=2.0, y_init=rng.standard_normal(3),
+    objective=ObjectiveKind.TRACKING, y_d=lambda t: np.full(3, 1.0 + t))
+terminal = LinearControlProblem(
+    K=K, gamma=0.3, T=2.0, y_init=rng.standard_normal(3),
+    objective=ObjectiveKind.TERMINAL_COST, y_target=rng.standard_normal(3))
+cases = [(tracking, -1.0, InversionMethod.GENERAL,
+          SmallSystemMethod.EXPLICIT_DIRECT, "lu"),
+         (terminal, 0.1, InversionMethod.TRIANGULAR,
+          SmallSystemMethod.EXPLICIT_DIRECT, "lu"),
+         (tracking, -1.0, InversionMethod.GENERAL,
+          SmallSystemMethod.BLACK_BOX_ITERATIVE, "black_box")]
+for p, alpha, method, small, blocks in cases:
+    d = make_decomposition(p, L=4, J_fine=4, J_coarse=1)
+    coarse = build_implicit_euler_propagator(p, d.DT, 1)
+    plan = build_plan(coarse, d, alpha, method, small)
+    assert plan.blocks == blocks, plan.blocks
+    v = rng.standard_normal(2 * d.L_hat * 3)
+    P = assemble_P_alpha(coarse, d, alpha)
+    err = np.linalg.norm(P @ plan.apply_inverse(v) - v) / np.linalg.norm(v)
+    assert err <= 1e-10, (method, small, err)
 """
 
 
-def test_solves_bounds_and_exact_rho_never_load_scipy(tmp_path):
-    """The stencil solves (spectral and black-box plans, and no plan), the
-    bound sweep and exact_rho run on numpy's linear algebra alone, so a
-    process that runs them never loads scipy or the OpenBLAS it bundles;
-    only a dense-K LU plan imports it."""
+def test_package_never_imports_scipy(tmp_path):
+    """The package runs on numpy's linear algebra alone, so a process that
+    cannot import scipy runs the stencil solves (spectral and black-box
+    plans, and no plan), the bound sweep and exact_rho, and builds and
+    applies the dense-K plans of both methods and a black-box one."""
     import paraopt_kit
     src = os.path.dirname(os.path.dirname(os.path.abspath(paraopt_kit.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_GUARD, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ class TestCirculantEigenvalues:
         with pytest.raises(ValueError):
             alpha_circulant_eigenvalues(4, 0.0)
 
+    # L_hat = 0 used to raise IndexError, a NaN alpha to return NaNs, and
+    # an infinite one to emit a RuntimeWarning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("L_hat,alpha,message", [
+        (0, -1.0, "L_hat must be at least 1, got 0"),
+        (-1, -1.0, "L_hat must be at least 1, got -1"),
+        (4, np.nan, "alpha must be finite, got nan"),
+        (4, np.inf, "alpha must be finite, got inf"),
+        (4, -np.inf, "alpha must be finite, got -inf"),
+        (4, complex(0.6, np.nan), "alpha must be finite, got (0.6+nanj)")])
+    def test_bad_input_rejected(self, L_hat, alpha, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            alpha_circulant_eigenvalues(L_hat, alpha)
+
 
 class TestBuildPlanValidation:
     def test_general_needs_unit_modulus(self):
@@ -136,29 +151,31 @@ class TestBuildPlanValidation:
     @pytest.mark.parametrize("method", list(InversionMethod))
     def test_singular_lu_block_rejected(self, method):
         # the same problem on its dense K; at DT = 1/32 the dense build
-        # keeps the eigenvalue 1 of Phi_P exact, so the LU meets an exact
-        # zero pivot (at T = 2, L = 3 the smallest pivot is 9e-15 instead)
+        # keeps the eigenvalue 1 of Phi_P exact, so the block is exactly
+        # singular, and its reciprocal condition number is 0 (at T = 2,
+        # L = 3 it is small but not zero, as the next test shows)
         p = make_heat_problem(4, 0.05, 0.125, TC)
         p = dataclasses.replace(p, K=bccb(p.K.column))
         d = make_decomposition(p, L=4, J_fine=2, J_coarse=1)
         coarse = build_implicit_euler_propagator(p, d.DT, 1)
         assert coarse.basis is None
         with pytest.raises(ValueError, match=r"singular: the block of "
-                           r"frequency l = 0 .* LU factors"):
+                           r"frequency l = 0 .* reciprocal condition number"):
             build_plan(coarse, d, 1.0, method)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", list(InversionMethod))
     def test_lu_block_singular_to_rounding_rejected(self, method):
         # at T = 2, L = 3 the dense build rounds the eigenvalue 1 of Phi_P,
-        # and the smallest LU pivot is 9e-15, not zero. The solve used to
-        # run 5 outer steps of 1000 inner ones and abort
+        # and the block's reciprocal condition number is 1.7e-33 (general)
+        # or 3.2e-16 (triangular), not zero. The solve used to run 5 outer
+        # steps of 1000 inner ones and abort
         p = make_heat_problem(4, 0.05, 2.0, TC)
         p = dataclasses.replace(p, K=bccb(p.K.column))
         d = make_decomposition(p, L=3, J_fine=10, J_coarse=1)
         coarse = build_implicit_euler_propagator(p, d.DT, 1)
         with pytest.raises(ValueError, match=r"singular: the block of "
-                           r"frequency l = 0 .* row 15 of its LU factors"):
+                           r"frequency l = 0 .* reciprocal condition number"):
             build_plan(coarse, d, 1.0, method)
 
 
