@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 solver non-convergence or abort, 2 configuration
 error: a field of the wrong type, a non-finite float or an unknown choice
 (RunConfig.validate), an unreadable --config file, an output folder that
 cannot be created or written, or a ValueError the library raises while a
-command sets up.
+command sets up. `solve` sets up, then creates its output folder, then
+solves, so neither kind of error waits for the solve, and a bad
+configuration leaves no folder.
 All CSV files start with the version line `# paraopt-kit v1`, use LF endings,
 and print floats at full precision (%.17g).
 """
@@ -40,6 +42,7 @@ from paraopt_kit.analysis import (
     exact_rho,
     fit_geometric_rate,
     log_grid,
+    rho_bound_at,
     rho_bound_tracking,
 )
 from paraopt_kit.core import NewtonConfig, SolveLog, paraopt_solve
@@ -156,14 +159,13 @@ class RunConfig:
 
 
 # values that overflow to inf or NaN end the solve through its finiteness
-# checks, with the reason in the log, so numpy need not warn about them
+# checks, with the reason in the log, so numpy need not warn about them, in
+# the set-up as in the solve
 @np.errstate(over="ignore", invalid="ignore")
-def solve_case(cfg: RunConfig):
-    """Run one configured solve; returns (trajectory, log, summary dict).
-    After cfg.validate(), every ValueError raised while building the
-    solver configs, problem, decomposition, propagators and plan becomes
-    a ConfigError (exit 2). The solve is outside that boundary: a
-    ValueError there is a bug, not a bad input."""
+def _set_up(cfg: RunConfig) -> tuple:
+    """(problem, decomp, fine, coarse, newton) of a run, the plan in
+    newton.preconditioner, after cfg.validate(); a ValueError raised while
+    building them is a ConfigError (exit 2)."""
     cfg.validate()
     try:
         newton = NewtonConfig(
@@ -185,6 +187,13 @@ def solve_case(cfg: RunConfig):
                 cfg.choice("small_system_method"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    return problem, decomp, fine, coarse, newton
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _solve(cfg: RunConfig, problem, decomp, fine, coarse, newton):
+    """(trajectory, log, summary dict) of the run that _set_up prepared.
+    A ValueError here is a bug, not a bad input."""
     traj, log = paraopt_solve(problem, decomp, fine, coarse, newton)
     plan = newton.preconditioner
     summary = {
@@ -201,6 +210,14 @@ def solve_case(cfg: RunConfig):
         "config": cfg.to_dict(),
     }
     return traj, log, summary
+
+
+def solve_case(cfg: RunConfig):
+    """Run one configured solve; returns (trajectory, log, summary dict).
+    The set-up (validation and the solver configs, problem, decomposition,
+    propagators and plan) raises ConfigError for a bad configuration; the
+    solve comes after it."""
+    return _solve(cfg, *_set_up(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +260,13 @@ def _output_folder(path: str):
 
 
 def write_solve_artifacts(outdir: str, log: SolveLog, summary: dict) -> None:
-    with _output_folder(outdir):
-        write_csv(os.path.join(outdir, "solve_log.csv"),
-                  ["iteration", "residual", "inner_iters", "seconds"],
-                  log.csv_rows())
-        write_json(os.path.join(outdir, "summary.json"), summary)
+    """solve_log.csv, one row per outer record, and summary.json, written
+    to the folder outdir, which exists."""
+    write_csv(os.path.join(outdir, "solve_log.csv"),
+              ["iteration", "residual", "inner_iters", "seconds"],
+              [(r.iteration, r.residual, r.inner_iters, r.seconds)
+               for r in log.records])
+    write_json(os.path.join(outdir, "summary.json"), summary)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +323,12 @@ def _merge_config(args) -> RunConfig:
 
 def cmd_solve(args) -> int:
     cfg = _merge_config(args)
-    _, log, summary = solve_case(cfg)
-    write_solve_artifacts(cfg.output, log, summary)
+    case = _set_up(cfg)
+    # a bad configuration leaves no folder, and an unwritable one is
+    # refused before the solve, not after it
+    with _output_folder(cfg.output):
+        _, log, summary = _solve(cfg, *case)
+        write_solve_artifacts(cfg.output, log, summary)
     return 0 if log.converged else 1
 
 
@@ -368,21 +391,17 @@ def scalar_case_config(sigma_hat: float, gamma_hat: float) -> RunConfig:
 
 def exp_scalar_convergence_ab() -> dict:
     cases = {"A": (1e-6, 6.0), "B": (6e-4, 0.4)}
+    exact = PropagatorDescription(PropagatorKind.EXACT)
+    ie10 = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=10)
     hist_rows, rate_rows = [], []
     for name, (sh, gh) in cases.items():
         cfg = scalar_case_config(sh, gh)
         _, log, _ = solve_case(cfg)
         for rec in log.records:
             hist_rows.append((name, rec.iteration, rec.residual))
-        fine = coefficients_at(ObjectiveKind.TRACKING,
-                               PropagatorDescription(PropagatorKind.EXACT),
-                               sh, gh)
-        coarse = coefficients_at(
-            ObjectiveKind.TRACKING,
-            PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=10),
-            sh, gh)
-        rate_rows.append((name, rho_bound_tracking(fine, coarse),
-                          fit_geometric_rate([r.residual for r in log.records])))
+        rho = rho_bound_at(ObjectiveKind.TRACKING, exact, ie10, sh, gh)
+        rate_rows.append((name, rho, fit_geometric_rate(
+            [r.residual for r in log.records])))
     return {"residual_histories.csv": (["case", "iteration", "residual"],
                                        hist_rows),
             "rates.csv": (["case", "rho_star", "fitted_rate"], rate_rows)}

@@ -66,7 +66,8 @@ import numpy as np
 
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
-from paraopt_kit.problem import LinearControlProblem, ObjectiveKind, TimeDecomposition
+from paraopt_kit.problem import (LinearControlProblem, ObjectiveKind,
+                                 TimeDecomposition, require_int)
 from paraopt_kit.propagators import AffinePropagator, dense_maps, flat, stack
 
 
@@ -94,7 +95,8 @@ class NewtonConfig:
     is below outer_tolerance, in (0, 1), times max(1, initial residual),
     or after max_outer >= 1 Newton steps. inner holds the GMRES settings,
     which check themselves. Raises ValueError for an outer_tolerance or a
-    max_outer out of range."""
+    max_outer out of range, and for a max_outer that is not an integer (a
+    bool or a float)."""
 
     outer_tolerance: float = 1e-6
     max_outer: int = 100
@@ -105,6 +107,7 @@ class NewtonConfig:
         if not 0.0 < self.outer_tolerance < 1.0:
             raise ValueError(f"outer_tolerance must be in (0, 1), got "
                              f"{self.outer_tolerance}")
+        require_int("max_outer", self.max_outer)
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
@@ -130,10 +133,6 @@ class SolveLog:
     aborted: Optional[str] = None
     inner_solve: str = "flexible"
     fallback_steps: int = 0
-
-    def csv_rows(self) -> list[tuple]:
-        return [(r.iteration, r.residual, r.inner_iters, r.seconds)
-                for r in self.records]
 
 
 # N(u) = A_tilde P(alpha)^{-1} u - u writes outside the slices y_1 and

@@ -26,6 +26,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from paraopt_kit.problem import require_int
+
 # rows of the first basis block and of every later one. Preconditioned
 # inner solves take a few iterations per call and stay in the first block,
 # so they allocate little; long runs get larger blocks, whose products run
@@ -35,10 +37,14 @@ _FIRST_ROWS, _BLOCK_ROWS = 8, 32
 
 @dataclass(frozen=True)
 class GmresConfig:
+    """rel_tolerance in (0, 1) and an integer max_iterations >= 1 (a bool
+    or a float raises ValueError, as a value out of range does)."""
+
     rel_tolerance: float = 1e-8
     max_iterations: int = 1000
 
     def __post_init__(self):
+        require_int("max_iterations", self.max_iterations)
         if not 0.0 < self.rel_tolerance < 1.0:
             raise ValueError(f"rel_tolerance must be in (0, 1), got {self.rel_tolerance}")
         if self.max_iterations < 1:

@@ -43,7 +43,9 @@ the plan acts on grid values and inverts the stack of its blocks once,
 with numpy's LU (``np.linalg.inv``), as the whole package runs on numpy. A
 block singular to rounding raises ValueError in the build: on the
 spectral path a pivot below PIVOT_RTOL of its scale, on the dense one a
-1-norm reciprocal condition number below PIVOT_RTOL.
+1-norm reciprocal condition number below PIVOT_RTOL, taken from the
+inverse it keeps (np.linalg.cond runs only to name an exactly singular
+block, for which np.linalg.inv refuses the stack).
 The general method can instead solve its blocks matrix-free by inner GMRES,
 through the actions of the coarse maps in their basis: in a FourierBasis a
 block vector is the two half spectra of one frequency, M + s complex
@@ -107,8 +109,8 @@ class SmallSystemMethod(enum.Enum):
 IMAG_RESIDUE_RTOL = 1e-9
 # a closed-form pivot below this share of its scale (the sum of the
 # magnitudes of its terms, at least 1) is zero to rounding, and so is a
-# dense block's 1-norm reciprocal condition number below it: the block is
-# singular
+# dense block's 1-norm reciprocal condition number below it, read off the
+# block's inverse: the block is singular
 PIVOT_RTOL = 1e-12
 
 
@@ -300,15 +302,26 @@ def _dense_solves(blocks) -> tuple:
     """Invert the blocks that blocks yields for each frequency l, a tuple
     of them per frequency, once, as one (L_hat, k, k) stack per place in
     the tuple: one batched solve per place, whose row l is multiplied by
-    inverse l. A block whose 1-norm reciprocal condition number is below
-    PIVOT_RTOL, singular to rounding, raises ValueError."""
+    inverse l. A block whose 1-norm reciprocal condition number,
+    1 / (||H||_1 ||H^{-1}||_1) as read off the kept inverse, is below
+    PIVOT_RTOL, singular to rounding, raises ValueError. np.linalg.inv
+    refuses the whole stack when a block is exactly singular; only then is
+    np.linalg.cond called, to name that block, whose cond is inf."""
     stacks = [np.array(Hs) for Hs in zip(*blocks)]
-    # cond is inf, so its reciprocal 0, for an exactly singular block
-    rcond = np.stack([1.0 / np.linalg.cond(H, 1) for H in stacks], axis=-1)
-    _require_nonsingular(rcond, 1.0, lambda l, j: (
-        f"the reciprocal condition number {rcond[l, j]:.1e}"))
-    return tuple(_per_frequency(lambda l, rhs, X=np.linalg.inv(H): X[l] @ rhs)
-                 for H in stacks)
+    norm = lambda X: np.linalg.norm(X, 1, axis=(-2, -1))
+    what = lambda l, j: f"the reciprocal condition number {rcond[l, j]:.1e}"
+    try:
+        inverses = [np.linalg.inv(H) for H in stacks]
+    except np.linalg.LinAlgError:
+        # cond is inf, so its reciprocal 0, for an exactly singular block
+        rcond = np.stack([1.0 / np.linalg.cond(H, 1) for H in stacks], -1)
+        _require_nonsingular(rcond, 1.0, what)
+        raise
+    rcond = np.stack([1.0 / (norm(H) * norm(X))
+                      for H, X in zip(stacks, inverses)], -1)
+    _require_nonsingular(rcond, 1.0, what)
+    return tuple(_per_frequency(lambda l, rhs, X=X: X[l] @ rhs)
+                 for X in inverses)
 
 
 def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,

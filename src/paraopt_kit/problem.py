@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -23,6 +24,13 @@ def _require_positive(name: str, value: float) -> None:
     # written so that NaN fails the test too
     if not 0.0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is an int or a numpy integer; a bool
+    or a float, even a whole one, is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _finite_array(name: str, x, shape=None) -> np.ndarray:
@@ -129,6 +137,8 @@ class TimeDecomposition:
 
     L_hat counts the interval-boundary unknown blocks: L-1 for tracking
     (the terminal adjoint is fixed to zero) and L for terminal cost.
+    L, L_hat, J_fine and J_coarse are integers (a bool or a float raises
+    ValueError), with L >= 2 and J_fine >= J_coarse >= 1.
     """
 
     L: int
@@ -138,6 +148,8 @@ class TimeDecomposition:
     J_coarse: int
 
     def __post_init__(self):
+        for name in ("L", "L_hat", "J_fine", "J_coarse"):
+            require_int(name, getattr(self, name))
         if self.L < 2:
             raise ValueError("need at least two sub-intervals")
         if not (self.J_fine >= self.J_coarse >= 1):
@@ -212,19 +224,12 @@ def make_advection_diffusion_problem(n: int, gamma: float, T: float,
 
 
 def make_scalar_problem(sigma: float, gamma: float, T: float,
-                        objective: ObjectiveKind,
-                        y_init: float = 1.0,
-                        y_d: Optional[Callable[[float], float]] = None,
-                        y_target: Optional[float] = None) -> LinearControlProblem:
-    """Scalar test equation y' = -sigma*y + u, K the 1 x 1 stencil sigma;
-    y_d is 1 for tracking and y_target 1 for terminal cost unless given."""
-    if y_d is None and objective is ObjectiveKind.TRACKING:
-        y_d = lambda t: 1.0
-    if y_target is None and objective is ObjectiveKind.TERMINAL_COST:
-        y_target = 1.0
-    yd_vec = None if y_d is None else (
-        lambda t: np.atleast_1d(np.asarray(y_d(t), dtype=float)))
+                        objective: ObjectiveKind) -> LinearControlProblem:
+    """Scalar test equation y' = -sigma*y + u, K the 1 x 1 stencil sigma,
+    with y_init = 1 and the target y_d(t) = 1 (tracking) or y_target = 1
+    (terminal cost). Another field is set with dataclasses.replace."""
+    tracking = objective is ObjectiveKind.TRACKING
     return LinearControlProblem(
-        K=PeriodicStencil([[sigma]]), gamma=gamma, T=T, y_init=[y_init],
-        objective=objective, y_target=None if y_target is None else [y_target],
-        y_d=yd_vec)
+        K=PeriodicStencil([[sigma]]), gamma=gamma, T=T, y_init=[1.0],
+        objective=objective, y_target=None if tracking else [1.0],
+        y_d=(lambda t: np.ones(1)) if tracking else None)

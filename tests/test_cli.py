@@ -98,6 +98,22 @@ class TestConfigFileContract:
                               "folder ")
         assert err.count("\n") == 1
 
+    # the folder used to be created only after the whole solve, about 2 s
+    # at n = 64, L_hat = 100
+    def test_unwritable_output_refused_before_the_solve(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("paraopt_solve was called")
+        monkeypatch.setattr("paraopt_kit.cli.paraopt_solve", no_solve)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        assert main(["solve", "--n", "4", "--L", "3", "--output",
+                     str(a_file / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("configuration error: cannot write to "
+                                 "output folder ")
+
 
 class TestCsvContract:
     def test_version_header_and_precision(self, tmp_path):

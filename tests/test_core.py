@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paraopt_kit.cli import write_solve_artifacts
 from paraopt_kit.core import (
     NewtonConfig,
     PairedTrajectory,
@@ -57,7 +58,8 @@ def tracking_setup(L=6, J_fine=8, J_coarse=1):
 def terminal_setup(L=5, J_fine=8, J_coarse=1):
     # the 1 x 1 stencil: M = 1 in a FourierBasis, whose real view adds
     # the zero imaginary slot of the one mode to every row
-    p = make_scalar_problem(2.0, 0.5, 2.5, TC, y_target=0.3)
+    p = dataclasses.replace(make_scalar_problem(2.0, 0.5, 2.5, TC),
+                            y_target=[0.3])
     d = make_decomposition(p, L=L, J_fine=J_fine, J_coarse=J_coarse)
     fine = build_implicit_euler_propagator(p, d.DT, J_fine)
     coarse = build_implicit_euler_propagator(p, d.DT, J_coarse)
@@ -262,23 +264,31 @@ class TestParaoptSolve:
             np.concatenate([x.y.ravel(), x.lam_hat.ravel()]),
             to_grid(fine.basis, ref), atol=1e-8)
 
-    def test_log_rows_match_records(self):
+    def test_log_rows_match_records(self, tmp_path):
         p, d, fine, coarse = tracking_setup()
         _, log = paraopt_solve(p, d, fine, coarse, NewtonConfig())
-        rows = log.csv_rows()
-        assert len(rows) == len(log.records)
-        assert rows[0][0] == 0 and rows[0][2] == 0
-        assert all(rows[i][0] == i for i in range(len(rows)))
+        write_solve_artifacts(str(tmp_path), log, {})
+        with open(tmp_path / "solve_log.csv", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+        assert lines[1] == "iteration,residual,inner_iters,seconds"
+        rows = [line.split(",") for line in lines[2:]]
+        assert [(int(i), float(r), int(n), float(s))
+                for i, r, n, s in rows] == [
+            (r.iteration, r.residual, r.inner_iters, r.seconds)
+            for r in log.records]
+        assert rows[0][0] == "0" and rows[0][2] == "0"
 
     @pytest.mark.parametrize("kwargs", [
         dict(max_outer=0), dict(max_outer=-3), dict(outer_tolerance=0.0),
         dict(outer_tolerance=1.0), dict(outer_tolerance=1.5),
-        dict(outer_tolerance=2.0),
+        dict(outer_tolerance=2.0), dict(max_outer=2.5), dict(max_outer=True),
     ])
     def test_config_out_of_range_rejected(self, kwargs):
         # max_outer = -3 used to return from an infinite r0 without an
-        # abort reason, and outer_tolerance = 2 to report convergence
-        # after zero steps
+        # abort reason, outer_tolerance = 2 to report convergence after
+        # zero steps, max_outer = 2.5 to fail at the loop of paraopt_solve
+        # with a TypeError, outside its abort handling, and True to run
+        # one step
         with pytest.raises(ValueError, match="must be"):
             NewtonConfig(**kwargs)
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -223,3 +224,11 @@ class TestGmres:
                            match="max_iterations must be >= 1, got 0"):
             GmresConfig(max_iterations=0)
 
+    # 2.5 used to pass and fail inside gmres with a TypeError, and True to
+    # stand for a budget of 1
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match=re.escape(
+                f"max_iterations must be an integer, got {value!r}")):
+            GmresConfig(max_iterations=value)
+        assert GmresConfig(max_iterations=np.int32(5)).max_iterations == 5

@@ -215,6 +215,25 @@ class TestApplyInverse:
         x = plan.apply_inverse(v)
         assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
 
+    # np.linalg.cond inverted every stack a second time; it now runs only
+    # to name an exactly singular block
+    @pytest.mark.parametrize("setup,method,alpha", [
+        (tracking_setup, InversionMethod.GENERAL, -1.0),
+        (terminal_setup, InversionMethod.TRIANGULAR, 0.01)])
+    def test_dense_plan_inverts_once(self, monkeypatch, setup, method,
+                                     alpha):
+        p, d, coarse = setup()
+
+        def no_cond(*args, **kwargs):
+            raise AssertionError("np.linalg.cond was called")
+        monkeypatch.setattr(np.linalg, "cond", no_cond)
+        plan = build_plan(coarse, d, alpha, method)
+        assert plan.blocks == "lu"
+        P = assemble_P_alpha(coarse, d, alpha)
+        v = np.random.default_rng(3).standard_normal(2 * d.L_hat * p.M)
+        x = plan.apply_inverse(v)
+        assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_linearity(self, seed):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
+    TimeDecomposition,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -91,6 +93,25 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             make_decomposition(p, L=1, J_fine=1, J_coarse=1)
 
+    # a float used to pass the range checks and fail in the propagator
+    # build with a TypeError, and True to stand for 1
+    @pytest.mark.parametrize("field", ["L", "L_hat", "J_fine", "J_coarse"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_integers(self, field, value):
+        counts = dict(L=4, L_hat=3, J_fine=2, J_coarse=1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be an integer, got {value!r}")):
+            TimeDecomposition(T=1.0, **{**counts, field: value})
+        d = TimeDecomposition(T=1.0, **{k: np.int64(v)
+                                        for k, v in counts.items()})
+        assert (d.L, d.J_fine) == (4, 2)
+
+    def test_make_decomposition_refuses_a_float_L(self):
+        p = make_scalar_problem(1.0, 1.0, 1.0, ObjectiveKind.TRACKING)
+        with pytest.raises(ValueError, match=re.escape(
+                "L must be an integer, got 3.0")):
+            make_decomposition(p, L=3.0, J_fine=1, J_coarse=1)
+
 
 class TestHeatProblem:
     def test_laplacian_spectrum_closed_form(self):
@@ -158,11 +179,9 @@ class TestScalarProblem:
     def test_defaults(self):
         p = make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TRACKING)
         assert p.M == 1 and p.K.column.tolist() == [[3.0]]
+        assert p.y_init.shape == (1,) and p.y_init.tolist() == [1.0]
+        assert p.y_target is None
         np.testing.assert_allclose(p.y_d(0.3), [1.0])
         q = make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TERMINAL_COST)
+        assert q.y_d is None
         np.testing.assert_allclose(q.y_target, [1.0])
-
-    def test_custom_target_trajectory(self):
-        p = make_scalar_problem(1.0, 1.0, 1.0, ObjectiveKind.TRACKING,
-                                y_d=lambda t: 2.0 * t)
-        np.testing.assert_allclose(p.y_d(0.5), [1.0])

@@ -198,9 +198,10 @@ class TestExactBuild:
     def test_implicit_euler_converges_first_order(self, objective):
         # for tracking the offsets too: their J -> infinity limit is a second
         # oracle for the exact ones, independent of the closed form
-        targets = [lambda t: 1.0, lambda t: 1.0 + t]
+        targets = [lambda t: np.ones(1), lambda t: np.array([1.0 + t])]
         for y_d in targets if objective is TR else [None]:
-            p = make_scalar_problem(1.0, 1.0, 1.0, objective, y_d=y_d)
+            p = dataclasses.replace(
+                make_scalar_problem(1.0, 1.0, 1.0, objective), y_d=y_d)
             exact = build_exact_propagator(p, 1.0)
             errs = []
             for J in (64, 128):
