@@ -275,21 +275,28 @@ class _SliceSpace:
     q = S^T N(b_hat) and G = S^T N S, one complex 2 x 2 block per mode of
     the half spectrum. GMRES on T therefore minimizes the residual over the
     same Krylov space, in the same norm, as on A_tilde P^{-1}, with O(M)
-    work per step, and delta = P^{-1}(gamma b_hat + S s).
+    work per step, and delta = gamma z + Z s, z = P^{-1} b_hat: one
+    application of P^{-1} per outer step.
 
-    G is read off two probes, ones on every mode of one slice, mapped
-    through N. ``exact`` says whether N kept them to the slices within
-    SLICE_LEAK_RTOL, as it does when P^{-1} is exact."""
+    G and Z = P^{-1} S, the columns of P^{-1} for the two slices, one
+    (2 L_hat) x 2 block per mode, are read off two probes, ones on every
+    mode of one slice, mapped through P^{-1} and N. ``exact`` says whether
+    N kept them to the slices within SLICE_LEAK_RTOL, as it does when
+    P^{-1} is exact."""
 
     def __init__(self, plan, op):
         self.plan, self.op, basis = plan, op, plan.basis
         probe = flat(np.ones(len(basis.half), complex))
+        # the columns of the slices y_1 and lam_Lhat, mode by mode:
+        # rows x slice x mode
         self.G = np.empty((2, 2, len(basis.half)), complex)
+        self.Z = np.empty((2 * plan.L_hat, 2, len(basis.half)), complex)
         leak = 0.0
         for j in range(2):
             u = np.zeros(2 * plan.L_hat * len(probe))
             self._slices(u)[j] = probe
-            w = self._image(u)[1]
+            z, w = self._image(u)
+            self.Z[:, j] = stack(basis, z, (2 * plan.L_hat,), plan.M)
             self.G[:, j] = stack(basis, self._slices(w), (2,), plan.M)
             # np.maximum keeps a NaN leak, which then fails the check
             leak = np.maximum(leak, self._leak(w) / np.linalg.norm(probe))
@@ -312,11 +319,12 @@ class _SliceSpace:
         w -= u
         return z, w
 
-    def _couple(self, s: np.ndarray) -> np.ndarray:
-        """G s for the coordinates s of the two slices, the flat real view
-        of their half spectra."""
+    def _combine(self, cols: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """cols s, mode by mode, for the coordinates s of the two slices,
+        the flat real view of their half spectra, and the columns cols of
+        those slices: G s for G, P^{-1} S s for Z."""
         h = stack(self.plan.basis, s, (2,), self.plan.M)
-        return flat(self.G[:, 0] * h[0] + self.G[:, 1] * h[1])
+        return flat(cols[:, 0] * h[0] + cols[:, 1] * h[1])
 
     def solve(self, b: np.ndarray, cfg: GmresConfig):
         """(delta, report) of GMRES on A_tilde delta = b through T, or None
@@ -339,13 +347,11 @@ class _SliceSpace:
 
         def T(v):
             out = v.copy()
-            out[1:] += v[0] * q + self._couple(v[1:])
+            out[1:] += v[0] * q + self._combine(self.G, v[1:])
             return out
         gs, rep = gmres(T, np.concatenate([[nb], self._slices(b).ravel()]),
                         cfg=cfg)
-        u = np.zeros_like(b)
-        self._slices(u)[:] = gs[1:].reshape(2, -1)
-        delta = self.plan.apply_inverse(u)
+        delta = self._combine(self.Z, gs[1:])
         delta += gs[0] * z
         return delta, rep
 

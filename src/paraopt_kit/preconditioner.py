@@ -57,10 +57,12 @@ A_tilde P(alpha)^{-1} is the identity plus a term that writes only the
 time slices y_1 and lam_Lhat, since P(alpha) differs from A_tilde only in
 their rows. With a plan in a FourierBasis, spectral or black-box, the
 solve therefore runs its inner GMRES in the (1 + 2 (M + s))-dimensional
-space that this leaves (:class:`paraopt_kit.core._SliceSpace`), at two
-applications of the plan per outer step and the same inner counts and
-residuals; a plan on grid values (a dense K), and a P(alpha)^{-1} that is
-not exact, keep flexible GMRES with the plan applied at every inner step.
+space that this leaves (:class:`paraopt_kit.core._SliceSpace`), at one
+application of the plan per outer step and the same inner counts and
+residuals: delta = gamma z + Z s, with Z the plan's columns for those two
+slices, kept from two probes; a plan on grid values (a dense K), and a
+P(alpha)^{-1} that is not exact, keep flexible GMRES with the plan
+applied at every inner step.
 
 A real alpha makes P(alpha) real, so P(alpha)^{-1} of real data is real;
 real data are the only input. A complex vector raises ValueError, and so

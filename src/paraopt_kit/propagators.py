@@ -46,7 +46,8 @@ from typing import Optional
 import numpy as np
 
 from paraopt_kit.analysis import _tc_exact, _tracking_exact, implicit_euler_maps
-from paraopt_kit.problem import Discretization, LinearControlProblem, ObjectiveKind
+from paraopt_kit.problem import (Discretization, LinearControlProblem,
+                                 ObjectiveKind, require_int)
 
 
 @dataclass(frozen=True)
@@ -226,12 +227,14 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     per mode of the problem's ``symbol`` when it has one.
 
     Tracking supports FOTD only (an FDTO tracking discretization breaks the
-    shared-eigenvector structure the analysis relies on).
+    shared-eigenvector structure the analysis relies on). Raises
+    ValueError unless J is an integer >= 1 (a bool or a float is refused).
     """
     obj = problem.objective
     tracking = obj is ObjectiveKind.TRACKING
     if tracking and variant is Discretization.FDTO:
         raise ValueError("tracking propagators support FOTD only")
+    require_int("J", J)
     if J < 1:
         raise ValueError("need at least one implicit-Euler step")
     tau = DT / J

@@ -31,6 +31,9 @@ TC = ObjectiveKind.TERMINAL_COST
 coeff = st.floats(0.02, 0.98)
 psi_val = st.floats(0.02, 2.0)
 
+_IE_RANGE = "^need J >= 1, tau > 0, gamma > 0$"
+_EXACT_RANGE = "^need DT > 0, gamma > 0$"
+
 
 class TestCoefficientCatalog:
     @pytest.mark.parametrize("J", [0, -1])
@@ -38,6 +41,27 @@ class TestCoefficientCatalog:
         # J = 0 used to fail in functools.reduce of no steps
         with pytest.raises(ValueError, match=f"got J = {J}"):
             implicit_euler_maps(np.eye(2), 0.1, 0.1, J, TR)
+
+    # each case breaks one condition of the message it must raise
+    @pytest.mark.parametrize("build,match", [
+        (lambda: phi_psi_tracking_ie(1.0, 0.5, 0.1, 0), _IE_RANGE),
+        (lambda: phi_psi_tracking_ie(1.0, 0.5, 0.0, 2), _IE_RANGE),
+        (lambda: phi_psi_tracking_ie(1.0, 0.0, 0.1, 2), _IE_RANGE),
+        (lambda: phi_psi_tc_ie(1.0, 0.5, 0.1, 0), _IE_RANGE),
+        (lambda: phi_psi_tc_ie(1.0, 0.5, -0.1, 2), _IE_RANGE),
+        (lambda: phi_psi_tc_ie(1.0, -0.5, 0.1, 2), _IE_RANGE),
+        (lambda: phi_psi_tc_ie(-10.0, 0.5, 0.1, 2),
+         r"^sigma\*tau must exceed -1$"),
+        (lambda: phi_psi_tracking_exact(1.0, 0.5, 0.0), _EXACT_RANGE),
+        (lambda: phi_psi_tracking_exact(1.0, 0.0, 1.0), _EXACT_RANGE),
+        (lambda: phi_psi_tc_exact(1.0, 0.5, -1.0), _EXACT_RANGE),
+        (lambda: phi_psi_tc_exact(1.0, 0.0, 1.0), _EXACT_RANGE),
+        (lambda: SsigmaSpec(0, PhiPsi(0.5, 0.5), PhiPsi(0.5, 0.5), TR),
+         "^L_hat must be >= 1$"),
+    ])
+    def test_inputs_out_of_range_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
 
     def test_tracking_ie_zero_sigma_one_step(self):
         # gamma = 4, tau = 1: one recursion step from the identity map

@@ -674,7 +674,7 @@ class TestExperimentCommand:
 
     def test_several_ids_write_one_folder_each(self, tmp_path):
         out = str(tmp_path / "out")
-        ids = ["TcFotdVsFdto", "ScalarTimestepSweep"]
+        ids = ["TcFotdVsFdto", "ScalarTimestepSweep", "BoundContours"]
         assert main(["experiment", *ids, "-o", out]) == 0
         for exp_id in ids:
             folder = os.path.join(out, exp_id)
@@ -683,6 +683,24 @@ class TestExperimentCommand:
             assert manifest["experiment"] == exp_id
             for fname in manifest["files"]:
                 assert os.path.exists(os.path.join(folder, fname))
+        # the six 50 x 50 panels of rho*: the bound proves convergence
+        # everywhere for tracking and for FOTD terminal cost, and not
+        # everywhere for FDTO terminal cost
+        folder = os.path.join(out, "BoundContours")
+        files = json.loads(
+            open(os.path.join(folder, "manifest.json")).read())["files"]
+        assert files == [f"rho_star_{panel}_j{J}.csv"
+                         for panel in ("tracking", "tc_fotd", "tc_fdto")
+                         for J in (1, 10)]
+        for fname in files:
+            lines = read_lines(os.path.join(folder, fname))
+            assert lines[1] == "sigma_hat,gamma_hat,rho_star"
+            rho = np.array([float(line.split(",")[2]) for line in lines[2:]])
+            assert len(rho) == 2500
+            if "fdto" in fname:
+                assert rho.max() > 1.0, fname
+            else:
+                assert rho.max() < 1.0, fname
 
 
 # runs in a fresh interpreter, in which any import of scipy fails

@@ -20,6 +20,7 @@ from paraopt_kit.core import (
 from paraopt_kit.numerics import GmresConfig, gmres
 from paraopt_kit.preconditioner import (
     InversionMethod,
+    PreconditionerPlan,
     SmallSystemMethod,
     assemble_P_alpha,
     build_plan,
@@ -607,8 +608,70 @@ def test_slice_coupling_matches_dense_oracle(make, case):
     S = np.r_[0:m, (2 * Lh - 1) * m:2 * Lh * m]
     want = (At @ np.linalg.inv(P) - np.eye(2 * Lh * m))[np.ix_(S, S)]
     space = _SliceSpace(plan, op)
-    got = np.column_stack([space._couple(e) for e in np.eye(2 * m)])
+    got = np.column_stack([space._combine(space.G, e) for e in np.eye(2 * m)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(make=st.sampled_from([make_heat_problem,
+                             make_advection_diffusion_problem]),
+       case=st.sampled_from(_SLICE_CASES), n=st.integers(3, 6),
+       L=st.integers(2, 6), black_box=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_kept_columns_match_the_plan(make, case, n, L, black_box, seed):
+    """Z, the columns of P(alpha)^{-1} for the slices y_1 and lam_Lhat
+    kept from the probes, give P(alpha)^{-1} S s mode by mode for real data
+    s on the two slices: odd and even grids, heat and advection-diffusion,
+    both objectives and both methods, to 1e-14 relative for closed-form
+    blocks and 1e-10 for black-box ones, which are solved to 1e-12 only.
+    The self-conjugate imaginary slots of Z and of Z s are 0."""
+    black_box = black_box and case[2] is InversionMethod.GENERAL
+    p, d, _, plan, op = _slice_space(make, case, n, L, black_box)
+    space = _SliceSpace(plan, op)
+    s = real_data(plan.basis, np.random.default_rng(seed), 2)
+    u = np.zeros((2 * d.L_hat, s.shape[1]))
+    u[[0, -1]] = s
+    want = plan.apply_inverse(u.ravel())
+    got = space._combine(space.Z, s.ravel())
+    rtol = 1e-10 if black_box else 1e-14
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+    sc = plan.basis.self_count
+    assert not space.Z[..., :sc].imag.any()
+    assert not got.reshape(-1, p.M + sc)[:, 1:2 * sc:2].any()
+
+
+@pytest.mark.parametrize("objective,fine,variant,method,alpha,L,want", [
+    (TR, "ie", Discretization.FOTD, InversionMethod.GENERAL, -1.0, 101, 12),
+    (TC, "exact", Discretization.FDTO, InversionMethod.TRIANGULAR, 0.1, 100,
+     13),
+])
+def test_one_inverse_per_outer_step(monkeypatch, objective, fine, variant,
+                                    method, alpha, L, want):
+    """A solve in the slice space applies P(alpha)^{-1} to its two probes
+    and then once per outer step whose b_hat is not 0, since delta comes
+    from the probes' kept columns: 12 times in the preconditioned heat
+    tracking solve at n=16, L=101, and 13 in the triangular terminal-cost
+    solve with the exact fine propagator at n=16, L=100 (22 and 25 when
+    delta took a second application)."""
+    p = make_heat_problem(16, 0.05, 2.0, objective)
+    d = make_decomposition(p, L=L, J_fine=10, J_coarse=1)
+    fine_prop = (build_exact_propagator(p, d.DT) if fine == "exact" else
+                 build_implicit_euler_propagator(p, d.DT, d.J_fine))
+    coarse = build_implicit_euler_propagator(p, d.DT, 1, variant)
+    plan = build_plan(coarse, d, alpha, method)
+    calls = 0
+    apply_inverse = PreconditionerPlan.apply_inverse
+
+    def counted(self, v):
+        nonlocal calls
+        calls += 1
+        return apply_inverse(self, v)
+    monkeypatch.setattr(PreconditionerPlan, "apply_inverse", counted)
+    _, log = paraopt_solve(p, d, fine_prop, coarse,
+                           NewtonConfig(preconditioner=plan))
+    assert log.converged and log.inner_solve == "reduced"
+    assert log.fallback_steps == 0
+    assert calls == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -623,7 +686,7 @@ def test_real_data_in_real_data_out(make, case, n, L, black_box, seed,
                                     residue):
     """Real data have no imaginary part on the self-conjugate modes: those
     slots of the real view are exactly 0 in what coefficients,
-    apply_jacobian, apply_inverse and _SliceSpace._couple return, odd and
+    apply_jacobian, apply_inverse and _SliceSpace._combine return, odd and
     even grids, heat and advection-diffusion, spectral general and
     triangular and black-box plans. apply_inverse refuses a finite nonzero
     one with ValueError, as it refuses complex input, and leaves a
@@ -634,9 +697,9 @@ def test_real_data_in_real_data_out(make, case, n, L, black_box, seed,
     slots = lambda v: v.reshape(-1, p.M + s)[:, 1:2 * s:2]
     rng = np.random.default_rng(seed)
     v = real_data(plan.basis, rng, 2 * d.L_hat).ravel()
-    couple = _SliceSpace(plan, op)._couple
+    space = _SliceSpace(plan, op)
     for out in (v, op(v), plan.apply_inverse(v),
-                couple(real_data(plan.basis, rng, 2).ravel())):
+                space._combine(space.G, real_data(plan.basis, rng, 2).ravel())):
         assert not slots(out).any()
     row, mode = rng.integers(2 * d.L_hat), rng.integers(s)
     slots(v)[row, mode] = residue

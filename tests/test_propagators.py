@@ -103,6 +103,17 @@ class TestImplicitEulerBuild:
         with pytest.raises(ValueError):
             build_implicit_euler_propagator(p, 0.7, 2)
 
+    @pytest.mark.parametrize("J,match", [
+        (2.5, "J must be an integer, got 2.5"),
+        (True, "J must be an integer, got True"),
+        (0, "need at least one implicit-Euler step")])
+    def test_step_count_must_be_a_positive_integer(self, J, match):
+        # a float J used to fail late with a TypeError, and True built
+        # one step
+        p = small_tracking_problem()
+        with pytest.raises(ValueError, match=match):
+            build_implicit_euler_propagator(p, 0.5, J)
+
     def test_tracking_shares_blocks(self):
         p = small_tracking_problem()
         Phi_P, Psi_P, Phi_Q, Psi_Q = dense_maps(
