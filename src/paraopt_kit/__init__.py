@@ -9,6 +9,7 @@ from paraopt_kit.problem import (
     ObjectiveKind,
     LinearControlProblem,
     PeriodicStencil,
+    SeparableTarget,
     TimeDecomposition,
     make_heat_problem,
     make_advection_diffusion_problem,
@@ -53,6 +54,7 @@ __all__ = [
     "ObjectiveKind",
     "LinearControlProblem",
     "PeriodicStencil",
+    "SeparableTarget",
     "TimeDecomposition",
     "make_heat_problem",
     "make_advection_diffusion_problem",

@@ -13,9 +13,10 @@ one evaluation per panel.
 It holds the one composition of implicit-Euler steps,
 :func:`implicit_euler_maps`, for K of shape (..., m, m): the dense M x M
 propagators of :mod:`paraopt_kit.propagators` and a stack of eigenvalues
-alike. The implicit-Euler catalog entries are that composition at one
-eigenvalue, K = [[sigma]]; the exact-solver entries are overflow-safe
-closed forms.
+alike; 1 x 1 matrices compose by division, elementwise, and only a
+larger K calls LAPACK. The implicit-Euler catalog entries are that
+composition at one eigenvalue, K = [[sigma]]; the exact-solver entries are
+overflow-safe closed forms.
 
 It also holds the one dense assembly of the ParaOpt block system,
 :func:`assemble_block_system`: with 1 x 1 maps it gives the two systems
@@ -36,7 +37,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from paraopt_kit.problem import Discretization, ObjectiveKind
+from paraopt_kit.problem import (Discretization, ObjectiveKind,
+                                 require_int)
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,8 @@ def _compose(a: tuple, b: tuple) -> tuple:
     AffinePropagator convention, with maps of shape (..., m, m) and offsets
     of shape (..., m, L), all with the same batch shape. The interface
     unknowns (y at the end of a, lam at the start of b) are eliminated with
-    one m x m solve per batch entry.
+    one m x m solve per batch entry, or, for 1 x 1 maps (one eigenvalue
+    per entry), with one division, elementwise over the batch.
     """
     Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
     Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
@@ -86,9 +89,10 @@ def _compose(a: tuple, b: tuple) -> tuple:
     # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
     # with N = (I + Psi_P^a Psi_Q^b)^-1; the right-hand side is a matrix per
     # batch entry, as 1-D ones broadcast differently across numpy versions
-    UVc = np.linalg.solve(np.eye(m) + Psi_Pa @ Psi_Qb,
-                          np.concatenate([Phi_Pa, Psi_Pa @ Phi_Qb,
-                                          b_Pa - Psi_Pa @ b_Qb], axis=-1))
+    D = np.eye(m) + Psi_Pa @ Psi_Qb
+    R = np.concatenate([Phi_Pa, Psi_Pa @ Phi_Qb, b_Pa - Psi_Pa @ b_Qb],
+                       axis=-1)
+    UVc = R / D if m == 1 else np.linalg.solve(D, R)
     U, V, c = UVc[..., :m], UVc[..., m:2 * m], UVc[..., 2 * m:]
     return (Phi_Pb @ U,
             Psi_Pb + Phi_Pb @ V,
@@ -115,19 +119,30 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     with :func:`_compose`. Z^-T is taken as the conjugate transpose Z^-H:
     the same matrix for a real K, and the conjugate for a complex
     eigenvalue, since a real K = V diag(sigma) V^H has K^T = V diag(conj
-    sigma) V^H. target(j), if given, is the tracking target at
-    the left end of step j = 0..J-1, of shape (..., m, L), and adds the
-    offset b_Q = -gh Z^-T target(j) to that step; without it the offsets
-    have no columns. Raises ValueError for J < 1 or a singular I + tau K.
+    sigma) V^H. A 1 x 1 K (one eigenvalue sigma per batch entry) takes
+    Z^-1 = 1/(1 + tau sigma) and composes by division, elementwise; a
+    larger one inverts Z and solves at each interface with LAPACK.
+    target(j), if given, is the tracking target at the left end of step
+    j = 0..J-1, of shape (..., m, L), and adds the offset
+    b_Q = -gh Z^-T target(j) to that step; without it the offsets have no
+    columns. Raises ValueError unless J is an integer >= 1 (a bool
+    or a float is refused), and for a singular I + tau K.
     """
+    require_int("J", J)
     if J < 1:
         raise ValueError(f"need J >= 1 implicit-Euler steps, got J = {J}")
-    try:
-        Zi = np.linalg.inv(np.eye(K.shape[-1]) + tau * K)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(
-            f"singular implicit-Euler step matrix I + tau*K at tau = {tau:g} "
-            f"({exc})") from exc
+    Z = np.eye(K.shape[-1]) + tau * K
+    singular = ("singular implicit-Euler step matrix I + tau*K at "
+                f"tau = {tau:g}")
+    if Z.shape[-1] == 1:
+        if not Z.all():  # checked before the division, so it never warns
+            raise ValueError(f"{singular} (1 + tau*sigma = 0)")
+        Zi = 1.0 / Z
+    else:
+        try:
+            Zi = np.linalg.inv(Z)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"{singular} ({exc})") from exc
     ZiT = np.swapaxes(Zi, -1, -2).conj()
     Psi_P = gh * (Zi @ ZiT) if variant is Discretization.FDTO else gh * Zi
     tracking = objective is ObjectiveKind.TRACKING

@@ -1,4 +1,13 @@
-"""Optimal-control problem instances, objective scalings, and spatial grids."""
+"""Optimal-control problem instances, objective scalings, and spatial grids.
+
+Structure is declared, not detected: a problem states that its K is a
+:class:`PeriodicStencil`, or that its tracking target is a
+:class:`SeparableTarget`, and the builders of
+:mod:`paraopt_kit.propagators` then work on the declared parts (the
+stencil's eigenvalues, the target's one shape), never on an M x M matrix
+or on the target sampled at every step. A dense K and a general callable
+y_d take the general paths. Every built-in problem declares both.
+"""
 
 from __future__ import annotations
 
@@ -87,6 +96,27 @@ class PeriodicStencil:
 
 
 @dataclass(frozen=True)
+class SeparableTarget:
+    """A tracking target y_d(t) = coef(t) * shape: one grid field
+    ``shape`` (M values) scaled by a scalar function of time. ``coef``
+    takes an array of times and gives the coefficient at each, elementwise
+    (a constant may come back as a scalar), so that a builder moves the
+    shape into its basis once and scales it at every time it needs. Called
+    with one time, it is y_d itself."""
+
+    shape: np.ndarray
+    coef: Callable
+
+    def __post_init__(self):
+        shape = _finite_array("a target's shape", self.shape,
+                              (np.size(self.shape),))
+        object.__setattr__(self, "shape", shape)
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.coef(t) * self.shape
+
+
+@dataclass(frozen=True)
 class LinearControlProblem:
     """Linear-dynamics control problem y' = -K y + u on [0, T].
 
@@ -94,7 +124,9 @@ class LinearControlProblem:
     costate; tracking problems carry a target trajectory ``y_d(t)``,
     terminal-cost problems a target state ``y_target``. K is a dense
     M x M matrix, which takes the dense paths whatever its structure, or a
-    :class:`PeriodicStencil`, which forms no M x M matrix.
+    :class:`PeriodicStencil`, which forms no M x M matrix. y_d is any
+    callable of t that gives M grid values, or a :class:`SeparableTarget`,
+    whose shape is then moved into a propagator's basis once.
     """
 
     K: Union[np.ndarray, PeriodicStencil]
@@ -120,6 +152,10 @@ class LinearControlProblem:
             raise ValueError("terminal-cost problems need y_target")
         if self.objective is ObjectiveKind.TRACKING and self.y_d is None:
             raise ValueError("tracking problems need y_d")
+        if (isinstance(self.y_d, SeparableTarget)
+                and len(self.y_d.shape) != self.M):
+            raise ValueError(f"the target's shape has {len(self.y_d.shape)} "
+                             f"values, but M = {self.M}")
 
     @property
     def M(self) -> int:
@@ -186,7 +222,9 @@ def _periodic_problem(column: np.ndarray, gamma: float, T: float,
                       objective: ObjectiveKind) -> LinearControlProblem:
     """The problem of the stencil K with first column ``column`` on the
     periodic unit square, with closed-form initial value, target state and
-    target trajectory evaluated at the grid vertices (x1-major order)."""
+    target trajectory evaluated at the grid vertices (x1-major order); the
+    trajectory is the target state's shape times an affine function of t,
+    declared as a :class:`SeparableTarget`."""
     _require_positive("gamma", gamma)  # before the fields divide by it
     n = column.shape[0]
     x = np.arange(n) / n  # cell vertices with periodic wrap
@@ -196,15 +234,15 @@ def _periodic_problem(column: np.ndarray, gamma: float, T: float,
     c = 12 * np.pi ** 2
     y_init = (1.0 / (c * gamma)) * (1 - T) * np.sign(s1) * s2 ** 2
     y_target = s1 * s2
-    shape = s1 * s2
 
-    def y_d(t: float) -> np.ndarray:
-        coef = (c + 1.0 / (c * gamma)) * (t - T) - (1.0 + 1.0 / (c ** 2 * gamma))
-        return (coef * shape).ravel()
+    def coef(t):
+        return ((c + 1.0 / (c * gamma)) * (t - T)
+                - (1.0 + 1.0 / (c ** 2 * gamma)))
 
     return LinearControlProblem(K=PeriodicStencil(column), gamma=gamma, T=T,
                                 y_init=y_init.ravel(), objective=objective,
-                                y_target=y_target.ravel(), y_d=y_d)
+                                y_target=y_target.ravel(),
+                                y_d=SeparableTarget((s1 * s2).ravel(), coef))
 
 
 def make_heat_problem(n: int, gamma: float, T: float,
@@ -226,10 +264,11 @@ def make_advection_diffusion_problem(n: int, gamma: float, T: float,
 def make_scalar_problem(sigma: float, gamma: float, T: float,
                         objective: ObjectiveKind) -> LinearControlProblem:
     """Scalar test equation y' = -sigma*y + u, K the 1 x 1 stencil sigma,
-    with y_init = 1 and the target y_d(t) = 1 (tracking) or y_target = 1
-    (terminal cost). Another field is set with dataclasses.replace."""
+    with y_init = 1 and the target y_d(t) = 1 (tracking, a
+    :class:`SeparableTarget`) or y_target = 1 (terminal cost). Another
+    field is set with dataclasses.replace."""
     tracking = objective is ObjectiveKind.TRACKING
     return LinearControlProblem(
         K=PeriodicStencil([[sigma]]), gamma=gamma, T=T, y_init=[1.0],
         objective=objective, y_target=None if tracking else [1.0],
-        y_d=(lambda t: np.ones(1)) if tracking else None)
+        y_d=SeparableTarget([1.0], lambda t: 1.0) if tracking else None)

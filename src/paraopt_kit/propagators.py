@@ -11,14 +11,20 @@ in :mod:`paraopt_kit.analysis`. Their tracking offsets are exact for a
 target y_d that is affine in t on each sub-interval (all built-in targets
 are): they come from the affine particular solution of the state/adjoint
 system, in closed form per eigenvalue with the same (phi, psi), and any
-other y_d is rejected.
+other y_d is rejected. Both builders take the tracking target in their
+basis at the times they need from one helper, :func:`_target_in`: a
+declared :class:`paraopt_kit.problem.SeparableTarget` (every built-in
+target) has its shape moved once and scaled by its coef, and any other
+callable is sampled and moved at every time. Terminal-cost builds never
+touch the target.
 
 Where the basis comes from: a problem whose K is a
 :class:`paraopt_kit.problem.PeriodicStencil` (every built-in problem)
 carries K's eigenvalues on the grid's 2-D DFT
 (:attr:`LinearControlProblem.symbol`). Both builders then work per mode of
 the half spectrum of the grid's :class:`FourierBasis`, on its eigenvalues
-as a stack of 1 x 1 matrices, with the targets moved in by 2-D FFTs.
+as a stack of 1 x 1 matrices, which compose by division, with the
+targets moved in by 2-D FFTs.
 Such a propagator lives in that basis: it is the eigenvalues of its four
 maps there, its offsets as half spectra and the basis, with no M x M map,
 and each of its actions is one product with the eigenvalues of a map. A
@@ -47,7 +53,7 @@ import numpy as np
 
 from paraopt_kit.analysis import _tc_exact, _tracking_exact, implicit_euler_maps
 from paraopt_kit.problem import (Discretization, LinearControlProblem,
-                                 ObjectiveKind, require_int)
+                                 ObjectiveKind, SeparableTarget, require_int)
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,21 @@ def flat(h: np.ndarray) -> np.ndarray:
     return (h.view(float) if np.iscomplexobj(h) else h).ravel()
 
 
+def _target_in(y_d, to_basis):
+    """The function of an array of times that gives the target y_d at each
+    of them in a basis, stacked along a new last axis; to_basis changes the
+    last axis of a stack of grid values into that basis. The shape of a
+    :class:`paraopt_kit.problem.SeparableTarget` is moved once, here, and
+    scaled by its coef at the times; any other y_d is sampled at every time
+    and moved. Made only where a target is used, so that terminal-cost
+    builds never touch one."""
+    if isinstance(y_d, SeparableTarget):
+        shape = to_basis(y_d.shape)
+        return lambda times: np.multiply.outer(
+            np.broadcast_to(y_d.coef(times), np.shape(times)), shape)
+    return lambda times: to_basis(np.array([y_d(t) for t in times]))
+
+
 def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
                                     J: int,
                                     variant: Discretization = Discretization.FOTD,
@@ -234,24 +255,24 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     tracking = obj is ObjectiveKind.TRACKING
     if tracking and variant is Discretization.FDTO:
         raise ValueError("tracking propagators support FOTD only")
-    require_int("J", J)
+    require_int("J", J)  # before J < 1 and DT / J, which raise TypeError
     if J < 1:
         raise ValueError("need at least one implicit-Euler step")
     tau = DT / J
     L = _interval_count(problem, DT)
     gh = tau / np.sqrt(problem.gamma) if tracking else tau / problem.gamma
     symbol = problem.symbol
-    # y_d sampled at each step's left end, on every interval, as (L, M)
-    sample = lambda j: np.array([problem.y_d(l * DT + j * tau)
-                                 for l in range(L)])
-    if symbol is None:
-        K, target = problem.K, lambda j: sample(j).T
+    if symbol is None:  # grid values, with the L intervals as columns
+        K, to_basis, columns = problem.K, (lambda x: x), np.transpose
     else:  # one 1 x 1 K per mode of the half spectrum, and the targets'
         basis = FourierBasis(problem.M)  # modes as its columns
         K = symbol[basis.half].reshape(-1, 1, 1)
-        target = lambda j: basis.coefficients(sample(j)).T[:, None, :]
-    maps = implicit_euler_maps(K, tau, gh, J, obj, variant,
-                               target if tracking else None)
+        to_basis, columns = basis.coefficients, (lambda c: c.T[:, None, :])
+    target = None
+    if tracking:  # y_d at each step's left end, on every interval
+        at = _target_in(problem.y_d, to_basis)
+        target = lambda j: columns(at(np.arange(L) * DT + j * tau))
+    maps = implicit_euler_maps(K, tau, gh, J, obj, variant, target)
     dtype = float if symbol is None else complex  # grid values, half spectra
     offsets = np.zeros((2, L, len(K)), dtype)
     if tracking:  # b_P of one step is a real zero
@@ -283,16 +304,16 @@ def _exact_tracking_offsets(problem: LinearControlProblem, DT: float, L: int,
     keeps it finite for any sigma. y_p is of the size of y_d, so offsets
     much smaller than y_d (DT/sqrt(gamma) << 1) lose digits to cancellation.
     """
-    # y_d at the ends (even rows) and midpoints (odd) of all sub-intervals
-    yd = np.array([problem.y_d(s) for s in DT / 2 * np.arange(2 * L + 1)])
-    ends = yd[::2]
-    if (np.abs(yd[1::2] - (ends[:-1] + ends[1:]) / 2).max()
+    # modes of y_d at the ends (even rows) and midpoints (odd) of all
+    # sub-intervals
+    yd = _target_in(problem.y_d, to_modes)(DT / 2 * np.arange(2 * L + 1))
+    e = yd[::2]
+    if (np.abs(yd[1::2] - (e[:-1] + e[1:]) / 2).max()
             > 1e-12 * np.abs(yd).max()):
         raise ValueError("exact tracking offsets need a target y_d that is "
                          "affine in t on each sub-interval")
     g = 1.0 / np.sqrt(problem.gamma)
     r = np.hypot(w, g)
-    e = to_modes(ends)  # modes of y_d at the sub-interval ends, one per row
     e0, e1, slope = e[:-1], e[1:], np.diff(e, axis=0) / DT
     y0, y1 = (g / r) ** 2 * e0, (g / r) ** 2 * e1
     lam0, lam1 = (-(g / r) * (w / r * ek + slope / r) for ek in (e0, e1))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,6 +43,31 @@ class TestCoefficientCatalog:
         # J = 0 used to fail in functools.reduce of no steps
         with pytest.raises(ValueError, match=f"got J = {J}"):
             implicit_euler_maps(np.eye(2), 0.1, 0.1, J, TR)
+
+    @pytest.mark.parametrize("J", [2.5, True, 3.0])
+    def test_step_count_must_be_an_integer(self, J):
+        # every implicit-Euler path passes implicit_euler_maps: a float J
+        # used to fail in range() with a TypeError, and True ran one step
+        ie = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=J)
+        exact = PropagatorDescription(PropagatorKind.EXACT)
+        with pytest.raises(ValueError,
+                           match=f"^J must be an integer, got {J!r}$"):
+            rho_bound_at(TR, exact, ie, 1.0, 1.0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            implicit_euler_maps(np.eye(2), 0.1, 0.1, J, TR)
+
+    @pytest.mark.parametrize("K", [
+        np.array([1.0, -2.0, 3.0]).reshape(-1, 1, 1),  # one sigma = -1/tau
+        np.array([[-2.0, 1.0], [0.0, 1.0]]),  # I + tau K of rank one
+    ], ids=["per-mode", "dense"])
+    def test_singular_step_rejected(self, K):
+        # the 1 x 1 step divides by 1 + tau sigma: the zero is refused
+        # before the division, so no divide-by-zero warning is raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^singular implicit-Euler "
+                               r"step matrix I \+ tau\*K at tau = 0\.5 "):
+                implicit_euler_maps(K, 0.5, 0.1, 3, TR)
 
     # each case breaks one condition of the message it must raise
     @pytest.mark.parametrize("build,match", [

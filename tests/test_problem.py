@@ -7,6 +7,7 @@ import pytest
 from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
+    SeparableTarget,
     TimeDecomposition,
     make_advection_diffusion_problem,
     make_decomposition,
@@ -185,3 +186,27 @@ class TestScalarProblem:
         q = make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TERMINAL_COST)
         assert q.y_d is None
         np.testing.assert_allclose(q.y_target, [1.0])
+
+
+class TestSeparableTarget:
+    def test_values_and_checks(self):
+        shape = np.array([1.0, -2.0])
+        y_d = SeparableTarget(shape, lambda t: 1.0 + t)
+        np.testing.assert_array_equal(y_d(0.5), 1.5 * shape)
+        for bad in (np.ones((2, 2)), [1.0, np.nan]):
+            with pytest.raises(ValueError, match="target's shape"):
+                SeparableTarget(bad, lambda t: t)
+        with pytest.raises(ValueError, match="2 values, but M = 3"):
+            LinearControlProblem(np.eye(3), 1.0, 1.0, np.zeros(3),
+                                 ObjectiveKind.TRACKING, y_d=y_d)
+
+    @pytest.mark.parametrize("make", [
+        lambda: make_heat_problem(4, 0.05, 2.0, ObjectiveKind.TRACKING),
+        lambda: make_advection_diffusion_problem(3, 0.05, 2.0,
+                                                 ObjectiveKind.TRACKING),
+        lambda: make_scalar_problem(3.0, 1.0, 1.0, ObjectiveKind.TRACKING),
+    ], ids=["heat", "advection", "scalar"])
+    def test_built_in_targets_are_declared(self, make):
+        p = make()
+        assert isinstance(p.y_d, SeparableTarget)
+        assert p.y_d.shape.shape == (p.M,)

@@ -17,6 +17,7 @@ from paraopt_kit.problem import (
     LinearControlProblem,
     ObjectiveKind,
     PeriodicStencil,
+    SeparableTarget,
     make_advection_diffusion_problem,
     make_decomposition,
     make_heat_problem,
@@ -106,6 +107,7 @@ class TestImplicitEulerBuild:
     @pytest.mark.parametrize("J,match", [
         (2.5, "J must be an integer, got 2.5"),
         (True, "J must be an integer, got True"),
+        ("3", "J must be an integer, got '3'"),
         (0, "need at least one implicit-Euler step")])
     def test_step_count_must_be_a_positive_integer(self, J, match):
         # a float J used to fail late with a TypeError, and True built
@@ -685,6 +687,67 @@ class TestFourierSymbolBuild:
                 P = assemble_P_alpha(sym, d, alpha)
                 assert (np.linalg.norm(P @ plan.apply_inverse(v) - v)
                         <= 1e-10 * np.linalg.norm(v))
+
+
+class TestDeclaredTarget:
+    """A SeparableTarget's shape is moved into the propagator's basis once
+    and scaled at every time; a plain callable is sampled and moved at
+    every time. Both paths give the same offsets."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(L=st.integers(2, 5), gamma=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2**16))
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("kind", ["heat", "advection", "dense"])
+    def test_declared_path_equals_general_path(self, kind, n, L, gamma, seed):
+        if kind == "dense":  # a symmetric dense K, M = n, declared target
+            rng = np.random.default_rng(seed)
+            B = rng.standard_normal((n, n))
+            a, b = rng.standard_normal(2)
+            p = LinearControlProblem(
+                K=B @ B.T + 0.1 * np.eye(n), gamma=gamma, T=2.0,
+                y_init=np.ones(n), objective=TR,
+                y_d=SeparableTarget(rng.standard_normal(n),
+                                    lambda t: a + b * t))
+        else:
+            make = (make_heat_problem if kind == "heat"
+                    else make_advection_diffusion_problem)
+            p = make(n, gamma, 2.0, TR)
+        assert isinstance(p.y_d, SeparableTarget)
+        general = dataclasses.replace(p, y_d=lambda t: p.y_d(t))
+        DT = p.T / L
+        builds = [lambda q, J=J: build_implicit_euler_propagator(q, DT, J)
+                  for J in (1, 3)]
+        if kind != "advection":  # exact needs a symmetric K
+            builds.append(lambda q: build_exact_propagator(q, DT))
+        for build in builds:
+            got, want = ([prop.b_P, prop.b_Q] for prop in
+                         (build(p), build(general)))
+            scale = np.abs(want).max()
+            assert scale > 0.0
+            assert np.abs(np.subtract(got, want)).max() <= 1e-13 * scale
+
+    def test_exact_build_refuses_non_affine_declared_target(self):
+        p = make_heat_problem(4, 0.05, 2.0, TR)
+        declared = dataclasses.replace(
+            p, y_d=SeparableTarget(p.y_d.shape, lambda t: t * t))
+        general = dataclasses.replace(p, y_d=lambda t: declared.y_d(t))
+        for q in (declared, general):
+            with pytest.raises(ValueError, match="^exact tracking offsets "
+                               "need a target y_d that is affine in t on "
+                               "each sub-interval$"):
+                build_exact_propagator(q, 0.5)
+
+    def test_terminal_cost_builds_never_sample_the_target(self):
+        def refuse(t):
+            raise AssertionError(f"the target was sampled at t = {t}")
+
+        p = make_heat_problem(4, 0.05, 2.0, TC)
+        for y_d in (refuse, SeparableTarget(np.ones(p.M), refuse)):
+            q = dataclasses.replace(p, y_d=y_d)
+            build_implicit_euler_propagator(q, 0.5, 3)
+            build_implicit_euler_propagator(q, 0.5, 1, Discretization.FDTO)
+            build_exact_propagator(q, 0.5)
 
 
 class TestScalarOracle:
