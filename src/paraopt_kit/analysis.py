@@ -54,9 +54,11 @@ class PhiPsi:
 def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
     # contraction requires 0 < phi < 1 and psi > 0 once sigma > 0;
     # phi == 0.0 is tolerated as the underflow of a positive quantity
-    # (exp(-sigma_hat) for sigma_hat beyond ~745)
+    # (exp(-sigma_hat) for sigma_hat beyond ~745). A non-finite sigma or
+    # coefficient is refused at any sigma
     ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
-    bad = (np.asarray(sigma) > 0) & ~ok
+    finite = np.isfinite(sigma) & np.isfinite(pp.phi) & np.isfinite(pp.psi)
+    bad = ~finite | ((np.asarray(sigma) > 0) & ~ok)
     if bad.any():
         s, phi, psi = (float(v[bad][0]) for v in
                        np.broadcast_arrays(sigma, pp.phi, pp.psi))
@@ -161,6 +163,8 @@ def _ie_at(sigma, tau: float, gh, J: int, objective: ObjectiveKind,
            variant: Discretization = Discretization.FOTD) -> PhiPsi:
     """(phi, psi) of :func:`implicit_euler_maps` at K = [[sigma]],
     elementwise over arrays of sigma and gh."""
+    if not np.all(sigma * tau > -1):  # nan too
+        raise ValueError("sigma*tau must exceed -1")
     K, gh = (v[..., None, None] for v in np.broadcast_arrays(sigma, gh))
     Phi_P, Psi_P = implicit_euler_maps(K, tau, gh, J, objective, variant)[:2]
     return PhiPsi(Phi_P[..., 0, 0], Psi_P[..., 0, 0])
@@ -170,7 +174,7 @@ def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPs
     """Coefficients of the J-step implicit-Euler propagator for the tracking
     objective: the composed maps at the one eigenvalue sigma, elementwise
     over arrays of sigma and gamma."""
-    if J < 1 or tau <= 0 or np.any(gamma <= 0):
+    if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
     return _require_valid(_ie_at(sigma, tau, tau / np.sqrt(gamma), J,
                                  ObjectiveKind.TRACKING),
@@ -193,7 +197,7 @@ def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for tracking:
     with s = sqrt(sigma_hat^2 + gamma_hat^2),
     phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
-    if DT <= 0 or np.any(gamma <= 0):
+    if not DT > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need DT > 0, gamma > 0")
     return _require_valid(_tracking_exact(DT * sigma, DT / np.sqrt(gamma)),
                           sigma, "tracking exact")
@@ -206,10 +210,8 @@ def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
     elementwise over arrays of sigma and gamma. The two discretization
     orders (discretize-then-optimize vs. optimize-then-discretize) share
     phi = (1+sigma*tau)^(-J) but differ in psi by a factor (1+sigma*tau)."""
-    if J < 1 or tau <= 0 or np.any(gamma <= 0):
+    if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
-    if np.any(sigma * tau <= -1):
-        raise ValueError("sigma*tau must exceed -1")
     return _require_valid(_ie_at(sigma, tau, tau / gamma, J,
                                  ObjectiveKind.TERMINAL_COST, variant),
                           sigma, "terminal-cost IE")
@@ -225,7 +227,7 @@ def _tc_exact(sh, gh) -> PhiPsi:
 def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for terminal cost:
     phi = exp(-sigma_hat), psi = gamma_hat*sinhc(sigma_hat)*exp(-sigma_hat)."""
-    if DT <= 0 or np.any(gamma <= 0):
+    if not DT > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need DT > 0, gamma > 0")
     return _require_valid(_tc_exact(DT * sigma, DT / gamma), sigma,
                           "terminal-cost exact")
@@ -314,8 +316,10 @@ def assemble_block_system(maps: Sequence[np.ndarray], L_hat: int,
     terminal cost the last adjoint row is lam_Lhat - y_Lhat. With alpha, the
     preconditioner P(alpha): the alpha-circulant C(alpha) (B with -alpha in
     its top-right corner) and C(alpha)^H take the places of B and B^T, and
-    there is no terminal row.
+    there is no terminal row. An L_hat that is not an integer (a bool or a
+    float) raises ValueError.
     """
+    require_int("L_hat", L_hat)
     Phi_P, Psi_P, Phi_Q, Psi_Q = maps
     M = Phi_P.shape[0]
     B = -np.eye(L_hat, k=-1)
@@ -430,7 +434,8 @@ def bound_grid_sweep(objective: ObjectiveKind,
 
 def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
     """count logarithmically spaced values from lo to hi, both included.
-    Values must be positive and finite. A grid of two or more points needs
+    Values must be positive and finite, and count an integer (a bool or a
+    float is refused). A grid of two or more points needs
     lo < hi; a one-point grid needs lo == hi and is exactly [lo], which
     np.logspace would round (0.3 to 0.30000000000000004). Raises
     ValueError otherwise."""
@@ -438,6 +443,7 @@ def log_grid(lo: float, hi: float, count: int) -> np.ndarray:
         if not 0.0 < x < np.inf:  # nan too
             raise ValueError(f"grid values must be positive and finite, "
                              f"got {x}")
+    require_int("count", count)
     if count < 1 or hi < lo or (count == 1) != (lo == hi):
         raise ValueError(f"need lo < hi and count >= 2, or lo == hi and "
                          f"count 1; got {lo}:{hi}:{count}")

@@ -337,12 +337,12 @@ def cmd_solve(args) -> int:
 
 def _heat_run_config(problem: str, objective: str, L_hat: int,
                      precond: bool, inner_tol: float = 1e-4) -> RunConfig:
+    """The paper's heat case, RunConfig's defaults, at L_hat sub-intervals
+    with max_inner 2000."""
     L = L_hat + 1 if objective == "tracking" else L_hat
-    return RunConfig(problem=problem, objective=objective, n=8, gamma=0.05,
-                     T=2.0, L=L, J_fine=10, J_coarse=1, fine="ie",
-                     outer_tol=1e-6, inner_tol=inner_tol, max_inner=2000,
-                     precond_enabled=precond, precond_method="general",
-                     alpha_real=-1.0)
+    return RunConfig(problem=problem, objective=objective, L=L,
+                     inner_tol=inner_tol, max_inner=2000,
+                     precond_enabled=precond)
 
 
 def exp_bound_contours() -> dict:
@@ -383,10 +383,10 @@ def exp_scalar_timestep_sweep() -> dict:
 def scalar_case_config(sigma_hat: float, gamma_hat: float) -> RunConfig:
     """Scalar tracking case on T=50, L=50 with DT=1, exact fine and 10-step
     implicit-Euler coarse; gamma recovered from gamma_hat = DT/sqrt(gamma)."""
-    return RunConfig(problem="scalar", objective="tracking", sigma=sigma_hat,
-                     gamma=1.0 / gamma_hat ** 2, T=50.0, L=50, J_fine=10,
-                     J_coarse=10, fine="exact", outer_tol=1e-12,
-                     inner_tol=1e-10, max_outer=60, precond_enabled=False)
+    return RunConfig(problem="scalar", sigma=sigma_hat,
+                     gamma=1.0 / gamma_hat ** 2, T=50.0, L=50, J_coarse=10,
+                     fine="exact", outer_tol=1e-12, inner_tol=1e-10,
+                     max_outer=60, precond_enabled=False)
 
 
 def exp_scalar_convergence_ab() -> dict:
@@ -410,22 +410,20 @@ def exp_scalar_convergence_ab() -> dict:
 def exp_scalar_weak_scaling() -> dict:
     exact = PropagatorDescription(PropagatorKind.EXACT)
     ie1 = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=1)
+    # fixed DT: hatted coordinates stay put as L_hat grows
+    fixed_dt = tuple(coefficients_at(ObjectiveKind.TRACKING, desc, 1.0, 1.0)
+                     for desc in (exact, ie1))
     rows = []
     for L_hat in (2, 5, 10, 20, 50, 100, 200):
-        # fixed DT: hatted coordinates stay put as L_hat grows
-        sh, gh = 1.0, 1.0
-        fine = coefficients_at(ObjectiveKind.TRACKING, exact, sh, gh)
-        coarse = coefficients_at(ObjectiveKind.TRACKING, ie1, sh, gh)
-        rows.append(("fixed_DT", L_hat, rho_bound_tracking(fine, coarse),
-                     exact_rho(SsigmaSpec(L_hat, fine, coarse,
-                                          ObjectiveKind.TRACKING))))
         # fixed T: DT shrinks, so both hatted coordinates shrink with it
         DT = 1.0 / (L_hat + 1)
-        fine = analysis.phi_psi_tracking_exact(1.0, 1.0, DT)
-        coarse = analysis.phi_psi_tracking_ie(1.0, 1.0, DT, 1)
-        rows.append(("fixed_T", L_hat, rho_bound_tracking(fine, coarse),
-                     exact_rho(SsigmaSpec(L_hat, fine, coarse,
-                                          ObjectiveKind.TRACKING))))
+        fixed_t = (analysis.phi_psi_tracking_exact(1.0, 1.0, DT),
+                   analysis.phi_psi_tracking_ie(1.0, 1.0, DT, 1))
+        rows += [(regime, L_hat, rho_bound_tracking(fine, coarse),
+                  exact_rho(SsigmaSpec(L_hat, fine, coarse,
+                                       ObjectiveKind.TRACKING)))
+                 for regime, (fine, coarse) in (("fixed_DT", fixed_dt),
+                                                ("fixed_T", fixed_t))]
     return {"weak_scaling.csv": (["regime", "L_hat", "rho_star", "exact_rho"],
                                  rows)}
 

@@ -192,20 +192,14 @@ def matching_residual(fine: AffinePropagator, problem: LinearControlProblem,
     basis = fine.basis
     to_basis = (lambda v: v) if basis is None else basis.coefficients
     y, lam = to_basis(np.stack([x.y, x.lam_hat]))
-    # b collects the offsets of P on intervals 1..Lhat and of Q on intervals
+    out = _apply_maps(fine, y, lam)
+    # b: the offsets of P on intervals 1..Lhat and of Q on intervals
     # 2..Lhat+1, the known y_init entering the first interval, and the
     # terminal condition (zero adjoint for tracking, y - y_target otherwise)
-    b_y = fine.b_P[:Lh].copy()
-    b_y[0] += fine.actions[0](to_basis(problem.y_init))
-    b_l = np.empty_like(b_y)
-    b_l[:-1] = fine.b_Q[1:Lh]
-    if problem.objective is ObjectiveKind.TRACKING:
-        b_l[-1] = fine.b_Q[Lh]
-    else:
-        b_l[-1] = -to_basis(problem.y_target)
-    out = _apply_maps(fine, y, lam)
-    out[0] -= b_y
-    out[1] -= b_l
+    out[0] -= fine.b_P[:Lh]
+    out[0, 0] -= fine.actions[0](to_basis(problem.y_init))
+    out[1, :-1] -= fine.b_Q[1:Lh]
+    out[1, -1] -= fine.b_Q[Lh] if tracking else -to_basis(problem.y_target)
     if basis is not None:
         out = basis.grid(out)
     return out.ravel()

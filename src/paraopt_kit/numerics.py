@@ -109,12 +109,10 @@ class _RowBlocks:
         blocks = [blk for _, blk in self.filled(self.size)]
         h = np.zeros(self.size, w.dtype)
         for _ in range(2):
-            if w.dtype.kind == "c":
-                # conj(B @ conj(w)) = conj(B) @ w without copying a block
-                wc = w.conj()
-                parts = [(blk @ wc).conj() for blk in blocks]
-            else:
-                parts = [blk @ w for blk in blocks]
+            # conj(B @ conj(w)) = conj(B) @ w without copying a block; for
+            # real arrays conj() returns the array itself
+            wc = w.conj()
+            parts = [(blk @ wc).conj() for blk in blocks]
             for blk, hb in zip(blocks, parts):
                 w -= hb @ blk
             h += np.concatenate(parts)

@@ -87,7 +87,7 @@ import numpy as np
 
 from paraopt_kit.analysis import assemble_block_system
 from paraopt_kit.numerics import GmresConfig, gmres
-from paraopt_kit.problem import TimeDecomposition
+from paraopt_kit.problem import TimeDecomposition, require_int
 from paraopt_kit.propagators import (
     AffinePropagator,
     FourierBasis,
@@ -120,7 +120,9 @@ def alpha_circulant_eigenvalues(L_hat: int, alpha: complex) -> np.ndarray:
     """Eigenvalues of C(alpha): the lower-shift matrix B (-1 on the first
     sub-diagonal) with an extra -alpha in the top-right corner. An L_hat
     below 1, or an alpha that is not finite and nonzero, raises
-    ValueError."""
+    ValueError, as does an L_hat that is not an integer (a bool or a
+    float)."""
+    require_int("L_hat", L_hat)
     if L_hat < 1:
         raise ValueError(f"L_hat must be at least 1, got {L_hat}")
     if not np.isfinite(alpha):

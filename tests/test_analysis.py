@@ -79,12 +79,48 @@ class TestCoefficientCatalog:
         (lambda: phi_psi_tc_ie(1.0, -0.5, 0.1, 2), _IE_RANGE),
         (lambda: phi_psi_tc_ie(-10.0, 0.5, 0.1, 2),
          r"^sigma\*tau must exceed -1$"),
+        # one sigma*tau rule for both implicit-Euler entries: tracking used
+        # to return (-1, -0.1) and (-6.44, -3.45) here
+        (lambda: phi_psi_tracking_ie(-20.0, 1.0, 0.1, 1),
+         r"^sigma\*tau must exceed -1$"),
+        (lambda: phi_psi_tracking_ie(-15.0, 1.0, 0.1, 3),
+         r"^sigma\*tau must exceed -1$"),
+        # a NaN step, gamma or sigma used to return NaN coefficients
+        (lambda: phi_psi_tracking_exact(0.0, np.nan, 1.0), _EXACT_RANGE),
+        (lambda: phi_psi_tracking_exact(np.nan, 1.0, 1.0),
+         r"^tracking exact: coefficients \(nan, nan\) leave the "
+         r"admissible range at sigma=nan$"),
+        (lambda: phi_psi_tracking_ie(0.0, 1.0, np.nan, 2), _IE_RANGE),
+        (lambda: phi_psi_tc_exact(0.0, 1.0, np.nan), _EXACT_RANGE),
+        (lambda: phi_psi_tc_ie(0.0, np.nan, 0.1, 2), _IE_RANGE),
+        (lambda: phi_psi_tc_ie(np.nan, 1.0, 0.1, 2),
+         r"^sigma\*tau must exceed -1$"),
+        (lambda: rho_bound_at(TR, PropagatorDescription(PropagatorKind.EXACT),
+                              PropagatorDescription(
+                                  PropagatorKind.IMPLICIT_EULER, J=1),
+                              np.nan, 1.0),
+         "admissible range at sigma=nan$"),
+        # finiteness binds at every sigma, the range of (phi, psi) only
+        # where sigma > 0: 200 steps at sigma*tau = -0.999 overflow, and
+        # the NaN they leave used to be returned
+        pytest.param(
+            lambda: phi_psi_tc_ie(np.array([1.0, -9.99]), 1.0, 0.1, 200),
+            r"^terminal-cost IE: coefficients \(nan, nan\) leave the "
+            r"admissible range at sigma=-9\.99$",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
         (lambda: phi_psi_tracking_exact(1.0, 0.5, 0.0), _EXACT_RANGE),
         (lambda: phi_psi_tracking_exact(1.0, 0.0, 1.0), _EXACT_RANGE),
         (lambda: phi_psi_tc_exact(1.0, 0.5, -1.0), _EXACT_RANGE),
         (lambda: phi_psi_tc_exact(1.0, 0.0, 1.0), _EXACT_RANGE),
         (lambda: SsigmaSpec(0, PhiPsi(0.5, 0.5), PhiPsi(0.5, 0.5), TR),
          "^L_hat must be >= 1$"),
+        # assemble_block_system used to fail in np.eye with a TypeError
+        (lambda: exact_rho(SsigmaSpec(2.5, PhiPsi(0.5, 0.5),
+                                      PhiPsi(0.4, 0.5), TR)),
+         "^L_hat must be an integer, got 2.5$"),
+        (lambda: exact_rho(SsigmaSpec(True, PhiPsi(0.5, 0.5),
+                                      PhiPsi(0.4, 0.5), TR)),
+         "^L_hat must be an integer, got True$"),
     ])
     def test_inputs_out_of_range_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
@@ -360,6 +396,11 @@ class TestGridSweep:
                      (1.0, np.inf, 5), (np.nan, np.nan, 1)]:
             with pytest.raises(ValueError):
                 log_grid(*args)
+        # a float count used to raise a TypeError in np.logspace
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match=f"^count must be an "
+                               f"integer, got {count!r}$"):
+                log_grid(1e-2, 1e2, count)
 
     @pytest.mark.parametrize("x", [0.3, 123.456])
     def test_one_point_log_grid_is_exact(self, x):

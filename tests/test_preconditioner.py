@@ -89,7 +89,10 @@ class TestCirculantEigenvalues:
         (4, np.nan, "alpha must be finite, got nan"),
         (4, np.inf, "alpha must be finite, got inf"),
         (4, -np.inf, "alpha must be finite, got -inf"),
-        (4, complex(0.6, np.nan), "alpha must be finite, got (0.6+nanj)")])
+        (4, complex(0.6, np.nan), "alpha must be finite, got (0.6+nanj)"),
+        # a float L_hat used to raise a TypeError in np.zeros
+        (2.5, -1.0, "L_hat must be an integer, got 2.5"),
+        (True, -1.0, "L_hat must be an integer, got True")])
     def test_bad_input_rejected(self, L_hat, alpha, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             alpha_circulant_eigenvalues(L_hat, alpha)
