@@ -67,6 +67,15 @@ def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
     return pp
 
 
+def _require_finite(sigma, where: str) -> None:
+    # refused before a closed form runs: an infinite sigma would warn in
+    # it (inf * 0, inf / inf) before _require_valid refuses the result
+    if not np.isfinite(sigma).all():
+        s = np.asarray(sigma, dtype=float)
+        raise ValueError(f"{where}: sigma must be finite, got "
+                         f"sigma={s[~np.isfinite(s)][0]}")
+
+
 def _sinhc_scaled(s):
     """exp(-s)*sinh(s)/s for s >= 0, elementwise and overflow-free (limit 1
     at s = 0)."""
@@ -83,32 +92,34 @@ def _compose(a: tuple, b: tuple) -> tuple:
     of shape (..., m, L), all with the same batch shape. The interface
     unknowns (y at the end of a, lam at the start of b) are eliminated with
     one m x m solve per batch entry, or, for 1 x 1 maps (one eigenvalue
-    per entry), with one division, elementwise over the batch.
+    per entry), with one division, and every product is elementwise over
+    the batch.
     """
     Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
     Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
     m = Phi_Pa.shape[-1]
+    mul = np.multiply if m == 1 else np.matmul
     # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
     # with N = (I + Psi_P^a Psi_Q^b)^-1; the right-hand side is a matrix per
     # batch entry, as 1-D ones broadcast differently across numpy versions
-    D = np.eye(m) + Psi_Pa @ Psi_Qb
-    R = np.concatenate([Phi_Pa, Psi_Pa @ Phi_Qb, b_Pa - Psi_Pa @ b_Qb],
-                       axis=-1)
+    D = np.eye(m) + mul(Psi_Pa, Psi_Qb)
+    R = np.concatenate([Phi_Pa, mul(Psi_Pa, Phi_Qb),
+                        b_Pa - mul(Psi_Pa, b_Qb)], axis=-1)
     UVc = R / D if m == 1 else np.linalg.solve(D, R)
     U, V, c = UVc[..., :m], UVc[..., m:2 * m], UVc[..., 2 * m:]
-    return (Phi_Pb @ U,
-            Psi_Pb + Phi_Pb @ V,
-            Phi_Qa @ (Phi_Qb - Psi_Qb @ V),
-            Psi_Qa + Phi_Qa @ (Psi_Qb @ U),
-            Phi_Pb @ c + b_Pb,
-            Phi_Qa @ (Psi_Qb @ c + b_Qb) + b_Qa)
+    return (mul(Phi_Pb, U),
+            Psi_Pb + mul(Phi_Pb, V),
+            mul(Phi_Qa, Phi_Qb - mul(Psi_Qb, V)),
+            Psi_Qa + mul(Phi_Qa, mul(Psi_Qb, U)),
+            mul(Phi_Pb, c) + b_Pb,
+            mul(Phi_Qa, mul(Psi_Qb, c) + b_Qb) + b_Qa)
 
 
 def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
                         objective: ObjectiveKind,
                         variant: Discretization = Discretization.FOTD,
                         target: Optional[Callable[[int], np.ndarray]] = None,
-                        ) -> tuple:
+                        L: int = 0) -> tuple:
     """Maps (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) of J implicit-Euler steps
     of length tau, for K of shape (..., m, m): a dense K, or a stack of
     eigenvalues as 1 x 1 matrices.
@@ -117,26 +128,40 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     for terminal cost) and broadcasts against K. One step inverts
     Z = I + tau K and maps (y_{j-1}, lam_j) to (y_j, lam_{j-1}) by
     Phi_P = Z^-1, Phi_Q = Z^-T, Psi_P = gh Z^-1 (gh Z^-1 Z^-T for FDTO) and
-    Psi_Q = gh Z^-T for tracking (0 otherwise); the J steps are folded
+    Psi_Q = gh Z^-T for tracking (0 otherwise); the steps are folded
     with :func:`_compose`. Z^-T is taken as the conjugate transpose Z^-H:
     the same matrix for a real K, and the conjugate for a complex
     eigenvalue, since a real K = V diag(sigma) V^H has K^T = V diag(conj
     sigma) V^H. A 1 x 1 K (one eigenvalue sigma per batch entry) takes
-    Z^-1 = 1/(1 + tau sigma) and composes by division, elementwise; a
-    larger one inverts Z and solves at each interface with LAPACK.
+    Z^-1 = 1/(1 + tau sigma) and composes by division and products,
+    elementwise; a larger one inverts Z and solves at each interface with
+    LAPACK.
+
     target(j), if given, is the tracking target at the left end of step
     j = 0..J-1, of shape (..., m, L), and adds the offset
-    b_Q = -gh Z^-T target(j) to that step; without it the offsets have no
-    columns. Raises ValueError unless J is an integer >= 1 (a bool
-    or a float is refused), and for a singular I + tau K.
+    b_Q = -gh Z^-T target(j) to that step; without it (L = 0) the offsets
+    have no columns. The offsets are linear in the targets and every step
+    has the same maps, so the steps are composed as unit responses, in
+    blocks of at most max(1, L // m) steps: in a block, step k's b_Q is
+    -gh Z^-T in unit columns k*m..(k+1)*m, the block's composed b_P and
+    b_Q are each step's weight W_k, and its offsets are sum_k W_k
+    target(k), one accumulation in which each target is sampled once.
+    Every full block has the same unit responses, composed once; the
+    blocks then compose in order onto each other. No composition is wider
+    than L columns (m for L < m), and for J <= L/m there is one block,
+    whose maps are the sequential composition of the J steps. Raises
+    ValueError unless J is an integer >= 1 (a bool or a float is
+    refused), and for a singular I + tau K.
     """
     require_int("J", J)
     if J < 1:
         raise ValueError(f"need J >= 1 implicit-Euler steps, got J = {J}")
-    Z = np.eye(K.shape[-1]) + tau * K
+    m = K.shape[-1]
+    mul = np.multiply if m == 1 else np.matmul
+    Z = np.eye(m) + tau * K
     singular = ("singular implicit-Euler step matrix I + tau*K at "
                 f"tau = {tau:g}")
-    if Z.shape[-1] == 1:
+    if m == 1:
         if not Z.all():  # checked before the division, so it never warns
             raise ValueError(f"{singular} (1 + tau*sigma = 0)")
         Zi = 1.0 / Z
@@ -149,14 +174,36 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     Psi_P = gh * (Zi @ ZiT) if variant is Discretization.FDTO else gh * Zi
     tracking = objective is ObjectiveKind.TRACKING
     Psi_Q = gh * ZiT if tracking else np.zeros_like(Zi)
-    no_offsets = np.zeros(Zi.shape[:-1] + (0,))
+    unit = -gh * ZiT  # a step's b_Q per unit of its target
+    if target is None:
+        no_target = np.zeros(unit.shape[:-1] + (0,))
+        target = lambda j: no_target
 
-    def step(j):
-        b_Q = no_offsets if target is None else -gh * (ZiT @ target(j))
-        # one step has no b_P: a zero-stride view, so no step allocates one
-        return (Zi, Psi_P, ZiT, Psi_Q, np.broadcast_to(0.0, b_Q.shape), b_Q)
+    def unit_block(count):
+        # the maps of count steps, and the weights of their targets; one
+        # step has no b_P: a zero-stride view, never allocated
+        b_P = np.broadcast_to(0.0, unit.shape[:-1] + (count * m,))
 
-    return functools.reduce(_compose, map(step, range(J)))
+        def step(k):
+            b_Q = np.zeros(b_P.shape, unit.dtype)
+            b_Q[..., k * m:(k + 1) * m] = unit
+            return (Zi, Psi_P, ZiT, Psi_Q, b_P, b_Q)
+        return functools.reduce(_compose, map(step, range(count)))
+
+    count = min(J, max(1, L // m))  # the steps of a full block
+    full = unit_block(count)
+
+    def block(first):
+        *maps, W_P, W_Q = full if J - first >= count else unit_block(J - first)
+        y = target(first)
+        b_P, b_Q = mul(W_P[..., :m], y), mul(W_Q[..., :m], y)
+        for k in range(1, W_P.shape[-1] // m):
+            y, w = target(first + k), slice(k * m, (k + 1) * m)
+            b_P += mul(W_P[..., w], y)
+            b_Q += mul(W_Q[..., w], y)
+        return (*maps, b_P, b_Q)
+
+    return functools.reduce(_compose, map(block, range(0, J, count)))
 
 
 def _ie_at(sigma, tau: float, gh, J: int, objective: ObjectiveKind,
@@ -199,6 +246,7 @@ def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
     if not DT > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need DT > 0, gamma > 0")
+    _require_finite(sigma, "tracking exact")
     return _require_valid(_tracking_exact(DT * sigma, DT / np.sqrt(gamma)),
                           sigma, "tracking exact")
 
@@ -229,6 +277,7 @@ def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     phi = exp(-sigma_hat), psi = gamma_hat*sinhc(sigma_hat)*exp(-sigma_hat)."""
     if not DT > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need DT > 0, gamma > 0")
+    _require_finite(sigma, "terminal-cost exact")
     return _require_valid(_tc_exact(DT * sigma, DT / gamma), sigma,
                           "terminal-cost exact")
 

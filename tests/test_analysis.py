@@ -88,8 +88,7 @@ class TestCoefficientCatalog:
         # a NaN step, gamma or sigma used to return NaN coefficients
         (lambda: phi_psi_tracking_exact(0.0, np.nan, 1.0), _EXACT_RANGE),
         (lambda: phi_psi_tracking_exact(np.nan, 1.0, 1.0),
-         r"^tracking exact: coefficients \(nan, nan\) leave the "
-         r"admissible range at sigma=nan$"),
+         "^tracking exact: sigma must be finite, got sigma=nan$"),
         (lambda: phi_psi_tracking_ie(0.0, 1.0, np.nan, 2), _IE_RANGE),
         (lambda: phi_psi_tc_exact(0.0, 1.0, np.nan), _EXACT_RANGE),
         (lambda: phi_psi_tc_ie(0.0, np.nan, 0.1, 2), _IE_RANGE),
@@ -99,7 +98,7 @@ class TestCoefficientCatalog:
                               PropagatorDescription(
                                   PropagatorKind.IMPLICIT_EULER, J=1),
                               np.nan, 1.0),
-         "admissible range at sigma=nan$"),
+         "^tracking exact: sigma must be finite, got sigma=nan$"),
         # finiteness binds at every sigma, the range of (phi, psi) only
         # where sigma > 0: 200 steps at sigma*tau = -0.999 overflow, and
         # the NaN they leave used to be returned
@@ -125,6 +124,21 @@ class TestCoefficientCatalog:
     def test_inputs_out_of_range_rejected(self, build, match):
         with pytest.raises(ValueError, match=match):
             build()
+
+    # an infinite sigma used to warn in the closed form (inf * 0 in
+    # _tracking_exact, inf / inf in _sinhc_scaled) before it was refused
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry,where", [
+        (phi_psi_tracking_exact, "tracking exact"),
+        (phi_psi_tc_exact, "terminal-cost exact")])
+    @pytest.mark.parametrize("sigma,shown", [
+        (np.inf, "inf"), (-np.inf, "-inf"),
+        (np.array([[1.0, 2.0], [-np.inf, np.nan]]), "-inf")])
+    def test_non_finite_sigma_refused_before_computing(self, entry, where,
+                                                       sigma, shown):
+        with pytest.raises(ValueError, match=f"^{where}: sigma must be "
+                           f"finite, got sigma={shown}$"):
+            entry(sigma, 1.0, 1.0)
 
     def test_tracking_ie_zero_sigma_one_step(self):
         # gamma = 4, tau = 1: one recursion step from the identity map

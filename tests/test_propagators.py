@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paraopt_kit.analysis import implicit_euler_maps
+from paraopt_kit.analysis import _compose, implicit_euler_maps
 from paraopt_kit.preconditioner import (
     InversionMethod,
     assemble_P_alpha,
@@ -27,6 +28,7 @@ from paraopt_kit.propagators import (
     Discretization,
     FourierBasis,
     _coupled_system,
+    _target_in,
     build_exact_propagator,
     build_implicit_euler_propagator,
     dense_maps,
@@ -337,7 +339,8 @@ class TestPerModeBuild:
             gh = tau / np.sqrt(gamma) if tracking else tau / gamma
             modes = implicit_euler_maps(sigma[:, None, None], tau, gh, J, obj,
                                         variant,
-                                        modal_target if tracking else None)
+                                        modal_target if tracking else None,
+                                        L if tracking else 0)
             for X, x in zip(dense_maps(dense), modes[:4]):
                 np.testing.assert_allclose(
                     Q.T @ X @ Q, np.diag(x[:, 0, 0]),
@@ -589,11 +592,12 @@ class TestFourierSymbolBuild:
         modal = lambda j: basis.coefficients(y(j)).T[:, None, :]
         if objective is TC:
             target = modal = None
+        columns = L if objective is TR else 0
         dense = implicit_euler_maps(bccb(p.K.column), tau, gh, J, objective,
-                                    variant, target)
+                                    variant, target, columns)
         symbol = p.symbol[basis.half]
-        modes = implicit_euler_maps(symbol.reshape(-1, 1, 1),
-                                    tau, gh, J, objective, variant, modal)
+        modes = implicit_euler_maps(symbol.reshape(-1, 1, 1), tau, gh, J,
+                                    objective, variant, modal, columns)
         F = dft(n)
         for X, x in zip(dense[:4], modes[:4]):
             np.testing.assert_allclose(rotated(X, F),
@@ -748,6 +752,133 @@ class TestDeclaredTarget:
             build_implicit_euler_propagator(q, 0.5, 3)
             build_implicit_euler_propagator(q, 0.5, 1, Discretization.FDTO)
             build_exact_propagator(q, 0.5)
+
+
+class TestUnitResponseBlocks:
+    """implicit_euler_maps composes unit responses in blocks of at most
+    max(1, L // m) steps and applies their weights to the targets; the
+    reference folds the J steps one by one with each step's target
+    columns in its offset."""
+
+    @staticmethod
+    def stepwise_maps(K, tau, gh, J, objective, variant, target):
+        m = K.shape[-1]
+        Z = np.eye(m) + tau * K
+        Zi = 1.0 / Z if m == 1 else np.linalg.inv(Z)
+        ZiT = np.swapaxes(Zi, -1, -2).conj()
+        Psi_P = gh * (Zi @ ZiT) if variant is Discretization.FDTO else gh * Zi
+        Psi_Q = gh * ZiT if objective is TR else np.zeros_like(Zi)
+
+        def step(j):
+            b_Q = (np.zeros(Zi.shape[:-1] + (0,)) if target is None else
+                   -gh * (ZiT @ target(j)))
+            return (Zi, Psi_P, ZiT, Psi_Q, np.broadcast_to(0.0, b_Q.shape),
+                    b_Q)
+        return functools.reduce(_compose, map(step, range(J)))
+
+    @staticmethod
+    def case(kind, dim, gamma, seed, separable):
+        """(K, m, y_d, to_basis, columns) of a dense K (M = dim) or a heat
+        or advection-diffusion stencil on the dim x dim grid, with a
+        declared or a general target."""
+        rng = np.random.default_rng(seed)
+        if kind == "dense":
+            B, S = rng.standard_normal((2, dim, dim))
+            p = LinearControlProblem(
+                K=B @ B.T + 0.1 * np.eye(dim) + (S - S.T), gamma=gamma,
+                T=2.0, y_init=np.ones(dim), objective=TR,
+                y_d=SeparableTarget(rng.standard_normal(dim),
+                                    lambda t: 1.0 + np.sin(3.0 * t)))
+            K, to_basis, columns = p.K, (lambda x: x), np.transpose
+        else:
+            make = (make_heat_problem if kind == "heat"
+                    else make_advection_diffusion_problem)
+            p = make(dim, gamma, 2.0, TR)
+            basis = FourierBasis(p.M)
+            K = p.symbol[basis.half].reshape(-1, 1, 1)
+            to_basis, columns = basis.coefficients, lambda c: c.T[:, None, :]
+        y_d = p.y_d
+        if not separable:  # no shape times a time series
+            w, v = rng.standard_normal((2, p.M))
+            y_d = lambda t: p.y_d(t) + np.sin(3.0 * t * w + v) + t * t * v
+        return K, K.shape[-1], y_d, to_basis, columns
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["dense", "heat", "advection"]),
+           dim=st.integers(1, 6), blocks=st.integers(2, 5),
+           extra=st.integers(0, 3),
+           regime=st.sampled_from(["one step", "below", "at", "above"]),
+           separable=st.booleans(), gamma=st.floats(0.01, 1.0),
+           seed=st.integers(0, 2**16))
+    @example(kind="heat", dim=5, blocks=3, extra=0, regime="above",
+             separable=True, gamma=0.05, seed=0)
+    @example(kind="advection", dim=4, blocks=2, extra=0, regime="above",
+             separable=False, gamma=0.05, seed=0)
+    @example(kind="dense", dim=4, blocks=2, extra=3, regime="above",
+             separable=False, gamma=0.05, seed=0)
+    def test_blocks_match_stepwise_composition(self, kind, dim, blocks,
+                                               extra, regime, separable,
+                                               gamma, seed):
+        if kind == "dense":
+            dim = 1 + dim % 4  # M from 1 to 4
+        else:
+            dim = 2 + dim % 4  # odd and even grids, n from 2 to 5
+        K, m, y_d, to_basis, columns = self.case(kind, dim, gamma, seed,
+                                                 separable)
+        L = blocks * m + extra % m  # L // m = blocks steps in a block
+        J = {"one step": 1, "below": blocks - 1, "at": blocks,
+             "above": 2 * blocks + 1}[regime]  # above: three blocks
+        DT = 2.0 / L
+        tau = DT / J
+        gh = tau / np.sqrt(gamma)
+        at = _target_in(y_d, to_basis)
+        target = lambda j: columns(at(np.arange(L) * DT + j * tau))
+        got = implicit_euler_maps(K, tau, gh, J, TR, target=target, L=L)
+        want = self.stepwise_maps(K, tau, gh, J, TR, Discretization.FOTD,
+                                  target)
+        for name, g, w in zip(("Phi_P", "Psi_P", "Phi_Q", "Psi_Q", "b_P",
+                               "b_Q"), got, want):
+            assert g.shape == w.shape, name
+            # one step has no b_P: both are zero at J = 1
+            assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max(), name
+        if J <= L // m:  # one block: the same folds of the same steps
+            for name, g, w in zip(("Phi_P", "Psi_P", "Phi_Q", "Psi_Q"),
+                                  got, want):
+                assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("objective,variant", [
+        (TC, Discretization.FOTD), (TC, Discretization.FDTO),
+        (TR, Discretization.FOTD)])
+    @pytest.mark.parametrize("kind,dim", [("dense", 3), ("heat", 3),
+                                          ("advection", 4)])
+    def test_no_target_is_the_zero_column_case(self, kind, dim, objective,
+                                               variant):
+        # blocks of one step: the sequential fold, bitwise, with offsets
+        # of no columns
+        K, *_ = self.case(kind, dim, 0.05, 0, True)
+        for J in (1, 7):
+            got = implicit_euler_maps(K, 0.02, 0.1, J, objective, variant)
+            want = self.stepwise_maps(K, 0.02, 0.1, J, objective, variant,
+                                      None)
+            for g, w in zip(got[:4], want[:4]):
+                assert np.array_equal(g, w)
+            assert [b.shape for b in got[4:]] == [K.shape[:-1] + (0,)] * 2
+
+    @pytest.mark.parametrize("kind", ["heat", "dense"])
+    @pytest.mark.parametrize("L,J", [(3, 1), (6, 4), (3, 25), (2, 9)])
+    def test_each_target_sampled_once(self, kind, L, J):
+        calls = []
+
+        def y_d(t):
+            calls.append(t)
+            return np.full(p.M, 1.0 + t)
+
+        p = make_heat_problem(3, 0.05, 2.0, TR)
+        if kind == "dense":
+            p = dataclasses.replace(p, K=bccb(p.K.column))
+        build_implicit_euler_propagator(dataclasses.replace(p, y_d=y_d),
+                                        p.T / L, J)
+        assert len(calls) == J * L
 
 
 class TestScalarOracle:
