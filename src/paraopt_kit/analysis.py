@@ -32,6 +32,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -54,10 +55,10 @@ class PhiPsi:
 def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
     # contraction requires 0 < phi < 1 and psi > 0 once sigma > 0;
     # phi == 0.0 is tolerated as the underflow of a positive quantity
-    # (exp(-sigma_hat) for sigma_hat beyond ~745). A non-finite sigma or
-    # coefficient is refused at any sigma
+    # (exp(-sigma_hat) for sigma_hat beyond ~745). A non-finite
+    # coefficient is refused at any sigma (sigma itself by _require_finite)
     ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
-    finite = np.isfinite(sigma) & np.isfinite(pp.phi) & np.isfinite(pp.psi)
+    finite = np.isfinite(pp.phi) & np.isfinite(pp.psi)
     bad = ~finite | ((np.asarray(sigma) > 0) & ~ok)
     if bad.any():
         s, phi, psi = (float(v[bad][0]) for v in
@@ -68,8 +69,9 @@ def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
 
 
 def _require_finite(sigma, where: str) -> None:
-    # refused before a closed form runs: an infinite sigma would warn in
-    # it (inf * 0, inf / inf) before _require_valid refuses the result
+    # refused before any catalog entry computes: an infinite sigma would
+    # warn in a closed form (inf * 0, inf / inf) before _require_valid
+    # refused the result
     if not np.isfinite(sigma).all():
         s = np.asarray(sigma, dtype=float)
         raise ValueError(f"{where}: sigma must be finite, got "
@@ -98,7 +100,7 @@ def _compose(a: tuple, b: tuple) -> tuple:
     Phi_Pa, Psi_Pa, Phi_Qa, Psi_Qa, b_Pa, b_Qa = a
     Phi_Pb, Psi_Pb, Phi_Qb, Psi_Qb, b_Pb, b_Qb = b
     m = Phi_Pa.shape[-1]
-    mul = np.multiply if m == 1 else np.matmul
+    mul = np.multiply if m == 1 else operator.matmul
     # [U | V | c] = N [Phi_P^a | Psi_P^a Phi_Q^b | b_P^a - Psi_P^a b_Q^b]
     # with N = (I + Psi_P^a Psi_Q^b)^-1; the right-hand side is a matrix per
     # batch entry, as 1-D ones broadcast differently across numpy versions
@@ -119,7 +121,7 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
                         objective: ObjectiveKind,
                         variant: Discretization = Discretization.FOTD,
                         target: Optional[Callable[[int], np.ndarray]] = None,
-                        L: int = 0) -> tuple:
+                        ) -> tuple:
     """Maps (Phi_P, Psi_P, Phi_Q, Psi_Q, b_P, b_Q) of J implicit-Euler steps
     of length tau, for K of shape (..., m, m): a dense K, or a stack of
     eigenvalues as 1 x 1 matrices.
@@ -139,13 +141,14 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
 
     target(j), if given, is the tracking target at the left end of step
     j = 0..J-1, of shape (..., m, L), and adds the offset
-    b_Q = -gh Z^-T target(j) to that step; without it (L = 0) the offsets
-    have no columns. The offsets are linear in the targets and every step
+    b_Q = -gh Z^-T target(j) to that step; without it the offsets have no
+    columns (L = 0). The offsets are linear in the targets and every step
     has the same maps, so the steps are composed as unit responses, in
     blocks of at most max(1, L // m) steps: in a block, step k's b_Q is
     -gh Z^-T in unit columns k*m..(k+1)*m, the block's composed b_P and
     b_Q are each step's weight W_k, and its offsets are sum_k W_k
-    target(k), one accumulation in which each target is sampled once.
+    target(k), one accumulation in which each target is sampled once
+    (L is read off target(0)).
     Every full block has the same unit responses, composed once; the
     blocks then compose in order onto each other. No composition is wider
     than L columns (m for L < m), and for J <= L/m there is one block,
@@ -157,7 +160,7 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     if J < 1:
         raise ValueError(f"need J >= 1 implicit-Euler steps, got J = {J}")
     m = K.shape[-1]
-    mul = np.multiply if m == 1 else np.matmul
+    mul = np.multiply if m == 1 else operator.matmul
     Z = np.eye(m) + tau * K
     singular = ("singular implicit-Euler step matrix I + tau*K at "
                 f"tau = {tau:g}")
@@ -178,11 +181,17 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
     if target is None:
         no_target = np.zeros(unit.shape[:-1] + (0,))
         target = lambda j: no_target
+    y0 = target(0)
+    L = y0.shape[-1]
+    # a block of one step has no b_P: one zero-stride view of the shape
+    # of every block's offsets
+    no_b_P = np.broadcast_to(0.0, np.broadcast_shapes(
+        unit.shape[:-2], y0.shape[:-2]) + y0.shape[-2:])
 
     def unit_block(count):
-        # the maps of count steps, and the weights of their targets; one
-        # step has no b_P: a zero-stride view, never allocated
-        b_P = np.broadcast_to(0.0, unit.shape[:-1] + (count * m,))
+        # the maps of count steps, and the weights of their targets; a
+        # step has no b_P of its own, so its unit steps share one zero
+        b_P = np.zeros(unit.shape[:-1] + (count * m,))
 
         def step(k):
             b_Q = np.zeros(b_P.shape, unit.dtype)
@@ -195,9 +204,12 @@ def implicit_euler_maps(K: np.ndarray, tau: float, gh, J: int,
 
     def block(first):
         *maps, W_P, W_Q = full if J - first >= count else unit_block(J - first)
-        y = target(first)
-        b_P, b_Q = mul(W_P[..., :m], y), mul(W_Q[..., :m], y)
-        for k in range(1, W_P.shape[-1] // m):
+        steps = W_Q.shape[-1] // m
+        b_Q = mul(W_Q[..., :m], y0 if first == 0 else target(first))
+        # the first step's target offsets only lam at the block's left
+        # end: its b_P weight is zero
+        b_P = np.zeros(b_Q.shape, b_Q.dtype) if steps > 1 else no_b_P
+        for k in range(1, steps):
             y, w = target(first + k), slice(k * m, (k + 1) * m)
             b_P += mul(W_P[..., w], y)
             b_Q += mul(W_Q[..., w], y)
@@ -210,7 +222,7 @@ def _ie_at(sigma, tau: float, gh, J: int, objective: ObjectiveKind,
            variant: Discretization = Discretization.FOTD) -> PhiPsi:
     """(phi, psi) of :func:`implicit_euler_maps` at K = [[sigma]],
     elementwise over arrays of sigma and gh."""
-    if not np.all(sigma * tau > -1):  # nan too
+    if not np.all(sigma * tau > -1):
         raise ValueError("sigma*tau must exceed -1")
     K, gh = (v[..., None, None] for v in np.broadcast_arrays(sigma, gh))
     Phi_P, Psi_P = implicit_euler_maps(K, tau, gh, J, objective, variant)[:2]
@@ -223,6 +235,7 @@ def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPs
     over arrays of sigma and gamma."""
     if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
+    _require_finite(sigma, "tracking IE")
     return _require_valid(_ie_at(sigma, tau, tau / np.sqrt(gamma), J,
                                  ObjectiveKind.TRACKING),
                           sigma, "tracking IE")
@@ -260,6 +273,7 @@ def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
     phi = (1+sigma*tau)^(-J) but differ in psi by a factor (1+sigma*tau)."""
     if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
         raise ValueError("need J >= 1, tau > 0, gamma > 0")
+    _require_finite(sigma, "terminal-cost IE")
     return _require_valid(_ie_at(sigma, tau, tau / gamma, J,
                                  ObjectiveKind.TERMINAL_COST, variant),
                           sigma, "terminal-cost IE")

@@ -272,7 +272,7 @@ def build_implicit_euler_propagator(problem: LinearControlProblem, DT: float,
     if tracking:  # y_d at each step's left end, on every interval
         at = _target_in(problem.y_d, to_basis)
         target = lambda j: columns(at(np.arange(L) * DT + j * tau))
-    maps = implicit_euler_maps(K, tau, gh, J, obj, variant, target, L)
+    maps = implicit_euler_maps(K, tau, gh, J, obj, variant, target)
     dtype = float if symbol is None else complex  # grid values, half spectra
     offsets = np.zeros((2, L, len(K)), dtype)
     if tracking:  # b_P of one step is a real zero

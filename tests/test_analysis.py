@@ -93,7 +93,7 @@ class TestCoefficientCatalog:
         (lambda: phi_psi_tc_exact(0.0, 1.0, np.nan), _EXACT_RANGE),
         (lambda: phi_psi_tc_ie(0.0, np.nan, 0.1, 2), _IE_RANGE),
         (lambda: phi_psi_tc_ie(np.nan, 1.0, 0.1, 2),
-         r"^sigma\*tau must exceed -1$"),
+         "^terminal-cost IE: sigma must be finite, got sigma=nan$"),
         (lambda: rho_bound_at(TR, PropagatorDescription(PropagatorKind.EXACT),
                               PropagatorDescription(
                                   PropagatorKind.IMPLICIT_EULER, J=1),
@@ -126,11 +126,16 @@ class TestCoefficientCatalog:
             build()
 
     # an infinite sigma used to warn in the closed form (inf * 0 in
-    # _tracking_exact, inf / inf in _sinhc_scaled) before it was refused
+    # _tracking_exact, inf / inf in _sinhc_scaled) before it was refused;
+    # every entry refuses it, and NaN, with the same message
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("entry,where", [
-        (phi_psi_tracking_exact, "tracking exact"),
-        (phi_psi_tc_exact, "terminal-cost exact")])
+        (lambda s: phi_psi_tracking_exact(s, 1.0, 1.0), "tracking exact"),
+        (lambda s: phi_psi_tc_exact(s, 1.0, 1.0), "terminal-cost exact"),
+        (lambda s: phi_psi_tracking_ie(s, 1.0, 0.1, 2), "tracking IE"),
+        (lambda s: phi_psi_tc_ie(s, 1.0, 0.1, 2), "terminal-cost IE")],
+        ids=["tracking exact", "terminal-cost exact", "tracking IE",
+             "terminal-cost IE"])
     @pytest.mark.parametrize("sigma,shown", [
         (np.inf, "inf"), (-np.inf, "-inf"),
         (np.array([[1.0, 2.0], [-np.inf, np.nan]]), "-inf")])
@@ -138,7 +143,7 @@ class TestCoefficientCatalog:
                                                        sigma, shown):
         with pytest.raises(ValueError, match=f"^{where}: sigma must be "
                            f"finite, got sigma={shown}$"):
-            entry(sigma, 1.0, 1.0)
+            entry(sigma)
 
     def test_tracking_ie_zero_sigma_one_step(self):
         # gamma = 4, tau = 1: one recursion step from the identity map

@@ -339,8 +339,7 @@ class TestPerModeBuild:
             gh = tau / np.sqrt(gamma) if tracking else tau / gamma
             modes = implicit_euler_maps(sigma[:, None, None], tau, gh, J, obj,
                                         variant,
-                                        modal_target if tracking else None,
-                                        L if tracking else 0)
+                                        modal_target if tracking else None)
             for X, x in zip(dense_maps(dense), modes[:4]):
                 np.testing.assert_allclose(
                     Q.T @ X @ Q, np.diag(x[:, 0, 0]),
@@ -592,12 +591,11 @@ class TestFourierSymbolBuild:
         modal = lambda j: basis.coefficients(y(j)).T[:, None, :]
         if objective is TC:
             target = modal = None
-        columns = L if objective is TR else 0
         dense = implicit_euler_maps(bccb(p.K.column), tau, gh, J, objective,
-                                    variant, target, columns)
+                                    variant, target)
         symbol = p.symbol[basis.half]
-        modes = implicit_euler_maps(symbol.reshape(-1, 1, 1), tau, gh, J,
-                                    objective, variant, modal, columns)
+        modes = implicit_euler_maps(symbol.reshape(-1, 1, 1),
+                                    tau, gh, J, objective, variant, modal)
         F = dft(n)
         for X, x in zip(dense[:4], modes[:4]):
             np.testing.assert_allclose(rotated(X, F),
@@ -833,7 +831,7 @@ class TestUnitResponseBlocks:
         gh = tau / np.sqrt(gamma)
         at = _target_in(y_d, to_basis)
         target = lambda j: columns(at(np.arange(L) * DT + j * tau))
-        got = implicit_euler_maps(K, tau, gh, J, TR, target=target, L=L)
+        got = implicit_euler_maps(K, tau, gh, J, TR, target=target)
         want = self.stepwise_maps(K, tau, gh, J, TR, Discretization.FOTD,
                                   target)
         for name, g, w in zip(("Phi_P", "Psi_P", "Phi_Q", "Psi_Q", "b_P",
