@@ -16,7 +16,11 @@ propagators of :mod:`paraopt_kit.propagators` and a stack of eigenvalues
 alike; 1 x 1 matrices compose by division, elementwise, and only a
 larger K calls LAPACK. The implicit-Euler catalog entries are that
 composition at one eigenvalue, K = [[sigma]]; the exact-solver entries are
-overflow-safe closed forms.
+overflow-safe closed forms. The four public catalog entries and
+:func:`coefficients_at` are each one call of a single checked entry, which
+checks the ranges and a finite sigma before it computes, scales the step by
+gamma, evaluates the closed form or the composition, and refuses
+coefficients outside the admissible range.
 
 It also holds the one dense assembly of the ParaOpt block system,
 :func:`assemble_block_system`: with 1 x 1 maps it gives the two systems
@@ -50,32 +54,6 @@ class PhiPsi:
 
     phi: float
     psi: float
-
-
-def _require_valid(pp: PhiPsi, sigma, where: str) -> PhiPsi:
-    # contraction requires 0 < phi < 1 and psi > 0 once sigma > 0;
-    # phi == 0.0 is tolerated as the underflow of a positive quantity
-    # (exp(-sigma_hat) for sigma_hat beyond ~745). A non-finite
-    # coefficient is refused at any sigma (sigma itself by _require_finite)
-    ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
-    finite = np.isfinite(pp.phi) & np.isfinite(pp.psi)
-    bad = ~finite | ((np.asarray(sigma) > 0) & ~ok)
-    if bad.any():
-        s, phi, psi = (float(v[bad][0]) for v in
-                       np.broadcast_arrays(sigma, pp.phi, pp.psi))
-        raise ValueError(f"{where}: coefficients ({phi}, {psi}) leave "
-                         f"the admissible range at sigma={s}")
-    return pp
-
-
-def _require_finite(sigma, where: str) -> None:
-    # refused before any catalog entry computes: an infinite sigma would
-    # warn in a closed form (inf * 0, inf / inf) before _require_valid
-    # refused the result
-    if not np.isfinite(sigma).all():
-        s = np.asarray(sigma, dtype=float)
-        raise ValueError(f"{where}: sigma must be finite, got "
-                         f"sigma={s[~np.isfinite(s)][0]}")
 
 
 def _sinhc_scaled(s):
@@ -229,18 +207,6 @@ def _ie_at(sigma, tau: float, gh, J: int, objective: ObjectiveKind,
     return PhiPsi(Phi_P[..., 0, 0], Psi_P[..., 0, 0])
 
 
-def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPsi:
-    """Coefficients of the J-step implicit-Euler propagator for the tracking
-    objective: the composed maps at the one eigenvalue sigma, elementwise
-    over arrays of sigma and gamma."""
-    if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
-        raise ValueError("need J >= 1, tau > 0, gamma > 0")
-    _require_finite(sigma, "tracking IE")
-    return _require_valid(_ie_at(sigma, tau, tau / np.sqrt(gamma), J,
-                                 ObjectiveKind.TRACKING),
-                          sigma, "tracking IE")
-
-
 def _tracking_exact(sh, gh) -> PhiPsi:
     """Unchecked exact tracking coefficients in hatted variables,
     elementwise."""
@@ -253,15 +219,64 @@ def _tracking_exact(sh, gh) -> PhiPsi:
     return PhiPsi(np.exp(-s) / den, gh * b / den)
 
 
+def _tc_exact(sh, gh) -> PhiPsi:
+    """Unchecked exact terminal-cost coefficients in hatted variables,
+    elementwise."""
+    # sinhc(sh)*exp(-sh) computed in scaled form to avoid overflow
+    return PhiPsi(np.exp(-sh), gh * _sinhc_scaled(sh))
+
+
+def _phi_psi(objective: ObjectiveKind, exact: bool, sigma, gamma,
+             step: float, J: int = 1,
+             variant: Discretization = Discretization.FOTD) -> PhiPsi:
+    """The one checked catalog entry: (phi, psi) of the exact solver over a
+    sub-interval of length step, or of J implicit-Euler steps of length
+    step, elementwise over arrays of sigma and gamma. In order: the range
+    check, the finiteness of sigma, before anything is computed (an
+    infinite sigma would warn in a closed form, inf * 0 or inf / inf), the
+    gamma-scaled step (step/sqrt(gamma) for tracking, step/gamma for
+    terminal cost), the coefficients, and their admissibility: 0 <= phi < 1
+    and psi > 0 where sigma > 0 (phi == 0.0 is tolerated as the underflow
+    of exp(-sigma_hat) for sigma_hat beyond ~745), and finite at any
+    sigma."""
+    tracking = objective is ObjectiveKind.TRACKING
+    where = (f"{'tracking' if tracking else 'terminal-cost'} "
+             f"{'exact' if exact else 'IE'}")
+    if J < 1 or not step > 0 or not np.all(gamma > 0):  # nan too
+        raise ValueError("need DT > 0, gamma > 0" if exact
+                         else "need J >= 1, tau > 0, gamma > 0")
+    if not np.isfinite(sigma).all():
+        s = np.asarray(sigma, dtype=float)
+        raise ValueError(f"{where}: sigma must be finite, got "
+                         f"sigma={s[~np.isfinite(s)][0]}")
+    gh = step / np.sqrt(gamma) if tracking else step / gamma
+    if exact:
+        pp = (_tracking_exact if tracking else _tc_exact)(step * sigma, gh)
+    else:
+        pp = _ie_at(sigma, step, gh, J, objective, variant)
+    ok = (0.0 <= pp.phi) & (pp.phi < 1.0) & (pp.psi > 0.0)
+    finite = np.isfinite(pp.phi) & np.isfinite(pp.psi)
+    bad = ~finite | ((np.asarray(sigma) > 0) & ~ok)
+    if bad.any():
+        s, phi, psi = (float(v[bad][0]) for v in
+                       np.broadcast_arrays(sigma, pp.phi, pp.psi))
+        raise ValueError(f"{where}: coefficients ({phi}, {psi}) leave "
+                         f"the admissible range at sigma={s}")
+    return pp
+
+
+def phi_psi_tracking_ie(sigma: float, gamma: float, tau: float, J: int) -> PhiPsi:
+    """Coefficients of the J-step implicit-Euler propagator for the tracking
+    objective: the composed maps at the one eigenvalue sigma, elementwise
+    over arrays of sigma and gamma."""
+    return _phi_psi(ObjectiveKind.TRACKING, False, sigma, gamma, tau, J)
+
+
 def phi_psi_tracking_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for tracking:
     with s = sqrt(sigma_hat^2 + gamma_hat^2),
     phi = 1/(cosh s + sigma_hat*sinh(s)/s) and psi = gamma_hat*sinhc(s)*phi."""
-    if not DT > 0 or not np.all(gamma > 0):  # nan too
-        raise ValueError("need DT > 0, gamma > 0")
-    _require_finite(sigma, "tracking exact")
-    return _require_valid(_tracking_exact(DT * sigma, DT / np.sqrt(gamma)),
-                          sigma, "tracking exact")
+    return _phi_psi(ObjectiveKind.TRACKING, True, sigma, gamma, DT)
 
 
 def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
@@ -271,29 +286,14 @@ def phi_psi_tc_ie(sigma: float, gamma: float, tau: float, J: int,
     elementwise over arrays of sigma and gamma. The two discretization
     orders (discretize-then-optimize vs. optimize-then-discretize) share
     phi = (1+sigma*tau)^(-J) but differ in psi by a factor (1+sigma*tau)."""
-    if J < 1 or not tau > 0 or not np.all(gamma > 0):  # nan too
-        raise ValueError("need J >= 1, tau > 0, gamma > 0")
-    _require_finite(sigma, "terminal-cost IE")
-    return _require_valid(_ie_at(sigma, tau, tau / gamma, J,
-                                 ObjectiveKind.TERMINAL_COST, variant),
-                          sigma, "terminal-cost IE")
-
-
-def _tc_exact(sh, gh) -> PhiPsi:
-    """Unchecked exact terminal-cost coefficients in hatted variables,
-    elementwise."""
-    # sinhc(sh)*exp(-sh) computed in scaled form to avoid overflow
-    return PhiPsi(np.exp(-sh), gh * _sinhc_scaled(sh))
+    return _phi_psi(ObjectiveKind.TERMINAL_COST, False, sigma, gamma, tau, J,
+                    variant)
 
 
 def phi_psi_tc_exact(sigma: float, gamma: float, DT: float) -> PhiPsi:
     """Coefficients of the exact sub-interval solver for terminal cost:
     phi = exp(-sigma_hat), psi = gamma_hat*sinhc(sigma_hat)*exp(-sigma_hat)."""
-    if not DT > 0 or not np.all(gamma > 0):  # nan too
-        raise ValueError("need DT > 0, gamma > 0")
-    _require_finite(sigma, "terminal-cost exact")
-    return _require_valid(_tc_exact(DT * sigma, DT / gamma), sigma,
-                          "terminal-cost exact")
+    return _phi_psi(ObjectiveKind.TERMINAL_COST, True, sigma, gamma, DT)
 
 
 def rho_bound_tracking(fine: PhiPsi, coarse: PhiPsi) -> float:
@@ -450,22 +450,19 @@ def coefficients_at(objective: ObjectiveKind, desc: PropagatorDescription,
     """Evaluate a described propagator at grid coordinates (sigma_hat,
     gamma_hat), elementwise over arrays. The grid fixes DT = 1, so
     sigma = sigma_hat and gamma is recovered from gamma_hat per the
-    objective's scaling."""
-    DT = 1.0
-    sigma = sigma_hat
+    objective's scaling; an exact description ignores J and the variant."""
+    exact = desc.kind is PropagatorKind.EXACT
     if objective is ObjectiveKind.TRACKING:
         gamma = 1.0 / gamma_hat ** 2
-        if desc.kind is PropagatorKind.EXACT:
-            return phi_psi_tracking_exact(sigma, gamma, DT)
-        if desc.variant is Discretization.FDTO:
+        if not exact and desc.variant is Discretization.FDTO:
             raise ValueError("tracking has a single implicit-Euler variant; "
                              "the two discretization orders coincide only "
                              "for terminal cost")
-        return phi_psi_tracking_ie(sigma, gamma, DT / desc.J, desc.J)
-    gamma = 1.0 / gamma_hat
-    if desc.kind is PropagatorKind.EXACT:
-        return phi_psi_tc_exact(sigma, gamma, DT)
-    return phi_psi_tc_ie(sigma, gamma, DT / desc.J, desc.J, desc.variant)
+    else:
+        gamma = 1.0 / gamma_hat
+    J = 1 if exact else desc.J
+    return _phi_psi(objective, exact, sigma_hat, gamma, 1.0 / J, J,
+                    desc.variant)
 
 
 def rho_bound_at(objective: ObjectiveKind, fine_desc: PropagatorDescription,

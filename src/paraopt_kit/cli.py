@@ -196,12 +196,14 @@ def _solve(cfg: RunConfig, problem, decomp, fine, coarse, newton):
     A ValueError here is a bug, not a bad input."""
     traj, log = paraopt_solve(problem, decomp, fine, coarse, newton)
     plan = newton.preconditioner
+    final = float(log.records[-1].residual)
     summary = {
         "converged": bool(log.converged),
         "aborted": log.aborted,
         "outer_iterations": len(log.records) - 1,
         "total_inner_iterations": int(sum(r.inner_iters for r in log.records)),
-        "final_residual": float(log.records[-1].residual),
+        # strict JSON has no NaN or inf; `aborted` gives the reason
+        "final_residual": final if np.isfinite(final) else None,
         "L_hat": decomp.L_hat,
         "M": problem.M,
         "preconditioner_blocks": plan.blocks if plan is not None else None,
@@ -243,7 +245,7 @@ def write_csv(path: str, header: Sequence[str], rows) -> None:
 
 def write_json(path: str, data: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump(data, f, indent=2, sort_keys=True)
+        json.dump(data, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
@@ -345,37 +347,44 @@ def _heat_run_config(problem: str, objective: str, L_hat: int,
                      precond_enabled=precond)
 
 
+def _heat_solves(problem: str, L_hats: Sequence[int], preconds=(True, False),
+                 inner_tol: float = 1e-4):
+    """Yield (L_hat, precond, log, summary) of the paper's heat-case
+    tracking solve (:func:`_heat_run_config`) for each L_hat in L_hats and
+    each precond in preconds, L_hat the slow axis."""
+    for L_hat in L_hats:
+        for precond in preconds:
+            _, log, summary = solve_case(_heat_run_config(
+                problem, "tracking", L_hat, precond, inner_tol))
+            yield L_hat, precond, log, summary
+
+
+def _rho_rows(L_hat: int, fine, coarse) -> tuple:
+    """(rho_star, exact_rho) of the tracking iteration at L_hat
+    sub-intervals with the fine and coarse coefficients."""
+    return (rho_bound_tracking(fine, coarse),
+            exact_rho(SsigmaSpec(L_hat, fine, coarse, ObjectiveKind.TRACKING)))
+
+
 def exp_bound_contours() -> dict:
     grid = log_grid(1e-4, 1e4, 50)
     exact = PropagatorDescription(PropagatorKind.EXACT)
-    panels = [
-        ("tracking_j1", ObjectiveKind.TRACKING, 1, Discretization.FOTD),
-        ("tracking_j10", ObjectiveKind.TRACKING, 10, Discretization.FOTD),
-        ("tc_fotd_j1", ObjectiveKind.TERMINAL_COST, 1, Discretization.FOTD),
-        ("tc_fotd_j10", ObjectiveKind.TERMINAL_COST, 10, Discretization.FOTD),
-        ("tc_fdto_j1", ObjectiveKind.TERMINAL_COST, 1, Discretization.FDTO),
-        ("tc_fdto_j10", ObjectiveKind.TERMINAL_COST, 10, Discretization.FDTO),
-    ]
-    files = {}
-    for name, objective, J, variant in panels:
-        coarse = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=J,
-                                       variant=variant)
-        files[f"rho_star_{name}.csv"] = (RHO_STAR_HEADER, bound_grid_sweep(
-            objective, exact, coarse, grid, grid))
-    return files
+    panels = {"tracking": (ObjectiveKind.TRACKING, Discretization.FOTD),
+              "tc_fotd": (ObjectiveKind.TERMINAL_COST, Discretization.FOTD),
+              "tc_fdto": (ObjectiveKind.TERMINAL_COST, Discretization.FDTO)}
+    return {f"rho_star_{panel}_j{J}.csv": (RHO_STAR_HEADER, bound_grid_sweep(
+        objective, exact, PropagatorDescription(
+            PropagatorKind.IMPLICIT_EULER, J=J, variant=variant), grid, grid))
+        for panel, (objective, variant) in panels.items() for J in (1, 10)}
 
 
 def exp_scalar_timestep_sweep() -> dict:
     # exact fine vs J-step implicit-Euler coarse at sigma=16, gamma=1, T=1
     sigma, gamma, T, L_hat = 16.0, 1.0, 1.0, 100
     DT = T / (L_hat + 1)
-    rows = []
-    for J in (1, 2, 4, 8, 16, 32):
-        fine = analysis.phi_psi_tracking_exact(sigma, gamma, DT)
-        coarse = analysis.phi_psi_tracking_ie(sigma, gamma, DT / J, J)
-        rows.append((J, rho_bound_tracking(fine, coarse),
-                     exact_rho(SsigmaSpec(L_hat, fine, coarse,
-                                          ObjectiveKind.TRACKING))))
+    fine = analysis.phi_psi_tracking_exact(sigma, gamma, DT)
+    rows = [(J, *_rho_rows(L_hat, fine, analysis.phi_psi_tracking_ie(
+        sigma, gamma, DT / J, J))) for J in (1, 2, 4, 8, 16, 32)]
     return {"timestep_sweep.csv": (["J_coarse", "rho_star", "exact_rho"],
                                    rows)}
 
@@ -419,9 +428,7 @@ def exp_scalar_weak_scaling() -> dict:
         DT = 1.0 / (L_hat + 1)
         fixed_t = (analysis.phi_psi_tracking_exact(1.0, 1.0, DT),
                    analysis.phi_psi_tracking_ie(1.0, 1.0, DT, 1))
-        rows += [(regime, L_hat, rho_bound_tracking(fine, coarse),
-                  exact_rho(SsigmaSpec(L_hat, fine, coarse,
-                                       ObjectiveKind.TRACKING)))
+        rows += [(regime, L_hat, *_rho_rows(L_hat, fine, coarse))
                  for regime, (fine, coarse) in (("fixed_DT", fixed_dt),
                                                 ("fixed_T", fixed_t))]
     return {"weak_scaling.csv": (["regime", "L_hat", "rho_star", "exact_rho"],
@@ -441,38 +448,26 @@ def exp_tc_fotd_vs_fdto() -> dict:
 
 
 def exp_gmres_tolerance_study() -> dict:
-    rows = []
-    for tol in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
-        cfg = _heat_run_config("heat", "tracking", 10, True, inner_tol=tol)
-        _, log, summary = solve_case(cfg)
-        rows.append((tol, summary["outer_iterations"],
-                     summary["total_inner_iterations"], log.converged))
+    rows = [(tol, s["outer_iterations"], s["total_inner_iterations"],
+             log.converged) for tol in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+            for _, _, log, s in _heat_solves("heat", (10,), (True,), tol)]
     return {"gmres_tolerance.csv": (
         ["inner_tolerance", "outer_iters", "total_inner", "converged"], rows)}
 
 
 def exp_iteration_counts(problem: str) -> dict:
-    rows = []
-    for L_hat in (10, 100):
-        for precond in (True, False):
-            cfg = _heat_run_config(problem, "tracking", L_hat, precond)
-            _, log, _ = solve_case(cfg)
-            for rec in log.records[1:]:
-                rows.append((L_hat, precond, rec.iteration, rec.inner_iters,
-                             rec.residual))
+    rows = [(L_hat, precond, rec.iteration, rec.inner_iters, rec.residual)
+            for L_hat, precond, log, _ in _heat_solves(problem, (10, 100))
+            for rec in log.records[1:]]
     return {"iteration_counts.csv": (
         ["L_hat", "preconditioned", "outer_iteration", "inner_iters",
          "residual"], rows)}
 
 
 def exp_heat_total_iterations() -> dict:
-    rows = []
-    for L_hat in (10, 25, 50, 100):
-        for precond in (True, False):
-            cfg = _heat_run_config("heat", "tracking", L_hat, precond)
-            _, _, summary = solve_case(cfg)
-            rows.append((L_hat, precond, summary["outer_iterations"],
-                         summary["total_inner_iterations"]))
+    rows = [(L_hat, precond, s["outer_iterations"],
+             s["total_inner_iterations"]) for L_hat, precond, _, s in
+            _heat_solves("heat", (10, 25, 50, 100))]
     return {"total_iterations.csv": (
         ["L_hat", "preconditioned", "outer_iters", "total_inner"], rows)}
 

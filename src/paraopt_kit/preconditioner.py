@@ -205,7 +205,7 @@ class PreconditionerPlan:
     - ``"lu"``: a coarse propagator with dense maps (a dense K); the
       stack of the H_l (general), or of each of their two diagonal blocks
       (triangular), is inverted once by numpy's LU, and each application
-      multiplies row l by inverse l.
+      multiplies row l by inverse l, for every l in one batched product.
     - ``"black_box"``: each H_l is solved matrix-free by inner GMRES through
       the propagator callbacks, in ``basis`` (general method only), on the
       two half spectra of its frequency in a FourierBasis. The
@@ -293,13 +293,16 @@ def _spectral_solves(method: InversionMethod, d: np.ndarray, diagonals,
     return (solve,)
 
 
-def _per_frequency(solve_l: Callable[[int, np.ndarray], np.ndarray]):
-    """Batched solve from a per-frequency one, looping over l: solve_l(l, r)
-    gets the rows l of the stack's blocks flattened, [v_l | w_l] for a
-    (2, L_hat, m) stack, and returns H_l^{-1} r in the same order."""
-    return lambda rhs: np.moveaxis(np.stack(
-        [solve_l(l, r.ravel()).reshape(r.shape)
-         for l, r in enumerate(np.moveaxis(rhs, -2, 0))]), 0, -2)
+def _per_frequency(solve_rows: Callable[[np.ndarray], np.ndarray]):
+    """Batched solve on a stack from one on its flattened rows:
+    solve_rows(R) gets the (L_hat, k) array whose row l is the rows l of
+    the stack's blocks flattened, [v_l | w_l] for a (2, L_hat, m) stack,
+    and returns the rows H_l^{-1} R[l] in the same order."""
+    def solve(rhs):
+        rows = np.moveaxis(rhs, -2, 0)
+        R = solve_rows(rows.reshape(len(rows), -1))
+        return np.moveaxis(R.reshape(rows.shape), 0, -2)
+    return solve
 
 
 def _dense_solves(blocks) -> tuple:
@@ -324,7 +327,8 @@ def _dense_solves(blocks) -> tuple:
     rcond = np.stack([1.0 / (norm(H) * norm(X))
                       for H, X in zip(stacks, inverses)], -1)
     _require_nonsingular(rcond, 1.0, what)
-    return tuple(_per_frequency(lambda l, rhs, X=X: X[l] @ rhs)
+    # every frequency at once: row l times inverse l, as one batched product
+    return tuple(_per_frequency(lambda R, X=X: (X @ R[..., None])[..., 0])
                  for X in inverses)
 
 
@@ -368,8 +372,8 @@ def build_plan(coarse: AffinePropagator, decomp: TimeDecomposition,
     if small_system_method is SmallSystemMethod.BLACK_BOX_ITERATIVE:
         blocks = "black_box"
         P, Q = linear_action(coarse)
-        solves = (_per_frequency(
-            lambda l, rhs: solve_block_blackbox(P, Q, d[l], rhs)),)
+        solves = (_per_frequency(lambda R: np.stack(
+            [solve_block_blackbox(P, Q, d[l], r) for l, r in enumerate(R)])),)
     elif basis is not None:
         blocks = "spectral"
         solves = _spectral_solves(method, d, coarse.maps, basis)

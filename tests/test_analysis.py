@@ -389,8 +389,19 @@ class TestGridSweep:
         bad = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=1,
                                     variant=Discretization.FDTO)
         fine = PropagatorDescription(PropagatorKind.EXACT)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^tracking has a single "
+                           "implicit-Euler variant"):
             rho_bound_at(TR, fine, bad, 1.0, 1.0)
+        # only implicit-Euler tracking refuses it: the exact tracking
+        # description ignores its variant, and terminal cost has both
+        exact_fdto = PropagatorDescription(PropagatorKind.EXACT,
+                                           variant=Discretization.FDTO)
+        assert (coefficients_at(TR, exact_fdto, 1.0, 0.7)
+                == phi_psi_tracking_exact(1.0, (1.0 / 0.7) ** 2, 1.0))
+        tc_fdto = PropagatorDescription(PropagatorKind.IMPLICIT_EULER, J=2,
+                                        variant=Discretization.FDTO)
+        assert (coefficients_at(TC, tc_fdto, 1.0, 0.7)
+                == phi_psi_tc_ie(1.0, 1.0 / 0.7, 0.5, 2, Discretization.FDTO))
 
     def test_fotd_never_worse_than_fdto_observationally(self):
         # recorded as an observation over a small grid, not a theorem
@@ -460,3 +471,19 @@ class TestHattedGridConvention:
                              1.0, 0.7)
         ref = phi_psi_tc_exact(1.0, 1.0 / 0.7, 1.0)
         assert pp == ref
+
+    @pytest.mark.parametrize("objective", [TR, TC])
+    def test_exact_description_ignores_J_and_variant(self, objective):
+        # the exact solver takes one sub-interval of DT = 1, whatever J and
+        # variant its description carries: the same bits at every point
+        sh, gh = np.meshgrid(log_grid(1e-3, 1e3, 7), log_grid(1e-3, 1e3, 7))
+        ref = coefficients_at(objective,
+                              PropagatorDescription(PropagatorKind.EXACT),
+                              sh, gh)
+        for J in (0, 1, 3, 10):
+            for variant in Discretization:
+                desc = PropagatorDescription(PropagatorKind.EXACT, J=J,
+                                             variant=variant)
+                pp = coefficients_at(objective, desc, sh, gh)
+                np.testing.assert_array_equal(pp.phi, ref.phi)
+                np.testing.assert_array_equal(pp.psi, ref.psi)

@@ -371,6 +371,28 @@ class TestSolveCommand:
         assert summary["total_inner_iterations"] in (
             inner if isinstance(inner, range) else [inner])
 
+    @pytest.mark.parametrize("args,finite", [
+        (["--gamma", "1e-300"], False),
+        (["--gamma", "1e-300", "--objective", "terminal_cost"], False),
+        (["--L", "3", "--T", "1e300"], False),
+        (["--L", "3"], True),
+    ], ids=["tiny-gamma-tracking", "tiny-gamma-terminal-cost", "huge-T",
+            "converged"])
+    def test_summary_is_strict_json(self, tmp_path, args, finite):
+        # NaN and Infinity are not JSON, and strict parsers (JSON.parse,
+        # Go's encoding/json) refuse a file that holds them: a non-finite
+        # final residual is written as null
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        out = str(tmp_path / "run")
+        main(["solve", "--n", "4", *args, "--output", out])
+        with open(os.path.join(out, "summary.json"), encoding="utf-8") as f:
+            summary = json.loads(f.read(), parse_constant=refuse)
+        assert summary["converged"] is finite
+        residual = summary["final_residual"]
+        assert isinstance(residual, float) if finite else residual is None
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("method", ["general", "triangular"])
     def test_singular_preconditioner_is_a_configuration_error(self, tmp_path,

@@ -237,6 +237,21 @@ class TestApplyInverse:
         x = plan.apply_inverse(v)
         assert np.linalg.norm(P @ x - v) <= 1e-10 * np.linalg.norm(v)
 
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3)],
+                             ids=["triangular", "general"])
+    def test_dense_solves_match_a_loop_over_frequencies(self, shape):
+        # all frequencies in one batched product, against the loop over l
+        # it replaced: row l of the stack, flattened, times inverse l
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((*shape, 2)) @ [1.0, 1j]
+        k = rows.size // shape[-2]
+        H = rng.standard_normal((shape[-2], k, k)) + k * np.eye(k)
+        got = preconditioner._dense_solves([H_l] for H_l in H)[0](rows)
+        per_l = np.moveaxis(rows, -2, 0)
+        want = np.stack([np.linalg.inv(H_l) @ r.ravel()
+                         for H_l, r in zip(H, per_l)]).reshape(per_l.shape)
+        np.testing.assert_array_equal(got, np.moveaxis(want, 0, -2))
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_linearity(self, seed):
